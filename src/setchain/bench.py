@@ -23,6 +23,7 @@ Two kinds of checks run:
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from .simnet import NetConfig, Simulation, SimTime
 from .wire import (
     OP_ADD,
     STATUS_OK,
+    FrameError,
     classify,
     decode_broadcast_message,
     decode_response,
@@ -431,7 +433,10 @@ class Workload:
             self.net.send(target, encode_request(OP_ADD, self._rid, e.wire))
 
     def on_message(self, frm: ProcessId, body: bytes) -> None:
-        op, rid, status, _ = decode_response(body)
+        try:
+            op, rid, status, _ = decode_response(body)
+        except FrameError:
+            return  # a malformed response confirms nothing
         if op == OP_ADD and status == STATUS_OK and frm in self.correct:
             e = self.sent.get(rid)
             if e is not None:
@@ -444,7 +449,22 @@ class Workload:
 
 
 def run_scenario(scenario: Scenario) -> RunReport:
-    """Builds the cluster, drives the workload, drains, checks, reports."""
+    """Builds the cluster, drives the workload, drains, checks, reports.
+
+    The cluster (simulation, handlers, servers, BRB engines, elements) is one
+    cyclic object graph that only a full collection frees; left to the
+    collector's own schedule, back-to-back runs pile up in memory.  So a run
+    collects before it builds its cluster, which frees what the caller
+    dropped (say, a cluster kept past its run), and again once its own
+    cluster is unreachable.
+    """
+    gc.collect()
+    report = _run_scenario(scenario)
+    gc.collect()
+    return report
+
+
+def _run_scenario(scenario: Scenario) -> RunReport:
     sim = Simulation(replace(scenario.net, rng_seed=scenario.seed),
                      record_log=False)
     sim.frame_classifier = classify
@@ -558,9 +578,21 @@ def run_matrix(scenarios: list[Scenario], seeds: range,
     ``max_workers`` has no effect; it is accepted so that existing callers
     keep working.  The runs are pure Python, so worker threads would only
     add GIL contention.
+
+    Before each run, everything alive is frozen (kept out of the collector's
+    reach) until the matrix ends, so the collections in ``run_scenario``
+    walk only what that run allocated, not the caller's whole heap.
     """
-    return [run_scenario(scenario.with_seed(seed))
-            for scenario in scenarios for seed in seeds]
+    gc.collect()  # so that no garbage is frozen below
+    reports = []
+    try:
+        for scenario in scenarios:
+            for seed in seeds:
+                gc.freeze()
+                reports.append(run_scenario(scenario.with_seed(seed)))
+    finally:
+        gc.unfreeze()
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,7 @@ class BrbEngine:
             raise ValueError("reliable broadcast needs n >= 3f + 1")
         self.net = net
         self.peers = tuple(peers)  # includes this process
+        self._peer_set = frozenset(self.peers)
         self.f = f
         self.quorum = 2 * f + 1  # echoes to turn ready; readies to deliver
         self.amplify = f + 1  # readies to turn ready
@@ -85,6 +86,8 @@ class BrbEngine:
         return digest
 
     def handle_frame(self, frm: ProcessId, body: bytes) -> None:
+        if frm not in self._peer_set:
+            return  # only peers' echoes and readies count toward quorums
         frame = _checked_frame(body)
         if frame is None:
             return  # garbage, or a digest that does not bind the payload

@@ -275,7 +275,10 @@ class SetchainServer:
     # -- consensus deliveries ----------------------------------------------
 
     def on_set_deliver(self, h: int, propset: Propset) -> None:
-        assert h == self.epoch + 1, "consensus service delivers in order"
+        if h != self.epoch + 1:
+            raise RuntimeError(
+                f"consensus delivered epoch {h} to {self.pid!r} at epoch "
+                f"{self.epoch}; the service must deliver in order")
         candidates: set[Element] = set()
         for es in propset.values():
             candidates |= es

@@ -12,6 +12,11 @@ process sends through its own :class:`NetHandle`, so the source field
 cannot be spoofed).  Before ``gst`` delivery delays are drawn uniformly
 from ``[latency_min, latency_max]``; from ``gst`` on they are additionally
 clamped to ``post_gst_bound``.
+
+With ``proc_cost > 0`` a receiver is busy for ``proc_cost`` ticks after each
+delivery.  A message that arrives while its receiver is busy waits in that
+receiver's inbox; when the receiver becomes free it takes the lowest-seq
+(earliest-sent) message that has arrived.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ TICKS_PER_SECOND = 1_000_000
 
 _ENVELOPE = 0
 _TIMER = 1
+_WAKE = 2  # a busy receiver's turn to take its lowest-seq waiting message
 
 
 class SimError(Exception):
@@ -113,6 +119,12 @@ class Simulation:
         self._seq = 0
         self._handlers: dict[ProcessId, Callable[[ProcessId, bytes], None]] = {}
         self._busy_until: dict[ProcessId, SimTime] = {}
+        # Messages that reached a busy receiver, as a heap of (seq, src, body).
+        # A receiver with a non-empty inbox has one live wake on the global
+        # heap, keyed (busy_until, lowest inbox seq) and recorded in _armed;
+        # any other wake for it is stale and is dropped when it pops.
+        self._inbox: dict[ProcessId, list] = {}
+        self._armed: dict[ProcessId, Optional[tuple[SimTime, int]]] = {}
 
     # -- membership ---------------------------------------------------------
 
@@ -124,6 +136,8 @@ class Simulation:
             raise SimError(f"process id {pid.id} already in use")
         self._handlers[pid] = handler
         self._busy_until[pid] = 0
+        self._inbox[pid] = []
+        self._armed[pid] = None
         return NetHandle(self, pid)
 
     @property
@@ -172,20 +186,45 @@ class Simulation:
                 if proc_cost:  # with no busy time a receiver is never busy
                     busy = self._busy_until[dst]
                     if busy > when:
-                        heapq.heappush(heap, (busy, seq, _ENVELOPE, src, dst, body))
+                        heapq.heappush(self._inbox[dst], (seq, src, body))
+                        armed = self._armed[dst]
+                        if armed is None or seq < armed[1]:
+                            self._arm(dst, busy, seq)
                         continue
                 self.now = max(self.now, when)
                 if proc_cost:
                     self._busy_until[dst] = self.now + proc_cost
                 self._deliver(src, dst, body)
-            else:
+            elif entry[2] == _TIMER:
                 _, _, _, fn, args, pid = entry
                 self.now = max(self.now, when)
                 fn(*args)
                 if pid is not None and self.after_event is not None:
                     self.after_event(pid)
+            else:  # a wake: dst may take its lowest-seq waiting message
+                _, seq, _, dst, _, _ = entry
+                if self._armed[dst] != (when, seq):
+                    continue  # superseded by a wake for a lower seq
+                busy = self._busy_until[dst]
+                if busy > when:  # an arrival at exactly `when` went first
+                    self._arm(dst, busy, seq)
+                    continue
+                inbox = self._inbox[dst]
+                _, src, body = heapq.heappop(inbox)
+                self.now = max(self.now, when)
+                busy = self._busy_until[dst] = self.now + proc_cost
+                if inbox:
+                    self._arm(dst, busy, inbox[0][0])
+                else:
+                    self._armed[dst] = None
+                self._deliver(src, dst, body)
         self.now = max(self.now, t)
         return self.log[start:]
+
+    def _arm(self, dst: ProcessId, at: SimTime, seq: int) -> None:
+        """Make (at, seq) the one live wake of ``dst``'s inbox."""
+        self._armed[dst] = (at, seq)
+        heapq.heappush(self._heap, (at, seq, _WAKE, dst, None, None))
 
     def _deliver(self, src: ProcessId, dst: ProcessId, body: bytes) -> None:
         self.delivered_total += 1
@@ -215,7 +254,9 @@ class Simulation:
         return self.now
 
     def pending_events(self) -> int:
-        return len(self._heap)
+        """Messages in flight or waiting in an inbox, plus pending timers."""
+        on_heap = sum(1 for entry in self._heap if entry[2] != _WAKE)
+        return on_heap + sum(len(inbox) for inbox in self._inbox.values())
 
     def notify(self, pid: ProcessId) -> None:
         """Fire the after-event hook for a synchronous harness callback."""

@@ -1,10 +1,13 @@
 """Scenario runner: reports, metrics, invariant monitoring, determinism."""
 
 import csv
+import gc
 import json
+import weakref
 
 import pytest
 
+import setchain.bench as bench
 from setchain.bench import (
     BenchError,
     LatencySummary,
@@ -12,6 +15,7 @@ from setchain.bench import (
     SafetyMonitor,
     Scenario,
     WindowStats,
+    Workload,
     compare,
     metric_value,
     preset,
@@ -27,6 +31,7 @@ from setchain.bench import (
 )
 from setchain.core import Element, History, KeyStore, ProcessId, ProcessKind
 from setchain.simnet import Simulation, NetConfig
+from setchain.wire import OP_ADD, STATUS_OK, encode_response
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -69,6 +74,21 @@ def test_workload_schedule_matches_requested_rate():
     assert Scenario(add_rate=2_000_000).workload_schedule() == (1, 2)
     assert Scenario(add_rate=1).workload_schedule() == (1_000_000, 1)
     assert Scenario(add_rate=200_000).workload_schedule() == (5, 1)
+
+
+def test_workload_drops_malformed_responses():
+    sim = Simulation(NetConfig(latency_min=1, latency_max=1))
+    keys = KeyStore()
+    server = ProcessId(0)
+    net = sim.register(server, lambda frm, body: None)
+    load = Workload(sim, keys, tiny_scenario(), (server,), frozenset([server]),
+                    SafetyMonitor(sim, keys), None)
+    load._send_add(load._mint())  # request id 1
+    for body in (b"", b"R", b"R\x01\x00", b"\xffjunk"):
+        net.send(load.pid, body)
+    net.send(load.pid, encode_response(OP_ADD, 1, STATUS_OK))
+    sim.run_to_quiescence()
+    assert load.accepted == set(load.attempted)
 
 
 def test_byzantine_slots_follow_the_adversary_kind():
@@ -246,6 +266,38 @@ def test_small_run_stamps_every_accepted_add():
     assert report.adds_stamped <= report.adds_stamped_final
     assert report.latency.count == 20
     assert report.latency.max >= report.latency.avg > 0
+
+
+class _Cycle:
+    def __init__(self):
+        self.me = self
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda scenario: [run_scenario(scenario)], id="run_scenario"),
+    pytest.param(lambda scenario: run_matrix([scenario], range(2)), id="run_matrix"),
+])
+def test_runs_free_older_garbage_first_and_their_clusters_after(monkeypatch, run):
+    refs = []
+    freed_before_build = []
+
+    class TrackedSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            freed_before_build.append(all(ref() is None for ref in refs))
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(bench, "Simulation", TrackedSimulation)
+    gc.disable()  # so that only the runs' own collections can free anything
+    try:
+        refs.append(weakref.ref(_Cycle()))  # garbage from before the runs
+        reports = run(safety_scenario(4, "fast", "havoc"))
+        assert freed_before_build == [True] * len(reports)
+        assert [ref() for ref in refs] == [None] * (1 + len(reports))
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+    assert all(r.property_violations == [] for r in reports)
 
 
 def test_each_add_goes_to_f_plus_one_servers():

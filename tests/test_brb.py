@@ -127,6 +127,39 @@ def test_byzantine_echo_of_uninited_message_is_not_delivered():
     assert all(c.deliveries(pid) == [] for pid in c.correct)
 
 
+def _echo_and_ready_from(c, senders, origin):
+    """Every sender echoes and readies an instance ``origin`` never began."""
+    payload = b"never broadcast"
+    digest = hashlib.sha256(payload).digest()
+    echo = encode_brb(BrbFrame(ECHO, origin, digest, payload))
+    ready = encode_brb(BrbFrame(READY, origin, digest, None))
+    for handle in senders:
+        for pid in c.correct:
+            handle.send(pid, echo)
+            handle.send(pid, ready)
+    c.drain()
+
+
+def _clients(c, count):
+    return [c.sim.register(ProcessId(100 + i, ProcessKind.CLIENT),
+                           lambda f, b: None) for i in range(count)]
+
+
+def test_echoes_and_readies_from_clients_are_not_counted():
+    # With f=1 the quorum is 3: one Byzantine server plus two clients would
+    # make it if clients counted, and every correct server would deliver.
+    c = Cluster(n=4, f=1, n_byz=1)
+    senders = [c.handles[c.byz[0]]] + _clients(c, 2)
+    _echo_and_ready_from(c, senders, origin=c.correct[0])
+    assert all(c.deliveries(pid) == [] for pid in c.correct)
+
+
+def test_frames_from_non_peers_open_no_instance():
+    c = Cluster(n=4, f=1)
+    _echo_and_ready_from(c, _clients(c, 3), origin=c.correct[0])
+    assert all(c.engines[pid].instances == {} for pid in c.correct)
+
+
 def test_two_byzantine_echoes_at_larger_scale_are_still_insufficient():
     c = Cluster(n=7, f=2, n_byz=2)
     payload = b"phantom"

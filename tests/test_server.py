@@ -201,6 +201,16 @@ def test_set_deliver_merges_union_and_advances_epoch():
     assert expected <= s.theset
 
 
+@pytest.mark.parametrize("h", [0, 2])
+def test_out_of_order_set_delivery_is_refused_without_side_effects(h):
+    c = ServerCluster()
+    s = c.correct[0]
+    before = s.get()
+    with pytest.raises(RuntimeError, match="deliver in order"):
+        s.on_set_deliver(h, {c.correct_pids[1]: frozenset([c.element()])})
+    assert s.get() == before and s.epoch == 0
+
+
 def test_stamped_elements_are_never_stamped_twice():
     c = ServerCluster(n_byz=1)
     a = c.element()

@@ -1,11 +1,13 @@
 """Deterministic event loop: latency bounds, ordering, reliability, logs."""
 
+import heapq
 import io
 import json
 import random
 
 import pytest
 
+from setchain import simnet
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, SimError, Simulation
 
@@ -182,11 +184,140 @@ def test_jsonl_export_shape():
     assert lines == [{"t": 1, "from": 0, "to": 1, "type": "78", "size": 3}]
 
 
-def test_receiver_busy_time_serialises_processing():
-    cfg = NetConfig(latency_min=1, latency_max=1, proc_cost=10)
+@pytest.mark.parametrize("delays, order", [
+    # Three sends at t=0, one tick each: processed one per proc_cost.
+    pytest.param((1, 1, 1), (0, 1, 2), id="in-send-order"),
+    # m2 waits in b's inbox from t=3; m1 (lower seq) joins it at t=5 and is
+    # taken first when b becomes free at t=11.
+    pytest.param((1, 5, 3), (0, 1, 2), id="lower-seq-joins-inbox"),
+    # m3 and m2 wait (arrived at t=2 and t=4); m1 arrives at exactly t=11,
+    # when b becomes free, with a lower seq than both, so it goes first.
+    pytest.param((1, 11, 4, 2), (0, 1, 2, 3), id="arrival-at-busy-until"),
+])
+def test_receiver_busy_time_serialises_processing(delays, order):
+    cfg = NetConfig(latency_min=1, latency_max=20, proc_cost=10)
     sim, (a, ha), (b, _), inbox = two_nodes(cfg)
-    for _ in range(3):
-        ha.send(b, b"m")
+    sim._draw_delay = iter(delays).__next__
+    for i in range(len(delays)):
+        ha.send(b, bytes([i]))
     sim.run_to_quiescence()
-    times = [t for who, t, _, _ in inbox]
-    assert times == [1, 11, 21]
+    assert [(t, body[0]) for who, t, _, body in inbox] == \
+        [(1 + 10 * k, i) for k, i in enumerate(order)]
+
+
+class RequeueSimulation(Simulation):
+    """Reference for busy receivers: requeue each waiting message on the heap.
+
+    A message for a busy receiver goes back onto the global heap at
+    ``(busy_until, seq)``, so the receiver takes the lowest-seq message that
+    has arrived; the inbox in :class:`Simulation` must keep exactly this order.
+    """
+
+    def run_until(self, t):
+        start = len(self.log)
+        heap = self._heap
+        proc_cost = self.config.proc_cost
+        while heap and heap[0][0] <= t:
+            entry = heapq.heappop(heap)
+            when = entry[0]
+            if entry[2] == simnet._ENVELOPE:
+                _, seq, _, src, dst, body = entry
+                if proc_cost:
+                    busy = self._busy_until[dst]
+                    if busy > when:
+                        heapq.heappush(heap, (busy, seq, simnet._ENVELOPE,
+                                              src, dst, body))
+                        continue
+                self.now = max(self.now, when)
+                if proc_cost:
+                    self._busy_until[dst] = self.now + proc_cost
+                self._deliver(src, dst, body)
+            else:
+                _, _, _, fn, args, pid = entry
+                self.now = max(self.now, when)
+                fn(*args)
+                if pid is not None and self.after_event is not None:
+                    self.after_event(pid)
+        self.now = max(self.now, t)
+        return self.log[start:]
+
+
+def random_cascade(sim_class, seed):
+    """A seeded cascade of sends and timers; returns everything observable.
+
+    Handlers and timers draw from their own RNG, so the two simulators make
+    the same draws exactly as long as they process events in the same order.
+    """
+    script = random.Random(seed)
+    cfg = NetConfig(latency_min=script.randint(0, 2),
+                    latency_max=script.randint(2, 9),
+                    gst=script.choice([0, 30, 10**9]),
+                    post_gst_bound=script.randint(1, 4),
+                    proc_cost=script.randint(1, 11), rng_seed=seed)
+    sim = sim_class(cfg, keep_bodies=True)
+    rng = random.Random(seed + 1)
+    pids = [ProcessId(i) for i in range(script.randint(2, 5))]
+    events, budget = [], [script.randint(20, 120)]
+    handles = {}
+
+    def act(pid):
+        for _ in range(rng.randint(0, 2)):
+            if budget[0] <= 0:
+                return
+            budget[0] -= 1
+            if rng.random() < 0.2:
+                handles[pid].after(rng.randint(0, 6), timer, pid, budget[0])
+            else:
+                handles[pid].send(rng.choice(pids), budget[0].to_bytes(2, "big"))
+
+    def timer(pid, tag):
+        events.append(("timer", sim.now, pid.id, tag))
+        act(pid)
+
+    def handler(pid):
+        def on_message(frm, body):
+            events.append(("deliver", sim.now, frm.id, pid.id, body))
+            act(pid)
+        return on_message
+
+    for pid in pids:
+        handles[pid] = sim.register(pid, handler(pid))
+    for pid in pids:
+        for _ in range(script.randint(1, 4)):
+            handles[pid].send(script.choice(pids), b"start")
+    cuts = []
+    for _ in range(script.randint(0, 4)):
+        sim.run_until(sim.now + script.randint(0, 25))
+        cuts.append((sim.now, sim.pending_events()))
+    sim.run_to_quiescence()
+    cuts.append((sim.now, sim.pending_events()))
+    return events, cuts
+
+
+def test_busy_receivers_keep_the_requeue_order():
+    # 300 cascades deliver about 17k messages; the inbox takes every path
+    # (a lower seq joining, an arrival at exactly busy_until going first).
+    for seed in range(300):
+        expected = random_cascade(RequeueSimulation, seed)
+        assert random_cascade(Simulation, seed) == expected, f"seed {seed}"
+
+
+def test_pending_events_counts_waiting_messages_not_wakes():
+    cfg = NetConfig(latency_min=1, latency_max=20, proc_cost=10)
+    sim, (a, ha), (b, _), inbox = two_nodes(cfg)
+    sim._draw_delay = iter((1, 5, 3)).__next__
+    for i in range(3):
+        ha.send(b, bytes([i]))
+    sim.schedule(40, lambda: None)
+    assert sim.pending_events() == 4
+    sim.run_until(1)  # m0 delivered, b busy until 11
+    assert sim.pending_events() == 3
+    sim.run_until(5)  # m2 then m1 wait in the inbox; m1 re-arms b's wake
+    assert sim.pending_events() == 3
+    sim.run_until(11)  # m1 delivered; m2 waits, its earlier wake is dropped
+    assert [body for *_, body in inbox] == [b"\x00", b"\x01"]
+    assert sim.pending_events() == 2
+    sim.run_until(21)
+    assert len(inbox) == 3 and sim.pending_events() == 1
+    sim.run_to_quiescence()
+    assert sim.pending_events() == 0
