@@ -10,6 +10,13 @@ canonical ones used on the wire and inside digests, so they are stable:
 * epoch digest: SHA-256 over the concatenation of ``u32 len(enc) | enc``
   for every element encoding ``enc`` in canonical order
 * epoch attestation payload: ``b"SEH1" | u64 h | 32-byte epoch digest``
+
+An element's identity is its canonical encoding: elements are equal when
+their encodings are, and hash as those bytes hash.  The encoding is
+injective, so this is field-wise equality, but it costs one cached ``bytes``
+hash instead of a tuple of fields.  Decoded elements are shared: decoding
+the same encoding again returns the same object (up to a bounded cache),
+so the servers and the monitor of one cluster hold one copy of each.
 """
 
 from __future__ import annotations
@@ -69,9 +76,12 @@ class ProcessId:
         return f"{tag}{self.id}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Element:
-    """An immutable signed payload; the unit stored in the replicated set."""
+    """An immutable signed payload; the unit stored in the replicated set.
+
+    Equality and hashing go through :attr:`wire` (see the module docstring).
+    """
 
     payload: bytes
     author: ProcessId
@@ -94,6 +104,16 @@ class Element:
     def digest(self) -> Digest:
         return hashlib.sha256(self.wire).digest()
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.wire == other.wire
+
+    def __hash__(self) -> int:
+        return hash(self.wire)
+
     def __repr__(self) -> str:
         return f"Element({self.digest.hex()[:10]}, by={self.author!r})"
 
@@ -112,23 +132,29 @@ def encode_element(e: Element) -> bytes:
     return e.wire
 
 
+@lru_cache(maxsize=4096)
+def _element_from_wire(wire: bytes) -> Element:
+    """The element whose canonical encoding is exactly ``wire``, one shared
+    object per encoding.  Raises ValueError or struct.error when ``wire``
+    is not an encoding.  The bound keeps memory flat under garbage."""
+    (plen,) = struct.unpack_from(">I", wire, 0)
+    author_id, kind, slen = struct.unpack_from(">IBI", wire, 4 + plen)
+    if 13 + plen + slen != len(wire):
+        raise ValueError("element length fields do not match its size")
+    e = Element(wire[4 : 4 + plen], decode_process_id(author_id, kind),
+                wire[13 + plen :])
+    e.__dict__["wire"] = wire  # what the cached property would compute
+    return e
+
+
 def decode_element(buf: bytes, offset: int = 0) -> tuple[Element, int]:
     """Decode one element at ``offset``; returns (element, next offset)."""
     (plen,) = struct.unpack_from(">I", buf, offset)
-    offset += 4
-    payload = bytes(buf[offset : offset + plen])
-    if len(payload) != plen:
-        raise ValueError("truncated element payload")
-    offset += plen
-    author_id, kind = struct.unpack_from(">IB", buf, offset)
-    offset += 5
-    (slen,) = struct.unpack_from(">I", buf, offset)
-    offset += 4
-    sig = bytes(buf[offset : offset + slen])
-    if len(sig) != slen:
+    (slen,) = struct.unpack_from(">I", buf, offset + 9 + plen)
+    end = offset + 13 + plen + slen
+    if end > len(buf):
         raise ValueError("truncated element signature")
-    offset += slen
-    return Element(payload, decode_process_id(author_id, kind), sig), offset
+    return _element_from_wire(bytes(buf[offset:end])), end
 
 
 def sort_elements(elements: Iterable[Element]) -> list[Element]:
@@ -150,12 +176,10 @@ def decode_element_set(buf: bytes, count: int, offset: int = 0) -> tuple[frozens
     out = []
     for _ in range(count):
         (wlen,) = struct.unpack_from(">I", buf, offset)
-        offset += 4
-        e, end = decode_element(buf, offset)
-        if end - offset != wlen:
-            raise ValueError("element length prefix mismatch")
-        offset = end
-        out.append(e)
+        start, offset = offset + 4, offset + 4 + wlen
+        if offset > len(buf):
+            raise ValueError("truncated element")
+        out.append(_element_from_wire(bytes(buf[start:offset])))
     return frozenset(out), offset
 
 
@@ -246,7 +270,7 @@ class KeyStore:
     def __init__(self, scheme: Optional[SignatureScheme] = None):
         self.scheme = scheme or HmacScheme()
         self._public: dict[ProcessId, bytes] = {}
-        self._memo: dict[Element, bool] = {}
+        self._memo: dict[bytes, bool] = {}  # keyed by element encoding
 
     def register(self, pid: ProcessId, public: bytes) -> None:
         if pid in self._public:
@@ -264,12 +288,12 @@ class KeyStore:
 
     def valid(self, e: Element) -> bool:
         """An element is valid iff its signature verifies under its author's key."""
-        cached = self._memo.get(e)
+        cached = self._memo.get(e.wire)
         if cached is not None:
             return cached
         public = self._public.get(e.author)
         ok = public is not None and self.scheme.verify(public, e.payload, e.signature)
-        self._memo[e] = ok
+        self._memo[e.wire] = ok
         return ok
 
     def make_element(self, payload: bytes, author: ProcessId, private: bytes) -> Element:

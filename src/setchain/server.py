@@ -149,7 +149,8 @@ class SetchainServer:
         self.prop: dict[int, frozenset[Element]] = {}
         self.tobroadcast: dict[Element, SimTime] = {}  # insertion = enqueue order
         self.pending_epochinc: set[int] = set()
-        self._stamped: set[Element] = set()
+        # Inserted but not yet stamped; always theset - history.union().
+        self._unstamped: set[Element] = set()
         self._flush_scheduled = False
 
     @property
@@ -256,6 +257,7 @@ class SetchainServer:
             self.tobroadcast.pop(e, None)
             if e not in self.theset and self.keys.valid(e):
                 self.theset.add(e)
+                self._unstamped.add(e)
                 inserted.append(e)
         if inserted and self.state_observer is not None:
             self.state_observer(self.pid, "insert", tuple(inserted))
@@ -268,7 +270,7 @@ class SetchainServer:
             return
         if h in self.prop:
             return  # already proposed for this instance
-        proposal = frozenset(e for e in self.theset if e not in self._stamped)
+        proposal = frozenset(self._unstamped)
         self.prop[h] = proposal
         self.sbc.propose(h, proposal, self.pid)
 
@@ -282,14 +284,18 @@ class SetchainServer:
         candidates: set[Element] = set()
         for es in propset.values():
             candidates |= es
+        # Stamp every valid candidate not stamped yet.  Elements of theset
+        # are valid, and those not stamped are exactly the unstamped ones.
+        unstamped, theset, valid = self._unstamped, self.theset, self.keys.valid
         E = frozenset(
             e for e in candidates
-            if e not in self._stamped and self.keys.valid(e)
+            if e in unstamped or (e not in theset and valid(e))
         )
-        inserted = [e for e in sort_elements(E) if e not in self.theset]
-        self.theset |= E
+        inserted = sort_elements(e for e in E if e not in theset)
+        theset |= E
         self.history = self.history.stamp(h, E)
-        self._stamped |= E
+        unstamped -= E
+        self.prop.pop(h, None)  # never read once h is stamped
         for e in E:
             self.tobroadcast.pop(e, None)
         if self.state_observer is not None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .core import (
@@ -73,8 +74,12 @@ def encode_mepochinc(h: int) -> bytes:
     return b"\x01" + struct.pack(">Q", h)
 
 
+@lru_cache(maxsize=256)
 def decode_broadcast_message(buf: bytes):
-    """Returns ('add', frozenset) or ('epochinc', h); raises FrameError."""
+    """Returns ('add', frozenset) or ('epochinc', h); raises FrameError.
+
+    A pure function of the bytes, so every server and the monitor of one
+    cluster share the answer for each BRB-delivered payload."""
     try:
         if buf[0] == MSG_ADD:
             (count,) = struct.unpack_from(">I", buf, 1)

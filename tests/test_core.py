@@ -115,6 +115,52 @@ def test_element_set_codec_round_trip(es):
     assert end == len(buf)
 
 
+# -- element identity --------------------------------------------------------
+
+FIELDS = dict(payload=b"pay", author=ProcessId(5, ProcessKind.CLIENT), signature=b"sig")
+
+
+def test_elements_from_equal_fields_are_equal_and_hash_equal():
+    a, b = Element(**FIELDS), Element(**FIELDS)
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("field, value", [
+    ("payload", b"paz"),
+    ("payload", b"pay\x00"),
+    ("author", ProcessId(6, ProcessKind.CLIENT)),
+    ("author", ProcessId(5, ProcessKind.CORRECT_SERVER)),
+    ("author", ProcessId(5, ProcessKind.BYZANTINE_SERVER)),
+    ("signature", b"sih"),
+    ("signature", b""),
+])
+def test_changing_any_one_field_makes_elements_unequal(field, value):
+    a, b = Element(**FIELDS), Element(**dict(FIELDS, **{field: value}))
+    assert a != b and not a == b
+    assert len({a, b}) == 2
+
+
+def test_decoded_element_equals_the_original_and_is_shared():
+    e = Element(**FIELDS)
+    first, end = decode_element(e.wire)
+    again, _ = decode_element(bytes(bytearray(e.wire)))  # equal bytes, new object
+    assert first == e and hash(first) == hash(e)
+    assert end == len(e.wire)
+    assert again is first
+    (from_set,) = decode_element_set(encode_element_set([e]), 1)[0]
+    assert from_set is first
+
+
+def test_an_element_never_equals_a_non_element():
+    e = Element(**FIELDS)
+    for other in (e.wire, (e.payload, e.author, e.signature), e.payload, None, 0):
+        assert e != other and not e == other
+        assert e.__eq__(other) is NotImplemented
+
+
 def test_hash_epoch_empty_set_is_deterministic():
     assert hash_epoch([]) == hash_epoch(frozenset())
     assert hash_epoch([]) == hashlib.sha256(b"").digest()

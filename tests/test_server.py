@@ -1,6 +1,8 @@
 """Server state machines: sequential reference, replicated fast path,
 aggregation, epoch signing, and the epoch driver."""
 
+import random
+
 import pytest
 
 from conftest import ServerCluster
@@ -250,6 +252,54 @@ def test_byzantine_valid_proposal_is_stamped_like_a_client_add():
         assert z in s.history.get(1)
 
 
+@pytest.mark.parametrize("aggregate", [False, True], ids=["per-element", "batched"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_unstamped_set_and_proposals_track_every_stamp(aggregate, seed):
+    """After every insert and stamp, ``_unstamped`` is the set minus the
+    history and no proposal outlives the epoch it was for.  A Byzantine
+    slot keeps proposing stamped, fresh and invalid elements."""
+    checked = []
+
+    def observe(pid, event, payload):
+        s = c.servers[pid]
+        assert s._unstamped == s.theset - s.history.union()
+        assert all(h > s.epoch for h in s.prop)
+        checked.append(event)
+
+    c = ServerCluster(n_byz=1, seed=seed, aggregate=aggregate,
+                      agg=AggConfig(max_batch=4, max_wait=300),
+                      state_observer=observe)
+    rng = random.Random(seed)
+    byz = c.byz[c.byz_pids[0]]
+
+    def meddle():
+        s = c.correct[0]
+        stamped = sorted(s.history.union(), key=lambda e: e.wire)
+        junk = {c.element(), c.invalid_element(b"junk-%d" % rng.randrange(99))}
+        if stamped:
+            junk.add(rng.choice(stamped))
+        byz.propose(s.epoch + 1, frozenset(junk))
+
+    driver = EpochDriver(c.sim, c.correct[: c.f + 1], period=250)
+    driver.start()
+    added = [c.element() for _ in range(60)]
+    for i, e in enumerate(added):
+        c.sim.schedule(rng.randrange(3_000), c.correct[i % 3].add, e)
+    for t in range(100, 3_000, 400):
+        c.sim.schedule(t, meddle)
+    c.sim.run_until(3_000)
+    driver.stop()
+    c.drain()
+    while any(s._unstamped for s in c.correct):
+        c.correct[0]._flush()
+        c.correct[0].epoch_inc(c.correct[0].epoch + 1)
+        c.drain()
+    assert checked.count("stamp") >= 3 * 8
+    for s in c.correct:
+        assert set(added) <= s.theset == s.history.union()
+        assert s.prop == {}
+
+
 # -- aggregation ------------------------------------------------------------
 
 
@@ -417,7 +467,7 @@ def test_driver_against_sequential_reference():
     driver.stop()
     c.drain()
     # close the final epoch so stragglers are stamped
-    while any(s.theset - s._stamped for s in c.correct):
+    while any(s._unstamped for s in c.correct):
         c.correct[0].epoch_inc(c.correct[0].epoch + 1)
         c.drain()
     for e in added:
