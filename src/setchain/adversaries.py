@@ -19,13 +19,16 @@ Four flavours, from inert to actively hostile:
 
 The ``havoc_*`` helpers are the seeded random generators shared with the
 abstract adversary process of the model-equivalence checker.
+
+A havoc server reads broadcast traffic through ``wire.decode_brb`` and
+``wire.decode_broadcast_message``, both memoised by their bytes, so it
+shares the decodes of the correct servers and of the other havoc servers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .core import (
@@ -102,20 +105,6 @@ def generate_invalid_elems(rng: random.Random) -> list[Element]:
         Element(rng.randbytes(rng.randint(8, 24)), _FORGER, rng.randbytes(32))
         for _ in range(count)
     ]
-
-
-@lru_cache(maxsize=256)
-def _carried_message(body: bytes):
-    """The decoded broadcast message inside broadcast frame ``body``, or
-    None for a ready frame or anything that does not decode.  Every havoc
-    server sees the same frame bytes, so the answer is shared."""
-    try:
-        frame = decode_brb(body)
-        if frame.payload is None:
-            return None
-        return decode_broadcast_message(frame.payload)
-    except FrameError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +212,9 @@ class HavocServer:
         tag = body[:1]
         try:
             if tag == b"B":
-                message = _carried_message(body)
-                if message is not None:
-                    kind, value = message
+                frame = decode_brb(body)
+                if frame.payload is not None:
+                    kind, value = decode_broadcast_message(frame.payload)
                     if kind == "add":
                         self._learn(value)
                     else:

@@ -482,7 +482,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     servers = [
         SetchainServer(
             pid, sim, keys, keys.keygen(pid), pids, f, service,
-            aggregate=scenario.algorithm == "fast-agg", agg=scenario.agg,
+            agg=scenario.agg if scenario.algorithm == "fast-agg" else None,
             state_observer=monitor.observe, on_broadcast=monitor.on_broadcast,
         )
         for pid in correct_pids

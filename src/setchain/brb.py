@@ -11,36 +11,20 @@ delivers, all of them eventually do.  Init and echo frames carry the
 payload so a late process can still learn it; ready frames carry only the
 digest.
 
-Every process sends one frame as the same bytes to all of its peers, and
-the echo and ready frames of an instance are byte-identical whoever sends
-them, so receivers share one bounded memo of decoded and checked frames.
+Frames are decoded by ``wire.decode_brb``, which also checks that an init
+or echo frame's digest binds its payload and memoises the answer by the
+frame bytes, so each distinct frame is decoded and hashed once per cluster.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 from .core import ProcessId
 from .simnet import NetHandle
-from .wire import BrbFrame, ECHO, INIT, READY, decode_brb, encode_brb
-
-
-@lru_cache(maxsize=256)
-def _checked_frame(body: bytes) -> Optional[BrbFrame]:
-    """The decoded frame, or None when ``body`` is garbage or carries a
-    payload that its digest does not bind.  A pure function of the bytes,
-    so one answer serves every receiver of the same frame."""
-    try:
-        frame = decode_brb(body)
-    except ValueError:
-        return None
-    if frame.payload is not None:
-        if hashlib.sha256(frame.payload).digest() != frame.digest:
-            return None
-    return frame
+from .wire import BrbFrame, ECHO, INIT, READY, FrameError, decode_brb, encode_brb
 
 
 @dataclass
@@ -88,8 +72,9 @@ class BrbEngine:
     def handle_frame(self, frm: ProcessId, body: bytes) -> None:
         if frm not in self._peer_set:
             return  # only peers' echoes and readies count toward quorums
-        frame = _checked_frame(body)
-        if frame is None:
+        try:
+            frame = decode_brb(body)
+        except FrameError:
             return  # garbage, or a digest that does not bind the payload
         key = (frame.origin, frame.digest)
         inst = self.instances.get(key)

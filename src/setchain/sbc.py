@@ -178,7 +178,6 @@ class ConsensusService:
         decision = self.decisions[h]
         self._delivered_upto[pid] = h
         self._members[pid](h, dict(decision.propset))
-        self.sim.notify(pid)
 
     # -- introspection ------------------------------------------------------
 

@@ -6,8 +6,9 @@ state machine: adds fan out through reliable broadcast, epoch changes are
 announced through reliable broadcast and resolved through the consensus
 service, and each decided epoch stamps the decided-but-unstamped valid
 elements.  Optional behaviours: batching adds into one broadcast
-(aggregation) and signing each stamped epoch's digest back into the set
-so light clients can check membership proofs.
+(aggregation, when given an ``AggConfig``) and signing each stamped
+epoch's digest back into the set so light clients can check membership
+proofs.
 """
 
 from __future__ import annotations
@@ -124,8 +125,7 @@ class SetchainServer:
         peers: tuple[ProcessId, ...],
         f: int,
         sbc: ConsensusService,
-        aggregate: bool = False,
-        agg: AggConfig = AGG_DESK,
+        agg: Optional[AggConfig] = None,
         sign_epochs: bool = False,
         state_observer: Optional[StateObserver] = None,
         on_broadcast=None,
@@ -139,8 +139,7 @@ class SetchainServer:
                              on_broadcast=on_broadcast)
         self.sbc = sbc
         sbc.register(pid, self.on_set_deliver, correct=True)
-        self.aggregate = aggregate
-        self.agg = agg
+        self.agg = agg  # None: broadcast each add on its own
         self.sign_epochs = sign_epochs
         self.state_observer = state_observer
 
@@ -168,7 +167,7 @@ class SetchainServer:
             raise RequestRejected("invalid-element")
         if e in self.theset:
             raise RequestRejected("already-present")
-        if self.aggregate:
+        if self.agg is not None:
             self._enqueue(e)
         else:
             self.brb.broadcast(encode_madd((e,)))

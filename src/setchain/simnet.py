@@ -17,6 +17,10 @@ With ``proc_cost > 0`` a receiver is busy for ``proc_cost`` ticks after each
 delivery.  A message that arrives while its receiver is busy waits in that
 receiver's inbox; when the receiver becomes free it takes the lowest-seq
 (earliest-sent) message that has arrived.
+
+The simulator hands every receiver the very bytes that were sent and
+decodes nothing itself.  Frames that many receivers get as equal bytes are
+decoded once per cluster by the memoised decoders in ``wire``.
 """
 
 from __future__ import annotations
@@ -86,7 +90,7 @@ class NetHandle:
         self._sim._send(self.pid, to, body)
 
     def schedule(self, at: SimTime, fn: Callable, *args) -> None:
-        self._sim.schedule(at, fn, *args, pid=self.pid)
+        self._sim.schedule(at, fn, *args)
 
     def after(self, delay: SimTime, fn: Callable, *args) -> None:
         self.schedule(self._sim.now + delay, fn, *args)
@@ -114,7 +118,6 @@ class Simulation:
         self.counts: dict[str, int] = {}
         self.delivered_total = 0
         self.frame_classifier: Callable[[bytes], str] = _default_classifier
-        self.after_event: Optional[Callable[[ProcessId], None]] = None
         self._heap: list = []
         self._seq = 0
         self._handlers: dict[ProcessId, Callable[[ProcessId, bytes], None]] = {}
@@ -164,12 +167,12 @@ class Simulation:
         """Trusted-harness send on behalf of ``frm`` (used by built-in services)."""
         self._send(frm, to, body)
 
-    def schedule(self, at: SimTime, fn: Callable, *args,
-                 pid: Optional[ProcessId] = None) -> None:
+    def schedule(self, at: SimTime, fn: Callable, *args) -> None:
         if at < self.now:
             raise SimError(f"cannot schedule at {at} before now={self.now}")
         self._seq += 1
-        heapq.heappush(self._heap, (at, self._seq, _TIMER, fn, args, pid))
+        # A timer: (at, seq, _TIMER, fn, args, None).
+        heapq.heappush(self._heap, (at, self._seq, _TIMER, fn, args, None))
 
     # -- running ------------------------------------------------------------
 
@@ -196,11 +199,9 @@ class Simulation:
                     self._busy_until[dst] = self.now + proc_cost
                 self._deliver(src, dst, body)
             elif entry[2] == _TIMER:
-                _, _, _, fn, args, pid = entry
+                _, _, _, fn, args, _ = entry
                 self.now = max(self.now, when)
                 fn(*args)
-                if pid is not None and self.after_event is not None:
-                    self.after_event(pid)
             else:  # a wake: dst may take its lowest-seq waiting message
                 _, seq, _, dst, _, _ = entry
                 if self._armed[dst] != (when, seq):
@@ -241,8 +242,6 @@ class Simulation:
                 f"handler for {dst!r} failed at t={self.now} on {tag} from "
                 f"{src!r}: {exc}"
             ) from exc
-        if self.after_event is not None:
-            self.after_event(dst)
 
     def run_to_quiescence(self, horizon: Optional[SimTime] = None) -> SimTime:
         """Run until no events remain (or ``horizon``); returns final now."""
@@ -257,11 +256,6 @@ class Simulation:
         """Messages in flight or waiting in an inbox, plus pending timers."""
         on_heap = sum(1 for entry in self._heap if entry[2] != _WAKE)
         return on_heap + sum(len(inbox) for inbox in self._inbox.values())
-
-    def notify(self, pid: ProcessId) -> None:
-        """Fire the after-event hook for a synchronous harness callback."""
-        if self.after_event is not None:
-            self.after_event(pid)
 
     # -- export -------------------------------------------------------------
 

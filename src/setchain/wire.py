@@ -22,6 +22,7 @@ Unparseable frames are discarded by receivers.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -34,7 +35,7 @@ from .core import (
     decode_element_set,
     decode_process_id,
     encode_element_set,
-    sort_elements,
+    sort_elements,  # unused here, but perfbench/tracing.py patches it by name
 )
 
 INIT, ECHO, READY = 0, 1, 2
@@ -66,7 +67,6 @@ class FrameError(ValueError):
 
 
 def encode_madd(elements) -> bytes:
-    elements = sort_elements(elements)
     return b"\x00" + struct.pack(">I", len(elements)) + encode_element_set(elements)
 
 
@@ -117,7 +117,14 @@ def encode_brb(frame: BrbFrame) -> bytes:
     return head
 
 
+@lru_cache(maxsize=256)
 def decode_brb(buf: bytes) -> BrbFrame:
+    """The frame in ``buf``; raises FrameError for garbage and for an init
+    or echo frame whose digest is not ``sha256(payload)``.
+
+    A pure function of the bytes: a process sends each frame to all its
+    peers, and an instance's echo and ready frames are the same bytes
+    whoever sends them, so every receiver in a cluster shares one decode."""
     try:
         tag, phase, origin_id, origin_kind = struct.unpack_from(">cBIB", buf, 0)
         if tag != b"B" or phase not in _PHASE_NAMES:
@@ -131,6 +138,8 @@ def decode_brb(buf: bytes) -> BrbFrame:
             payload = bytes(buf[43 : 43 + plen])
             if len(payload) != plen or 43 + plen != len(buf):
                 raise FrameError("bad payload length")
+            if hashlib.sha256(payload).digest() != digest:
+                raise FrameError("digest does not bind the payload")
         elif len(buf) != 39:
             raise FrameError("trailing bytes in ready frame")
         return BrbFrame(phase, decode_process_id(origin_id, origin_kind),
@@ -143,7 +152,6 @@ def decode_brb(buf: bytes) -> BrbFrame:
 
 
 def encode_inform(h: int, elements) -> bytes:
-    elements = sort_elements(elements)
     return (b"P" + struct.pack(">QI", h, len(elements))
             + encode_element_set(elements))
 

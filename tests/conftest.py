@@ -4,7 +4,7 @@ import hashlib
 
 from setchain.core import Element, KeyStore, ProcessId, ProcessKind
 from setchain.sbc import ConsensusService, SbcConfig
-from setchain.server import AGG_DESK, SetchainServer
+from setchain.server import SetchainServer
 from setchain.simnet import NetConfig, Simulation
 from setchain.wire import INIT, BrbFrame, classify, encode_brb
 
@@ -43,7 +43,7 @@ class ServerCluster:
     """
 
     def __init__(self, n=4, f=1, n_byz=0, seed=0, net=None, sbc_cfg=None,
-                 aggregate=False, agg=AGG_DESK, sign_epochs=False,
+                 agg=None, sign_epochs=False,
                  state_observer=None, on_broadcast=None, on_propose=None,
                  byz_factory=None):
         self.f = f
@@ -65,7 +65,7 @@ class ServerCluster:
         self.servers = {
             pid: SetchainServer(
                 pid, self.sim, self.keys, self.privates[pid], self.pids, f,
-                self.service, aggregate=aggregate, agg=agg,
+                self.service, agg=agg,
                 sign_epochs=sign_epochs, state_observer=state_observer,
                 on_broadcast=on_broadcast,
             )

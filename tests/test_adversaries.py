@@ -141,6 +141,20 @@ def test_havoc_learns_from_requests_and_informs_then_proposes_loot():
     assert looted, "the adversary proposed elements it learned"
 
 
+def test_havoc_learns_an_element_carried_only_by_a_brb_batch():
+    # The add goes to a correct server only and no epoch is cut, so no
+    # request and no proposal notice carries the element to the adversary.
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    havoc = cluster.byz[cluster.byz_pids[0]]
+    e = cluster.element()
+    cluster.correct[0].add(e)
+    cluster.drain()
+    to_havoc = {entry.type for entry in cluster.sim.log if entry.dst == havoc.pid}
+    assert to_havoc <= {"brb-init", "brb-echo", "brb-ready"}
+    assert all(s.epoch == 0 for s in cluster.correct)
+    assert havoc.knowledge == {e}
+
+
 def test_havoc_cannot_break_safety_or_block_progress():
     cluster = ServerCluster(n=7, f=2, n_byz=2, byz_factory=havoc_factory)
     for z in cluster.byz.values():

@@ -252,9 +252,10 @@ def test_byzantine_valid_proposal_is_stamped_like_a_client_add():
         assert z in s.history.get(1)
 
 
-@pytest.mark.parametrize("aggregate", [False, True], ids=["per-element", "batched"])
+@pytest.mark.parametrize("agg", [None, AggConfig(max_batch=4, max_wait=300)],
+                         ids=["per-element", "batched"])
 @pytest.mark.parametrize("seed", [0, 1])
-def test_unstamped_set_and_proposals_track_every_stamp(aggregate, seed):
+def test_unstamped_set_and_proposals_track_every_stamp(agg, seed):
     """After every insert and stamp, ``_unstamped`` is the set minus the
     history and no proposal outlives the epoch it was for.  A Byzantine
     slot keeps proposing stamped, fresh and invalid elements."""
@@ -266,9 +267,7 @@ def test_unstamped_set_and_proposals_track_every_stamp(aggregate, seed):
         assert all(h > s.epoch for h in s.prop)
         checked.append(event)
 
-    c = ServerCluster(n_byz=1, seed=seed, aggregate=aggregate,
-                      agg=AggConfig(max_batch=4, max_wait=300),
-                      state_observer=observe)
+    c = ServerCluster(n_byz=1, seed=seed, agg=agg, state_observer=observe)
     rng = random.Random(seed)
     byz = c.byz[c.byz_pids[0]]
 
@@ -304,8 +303,7 @@ def test_unstamped_set_and_proposals_track_every_stamp(aggregate, seed):
 
 
 def agg_cluster(max_batch=3, max_wait=100, **kw):
-    return ServerCluster(aggregate=True,
-                         agg=AggConfig(max_batch=max_batch, max_wait=max_wait),
+    return ServerCluster(agg=AggConfig(max_batch=max_batch, max_wait=max_wait),
                          **kw)
 
 

@@ -233,11 +233,9 @@ class RequeueSimulation(Simulation):
                     self._busy_until[dst] = self.now + proc_cost
                 self._deliver(src, dst, body)
             else:
-                _, _, _, fn, args, pid = entry
+                _, _, _, fn, args, _ = entry
                 self.now = max(self.now, when)
                 fn(*args)
-                if pid is not None and self.after_event is not None:
-                    self.after_event(pid)
         self.now = max(self.now, t)
         return self.log[start:]
 

@@ -123,3 +123,22 @@ def test_shared_broadcast_decode_still_rejects_garbage_each_time():
     assert (decode_broadcast_message(madd)
             is decode_broadcast_message(bytes(bytearray(madd))))
 
+
+def test_brb_decode_rejects_a_digest_that_does_not_bind_the_payload():
+    origin = ProcessId(2, ProcessKind.CORRECT_SERVER)
+    for phase in (INIT, ECHO):
+        bound = _brb(phase, origin, b"payload")
+        assert decode_brb(bound).payload == b"payload"
+        unbound = encode_brb(BrbFrame(phase, origin,
+                                      hashlib.sha256(b"other").digest(),
+                                      b"payload"))
+        with pytest.raises(FrameError):
+            decode_brb(unbound)
+
+
+def test_brb_decode_is_shared_for_equal_bytes_and_rejects_garbage_each_time():
+    frame = _brb(ECHO, ProcessId(1, ProcessKind.CORRECT_SERVER), b"batch")
+    assert decode_brb(frame) is decode_brb(bytes(bytearray(frame)))
+    for _ in range(2):
+        with pytest.raises(FrameError):
+            decode_brb(frame[:-1])
