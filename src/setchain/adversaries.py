@@ -39,6 +39,7 @@ from .core import (
     ProcessKind,
     attestation_payload,
     hash_epoch,
+    wire_order,
 )
 from .sbc import ConsensusService
 from .server import RequestRejected, SetchainServer
@@ -83,7 +84,7 @@ def havoc_partition(
     if k == 0:
         return ()
     parts: list[set[Element]] = [set() for _ in range(k)]
-    for e in sorted(elements, key=lambda e: e.wire):
+    for e in sorted(elements, key=wire_order):
         parts[rng.randrange(k)].add(e)
     return tuple(frozenset(p) for p in parts)
 
@@ -181,14 +182,14 @@ class HavocServer:
         action = self.rng.choice(("madd", "madd", "mepochinc", "propose"))
         pool = self.knowledge | set(generate_invalid_elems(self.rng))
         if action == "madd":
-            batch = havoc_subset(self.rng, pool, key=lambda e: e.wire)
+            batch = havoc_subset(self.rng, pool, key=wire_order)
             self._brb_broadcast(encode_madd(batch))
         elif action == "mepochinc":
             self._brb_broadcast(encode_mepochinc(
                 havoc_number(self.rng, self.seen_h + 2)))
         else:
             h = havoc_number(self.rng, self.seen_h + 2, lo=1)
-            prop = havoc_subset(self.rng, pool, key=lambda e: e.wire)
+            prop = havoc_subset(self.rng, pool, key=wire_order)
             self.service.propose(h, prop, self.pid)
         self.net.after(self.rng.randint(*self.tick_gap), self._tick)
 
@@ -238,9 +239,9 @@ class HavocServer:
             self.net.send(frm, encode_response(op, req_id, STATUS_OK))
         elif op == OP_GET:
             pool = self.knowledge | set(generate_invalid_elems(self.rng))
-            theset = havoc_subset(self.rng, pool, key=lambda e: e.wire)
+            theset = havoc_subset(self.rng, pool, key=wire_order)
             parts = havoc_partition(
-                self.rng, havoc_subset(self.rng, pool, key=lambda e: e.wire))
+                self.rng, havoc_subset(self.rng, pool, key=wire_order))
             state = encode_get_state(theset, History(parts), len(parts))
             self.net.send(frm, encode_response(op, req_id, STATUS_OK, state))
 

@@ -314,7 +314,7 @@ class SafetyMonitor:
 
     def quiescence_checks(self, accepted: set[Element],
                           central: Optional[CentralSetchain]) -> None:
-        servers = [self.servers[pid] for pid in sorted(self.servers, key=lambda p: p.id)]
+        servers = [self.servers[pid] for pid in sorted(self.servers)]
         ref = servers[0]
         for other in servers[1:]:
             if other.theset != ref.theset:

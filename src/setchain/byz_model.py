@@ -40,9 +40,9 @@ from .core import (
     ProcessId,
     ProcessKind,
     decode_element,
-    encode_element,
     random_payload,
     sort_elements,
+    wire_order,
 )
 
 # ---------------------------------------------------------------------------
@@ -602,7 +602,6 @@ def generate_trace(model: Model, rng: random.Random, length: int,
     cfg = model.initial()
     fresh = list(pool)
     events: list[ModelEvent] = []
-    wire = lambda e: e.wire
 
     for _ in range(length):
         cands: list[ModelEvent] = []
@@ -633,7 +632,7 @@ def generate_trace(model: Model, rng: random.Random, length: int,
             if choices:
                 offer(ev_broadcast(s, madd(rng.choice(choices))), 1)
             offer(ev_broadcast(s, mepochinc(havoc_number(rng, hmax + 2))), 1)
-            prop = havoc_subset(rng, choices, key=wire)
+            prop = havoc_subset(rng, choices, key=wire_order)
             offer(ev_propose(s, havoc_number(rng, hmax + 2, lo=1), prop), 1)
             offer(ev_epoch_inc(s, havoc_number(rng, hmax + 2)), 1)
         for s in model.correct:
@@ -641,8 +640,8 @@ def generate_trace(model: Model, rng: random.Random, length: int,
         h_next = 1
         while h_next in cfg.consensus:
             h_next += 1
-        offer(ev_consensus(
-            h_next, havoc_subset(rng, model._proposal_pool(cfg, h_next), key=wire)), 2)
+        pool_h = model._proposal_pool(cfg, h_next)
+        offer(ev_consensus(h_next, havoc_subset(rng, pool_h, key=wire_order)), 2)
         offer(ev_get(rng.choice(model.processes)), 1)
         offer(NOP, 1)
 
@@ -736,7 +735,7 @@ def backward_trace_check(n: int, f: int, seed: int,
 
 
 def _element_to_json(e: Element) -> str:
-    return encode_element(e).hex()
+    return e.wire.hex()
 
 
 def _element_from_json(s: str) -> Element:

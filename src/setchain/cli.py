@@ -24,11 +24,13 @@ from . import bench, byz_model
 
 
 def _parse_seeds(spec: str) -> range:
-    """Seed ranges: "12" means 0..11, "3..7" means 3..7 inclusive."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    return range(int(spec))
+    """Seed ranges: "12" means 0..11, "3..7" means 3..7 inclusive.  A spec
+    that names no seed is a usage error, not a vacuous pass."""
+    lo, sep, hi = spec.partition("..")
+    seeds = range(int(lo), int(hi) + 1) if sep else range(int(lo))
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"seed range {spec!r} names no seed")
+    return seeds
 
 
 def _default_seeds() -> range:
@@ -49,7 +51,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         names = args.scenario or ["stock"]
         scenarios = [bench.preset(name) for name in names]
-    seeds = _parse_seeds(args.seeds) if args.seeds else _default_seeds()
+    seeds = args.seeds or _default_seeds()
     reports = bench.run_matrix(scenarios, seeds)
     for report in reports:
         print(_report_line(report))
@@ -108,7 +110,7 @@ def _cmd_check_byzmodel(seeds: range, args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    seeds = _parse_seeds(args.seeds) if args.seeds else _default_seeds()
+    seeds = args.seeds or _default_seeds()
     if args.suite == "properties":
         return _cmd_check_properties(seeds, args)
     return _cmd_check_byzmodel(seeds, args)
@@ -144,14 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="named scenario (repeatable; default: stock)")
     p_bench.add_argument("--matrix", action="store_true",
                          help="run the full safety matrix instead")
-    p_bench.add_argument("--seeds", help='seed range, e.g. "10" or "0..99"')
+    p_bench.add_argument("--seeds", type=_parse_seeds,
+                         help='seed range, e.g. "10" or "0..99"')
     p_bench.add_argument("--out", help="directory for reports.jsonl and summary.csv")
     p_bench.set_defaults(fn=_cmd_bench)
 
     p_check = sub.add_parser("check", help="run an invariant suite")
     p_check.add_argument("--suite", choices=("properties", "byzmodel"),
                          required=True)
-    p_check.add_argument("--seeds", help='seed range, e.g. "10" or "0..99"')
+    p_check.add_argument("--seeds", type=_parse_seeds,
+                         help='seed range, e.g. "10" or "0..99"')
     p_check.add_argument("--length", type=int, default=200,
                          help="events per generated trace (byzmodel)")
     p_check.add_argument("--out", help="file for a failure bundle (byzmodel)")

@@ -35,6 +35,7 @@ from .core import (
     encode_element_set,
     hash_epoch,
     parse_attestation,
+    sort_elements,
 )
 from .server import DEFAULT_EPOCH_PERIOD
 from .simnet import Simulation
@@ -285,7 +286,7 @@ def signed_epoch_hashes(elements, h: Optional[int] = None) -> list[SignedEpochHa
     """All signed epoch hashes found in ``elements`` (optionally for one
     epoch), in canonical element order."""
     found = []
-    for e in sorted(elements, key=lambda e: e.wire):
+    for e in sort_elements(elements):
         seh = SignedEpochHash.from_element(e)
         if seh is not None and (h is None or seh.h == h):
             found.append(seh)

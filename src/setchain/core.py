@@ -7,6 +7,7 @@ canonical ones used on the wire and inside digests, so they are stable:
 * element encoding (big-endian):
   ``u32 len(payload) | payload | u32 author.id | u8 author.kind | u32 len(sig) | sig``
 * canonical element order: lexicographic over the element encoding
+  (sort key :data:`wire_order`)
 * epoch digest: SHA-256 over the concatenation of ``u32 len(enc) | enc``
   for every element encoding ``enc`` in canonical order
 * epoch attestation payload: ``b"SEH1" | u64 h | 32-byte epoch digest``
@@ -15,8 +16,12 @@ An element's identity is its canonical encoding: elements are equal when
 their encodings are, and hash as those bytes hash.  The encoding is
 injective, so this is field-wise equality, but it costs one cached ``bytes``
 hash instead of a tuple of fields.  Decoded elements are shared: decoding
-the same encoding again returns the same object (up to a bounded cache),
-so the servers and the monitor of one cluster hold one copy of each.
+the same encoding again returns the same object (up to a bounded cache), and
+:meth:`KeyStore.make_element` returns that object too, so the workload,
+monitor, clients and servers of one cluster hold one copy of each.
+
+A process id is an ``(id, kind)`` int tuple: it compares, hashes and orders
+in C, by ``(id, kind)``, and no result depends on how a set of them iterates.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Iterable, NamedTuple, Optional
 
 Digest = bytes  # 32-byte SHA-256 digests throughout
 
@@ -47,33 +53,28 @@ class ProcessKind(IntEnum):
     MODEL_B = 3
 
 
-@dataclass(frozen=True, order=True)
-class ProcessId:
-    """A process identity: a small unique integer plus its role."""
-
+class _ProcessIdFields(NamedTuple):
     id: int
     kind: ProcessKind = ProcessKind.CORRECT_SERVER
 
-    def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError("process id must be non-negative")
 
-    def __hash__(self) -> int:
-        # Cheaper than hashing (id, kind); ids are unique within a network.
-        return hash(self.id)
+class ProcessId(_ProcessIdFields):
+    """A process identity: a small unique integer plus its role.  As a
+    tuple it equals a bare ``(id, kind)`` pair; no table mixes the two."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, kind: ProcessKind = ProcessKind.CORRECT_SERVER):
+        if id < 0:
+            raise ValueError("process id must be non-negative")
+        return super().__new__(cls, id, kind)
 
     @property
     def is_server(self) -> bool:
         return self.kind in (ProcessKind.CORRECT_SERVER, ProcessKind.BYZANTINE_SERVER)
 
-    def __repr__(self) -> str:  # compact, e.g. s3, b1, c7
-        tag = {
-            ProcessKind.CORRECT_SERVER: "s",
-            ProcessKind.BYZANTINE_SERVER: "z",
-            ProcessKind.CLIENT: "c",
-            ProcessKind.MODEL_B: "b",
-        }[self.kind]
-        return f"{tag}{self.id}"
+    def __repr__(self) -> str:  # compact, e.g. s3, z1, c7, b4
+        return f"{'szcb'[self.kind]}{self.id}"  # tags in ProcessKind order
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,20 +119,6 @@ class Element:
         return f"Element({self.digest.hex()[:10]}, by={self.author!r})"
 
 
-@lru_cache(maxsize=1024)
-def decode_process_id(pid: int, kind: int) -> ProcessId:
-    """The ProcessId with these wire fields, one shared object per value.
-
-    Decoders call this for every origin and author field, so sharing spares
-    the enum lookup and lets equal ids compare by identity.  Raises
-    ValueError for an unknown kind."""
-    return ProcessId(pid, ProcessKind(kind))
-
-
-def encode_element(e: Element) -> bytes:
-    return e.wire
-
-
 @lru_cache(maxsize=4096)
 def _element_from_wire(wire: bytes) -> Element:
     """The element whose canonical encoding is exactly ``wire``, one shared
@@ -141,7 +128,7 @@ def _element_from_wire(wire: bytes) -> Element:
     author_id, kind, slen = struct.unpack_from(">IBI", wire, 4 + plen)
     if 13 + plen + slen != len(wire):
         raise ValueError("element length fields do not match its size")
-    e = Element(wire[4 : 4 + plen], decode_process_id(author_id, kind),
+    e = Element(wire[4 : 4 + plen], ProcessId(author_id, ProcessKind(kind)),
                 wire[13 + plen :])
     e.__dict__["wire"] = wire  # what the cached property would compute
     return e
@@ -157,9 +144,12 @@ def decode_element(buf: bytes, offset: int = 0) -> tuple[Element, int]:
     return _element_from_wire(bytes(buf[offset:end])), end
 
 
+wire_order = attrgetter("wire")  # canonical order's key; C-level, no frame
+
+
 def sort_elements(elements: Iterable[Element]) -> list[Element]:
     """Elements in canonical (wire-lexicographic) order."""
-    return sorted(elements, key=lambda e: e.wire)
+    return sorted(elements, key=wire_order)
 
 
 def encode_element_set(elements: Iterable[Element]) -> bytes:
@@ -297,7 +287,8 @@ class KeyStore:
         return ok
 
     def make_element(self, payload: bytes, author: ProcessId, private: bytes) -> Element:
-        return Element(payload, author, self.scheme.sign(private, payload))
+        e = Element(payload, author, self.scheme.sign(private, payload))
+        return _element_from_wire(e.wire)  # the shared, decoded object
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,7 @@ class ConsensusService:
         self.sim = sim
         self.config = config
         self.rng = random.Random(f"{sim.config.rng_seed}:sbc")
+        self._randbelow = self.rng._randbelow
         self.on_propose = on_propose
         self._members: dict[ProcessId, Callable[[int, Propset], None]] = {}
         self._correct: dict[ProcessId, bool] = {}
@@ -111,18 +112,11 @@ class ConsensusService:
         if self.on_propose is not None:
             self.on_propose(h, elements, by)
         notice = encode_inform(h, elements)
-        for other in sorted(self._members, key=lambda p: (p.id, p.kind)):
+        for other in sorted(self._members):
             if other != by:
                 self.sim.send_as(by, other, notice)
-        self.sim.schedule(self.sim.now + self._draw_delay(),
+        self.sim.schedule(self.sim.now + self.sim.draw_delay(self._randbelow),
                           self._arrive, h, elements, by)
-
-    def _draw_delay(self) -> int:
-        cfg = self.sim.config
-        delay = self.rng.randint(cfg.latency_min, cfg.latency_max)
-        if self.sim.now >= cfg.gst:
-            delay = min(delay, cfg.post_gst_bound)
-        return delay
 
     def _arrive(self, h: int, elements: frozenset, by: ProcessId) -> None:
         inst = self._instances.setdefault(h, _Instance(h))
@@ -150,7 +144,7 @@ class ConsensusService:
             return
         now = self.sim.now
         propset: Propset = {}
-        for by in sorted(inst.proposals, key=lambda p: (p.id, p.kind)):
+        for by in sorted(inst.proposals):
             p = inst.proposals[by]
             if self._correct[by]:
                 if p.arrived_at <= inst.deadline:
@@ -158,8 +152,9 @@ class ConsensusService:
             else:
                 propset[by] = p.elements  # anything registered pre-decision
         self.decisions[h] = Decision(h, propset, now)
-        for pid in sorted(self._members, key=lambda p: (p.id, p.kind)):
-            self.sim.schedule(now + self._draw_delay(), self._deliver_one, pid, h)
+        for pid in sorted(self._members):
+            self.sim.schedule(now + self.sim.draw_delay(self._randbelow),
+                              self._deliver_one, pid, h)
         nxt = self._instances.get(h + 1)
         if nxt is not None and nxt.deferred and nxt.decision_at is not None:
             self.sim.schedule(max(now, nxt.decision_at), self._try_decide, h + 1)

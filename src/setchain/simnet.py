@@ -149,8 +149,11 @@ class Simulation:
 
     # -- sending and timers -------------------------------------------------
 
-    def _draw_delay(self) -> int:
-        delay = self.config.latency_min + self._randbelow(self._latency_span)
+    def draw_delay(self, randbelow=None) -> int:
+        """A latency-model delay drawn with ``randbelow``, the ``_randbelow``
+        of some RNG (this simulation's by default)."""
+        randbelow = randbelow or self._randbelow
+        delay = self.config.latency_min + randbelow(self._latency_span)
         if self.now >= self.config.gst:
             delay = min(delay, self.config.post_gst_bound)
         return delay
@@ -160,7 +163,7 @@ class Simulation:
             raise SimError(f"send between unregistered processes {frm!r} -> {to!r}")
         self._seq += 1
         # An in-flight message: (deliver_at, seq, _ENVELOPE, src, dst, body).
-        heapq.heappush(self._heap, (self.now + self._draw_delay(), self._seq,
+        heapq.heappush(self._heap, (self.now + self.draw_delay(), self._seq,
                                     _ENVELOPE, frm, to, body))
 
     def send_as(self, frm: ProcessId, to: ProcessId, body: bytes) -> None:

@@ -31,9 +31,9 @@ from typing import Optional
 from .core import (
     Element,
     ProcessId,
+    ProcessKind,
     decode_element,
     decode_element_set,
-    decode_process_id,
     encode_element_set,
     sort_elements,  # unused here, but perfbench/tracing.py patches it by name
 )
@@ -142,7 +142,7 @@ def decode_brb(buf: bytes) -> BrbFrame:
                 raise FrameError("digest does not bind the payload")
         elif len(buf) != 39:
             raise FrameError("trailing bytes in ready frame")
-        return BrbFrame(phase, decode_process_id(origin_id, origin_kind),
+        return BrbFrame(phase, ProcessId(origin_id, ProcessKind(origin_kind)),
                         digest, payload)
     except (struct.error, ValueError, IndexError) as exc:
         raise FrameError(str(exc)) from exc

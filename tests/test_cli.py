@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from setchain import byz_model
 from setchain.cli import _parse_seeds, main
 
@@ -11,6 +13,21 @@ def test_seed_range_parsing():
     assert _parse_seeds("12") == range(12)
     assert _parse_seeds("3..7") == range(3, 8)
     assert _parse_seeds("0..0") == range(0, 1)
+
+
+@pytest.mark.parametrize("spec", ["0", "5..3", "-2"])
+@pytest.mark.parametrize("command", [
+    ["bench"],
+    ["check", "--suite", "properties"],
+    ["check", "--suite", "byzmodel"],
+], ids=["bench", "check-properties", "check-byzmodel"])
+def test_a_seed_spec_naming_no_seed_is_a_usage_error(command, spec, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--seeds", spec])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "names no seed" in captured.err
+    assert captured.out == ""
 
 
 def test_bench_matrix_writes_reports(tmp_path, capsys):

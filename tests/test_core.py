@@ -115,6 +115,52 @@ def test_element_set_codec_round_trip(es):
     assert end == len(buf)
 
 
+# -- process identity --------------------------------------------------------
+
+
+def test_process_ids_from_equal_fields_are_equal_and_hash_equal():
+    a, b = ProcessId(5, ProcessKind.CLIENT), ProcessId(5, ProcessKind.CLIENT)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert ProcessId(5) == ProcessId(5, ProcessKind.CORRECT_SERVER)
+
+
+@pytest.mark.parametrize("other", [
+    ProcessId(6, ProcessKind.CLIENT),
+    ProcessId(5, ProcessKind.CORRECT_SERVER),
+    ProcessId(5, ProcessKind.BYZANTINE_SERVER),
+    ProcessId(5, ProcessKind.MODEL_B),
+])
+def test_changing_the_id_or_the_kind_makes_process_ids_unequal(other):
+    pid = ProcessId(5, ProcessKind.CLIENT)
+    assert pid != other and not pid == other
+    assert {pid: 1, other: 2}[pid] == 1 and len({pid, other}) == 2
+
+
+def test_process_ids_sort_by_id_then_kind():
+    pids = [ProcessId(i, k) for i in (3, 0, 10, 2) for k in reversed(ProcessKind)]
+    assert sorted(pids) == sorted(pids, key=lambda p: (p.id, p.kind.value))
+    assert sorted(pids)[:2] == [ProcessId(0, ProcessKind.CORRECT_SERVER),
+                                ProcessId(0, ProcessKind.BYZANTINE_SERVER)]
+
+
+def test_a_negative_process_id_is_rejected():
+    with pytest.raises(ValueError):
+        ProcessId(-1, ProcessKind.CLIENT)
+
+
+@pytest.mark.parametrize("kind, text", [
+    (ProcessKind.CORRECT_SERVER, "s4"),
+    (ProcessKind.BYZANTINE_SERVER, "z4"),
+    (ProcessKind.CLIENT, "c4"),
+    (ProcessKind.MODEL_B, "b4"),
+])
+def test_process_id_repr_is_kind_tag_and_id(kind, text):
+    assert repr(ProcessId(4, kind)) == text
+    assert f"{ProcessId(4, kind)}" == text
+
+
 # -- element identity --------------------------------------------------------
 
 FIELDS = dict(payload=b"pay", author=ProcessId(5, ProcessKind.CLIENT), signature=b"sig")
@@ -152,6 +198,13 @@ def test_decoded_element_equals_the_original_and_is_shared():
     assert again is first
     (from_set,) = decode_element_set(encode_element_set([e]), 1)[0]
     assert from_set is first
+
+
+def test_a_made_element_is_the_shared_decoded_object():
+    keys, author, private = make_world()
+    e = keys.make_element(b"shared", author, private)
+    assert keys.make_element(b"shared", author, private) is e
+    assert decode_element(e.wire)[0] is e
 
 
 def test_an_element_never_equals_a_non_element():

@@ -9,6 +9,7 @@ import pytest
 
 from setchain import simnet
 from setchain.core import ProcessId, ProcessKind
+from setchain.sbc import ConsensusService
 from setchain.simnet import NetConfig, SimError, Simulation
 
 
@@ -79,17 +80,34 @@ def test_delays_are_successive_seeded_randint_draws(lo, hi, gst, bound):
     seed = 23
     cfg = NetConfig(latency_min=lo, latency_max=hi, gst=gst,
                     post_gst_bound=bound, rng_seed=seed)
+
+    def expected(rng):
+        draws = [rng.randint(lo, hi) for _ in range(300)]
+        return [min(d, bound) for d in draws] if gst == 0 else draws
+
+    # The network's stream: message i is sent at t=0.
     sim, (a, ha), (b, _), inbox = two_nodes(cfg)
     for i in range(300):
         ha.send(b, i.to_bytes(2, "big"))
     sim.run_to_quiescence()
     delay = {int.from_bytes(body, "big"): t for _, t, _, body in inbox}
     rng = random.Random(seed)
-    expected = [rng.randint(lo, hi) for _ in range(300)]
-    if gst == 0:
-        expected = [min(d, bound) for d in expected]
-    assert [delay[i] for i in range(300)] == expected
+    assert [delay[i] for i in range(300)] == expected(rng)
     assert sim.rng.getstate() == rng.getstate()  # no draw skipped or added
+
+    # The consensus service's own stream, under the same rule: a lone
+    # member's proposal for instance h is made at t=0.
+    sim = Simulation(cfg)
+    service, me = ConsensusService(sim), ProcessId(0)
+    service.register(me, lambda h, propset: None)
+    for h in range(1, 301):
+        service.propose(h, (), me)
+    rng = random.Random(f"{seed}:sbc")
+    arrivals = expected(rng)
+    assert service.rng.getstate() == rng.getstate()
+    sim.run_to_quiescence()
+    assert [service._instances[h].proposals[me].arrived_at
+            for h in range(1, 301)] == arrivals
 
 
 def test_run_until_zero_processes_nothing_pending_later():
@@ -197,7 +215,7 @@ def test_jsonl_export_shape():
 def test_receiver_busy_time_serialises_processing(delays, order):
     cfg = NetConfig(latency_min=1, latency_max=20, proc_cost=10)
     sim, (a, ha), (b, _), inbox = two_nodes(cfg)
-    sim._draw_delay = iter(delays).__next__
+    sim.draw_delay = iter(delays).__next__
     for i in range(len(delays)):
         ha.send(b, bytes([i]))
     sim.run_to_quiescence()
@@ -303,7 +321,7 @@ def test_busy_receivers_keep_the_requeue_order():
 def test_pending_events_counts_waiting_messages_not_wakes():
     cfg = NetConfig(latency_min=1, latency_max=20, proc_cost=10)
     sim, (a, ha), (b, _), inbox = two_nodes(cfg)
-    sim._draw_delay = iter((1, 5, 3)).__next__
+    sim.draw_delay = iter((1, 5, 3)).__next__
     for i in range(3):
         ha.send(b, bytes([i]))
     sim.schedule(40, lambda: None)

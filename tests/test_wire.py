@@ -115,11 +115,25 @@ def test_element_set_codec_round_trip_with_duplicates(picks, pool):
     assert encode_element_set(decoded) == encode_element_set(frozenset(es))
 
 
+def _with_byte(buf, at, value):
+    return buf[:at] + bytes([value]) + buf[at + 1:]
+
+
+UNKNOWN_KINDS = (len(ProcessKind), 255)
+
+
 def test_shared_broadcast_decode_still_rejects_garbage_each_time():
-    for _ in range(2):
-        with pytest.raises(FrameError):
-            decode_broadcast_message(b"\x00\x00\x00\x00\x01")
-    madd = encode_madd([Element(b"p", ProcessId(1, ProcessKind.CLIENT), b"s")])
+    element = Element(b"p", ProcessId(1, ProcessKind.CLIENT), b"s")
+    madd = encode_madd([element])
+    # tag, count, element length, then the element's payload and author id
+    author_kind_at = 1 + 4 + 4 + 4 + len(element.payload) + 4
+    assert madd[author_kind_at] == ProcessKind.CLIENT
+    garbage = [b"\x00\x00\x00\x00\x01"]
+    garbage += [_with_byte(madd, author_kind_at, k) for k in UNKNOWN_KINDS]
+    for buf in garbage:
+        for _ in range(2):
+            with pytest.raises(FrameError):
+                decode_broadcast_message(buf)
     assert (decode_broadcast_message(madd)
             is decode_broadcast_message(bytes(bytearray(madd))))
 
@@ -139,6 +153,11 @@ def test_brb_decode_rejects_a_digest_that_does_not_bind_the_payload():
 def test_brb_decode_is_shared_for_equal_bytes_and_rejects_garbage_each_time():
     frame = _brb(ECHO, ProcessId(1, ProcessKind.CORRECT_SERVER), b"batch")
     assert decode_brb(frame) is decode_brb(bytes(bytearray(frame)))
-    for _ in range(2):
-        with pytest.raises(FrameError):
-            decode_brb(frame[:-1])
+    origin_kind_at = 6  # tag, phase, origin id
+    assert frame[origin_kind_at] == ProcessKind.CORRECT_SERVER
+    garbage = [frame[:-1]]
+    garbage += [_with_byte(frame, origin_kind_at, k) for k in UNKNOWN_KINDS]
+    for buf in garbage:
+        for _ in range(2):
+            with pytest.raises(FrameError):
+                decode_brb(buf)
