@@ -12,8 +12,8 @@ Two kinds of checks run:
 * incremental — after every insert/stamp at a correct server: the set
   only grows, every inserted element is valid and has a recorded origin
   (a client add, a broadcast batch, or a consensus proposal), no element
-  is stamped twice, and all servers agree byte-for-byte on each epoch's
-  entry;
+  is stamped twice, and all servers agree on each epoch's entry (as sets;
+  the canonical encoding is injective, so this is byte-for-byte agreement);
 * at quiescence — after the workload stops and the queues drain: all
   correct servers expose identical sets and records, every accepted add
   is stamped everywhere, and on runs with no Byzantine servers the
@@ -31,8 +31,15 @@ import statistics
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
+from . import core, wire
 from .adversaries import HavocServer, SilentServer
-from .core import Element, KeyStore, ProcessId, ProcessKind, encode_element_set
+from .core import (
+    Element,
+    KeyStore,
+    ProcessId,
+    ProcessKind,
+    encode_element_set,  # unused here, but perfbench/tracing.py patches it by name
+)
 from .sbc import ConsensusService, SbcConfig
 from .server import (
     AGG_DESK,
@@ -237,7 +244,7 @@ class SafetyMonitor:
         self.servers: dict[ProcessId, SetchainServer] = {}
         self.stamped: dict[ProcessId, set[Element]] = {}
         self.inserted: dict[ProcessId, int] = {}
-        self.entries: dict[int, bytes] = {}  # epoch -> canonical entry bytes
+        self.entries: dict[int, frozenset] = {}  # epoch -> first server's entry
         self.reference: Optional[ProcessId] = None
 
     def attach(self, server: SetchainServer) -> None:
@@ -301,8 +308,7 @@ class SafetyMonitor:
         if server.epoch != h or server.history.get(h) != entry:
             self.violate("record-mismatch",
                          f"{pid!r} record does not expose its epoch-{h} entry")
-        blob = encode_element_set(entry)
-        if self.entries.setdefault(h, blob) != blob:
+        if self.entries.setdefault(h, entry) != entry:
             self.violate("entry-divergence",
                          f"{pid!r} disagrees on the epoch-{h} entry")
         if pid == self.reference:
@@ -457,11 +463,25 @@ def run_scenario(scenario: Scenario) -> RunReport:
     collects before it builds its cluster, which frees what the caller
     dropped (say, a cluster kept past its run), and again once its own
     cluster is unreachable.
+
+    The decode memos (``wire.decode_brb``, ``wire.decode_broadcast_message``
+    and the element intern cache in ``core``) live for one run: they are
+    emptied before the cluster is built and again after the run.  Otherwise
+    they would keep the run's elements alive, and a second run of the same
+    seed would mix the first run's decoded objects with freshly minted ones.
     """
+    _clear_decode_memos()
     gc.collect()
     report = _run_scenario(scenario)
+    _clear_decode_memos()
     gc.collect()
     return report
+
+
+def _clear_decode_memos() -> None:
+    for memo in (wire.decode_brb, wire.decode_broadcast_message,
+                 core._element_from_wire):
+        memo.cache_clear()
 
 
 def _run_scenario(scenario: Scenario) -> RunReport:
@@ -663,6 +683,20 @@ def preset(name: str) -> Scenario:
 
 PRESET_NAMES = ("stock", "firehose", "overload-fast", "overload-agg",
                 "large-none", "large-silent", "marathon")
+
+# Every name ``named_scenario`` resolves: the presets, then the matrix cells.
+SCENARIO_NAMES = PRESET_NAMES + tuple(s.name for s in safety_matrix())
+
+
+def named_scenario(name: str) -> Scenario:
+    """A preset, or one cell of the safety matrix (``safety-n10-fast-havoc``),
+    so that any cell can be re-run on its own."""
+    if name in PRESET_NAMES:
+        return preset(name)
+    for cell in safety_matrix():
+        if cell.name == name:
+            return cell
+    raise BenchError("unknown-scenario")
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Three subcommands:
 
-* ``setchain bench`` — run named scenarios (or the whole safety matrix)
-  across a seed range and write JSON-lines reports plus a CSV summary;
+* ``setchain bench`` — run named scenarios (presets or single cells of the
+  safety matrix), or the whole safety matrix, across a seed range and write
+  JSON-lines reports plus a CSV summary;
 * ``setchain check`` — drive either the scenario invariant suite or the
   two-adversary-model trace-mapping suite across many seeds, saving a
   reproduction bundle for the first mapping failure;
@@ -50,7 +51,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         scenarios = bench.safety_matrix()
     else:
         names = args.scenario or ["stock"]
-        scenarios = [bench.preset(name) for name in names]
+        scenarios = [bench.named_scenario(name) for name in names]
     seeds = args.seeds or _default_seeds()
     reports = bench.run_matrix(scenarios, seeds)
     for report in reports:
@@ -142,8 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run scenarios and write reports")
     p_bench.add_argument("--scenario", action="append",
-                         choices=bench.PRESET_NAMES,
-                         help="named scenario (repeatable; default: stock)")
+                         choices=bench.SCENARIO_NAMES, metavar="NAME",
+                         help="preset or safety-matrix cell, e.g. firehose or "
+                              "safety-n10-fast-havoc (repeatable; default: stock)")
     p_bench.add_argument("--matrix", action="store_true",
                          help="run the full safety matrix instead")
     p_bench.add_argument("--seeds", type=_parse_seeds,

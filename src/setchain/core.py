@@ -18,7 +18,11 @@ injective, so this is field-wise equality, but it costs one cached ``bytes``
 hash instead of a tuple of fields.  Decoded elements are shared: decoding
 the same encoding again returns the same object (up to a bounded cache), and
 :meth:`KeyStore.make_element` returns that object too, so the workload,
-monitor, clients and servers of one cluster hold one copy of each.
+monitor, clients and servers of one cluster hold one copy of each.  The
+cache, like ``wire``'s two decode memos, lives for one run:
+``bench.run_scenario`` empties all three before it builds its cluster and
+again after the run, so no run keeps another run's elements alive or mixes
+them with its own.
 
 A process id is an ``(id, kind)`` int tuple: it compares, hashes and orders
 in C, by ``(id, kind)``, and no result depends on how a set of them iterates.
@@ -91,15 +95,7 @@ class Element:
     @cached_property
     def wire(self) -> bytes:
         """Canonical byte encoding; also the sort key for the canonical order."""
-        return b"".join(
-            (
-                struct.pack(">I", len(self.payload)),
-                self.payload,
-                struct.pack(">IB", self.author.id, self.author.kind.value),
-                struct.pack(">I", len(self.signature)),
-                self.signature,
-            )
-        )
+        return _encode_fields(self.payload, self.author, self.signature)
 
     @cached_property
     def digest(self) -> Digest:
@@ -117,6 +113,13 @@ class Element:
 
     def __repr__(self) -> str:
         return f"Element({self.digest.hex()[:10]}, by={self.author!r})"
+
+
+def _encode_fields(payload: bytes, author: ProcessId, signature: bytes) -> bytes:
+    """The canonical encoding of the element with these fields."""
+    return b"".join((struct.pack(">I", len(payload)), payload,
+                     struct.pack(">IBI", author.id, author.kind, len(signature)),
+                     signature))
 
 
 @lru_cache(maxsize=4096)
@@ -215,7 +218,7 @@ class HmacScheme(SignatureScheme):
         return secret, secret
 
     def sign(self, private: bytes, message: bytes) -> bytes:
-        return hmac.new(private, message, hashlib.sha256).digest()
+        return hmac.digest(private, message, "sha256")
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         return hmac.compare_digest(self.sign(public, message), signature)
@@ -287,8 +290,10 @@ class KeyStore:
         return ok
 
     def make_element(self, payload: bytes, author: ProcessId, private: bytes) -> Element:
-        e = Element(payload, author, self.scheme.sign(private, payload))
-        return _element_from_wire(e.wire)  # the shared, decoded object
+        """The shared, decoded element with these fields, signed with
+        ``private``."""
+        signature = self.scheme.sign(private, payload)
+        return _element_from_wire(_encode_fields(payload, author, signature))
 
 
 # ---------------------------------------------------------------------------

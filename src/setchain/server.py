@@ -251,15 +251,33 @@ class SetchainServer:
             self._deliver_epochinc(value)
 
     def _deliver_add(self, batch: frozenset[Element]) -> None:
-        inserted = []
-        for e in sort_elements(batch):
-            self.tobroadcast.pop(e, None)
-            if e not in self.theset and self.keys.valid(e):
-                self.theset.add(e)
-                self._unstamped.add(e)
-                inserted.append(e)
-        if inserted and self.state_observer is not None:
-            self.state_observer(self.pid, "insert", tuple(inserted))
+        self._unqueue(batch)
+        fresh = self._valid_new(batch)
+        if not fresh:
+            return
+        self.theset |= fresh
+        self._unstamped |= fresh
+        if self.state_observer is not None:
+            self.state_observer(self.pid, "insert", tuple(sort_elements(fresh)))
+
+    # Sets and dicts store each element's hash, and set algebra between them
+    # (``set(a_dict)`` included) reuses the stored hashes, so it runs in C
+    # without calling Element.__hash__.  Only ``_unqueue``'s deletions call
+    # it, once for each element that was actually queued.
+
+    def _valid_new(self, elements: frozenset[Element]) -> frozenset[Element]:
+        """The valid elements of ``elements`` that are not in theset yet."""
+        new = elements - self.theset
+        valid = self.keys.valid
+        invalid = [e for e in new if not valid(e)]
+        return new.difference(invalid) if invalid else new
+
+    def _unqueue(self, elements: frozenset[Element]) -> None:
+        """Drops ``elements`` from the aggregation buffer."""
+        tobroadcast = self.tobroadcast
+        if tobroadcast:
+            for e in elements & set(tobroadcast):
+                del tobroadcast[e]
 
     def _deliver_epochinc(self, h: int) -> None:
         if h < self.epoch + 1:
@@ -280,26 +298,20 @@ class SetchainServer:
             raise RuntimeError(
                 f"consensus delivered epoch {h} to {self.pid!r} at epoch "
                 f"{self.epoch}; the service must deliver in order")
-        candidates: set[Element] = set()
-        for es in propset.values():
-            candidates |= es
+        candidates = frozenset().union(*propset.values())
         # Stamp every valid candidate not stamped yet.  Elements of theset
         # are valid, and those not stamped are exactly the unstamped ones.
-        unstamped, theset, valid = self._unstamped, self.theset, self.keys.valid
-        E = frozenset(
-            e for e in candidates
-            if e in unstamped or (e not in theset and valid(e))
-        )
-        inserted = sort_elements(e for e in E if e not in theset)
-        theset |= E
+        inserted = self._valid_new(candidates)
+        E = (candidates & self._unstamped) | inserted
+        self.theset |= inserted
         self.history = self.history.stamp(h, E)
-        unstamped -= E
+        self._unstamped -= E
         self.prop.pop(h, None)  # never read once h is stamped
-        for e in E:
-            self.tobroadcast.pop(e, None)
+        self._unqueue(E)
         if self.state_observer is not None:
             if inserted:
-                self.state_observer(self.pid, "insert", tuple(inserted))
+                self.state_observer(self.pid, "insert",
+                                    tuple(sort_elements(inserted)))
             self.state_observer(self.pid, "stamp", (h, E))
         if self.sign_epochs:
             self._sign_epoch(h, E)

@@ -2,6 +2,8 @@
 
 import hashlib
 
+from hypothesis import strategies as st
+
 from setchain.core import Element, KeyStore, ProcessId, ProcessKind
 from setchain.sbc import ConsensusService, SbcConfig
 from setchain.server import SetchainServer
@@ -92,6 +94,17 @@ class ServerCluster:
     def drain(self):
         self.sim.run_to_quiescence()
         return self
+
+
+@st.composite
+def damaged(draw, valid):
+    """``valid`` with some bytes overwritten, then cut or extended."""
+    buf = bytearray(draw(valid))
+    for _ in range(draw(st.integers(0, 3))):
+        if buf:
+            buf[draw(st.integers(0, len(buf) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.integers(0, len(buf)))
+    return bytes(buf[:cut]) + draw(st.binary(max_size=8))
 
 
 def run_until_done(sim, call, step=50, budget=2_000_000):

@@ -2,12 +2,15 @@
 
 import csv
 import gc
+import hashlib
 import json
 import weakref
+from dataclasses import replace
 
 import pytest
 
 import setchain.bench as bench
+from setchain import core, wire
 from setchain.bench import (
     BenchError,
     LatencySummary,
@@ -31,7 +34,7 @@ from setchain.bench import (
 )
 from setchain.core import Element, History, KeyStore, ProcessId, ProcessKind
 from setchain.simnet import Simulation, NetConfig
-from setchain.wire import OP_ADD, STATUS_OK, encode_response
+from setchain.wire import OP_ADD, STATUS_OK, encode_madd, encode_response
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -95,6 +98,15 @@ def test_byzantine_slots_follow_the_adversary_kind():
     assert Scenario(byzantine="none", n=7, f=2).n_byz == 0
     assert Scenario(byzantine="silent", n=7, f=2).n_byz == 2
     assert Scenario(byzantine="havoc", n=7, f=2).n_byz == 2
+
+
+def test_every_scenario_name_resolves_to_a_scenario_of_that_name():
+    for name in bench.SCENARIO_NAMES:
+        assert bench.named_scenario(name).name == name
+    assert bench.named_scenario("safety-n7-fast-agg-silent") == \
+        safety_scenario(7, "fast-agg", "silent")
+    with pytest.raises(BenchError):
+        bench.named_scenario("safety-n5-fast-none")
 
 
 def test_presets_all_construct():
@@ -298,6 +310,39 @@ def test_runs_free_older_garbage_first_and_their_clusters_after(monkeypatch, run
     finally:
         gc.enable()
     assert all(r.property_violations == [] for r in reports)
+
+
+DECODE_MEMOS = (wire.decode_brb, wire.decode_broadcast_message,
+                core._element_from_wire)
+
+
+def _memo_sizes() -> list[int]:
+    return [memo.cache_info().currsize for memo in DECODE_MEMOS]
+
+
+def test_decode_memos_live_for_one_run(monkeypatch):
+    sizes_at_build = []
+
+    class TrackedSimulation(Simulation):
+        def __init__(self, *args, **kwargs):
+            sizes_at_build.append(_memo_sizes())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "Simulation", TrackedSimulation)
+    scenario = replace(preset("firehose"), duration=2_000)
+    first = run_scenario(scenario).to_json()
+    assert _memo_sizes() == [0, 0, 0]
+    # decode state left by work outside any run
+    e = Element(b"left over", ProcessId(9, ProcessKind.CLIENT), b"sig")
+    madd = encode_madd([e])
+    digest = hashlib.sha256(madd).digest()
+    wire.decode_brb(wire.encode_brb(wire.BrbFrame(wire.INIT, e.author, digest, madd)))
+    wire.decode_broadcast_message(madd)
+    assert 0 not in _memo_sizes()
+    second = run_scenario(scenario).to_json()
+    assert sizes_at_build == [[0, 0, 0], [0, 0, 0]]
+    assert _memo_sizes() == [0, 0, 0]
+    assert second == first
 
 
 def test_each_add_goes_to_f_plus_one_servers():

@@ -41,6 +41,20 @@ def test_bench_matrix_writes_reports(tmp_path, capsys):
     assert (tmp_path / "summary.csv").read_text().startswith("scenario,")
 
 
+def test_a_matrix_cell_runs_by_name_with_its_matrix_report_bytes(tmp_path, capsys):
+    cell, matrix = tmp_path / "cell", tmp_path / "matrix"
+    name = "safety-n10-fast-havoc"
+    assert main(["bench", "--scenario", name, "--seeds", "7..7",
+                 "--out", str(cell)]) == 0
+    assert main(["bench", "--matrix", "--seeds", "7..7", "--out", str(matrix)]) == 0
+    capsys.readouterr()
+    (alone,) = (cell / "reports.jsonl").read_bytes().splitlines()
+    in_matrix = {json.loads(line)["scenario"]: line
+                 for line in (matrix / "reports.jsonl").read_bytes().splitlines()}
+    assert json.loads(alone)["seed"] == 7
+    assert alone == in_matrix[name]
+
+
 def test_check_properties_reports_per_scenario(capsys):
     code = main(["check", "--suite", "properties", "--seeds", "0..0"])
     assert code == 0

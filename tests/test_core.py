@@ -1,12 +1,14 @@
 """Value types: elements, validity, canonical encodings, epoch digests, history."""
 
 import hashlib
+import hmac
 import random
 import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import damaged
 from setchain.core import (
     Ed25519Scheme,
     Element,
@@ -90,13 +92,31 @@ def test_hmac_verification_with_wrong_key_fails():
 
 # -- canonical encoding and epoch digests -----------------------------------
 
+pids_st = st.builds(ProcessId, id=st.integers(0, 2**32 - 1),
+                    kind=st.sampled_from(ProcessKind))
 elements_st = st.builds(
     Element,
     payload=st.binary(max_size=48),
-    author=st.builds(ProcessId, id=st.integers(0, 500),
-                     kind=st.sampled_from(ProcessKind)),
+    author=pids_st,
     signature=st.binary(max_size=48),
 )
+
+
+@given(key=st.binary(max_size=96), message=st.binary(max_size=256))
+def test_hmac_signature_is_hmac_sha256(key, message):
+    expected = hmac.new(key, message, hashlib.sha256).digest()
+    assert HmacScheme().sign(key, message) == expected
+
+
+@given(payload=st.binary(max_size=64), author=pids_st,
+       private=st.binary(min_size=1, max_size=48))
+def test_a_made_element_has_the_fields_and_bytes_of_a_built_one(payload, author,
+                                                                 private):
+    keys = KeyStore()
+    made = keys.make_element(payload, author, private)
+    built = Element(payload, author, keys.scheme.sign(private, payload))
+    assert (made.payload, made.author, made.signature, made.wire) == \
+        (built.payload, built.author, built.signature, built.wire)
 
 
 @given(elements_st)
@@ -324,6 +344,46 @@ def test_parse_attestation_rejects_other_payloads():
     assert parse_attestation(b"hello") is None
     assert parse_attestation(b"SEH1" + b"\x00" * 39) is None
     assert parse_attestation(b"XXXX" + b"\x00" * 40) is None
+
+
+# -- decoders against garbage -------------------------------------------------
+# The core decoders raise ValueError or struct.error on bytes that are not an
+# encoding; their wire callers turn exactly those into FrameError.
+
+
+@given(data=st.data())
+def test_decode_element_returns_an_element_or_raises_value_or_struct_error(data):
+    valid = elements_st.map(lambda e: e.wire)
+    buf = data.draw(st.one_of(st.binary(max_size=96), damaged(valid)))
+    offset = data.draw(st.integers(0, 16))
+    try:
+        e, end = decode_element(buf, offset)
+    except (ValueError, struct.error):
+        return
+    assert buf[offset:end] == e.wire
+
+
+@given(data=st.data())
+def test_decode_element_set_returns_a_set_or_raises_value_or_struct_error(data):
+    es = data.draw(st.frozensets(elements_st, max_size=4))
+    buf = data.draw(st.one_of(st.binary(max_size=128),
+                              damaged(st.just(encode_element_set(es)))))
+    count = data.draw(st.sampled_from((len(es), 0, 1, 2**32 - 1)))
+    try:
+        decoded, end = decode_element_set(buf, count)
+    except (ValueError, struct.error):
+        return
+    assert len(decoded) <= count and end <= len(buf)
+
+
+@given(data=st.data())
+def test_parse_attestation_returns_none_or_what_was_attested(data):
+    valid = st.builds(attestation_payload, st.integers(0, 2**64 - 1),
+                      st.binary(min_size=32, max_size=32))
+    payload = data.draw(st.one_of(st.binary(max_size=64), damaged(valid)))
+    parsed = parse_attestation(payload)
+    if parsed is not None:
+        assert attestation_payload(*parsed) == payload
 
 
 def test_random_payload_sizes_stay_in_declared_range():

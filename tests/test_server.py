@@ -162,6 +162,34 @@ def test_batch_delivery_validates_per_element():
     assert good in s.theset and bad not in s.theset
 
 
+@pytest.mark.parametrize("agg", [None, AggConfig(max_batch=50, max_wait=10_000)],
+                         ids=["per-element", "batched"])
+def test_batch_delivery_inserts_exactly_the_fresh_valid_elements(agg):
+    events = []
+    c = ServerCluster(agg=agg, state_observer=lambda pid, event, payload:
+                      events.append((pid, event, payload)))
+    s = c.correct[0]
+    present, invalid, queued = c.element(), c.invalid_element(), c.element()
+    fresh = [c.element() for _ in range(5)]
+    bystander = c.element()  # queued, but not in the batch
+    s._deliver_add(frozenset([present]))
+    for e in (queued, bystander):
+        if agg is None:
+            s.tobroadcast[e] = c.sim.now  # per-element servers never queue
+        else:
+            s.add(e)
+    assert list(s.tobroadcast) == [queued, bystander]
+    before, unstamped_before = set(s.theset), set(s._unstamped)
+    events.clear()
+    s._deliver_add(frozenset([present, invalid, queued, *fresh]))
+    gained = {queued, *fresh}
+    assert s.theset == before | gained
+    assert s._unstamped == unstamped_before | gained
+    assert events == [(s.pid, "insert",
+                       tuple(sorted(gained, key=lambda e: e.wire)))]
+    assert list(s.tobroadcast) == [bystander]
+
+
 def test_future_epoch_announcement_is_buffered_and_replayed():
     c = ServerCluster(n_byz=1)
     byz = c.byz[c.byz_pids[0]]

@@ -5,6 +5,7 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import damaged
 from setchain.core import Element, History, ProcessId, ProcessKind
 from setchain.wire import (
     ECHO,
@@ -72,17 +73,6 @@ VALID = {
     decode_epochinc_body: st.builds(encode_epochinc_body,
                                     st.integers(0, 2**64 - 1)),
 }
-
-
-@st.composite
-def damaged(draw, valid):
-    """``valid`` with some bytes overwritten, then cut or extended."""
-    buf = bytearray(draw(valid))
-    for _ in range(draw(st.integers(0, 3))):
-        if buf:
-            buf[draw(st.integers(0, len(buf) - 1))] = draw(st.integers(0, 255))
-    cut = draw(st.integers(0, len(buf)))
-    return bytes(buf[:cut]) + draw(st.binary(max_size=8))
 
 
 @pytest.mark.parametrize("decode", list(VALID), ids=lambda fn: fn.__name__)
