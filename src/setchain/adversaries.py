@@ -76,11 +76,15 @@ def havoc_subset(rng: random.Random, items: Iterable, key=None) -> frozenset:
     return frozenset(x for x in sorted(items, key=key) if rng.random() < 0.5)
 
 
+HAVOC_MAX_PARTS = 3
+
+
 def havoc_partition(
-    rng: random.Random, elements: Iterable[Element], max_parts: int = 3
+    rng: random.Random, elements: Iterable[Element]
 ) -> tuple[frozenset[Element], ...]:
-    """Split elements into a random number of bins (possibly empty ones)."""
-    k = rng.randint(0, max_parts)
+    """Split elements into up to ``HAVOC_MAX_PARTS`` bins (possibly empty
+    ones, possibly none)."""
+    k = rng.randint(0, HAVOC_MAX_PARTS)
     if k == 0:
         return ()
     parts: list[set[Element]] = [set() for _ in range(k)]
@@ -140,7 +144,10 @@ class HavocServer:
     Knowledge only ever contains *valid* elements — the adversary cannot
     forge client signatures, so everything else it sends is freshly
     minted invalid junk that correct servers discard on validity checks.
+    The gap between two actions is drawn uniformly from ``TICK_GAP`` ticks.
     """
+
+    TICK_GAP = (20, 150)
 
     def __init__(
         self,
@@ -150,14 +157,12 @@ class HavocServer:
         service: ConsensusService,
         peers: tuple[ProcessId, ...],
         f: int,
-        tick_gap: tuple[int, int] = (20, 150),
     ):
         self.pid = pid
         self.keys = keys
         self.service = service
         self.peers = tuple(p for p in peers if p != pid)
         self.f = f
-        self.tick_gap = tick_gap
         self.rng = random.Random(f"{sim.config.rng_seed}:havoc:{pid.id}")
         self.net = sim.register(pid, self.on_message)
         service.register(pid, self.on_set_deliver, correct=False)
@@ -170,7 +175,7 @@ class HavocServer:
 
     def start(self, at: SimTime = 0, until: Optional[SimTime] = None) -> None:
         self.until = until
-        first = max(at, self.net.now) + self.rng.randint(*self.tick_gap)
+        first = max(at, self.net.now) + self.rng.randint(*self.TICK_GAP)
         self.net.schedule(first, self._tick)
 
     def stop(self) -> None:
@@ -191,7 +196,7 @@ class HavocServer:
             h = havoc_number(self.rng, self.seen_h + 2, lo=1)
             prop = havoc_subset(self.rng, pool, key=wire_order)
             self.service.propose(h, prop, self.pid)
-        self.net.after(self.rng.randint(*self.tick_gap), self._tick)
+        self.net.after(self.rng.randint(*self.TICK_GAP), self._tick)
 
     def _brb_broadcast(self, payload: bytes) -> None:
         digest = hashlib.sha256(payload).digest()

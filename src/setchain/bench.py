@@ -7,6 +7,13 @@ and watches every state change through :class:`SafetyMonitor`.  The
 result is a :class:`RunReport` whose JSON form is byte-identical across
 repeated runs of the same scenario and seed.
 
+A scenario's ``agg`` is its algorithm: ``None`` broadcasts each add on its
+own ("fast"), an :class:`AggConfig` batches adds first ("fast-agg");
+:data:`ALGORITHMS` maps each name to its setting.  Every run uses the same
+consensus service, :data:`SBC`.  The named runs live in one table:
+:data:`PRESETS`, which with the safety-matrix cells makes up
+:data:`SCENARIO_NAMES`.
+
 Two kinds of checks run:
 
 * incremental — after every insert/stamp at a correct server: the set
@@ -62,8 +69,12 @@ from .wire import (
 
 TICKS_PER_SECOND = 1_000_000  # one tick is a simulated microsecond
 
-ALGORITHMS = ("fast", "fast-agg")
+# The two server algorithms differ only in whether adds are batched before
+# broadcast: each name maps to the ``agg`` its scenarios run with.
+ALGORITHMS = {"fast": None, "fast-agg": AGG_DESK}
 ADVERSARIES = ("none", "silent", "havoc")
+
+SBC = SbcConfig(decision_cost=100)  # the consensus service of every scenario
 
 _WINDOWS = 10
 _DRAIN_ROUNDS = 50
@@ -95,25 +106,25 @@ class Scenario:
     name: str = "stock"
     n: int = 4
     f: int = 1
-    algorithm: str = "fast"  # "fast" or "fast-agg"
     byzantine: str = "none"  # "none", "silent", or "havoc"
     epoch_period: int = 20_000  # ticks between epoch-cut requests
     add_rate: int = 50_000  # client adds per simulated second
     duration: int = 100_000  # ticks of driven workload
     seed: int = 0
     net: NetConfig = NetConfig()
-    agg: AggConfig = AGG_DESK
-    sbc: SbcConfig = SbcConfig(decision_cost=100)
+    agg: Optional[AggConfig] = None  # None: each add is broadcast on its own
 
     def __post_init__(self) -> None:
         if self.f < 1 or self.n < 3 * self.f + 1:
             raise BenchError("too-few-servers")
-        if self.algorithm not in ALGORITHMS:
-            raise BenchError("unknown-algorithm")
         if self.byzantine not in ADVERSARIES:
             raise BenchError("unknown-adversary")
         if self.epoch_period < 1 or self.duration < 1 or self.add_rate < 1:
             raise BenchError("non-positive-rate")
+
+    @property
+    def algorithm(self) -> str:
+        return "fast" if self.agg is None else "fast-agg"
 
     @property
     def n_byz(self) -> int:
@@ -186,10 +197,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-
-METRICS = ("adds-per-second", "epochs-per-second", "adds-per-epoch",
-           "messages-per-add")
 
 
 def metric_value(report: RunReport, metric: str) -> float:
@@ -406,16 +413,12 @@ class Workload:
         self.sent: dict[int, Element] = {}  # request id -> element
         self._rid = 0
         self._rotation = 0
-        self.stopped = False
 
     def start(self, at: SimTime = 1) -> None:
         self.net.schedule(at, self._tick)
 
-    def stop(self) -> None:
-        self.stopped = True
-
     def _tick(self) -> None:
-        if self.stopped or self.net.now >= self.scenario.duration:
+        if self.net.now >= self.scenario.duration:
             return
         for _ in range(self.batch):
             self._send_add(self._mint())
@@ -490,7 +493,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     sim.frame_classifier = classify
     keys = KeyStore()
     monitor = SafetyMonitor(sim, keys)
-    service = ConsensusService(sim, scenario.sbc, on_propose=monitor.on_propose)
+    service = ConsensusService(sim, SBC, on_propose=monitor.on_propose)
 
     n, f, n_byz = scenario.n, scenario.f, scenario.n_byz
     pids = tuple(
@@ -502,19 +505,19 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     servers = [
         SetchainServer(
             pid, sim, keys, keys.keygen(pid), pids, f, service,
-            agg=scenario.agg if scenario.algorithm == "fast-agg" else None,
+            agg=scenario.agg,
             state_observer=monitor.observe, on_broadcast=monitor.on_broadcast,
         )
         for pid in correct_pids
     ]
     for server in servers:
         monitor.attach(server)
-    adversaries = []
-    for pid in byz_pids:
+    for pid in byz_pids:  # the simulation keeps them alive
         if scenario.byzantine == "silent":
-            adversaries.append(SilentServer(pid, sim, service))
+            SilentServer(pid, sim, service)
         else:
-            adversaries.append(HavocServer(pid, sim, keys, service, pids, f))
+            HavocServer(pid, sim, keys, service, pids, f).start(
+                until=scenario.duration)
 
     central = CentralSetchain(keys) if n_byz == 0 else None
     driver = EpochDriver(sim, servers[: f + 1], scenario.epoch_period)
@@ -522,21 +525,15 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     load = Workload(sim, keys, scenario, pids, frozenset(correct_pids),
                     monitor, central)
     load.start(at=1)
-    for adversary in adversaries:
-        if isinstance(adversary, HavocServer):
-            adversary.start(until=scenario.duration)
 
     sim.run_until(scenario.duration)
     epochs_completed = servers[0].epoch
 
-    # Drain: stop the load and the timers, then alternate "flush and cut one
-    # more epoch" with full quiescence until every element everywhere is
+    # Drain: the load and the havoc servers stop on their own at the end of
+    # the driven window; stop the epoch timer, then alternate "flush and cut
+    # one more epoch" with full quiescence until every element everywhere is
     # stamped.  Checking at quiescence is exact — nothing is in flight.
-    load.stop()
     driver.stop()
-    for adversary in adversaries:
-        if isinstance(adversary, HavocServer):
-            adversary.stop()
     for _ in range(_DRAIN_ROUNDS):
         sim.run_to_quiescence()
         if _settled(servers, monitor):
@@ -622,81 +619,68 @@ def run_matrix(scenarios: list[Scenario], seeds: range,
 
 def safety_scenario(n: int, algorithm: str, byzantine: str) -> Scenario:
     """A short mixed-traffic run sized for invariant checking."""
+    if algorithm not in ALGORITHMS:
+        raise BenchError("unknown-algorithm")
     return Scenario(
         name=f"safety-n{n}-{algorithm}-{byzantine}",
         n=n,
         f=(n - 1) // 3,
-        algorithm=algorithm,
         byzantine=byzantine,
         epoch_period=400,
         add_rate=5_000,
         duration=4_000,
+        agg=ALGORITHMS[algorithm],
     )
 
 
-def safety_matrix(ns=(4, 7, 10), algorithms=ALGORITHMS,
-                  adversaries=ADVERSARIES) -> list[Scenario]:
+def safety_matrix(ns=(4, 7, 10)) -> list[Scenario]:
+    """Every size in ``ns`` under every algorithm and every adversary."""
     return [safety_scenario(n, algorithm, byzantine)
-            for n in ns for algorithm in algorithms for byzantine in adversaries]
+            for n in ns for algorithm in ALGORITHMS for byzantine in ADVERSARIES]
+
+
+_OVERLOAD = dict(n=7, f=2, epoch_period=1_500, add_rate=10_000, duration=6_000,
+                 net=NetConfig(proc_cost=6))
+_LARGE = dict(n=10, f=3, epoch_period=20_000, add_rate=5_000, duration=100_000)
+
+# The named scenarios of the headline experiments, keyed by their names.
+PRESETS: dict[str, Scenario] = {s.name: s for s in (
+    Scenario(name="stock", add_rate=20_000),
+    # Adds arrive far faster than epochs are cut; batching absorbs them.
+    Scenario(name="firehose", epoch_period=20_000, add_rate=200_000,
+             duration=100_000, agg=AGG_DESK),
+    # Per-message processing cost saturates per-element broadcast;
+    # batching shares that cost across whole batches.
+    Scenario(name="overload-fast", **_OVERLOAD),
+    Scenario(name="overload-agg", agg=AggConfig(max_batch=60, max_wait=800),
+             **_OVERLOAD),
+    # Ten servers, f of them mute: throughput should barely move.
+    Scenario(name="large-none", **_LARGE),
+    Scenario(name="large-silent", byzantine="silent", **_LARGE),
+    # A long steady run; stamp latency must not creep upward.
+    Scenario(name="marathon", epoch_period=20_000, add_rate=5_000,
+             duration=1_000_000),
+)}
+PRESET_NAMES = tuple(PRESETS)
+
+# Every scenario ``named_scenario`` resolves: the presets, then the matrix
+# cells, so that any cell can be re-run on its own.
+_NAMED: dict[str, Scenario] = {**PRESETS, **{s.name: s for s in safety_matrix()}}
+SCENARIO_NAMES = tuple(_NAMED)
 
 
 def preset(name: str) -> Scenario:
-    """Named scenarios used by the headline experiments."""
-    if name == "stock":
-        return Scenario(add_rate=20_000)
-    if name == "firehose":
-        # Adds arrive far faster than epochs are cut; batching absorbs them.
-        return Scenario(name="firehose", algorithm="fast-agg",
-                        epoch_period=20_000, add_rate=200_000,
-                        duration=100_000)
-    if name in ("overload-fast", "overload-agg"):
-        # Per-message processing cost saturates per-element broadcast;
-        # batching shares that cost across whole batches.
-        return Scenario(
-            name=name,
-            n=7,
-            f=2,
-            algorithm="fast" if name == "overload-fast" else "fast-agg",
-            epoch_period=1_500,
-            add_rate=10_000,
-            duration=6_000,
-            net=NetConfig(proc_cost=6),
-            agg=AggConfig(max_batch=60, max_wait=800),
-        )
-    if name in ("large-none", "large-silent"):
-        # Ten servers, f of them mute: throughput should barely move.
-        return Scenario(
-            name=name,
-            n=10,
-            f=3,
-            byzantine="none" if name == "large-none" else "silent",
-            epoch_period=20_000,
-            add_rate=5_000,
-            duration=100_000,
-        )
-    if name == "marathon":
-        # A long steady run; stamp latency must not creep upward.
-        return Scenario(name="marathon", epoch_period=20_000,
-                        add_rate=5_000, duration=1_000_000)
-    raise BenchError("unknown-scenario")
-
-
-PRESET_NAMES = ("stock", "firehose", "overload-fast", "overload-agg",
-                "large-none", "large-silent", "marathon")
-
-# Every name ``named_scenario`` resolves: the presets, then the matrix cells.
-SCENARIO_NAMES = PRESET_NAMES + tuple(s.name for s in safety_matrix())
+    """One of the :data:`PRESETS`."""
+    if name not in PRESETS:
+        raise BenchError("unknown-scenario")
+    return PRESETS[name]
 
 
 def named_scenario(name: str) -> Scenario:
-    """A preset, or one cell of the safety matrix (``safety-n10-fast-havoc``),
-    so that any cell can be re-run on its own."""
-    if name in PRESET_NAMES:
-        return preset(name)
-    for cell in safety_matrix():
-        if cell.name == name:
-            return cell
-    raise BenchError("unknown-scenario")
+    """A preset, or one cell of the safety matrix (``safety-n10-fast-havoc``)."""
+    if name not in _NAMED:
+        raise BenchError("unknown-scenario")
+    return _NAMED[name]
 
 
 # ---------------------------------------------------------------------------

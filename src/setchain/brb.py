@@ -9,7 +9,8 @@ broadcast; a delivery happens at most once per instance; if the origin is
 correct every correct process delivers; and if any correct process
 delivers, all of them eventually do.  Init and echo frames carry the
 payload so a late process can still learn it; ready frames carry only the
-digest.
+digest.  A delivered instance keeps only its flags, so that a late init
+from the origin still draws this process's one echo.
 
 Frames are decoded by ``wire.decode_brb``, which also checks that an init
 or echo frame's digest binds its payload and memoises the answer by the
@@ -29,9 +30,11 @@ from .wire import BrbFrame, ECHO, INIT, READY, FrameError, decode_brb, encode_br
 
 @dataclass
 class _Instance:
+    # Once delivered, an instance keeps only its flags: the payload and the
+    # quorum sets become None.
     payload: Optional[bytes] = None
-    echoes: set[ProcessId] = field(default_factory=set)
-    readies: set[ProcessId] = field(default_factory=set)
+    echoes: Optional[set[ProcessId]] = field(default_factory=set)
+    readies: Optional[set[ProcessId]] = field(default_factory=set)
     echoed: bool = False
     readied: bool = False
     delivered: bool = False
@@ -83,11 +86,15 @@ class BrbEngine:
         if frame.phase == INIT:
             if frm != frame.origin:
                 return  # authenticated channels: only the origin starts it
-            inst.payload = frame.payload
             if not inst.echoed:
                 inst.echoed = True
                 self._send_to_all(BrbFrame(ECHO, frame.origin, frame.digest,
                                            frame.payload))
+            if inst.delivered:
+                return
+            inst.payload = frame.payload
+        elif inst.delivered:
+            return  # a late echo or ready changes nothing
         elif frame.phase == ECHO:
             inst.echoes.add(frm)
             if inst.payload is None:
@@ -109,7 +116,9 @@ class BrbEngine:
         ):
             inst.delivered = True
             self.delivered_count += 1
-            self.on_deliver(origin, inst.payload)
+            payload, inst.payload = inst.payload, None
+            inst.echoes = inst.readies = None
+            self.on_deliver(origin, payload)
 
     def _send_to_all(self, frame: BrbFrame) -> None:
         body = encode_brb(frame)

@@ -669,10 +669,13 @@ class ModelPair:
     f: int
 
 
-def make_model_pair(n: int, f: int, seed: int = 0, pool_size: int = 60) -> ModelPair:
+POOL_SIZE = 60  # client-signed elements in a model pair's pool
+
+
+def make_model_pair(n: int, f: int, seed: int = 0) -> ModelPair:
     """Two models over the same correct servers: one with ``f`` adversarial
     servers, one with the single pooled process, plus a deterministic pool
-    of client-signed elements."""
+    of ``POOL_SIZE`` client-signed elements."""
     assert n > 3 * f >= 0
     correct = tuple(ProcessId(i, ProcessKind.CORRECT_SERVER) for i in range(n - f))
     byz = tuple(
@@ -684,7 +687,7 @@ def make_model_pair(n: int, f: int, seed: int = 0, pool_size: int = 60) -> Model
     rng = random.Random(f"pool:{seed}")
     pool = tuple(
         keys.make_element(random_payload(rng), a, privates[a])
-        for _ in range(pool_size // len(authors))
+        for _ in range(POOL_SIZE // len(authors))
         for a in authors
     )
     return ModelPair(

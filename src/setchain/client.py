@@ -4,17 +4,20 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
 
 * :class:`QuorumClient` — writes go to ``f + 1`` distinct servers so at
   least one is correct; reads contact ``3f + 1`` servers, wait for the
-  first ``2f + 1`` responses, and keep only what at least ``f + 1``
-  servers vouch for, so no lying minority can fabricate elements or
-  history entries.
+  first ``2f + 1`` responses (at most ``GET_TIMEOUT`` ticks), and keep
+  only what at least ``f + 1`` servers vouch for, so no lying minority
+  can fabricate elements or history entries.
 * :class:`OptimisticClient` — one add request to a single server, a
   wait, then one read probe to a single server.  The probe is trusted
   only as far as its cryptographic evidence: the element must sit in an
   epoch whose recomputed digest is signed by ``f + 1`` distinct servers.
   Far fewer messages (every server-side add triggers a quadratic
   broadcast, so redundant quorum writes are expensive), but higher
-  latency, and an "unconfirmed" signal after the retry budget — the cue
-  to fall back to the quorum client.
+  latency, and an "unconfirmed" signal after ``RETRIES`` attempts — the
+  cue to fall back to the quorum client.  The wait before each probe
+  (``WAIT_FACTOR`` epoch periods, times ``BACKOFF`` per retry) and the
+  probe's ``PROBE_TIMEOUT`` are class constants; only ``epoch_period``
+  is set per client.
 """
 
 from __future__ import annotations
@@ -65,32 +68,19 @@ class ClientError(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuorumGetResult:
-    """A read combined from at least ``2f + 1`` single-server snapshots.
-
-    ``theset`` holds the elements reported by at least ``f + 1`` servers,
-    ``history`` the longest epoch prefix on which ``f + 1`` servers agree
-    entry by entry.  Every history element is merged into ``theset`` so
-    the usual containment (history within theset) holds even when a
-    stamped element fell short of ``f + 1`` theset votes in the sample.
-    """
-
-    theset: frozenset[Element]
-    history: History
-    epoch: int
-
-
 def combine_get_responses(
     responses: Mapping[ProcessId, GetResult], f: int
-) -> QuorumGetResult:
+) -> GetResult:
     """Fold per-server snapshots into one view no lying minority controls.
 
-    Needs at least ``2f + 1`` responses.  The history is rebuilt epoch by
-    epoch while some entry is reported identically by at least ``f + 1``
+    Needs at least ``2f + 1`` responses.  ``theset`` holds the elements
+    reported by at least ``f + 1`` servers.  The history is rebuilt epoch
+    by epoch while some entry is reported identically by at least ``f + 1``
     of the remaining servers; servers that disagree with the agreed
     entry, or whose view stops at the current epoch, drop out of the
-    later rounds.
+    later rounds.  Every history element is merged into ``theset`` so the
+    usual containment (history within theset) holds even when a stamped
+    element fell short of ``f + 1`` theset votes in the sample.
     """
     if len(responses) < 2 * f + 1:
         raise ClientError("insufficient-responses")
@@ -126,7 +116,10 @@ def combine_get_responses(
         i += 1
 
     theset |= history.union()
-    return QuorumGetResult(frozenset(theset), history, history.epoch)
+    return GetResult(frozenset(theset), history, history.epoch)
+
+
+QuorumGetResult = GetResult  # for callers that build a combined read by this name
 
 
 @dataclass
@@ -137,7 +130,7 @@ class GetCall:
     on_done: Optional[Callable[["GetCall"], None]] = None
     req_ids: dict[int, ProcessId] = field(default_factory=dict)
     responses: dict[ProcessId, GetResult] = field(default_factory=dict)
-    result: Optional[QuorumGetResult] = None
+    result: Optional[GetResult] = None
     error: Optional[str] = None
 
     @property
@@ -159,13 +152,14 @@ class QuorumClient:
     attempt counter, so repeated calls spread over all servers.
     """
 
+    GET_TIMEOUT = 1_000  # ticks a read waits for 2f + 1 responses
+
     def __init__(
         self,
         pid: ProcessId,
         sim: Simulation,
         servers: tuple[ProcessId, ...],
         f: int,
-        get_timeout: int = 1_000,
     ):
         if len(set(servers)) != len(servers):
             raise ValueError("duplicate server ids")
@@ -174,7 +168,6 @@ class QuorumClient:
         self.pid = pid
         self.f = f
         self.servers = tuple(servers)
-        self.get_timeout = get_timeout
         self.net = sim.register(pid, self.on_message)
         self._attempt = 0
         self._req_ids = itertools.count(1)
@@ -220,7 +213,7 @@ class QuorumClient:
             rid = next(self._req_ids)
             call.req_ids[rid] = s
             self.net.send(s, encode_request(OP_GET, rid))
-        self.net.after(self.get_timeout, self._expire, call)
+        self.net.after(self.GET_TIMEOUT, self._expire, call)
         return call
 
     def _expire(self, call: GetCall) -> None:
@@ -377,10 +370,15 @@ class OptimisticClient:
     element in an epoch vouched for by ``f + 1`` distinct signers settles
     the call; anything else (no response, garbage, too few signatures)
     burns the attempt and the next one rotates to another server with a
-    doubled wait.  After ``retries`` attempts the call ends with
+    doubled wait.  After ``RETRIES`` attempts the call ends with
     ``error = "unconfirmed"`` — the chosen servers may be Byzantine, and
     callers should fall back to :class:`QuorumClient`.
     """
+
+    WAIT_FACTOR = 3  # epoch periods the first attempt waits before its probe
+    BACKOFF = 2  # each later attempt waits this many times longer
+    RETRIES = 5  # attempts before the call ends "unconfirmed"
+    PROBE_TIMEOUT = 1_000  # ticks a probe waits for its response
 
     def __init__(
         self,
@@ -390,24 +388,14 @@ class OptimisticClient:
         servers: tuple[ProcessId, ...],
         f: int,
         epoch_period: int = DEFAULT_EPOCH_PERIOD,
-        wait_factor: int = 3,
-        backoff: int = 2,
-        retries: int = 5,
-        probe_timeout: int = 1_000,
     ):
         if not servers:
             raise ValueError("need at least one server")
-        if retries < 1:
-            raise ValueError("need at least one attempt")
         self.pid = pid
         self.keys = keys
         self.f = f
         self.servers = tuple(servers)
         self.epoch_period = epoch_period
-        self.wait_factor = wait_factor
-        self.backoff = backoff
-        self.retries = retries
-        self.probe_timeout = probe_timeout
         self.net = sim.register(pid, self.on_message)
         self._rotation = 0
         self._req_ids = itertools.count(1)
@@ -439,8 +427,8 @@ class OptimisticClient:
         call.servers_tried += (server,)
         self.net.send(server,
                       encode_request(OP_ADD, next(self._req_ids), call.element.wire))
-        wait = self.wait_factor * self.epoch_period
-        wait *= self.backoff ** (call.attempts - 1)
+        wait = self.WAIT_FACTOR * self.epoch_period
+        wait *= self.BACKOFF ** (call.attempts - 1)
         self.net.after(wait, self._probe, call, server)
 
     def _probe(self, call: ConfirmCall, server: ProcessId) -> None:
@@ -450,7 +438,7 @@ class OptimisticClient:
         call._probe_rid = rid
         call._probe_server = server
         self.net.send(server, encode_request(OP_GET, rid))
-        self.net.after(self.probe_timeout, self._probe_expired, call, rid)
+        self.net.after(self.PROBE_TIMEOUT, self._probe_expired, call, rid)
 
     def _probe_expired(self, call: ConfirmCall, rid: int) -> None:
         if call.done or call._probe_rid != rid:
@@ -459,7 +447,7 @@ class OptimisticClient:
 
     def _next_attempt(self, call: ConfirmCall) -> None:
         call._probe_rid = None
-        if call.attempts >= self.retries:
+        if call.attempts >= self.RETRIES:
             call.error = "unconfirmed"
             call._finish()
         else:

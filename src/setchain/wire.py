@@ -49,13 +49,6 @@ STATUS_INVALID_ELEMENT = 1
 STATUS_ALREADY_PRESENT = 2
 STATUS_STALE_OR_FUTURE_EPOCH = 3
 
-STATUS_NAMES = {
-    STATUS_OK: "ok",
-    STATUS_INVALID_ELEMENT: "invalid-element",
-    STATUS_ALREADY_PRESENT: "already-present",
-    STATUS_STALE_OR_FUTURE_EPOCH: "stale-or-future-epoch",
-}
-
 MSG_ADD, MSG_EPOCHINC = 0, 1
 
 

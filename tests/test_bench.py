@@ -58,7 +58,7 @@ def test_scenario_rejects_too_few_servers():
 
 def test_scenario_rejects_unknown_algorithm_and_adversary():
     with pytest.raises(BenchError) as err:
-        Scenario(algorithm="slow")
+        safety_scenario(4, "slow", "none")
     assert err.value.code == "unknown-algorithm"
     with pytest.raises(BenchError) as err:
         Scenario(byzantine="sneaky")
@@ -107,6 +107,24 @@ def test_every_scenario_name_resolves_to_a_scenario_of_that_name():
         safety_scenario(7, "fast-agg", "silent")
     with pytest.raises(BenchError):
         bench.named_scenario("safety-n5-fast-none")
+
+
+def test_every_scenario_name_is_one_preset_or_one_matrix_cell():
+    cells = safety_matrix()
+    assert bench.SCENARIO_NAMES == PRESET_NAMES + tuple(c.name for c in cells)
+    assert len(set(bench.SCENARIO_NAMES)) == len(PRESET_NAMES) + len(cells) == 25
+    assert all(bench.named_scenario(name) is preset(name) for name in PRESET_NAMES)
+    assert [bench.named_scenario(c.name) for c in cells] == cells
+
+
+def test_a_scenario_algorithm_is_fast_agg_exactly_when_it_batches():
+    for name in bench.SCENARIO_NAMES:
+        s = bench.named_scenario(name)
+        assert (s.algorithm == "fast-agg") == (s.agg is not None), name
+    assert preset("stock").agg is None
+    assert preset("overload-fast").agg is None
+    assert safety_scenario(4, "fast", "none").agg is None
+    assert safety_scenario(4, "fast-agg", "none").agg == bench.AGG_DESK
 
 
 def test_presets_all_construct():

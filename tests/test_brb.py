@@ -8,7 +8,7 @@ import pytest
 from setchain.brb import BrbEngine
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, Simulation
-from setchain.wire import BrbFrame, ECHO, INIT, READY, encode_brb
+from setchain.wire import BrbFrame, ECHO, INIT, READY, decode_brb, encode_brb
 
 
 class Cluster:
@@ -232,3 +232,76 @@ def test_engine_requires_quorum_capable_membership():
     net = sim.register(pid, lambda f, b: None)
     with pytest.raises(ValueError):
         BrbEngine(net, (pid,), f=1, on_deliver=lambda o, p: None)
+
+
+# -- delivered instances keep only their flags --------------------------------
+
+
+class _Recorder:
+    """A net handle that keeps every frame an engine sends."""
+
+    def __init__(self, pid):
+        self.pid = pid
+        self.sent = []
+
+    def send(self, to, body):
+        self.sent.append((to, body))
+
+
+def _delivered_without_init():
+    """An engine at process 1 of four (f = 1) that delivered process 0's
+    payload from echoes and readies alone, so it never echoed."""
+    peers = tuple(ProcessId(i) for i in range(4))
+    net = _Recorder(peers[1])
+    delivered = []
+    engine = BrbEngine(net, peers, 1, lambda o, p: delivered.append((o, p)))
+    origin, payload = peers[0], b"late init"
+    digest = hashlib.sha256(payload).digest()
+    for frm in peers[1:]:
+        engine.handle_frame(frm, encode_brb(BrbFrame(ECHO, origin, digest, payload)))
+    for frm in peers[1:]:
+        engine.handle_frame(frm, encode_brb(BrbFrame(READY, origin, digest, None)))
+    assert delivered == [(origin, payload)]
+    net.sent.clear()
+    return engine, net, peers, origin, payload, digest
+
+
+def test_delivered_instances_hold_no_payload_and_no_quorum_sets():
+    c = Cluster(n=4, f=1, n_byz=1)
+    c.engines[c.correct[0]].broadcast(b"m")
+    c.drain()
+    for pid in c.correct:
+        (inst,) = c.engines[pid].instances.values()
+        assert inst.delivered and inst.echoed and inst.readied
+        assert (inst.payload, inst.echoes, inst.readies) == (None, None, None)
+
+    engine, *_ = _delivered_without_init()
+    (inst,) = engine.instances.values()
+    assert inst.delivered and not inst.echoed
+    assert (inst.payload, inst.echoes, inst.readies) == (None, None, None)
+
+
+def test_late_init_from_the_origin_draws_exactly_one_echo():
+    engine, net, peers, origin, payload, digest = _delivered_without_init()
+    init = encode_brb(BrbFrame(INIT, origin, digest, payload))
+    engine.handle_frame(peers[2], init)  # not from the origin: ignored
+    assert net.sent == []
+    engine.handle_frame(origin, init)
+    engine.handle_frame(origin, init)  # a second init: already echoed
+    assert [to for to, _ in net.sent] == list(peers)
+    assert {decode_brb(body) for _, body in net.sent} == {
+        BrbFrame(ECHO, origin, digest, payload)}
+    (inst,) = engine.instances.values()
+    assert inst.echoed and inst.payload is None
+
+
+def test_late_echo_and_ready_frames_send_nothing():
+    engine, net, peers, origin, payload, digest = _delivered_without_init()
+    echo = encode_brb(BrbFrame(ECHO, origin, digest, payload))
+    ready = encode_brb(BrbFrame(READY, origin, digest, None))
+    for frm in peers:
+        engine.handle_frame(frm, echo)
+        engine.handle_frame(frm, ready)
+    assert net.sent == []
+    (inst,) = engine.instances.values()
+    assert (inst.payload, inst.echoes, inst.readies) == (None, None, None)

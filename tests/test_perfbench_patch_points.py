@@ -1,5 +1,7 @@
 """The benchmark's tracer patches setchain names by module; every name it
-wraps must exist, and uninstalling must restore each one."""
+wraps must exist, and uninstalling must restore each one.  Its workloads
+build their inputs through setchain's constructors and ``Scenario`` fields;
+each must still build."""
 
 import heapq
 from pathlib import Path
@@ -26,3 +28,11 @@ def test_tracer_installs_every_patch_point_and_restores_it(monkeypatch):
     for (owner, attr), original in originals.items():
         assert getattr(owner, attr) is original, f"{owner!r}.{attr}"
     assert setchain.simnet.heapq is heapq
+
+
+def test_every_benchmark_workload_builds_at_tiny_size(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for name, workload in workloads.WORKLOADS.items():
+        assert workload.build(0, tiny=True), name
