@@ -33,7 +33,6 @@ from typing import Iterable, Optional
 
 from .core import (
     Element,
-    History,
     KeyStore,
     ProcessId,
     ProcessKind,
@@ -59,6 +58,7 @@ from .wire import (
     decode_inform,
     decode_request,
     encode_brb,
+    encode_epoch,
     encode_get_state,
     encode_madd,
     encode_mepochinc,
@@ -247,7 +247,7 @@ class HavocServer:
             theset = havoc_subset(self.rng, pool, key=wire_order)
             parts = havoc_partition(
                 self.rng, havoc_subset(self.rng, pool, key=wire_order))
-            state = encode_get_state(theset, History(parts), len(parts))
+            state = encode_get_state(theset, [encode_epoch(es) for es in parts])
             self.net.send(frm, encode_response(op, req_id, STATUS_OK, state))
 
     def on_set_deliver(self, h: int, propset) -> None:
@@ -296,11 +296,12 @@ class LyingHistoryServer(SetchainServer):
         if op != OP_GET:
             super()._handle_request(frm, body)
             return
-        fabricated = frozenset(self.theset) | set(self.tobroadcast)
-        seal = self.keys.make_element(
-            attestation_payload(1, hash_epoch(fabricated)), self.pid, self._private
-        )
-        state = encode_get_state(
-            fabricated | {seal}, History().stamp(1, fabricated), 1
-        )
+        fabricated = self.theset.union(self.tobroadcast)
+        # The segment is u32 count | the set's encoding, and the epoch digest
+        # (hash_epoch) is the sha256 of that encoding: one encode for both.
+        segment = encode_epoch(fabricated)
+        digest = hashlib.sha256(memoryview(segment)[4:]).digest()
+        seal = self.keys.make_element(attestation_payload(1, digest), self.pid,
+                                      self._private)
+        state = encode_get_state(fabricated | {seal}, (segment,))
         self.net.send(frm, encode_response(OP_GET, req_id, STATUS_OK, state))

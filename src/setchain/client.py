@@ -18,6 +18,15 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
   (``WAIT_FACTOR`` epoch periods, times ``BACKOFF`` per retry) and the
   probe's ``PROBE_TIMEOUT`` are class constants; only ``epoch_period``
   is set per client.
+
+Both clients keep, for each server, the history bytes of that server's
+last get reply and the epoch sets decoded from them.  Stamped epochs never
+change, so a reply whose history starts with those bytes (and claims at
+least as many epochs) reuses the decoded sets and decodes only what
+follows; any other reply is decoded whole
+(:func:`~setchain.wire.decode_get_state_after`).  A quorum read drops its
+per-server snapshots once it has combined them, so a finished
+:class:`GetCall` holds only its result.
 """
 
 from __future__ import annotations
@@ -48,7 +57,9 @@ from .wire import (
     OP_GET,
     STATUS_OK,
     FrameError,
-    decode_get_state,
+    GetPrior,
+    decode_get_state,  # unused here, but perfbench/tracing.py patches it by name
+    decode_get_state_after,
     decode_response,
     encode_epochinc_body,
     encode_request,
@@ -109,7 +120,10 @@ def combine_get_responses(
         # With exactly 2f+1 responses at most one entry can reach f+1
         # votes; larger samples pick the best-supported one (canonical
         # bytes break exact ties) so the result stays deterministic.
-        best = min(agreed, key=lambda es: (-tally[es], encode_element_set(es)))
+        if len(agreed) == 1:
+            best = agreed[0]
+        else:
+            best = min(agreed, key=lambda es: (-tally[es], encode_element_set(es)))
         history = history.stamp(i, best)
         remaining = {s for s in remaining if entry(responses[s], i) == best}
         remaining -= {s for s in remaining if responses[s].epoch == i}
@@ -172,6 +186,7 @@ class QuorumClient:
         self._attempt = 0
         self._req_ids = itertools.count(1)
         self._call: Optional[GetCall] = None
+        self._priors: dict[ProcessId, GetPrior] = {}  # last reply per server
 
     def _rotation(self, k: int) -> tuple[ProcessId, ...]:
         n = len(self.servers)
@@ -234,12 +249,14 @@ class QuorumClient:
         if call.req_ids.get(rid) != frm or frm in call.responses:
             return
         try:
-            theset, epochs, epoch = decode_get_state(respbody)
+            theset, epochs, epoch, self._priors[frm] = decode_get_state_after(
+                respbody, self._priors.get(frm))
         except FrameError:
             return
         call.responses[frm] = GetResult(theset, History(epochs), epoch)
         if len(call.responses) >= 2 * self.f + 1:
             call.result = combine_get_responses(call.responses, self.f)
+            call.responses.clear()  # a finished call keeps only its result
             call._finish()
 
 
@@ -319,22 +336,18 @@ def confirm_from_snapshot(
     containing ``element`` whose recomputed digest is signed by at least
     ``f + 1`` distinct servers — then at least one correct server stamped
     exactly that entry.  Signatures are looked for anywhere in the
-    response, and only ones that verify count.
+    response, and only ones that verify count.  For each entry holding
+    ``element`` the response is scanned for the one attestation payload
+    that entry can have; only the elements carrying it are checked.
     """
-    pool = set(theset)
-    for es in epoch_sets:
-        pool |= es
-    hashes = [seh for e in pool
-              if (seh := SignedEpochHash.from_element(e)) is not None]
+    sets = (theset, *epoch_sets)
     for i, entry in enumerate(epoch_sets, start=1):
         if element not in entry:
             continue
         digest = hash_epoch(entry)
-        signers = {
-            seh.signer
-            for seh in hashes
-            if seh.h == i and seh.digest == digest and seh.verify(keys)
-        }
+        payload = attestation_payload(i, digest)
+        signers = {e.author for es in sets for e in es
+                   if e.payload == payload and e.author.is_server and keys.valid(e)}
         if len(signers) > f:
             return Confirmation(element, i, digest, frozenset(signers))
     return None
@@ -400,6 +413,7 @@ class OptimisticClient:
         self._rotation = 0
         self._req_ids = itertools.count(1)
         self._call: Optional[ConfirmCall] = None
+        self._priors: dict[ProcessId, GetPrior] = {}  # last reply per server
 
     def _pick(self) -> ProcessId:
         server = self.servers[(self.pid.id + self._rotation) % len(self.servers)]
@@ -466,7 +480,8 @@ class OptimisticClient:
         confirmation = None
         if op == OP_GET and status == STATUS_OK:
             try:
-                theset, epochs, _ = decode_get_state(respbody)
+                theset, epochs, _, self._priors[frm] = decode_get_state_after(
+                    respbody, self._priors.get(frm))
             except FrameError:
                 pass
             else:

@@ -12,10 +12,14 @@ canonical ones used on the wire and inside digests, so they are stable:
   for every element encoding ``enc`` in canonical order
 * epoch attestation payload: ``b"SEH1" | u64 h | 32-byte epoch digest``
 
-An element's identity is its canonical encoding: elements are equal when
-their encodings are, and hash as those bytes hash.  The encoding is
-injective, so this is field-wise equality, but it costs one cached ``bytes``
-hash instead of a tuple of fields.  Decoded elements are shared: decoding
+An element is a ``(wire, payload, author, signature)`` tuple whose first
+item is its canonical encoding.  It hashes as that tuple hashes, in C, with
+no Python frame; two elements are equal when their encodings are.  The
+encoding is injective, so this is field-wise equality, and it agrees with
+the tuple hash.  An element never equals a non-element, with one exception:
+through tuple's reflected comparison, a plain tuple of exactly its four
+items compares (and hashes) equal to it.  No code builds such a tuple.
+Decoded elements are shared: decoding
 the same encoding again returns the same object (up to a bounded cache), and
 :meth:`KeyStore.make_element` returns that object too, so the workload,
 monitor, clients and servers of one cluster hold one copy of each.  The
@@ -35,8 +39,8 @@ import hmac
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import cached_property, lru_cache
-from operator import attrgetter
+from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 Digest = bytes  # 32-byte SHA-256 digests throughout
@@ -81,35 +85,44 @@ class ProcessId(_ProcessIdFields):
         return f"{'szcb'[self.kind]}{self.id}"  # tags in ProcessKind order
 
 
-@dataclass(frozen=True, eq=False)
-class Element:
+class Element(tuple):
     """An immutable signed payload; the unit stored in the replicated set.
 
-    Equality and hashing go through :attr:`wire` (see the module docstring).
+    A ``(wire, payload, author, signature)`` tuple whose identity runs in C
+    (see the module docstring); build one from its three fields.
     """
 
-    payload: bytes
-    author: ProcessId
-    signature: bytes
+    __slots__ = ()
 
-    @cached_property
-    def wire(self) -> bytes:
-        """Canonical byte encoding; also the sort key for the canonical order."""
-        return _encode_fields(self.payload, self.author, self.signature)
+    def __new__(cls, payload: bytes, author: ProcessId, signature: bytes):
+        return tuple.__new__(
+            cls, (_encode_fields(payload, author, signature), payload, author,
+                  signature))
 
-    @cached_property
-    def digest(self) -> Digest:
-        return hashlib.sha256(self.wire).digest()
+    # Canonical byte encoding; also the sort key for the canonical order.
+    wire = property(itemgetter(0))
+    payload = property(itemgetter(1))
+    author = property(itemgetter(2))
+    signature = property(itemgetter(3))
+
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.wire == other.wire
+        if isinstance(other, Element):
+            return self[0] == other[0]
+        return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.wire)
+    def __ne__(self, other: object) -> bool:
+        if isinstance(other, Element):
+            return self[0] != other[0]
+        return NotImplemented
+
+    def __getnewargs__(self):  # copy and pickle rebuild from the fields
+        return self[1:]
+
+    @property
+    def digest(self) -> Digest:
+        return hashlib.sha256(self[0]).digest()
 
     def __repr__(self) -> str:
         return f"Element({self.digest.hex()[:10]}, by={self.author!r})"
@@ -131,10 +144,9 @@ def _element_from_wire(wire: bytes) -> Element:
     author_id, kind, slen = struct.unpack_from(">IBI", wire, 4 + plen)
     if 13 + plen + slen != len(wire):
         raise ValueError("element length fields do not match its size")
-    e = Element(wire[4 : 4 + plen], ProcessId(author_id, ProcessKind(kind)),
-                wire[13 + plen :])
-    e.__dict__["wire"] = wire  # what the cached property would compute
-    return e
+    return tuple.__new__(Element, (wire, wire[4 : 4 + plen],
+                                   ProcessId(author_id, ProcessKind(kind)),
+                                   wire[13 + plen :]))
 
 
 def decode_element(buf: bytes, offset: int = 0) -> tuple[Element, int]:
@@ -147,7 +159,7 @@ def decode_element(buf: bytes, offset: int = 0) -> tuple[Element, int]:
     return _element_from_wire(bytes(buf[offset:end])), end
 
 
-wire_order = attrgetter("wire")  # canonical order's key; C-level, no frame
+wire_order = itemgetter(0)  # canonical order's key: the wire; C-level, no frame
 
 
 def sort_elements(elements: Iterable[Element]) -> list[Element]:
@@ -258,12 +270,12 @@ class Ed25519Scheme(SignatureScheme):
 
 
 class KeyStore:
-    """Registry of public keys plus element validation (with memoisation)."""
+    """Registry of public keys plus element validation (valid verdicts memoised)."""
 
     def __init__(self, scheme: Optional[SignatureScheme] = None):
         self.scheme = scheme or HmacScheme()
         self._public: dict[ProcessId, bytes] = {}
-        self._memo: dict[bytes, bool] = {}  # keyed by element encoding
+        self._memo: set[bytes] = set()  # encodings of valid elements
 
     def register(self, pid: ProcessId, public: bytes) -> None:
         if pid in self._public:
@@ -280,13 +292,16 @@ class KeyStore:
         return self._public.get(pid)
 
     def valid(self, e: Element) -> bool:
-        """An element is valid iff its signature verifies under its author's key."""
-        cached = self._memo.get(e.wire)
-        if cached is not None:
-            return cached
+        """An element is valid iff its signature verifies under its author's key.
+
+        Only valid verdicts are memoised: anyone can mint invalid elements
+        without end, and a memo of them would grow with the garbage."""
+        if e.wire in self._memo:
+            return True
         public = self._public.get(e.author)
         ok = public is not None and self.scheme.verify(public, e.payload, e.signature)
-        self._memo[e.wire] = ok
+        if ok:
+            self._memo.add(e.wire)
         return ok
 
     def make_element(self, payload: bytes, author: ProcessId, private: bytes) -> Element:

@@ -42,6 +42,7 @@ from .wire import (
     decode_broadcast_message,
     decode_epochinc_body,
     decode_request,
+    encode_epoch,
     encode_get_state,
     encode_madd,
     encode_mepochinc,
@@ -93,6 +94,7 @@ class CentralSetchain:
         self.keys = keys
         self.theset: set[Element] = set()
         self.history = History()
+        self._unstamped: set[Element] = set()  # theset - history.union()
 
     @property
     def epoch(self) -> int:
@@ -101,13 +103,15 @@ class CentralSetchain:
     def add(self, e: Element) -> None:
         if not self.keys.valid(e):
             raise RequestRejected("invalid-element")
-        self.theset.add(e)
+        if e not in self.theset:
+            self.theset.add(e)
+            self._unstamped.add(e)
 
     def epoch_inc(self, h: int) -> None:
         if h != self.epoch + 1:
             raise RequestRejected("stale-or-future-epoch")
-        stamped = self.history.union()
-        self.history = self.history.stamp(h, frozenset(self.theset) - stamped)
+        self.history = self.history.stamp(h, self._unstamped)
+        self._unstamped = set()
 
     def get(self) -> GetResult:
         return GetResult(frozenset(self.theset), self.history, self.epoch)
@@ -150,6 +154,9 @@ class SetchainServer:
         self.pending_epochinc: set[int] = set()
         # Inserted but not yet stamped; always theset - history.union().
         self._unstamped: set[Element] = set()
+        # encode_epoch of each stamped entry, in order; a get encodes only
+        # the entries stamped since the last get (stamping never does).
+        self._epoch_segments: list[bytes] = []
         self._flush_scheduled = False
 
     @property
@@ -161,6 +168,13 @@ class SetchainServer:
     def get(self) -> GetResult:
         """Pure snapshot of (theset, history, epoch)."""
         return GetResult(frozenset(self.theset), self.history, self.epoch)
+
+    def _get_state(self) -> bytes:
+        """The encoded snapshot a get returns."""
+        segments = self._epoch_segments
+        for es in self.history.entries[len(segments):]:
+            segments.append(encode_epoch(es))
+        return encode_get_state(self.theset, segments)
 
     def add(self, e: Element) -> None:
         if not self.keys.valid(e):
@@ -230,8 +244,7 @@ class SetchainServer:
             elif op == OP_EPOCHINC:
                 self.epoch_inc(decode_epochinc_body(reqbody))
             elif op == OP_GET:
-                snap = self.get()
-                respbody = encode_get_state(snap.theset, snap.history, snap.epoch)
+                respbody = self._get_state()
         except RequestRejected as rej:
             status = RequestRejected.STATUS[rej.code]
         except FrameError:

@@ -15,7 +15,8 @@ All integers are big-endian.  Frames (first byte is the frame tag):
 * client requests, tag ``Q``:  ``'Q' | op u8 | u64 req_id | body``
   with op 0 add (element), 1 get (empty), 2 epoch-inc (``u64 h``)
 * server responses, tag ``R``:  ``'R' | op u8 | u64 req_id | status u8 | body``
-  where a get body is ``u64 epoch | u32 |S| | set | (u32 count | set) * epoch``
+  where a get body is ``u64 epoch | u32 |S| | set | (u32 count | set) * epoch``;
+  each ``u32 count | set`` is one history entry's segment (``encode_epoch``)
 
 Unparseable frames are discarded by receivers.
 """
@@ -26,7 +27,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import (
     Element,
@@ -195,31 +196,55 @@ def decode_response(buf: bytes) -> tuple[int, int, int, bytes]:
         raise FrameError(str(exc)) from exc
 
 
-def encode_get_state(theset, history, epoch: int) -> bytes:
-    """Body of a successful get response."""
-    out = [struct.pack(">QI", epoch, len(theset)), encode_element_set(theset)]
-    for i in range(1, epoch + 1):
-        es = history.get(i)
-        out.append(struct.pack(">I", len(es)))
-        out.append(encode_element_set(es))
-    return b"".join(out)
+def encode_epoch(es) -> bytes:
+    """One history entry of a get body: ``u32 count | set``."""
+    return struct.pack(">I", len(es)) + encode_element_set(es)
+
+
+def encode_get_state(theset, epochs: Sequence[bytes]) -> bytes:
+    """Body of a successful get response; ``epochs`` holds the
+    :func:`encode_epoch` segments of entries 1, 2, ... in order."""
+    return b"".join((struct.pack(">QI", len(epochs), len(theset)),
+                     encode_element_set(theset), *epochs))
+
+
+# What a reply's decode keeps for the next reply from the same server: the
+# bytes of its history segments and the epoch sets decoded from them.
+GetPrior = tuple[bytes, tuple[frozenset[Element], ...]]
 
 
 def decode_get_state(buf: bytes):
     """Returns (theset, epoch_sets: tuple, epoch); raises FrameError."""
+    theset, epochs, epoch, _ = decode_get_state_after(buf, None)
+    return theset, epochs, epoch
+
+
+def decode_get_state_after(buf: bytes, prior: Optional[GetPrior]):
+    """:func:`decode_get_state` that decodes only what is new since
+    ``prior``, and also returns the prior for the next reply.
+
+    The prior's epoch sets are reused when this reply's history starts with
+    exactly the prior's history bytes and claims at least as many epochs;
+    those bytes are whole segments, so their decode cannot differ.  Any
+    other reply is decoded in full.  Raises FrameError."""
     try:
         epoch, scount = struct.unpack_from(">QI", buf, 0)
         if epoch > 1_000_000:
             raise FrameError("implausible epoch")
-        theset, offset = decode_element_set(buf, scount, 12)
-        epochs = []
-        for _ in range(epoch):
+        theset, start = decode_element_set(buf, scount, 12)
+        epochs, offset = [], start
+        if prior is not None:
+            kept, kept_epochs = prior
+            if len(kept_epochs) <= epoch and buf.startswith(kept, start):
+                epochs, offset = list(kept_epochs), start + len(kept)
+        for _ in range(epoch - len(epochs)):
             (count,) = struct.unpack_from(">I", buf, offset)
             es, offset = decode_element_set(buf, count, offset + 4)
             epochs.append(es)
         if offset != len(buf):
             raise FrameError("trailing bytes in get state")
-        return theset, tuple(epochs), epoch
+        epochs = tuple(epochs)
+        return theset, epochs, epoch, (buf[start:], epochs)
     except (struct.error, ValueError, IndexError) as exc:
         raise FrameError(str(exc)) from exc
 

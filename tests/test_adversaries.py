@@ -2,11 +2,13 @@
 adversaries, and the targeted liars."""
 
 import random
+import struct
 
 from conftest import ServerCluster, run_until_done
 from setchain.adversaries import (
     ForgedDigestServer,
     HavocServer,
+    LyingHistoryServer,
     SilentServer,
     generate_invalid_elems,
     havoc_number,
@@ -14,9 +16,23 @@ from setchain.adversaries import (
     havoc_subset,
 )
 from setchain.client import QuorumClient
-from setchain.core import KeyStore, ProcessId, ProcessKind, hash_epoch, parse_attestation
+from setchain.core import (
+    KeyStore,
+    ProcessId,
+    ProcessKind,
+    attestation_payload,
+    encode_element_set,
+    hash_epoch,
+    parse_attestation,
+)
 from setchain.server import EpochDriver
-from setchain.wire import decode_brb, decode_broadcast_message
+from setchain.wire import (
+    OP_GET,
+    decode_brb,
+    decode_broadcast_message,
+    decode_response,
+    encode_request,
+)
 
 
 def havoc_factory(pid, cluster):
@@ -228,3 +244,29 @@ def test_forged_digest_server_signs_a_digest_that_never_matches():
         h, digest = parse_attestation(x.payload)
         assert cluster.keys.valid(x)  # real signature ...
         assert digest != hash_epoch(probed.history.get(h))  # ... false content
+
+
+def test_lying_history_reply_is_one_self_sealed_epoch_of_everything_it_knows():
+    liar_factory = lambda pid, c: LyingHistoryServer(
+        pid, c.sim, c.keys, c.privates[pid], c.pids, c.f, c.service)
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=liar_factory)
+    liar = cluster.byz[cluster.byz_pids[0]]
+    for _ in range(3):
+        cluster.correct[0].add(cluster.element())
+    cluster.drain()
+    reader = ProcessId(204, ProcessKind.CLIENT)
+    inbox = []
+    cluster.sim.register(reader, lambda frm, body: inbox.append(body))
+    liar.on_message(reader, encode_request(OP_GET, 7))
+    cluster.drain()
+    [reply] = inbox
+    state = decode_response(reply)[3]
+    fabricated = frozenset(liar.theset)
+    seal = cluster.keys.make_element(
+        attestation_payload(1, hash_epoch(fabricated)), liar.pid,
+        cluster.privates[liar.pid])
+    # The whole reply, encoded field by field from what the liar claims.
+    body = fabricated | {seal}
+    expected = (struct.pack(">QI", 1, len(body)) + encode_element_set(body)
+                + struct.pack(">I", len(fabricated)) + encode_element_set(fabricated))
+    assert len(fabricated) == 3 and state == expected

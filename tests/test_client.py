@@ -2,7 +2,7 @@
 single-server adds confirmed by signed epoch hashes."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import ServerCluster, run_until_done
 from setchain.adversaries import ForgedDigestServer, LyingHistoryServer
@@ -11,6 +11,7 @@ from setchain.client import (
     OptimisticClient,
     QuorumClient,
     SignedEpochHash,
+    Confirmation,
     combine_get_responses,
     confirm_from_snapshot,
     signed_epoch_hashes,
@@ -23,6 +24,7 @@ from setchain.core import (
     ProcessId,
     ProcessKind,
     attestation_payload,
+    encode_element_set,
     hash_epoch,
     parse_attestation,
 )
@@ -135,6 +137,25 @@ def test_quorum_get_equals_single_view_when_all_agree():
     assert cluster.sim.counts["resp-get"] == 4
 
 
+def test_quorum_get_drops_its_responses_and_reuses_each_servers_epochs():
+    cluster = ServerCluster(n=4, f=1)
+    client = quorum_client(cluster)
+    reads = []
+    for h in (1, 2):
+        client.add(cluster.element())
+        cluster.drain()
+        cluster.correct[0].epoch_inc(h)
+        cluster.drain()
+        kept = {s: prior[1] for s, prior in client._priors.items()}
+        call = run_until_done(cluster.sim, client.get())
+        assert call.result.epoch == h and call.responses == {}
+        reads.append(call.result)
+        for s, epochs in kept.items():  # epoch 1 was decoded once per server
+            assert client._priors[s][1][0] is epochs[0]
+    assert reads[1].history.entries[0] == reads[0].history.entries[0]
+    assert len(kept) >= 3
+
+
 def test_quorum_get_times_out_without_enough_responders():
     cluster = ServerCluster(n=4, f=1, n_byz=2)  # over-faulted on purpose
     client = quorum_client(cluster)
@@ -199,6 +220,16 @@ def test_combine_stops_at_first_epoch_without_agreement():
     assert out.history.entries == (frozenset({a}),)
     assert out.epoch == 1
     assert out.theset == {a}
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2, 3), (2, 3, 0, 1), (1, 3, 0, 2)])
+def test_combine_breaks_a_two_two_tie_by_canonical_bytes(order):
+    a, b = raw("a"), raw("b")
+    first, second = sorted((frozenset({a}), frozenset({b})), key=encode_element_set)
+    views = [GetResult(es, History((es,)), 1) for es in (second, second, first, first)]
+    responses = {(S0, S1, S2, S3)[i]: views[i] for i in order}
+    out = combine_get_responses(responses, f=1)
+    assert out.history.entries == (first,)
 
 
 def test_combine_requires_two_f_plus_one_responses():
@@ -308,6 +339,74 @@ def test_confirm_from_snapshot_needs_f_plus_one_matching_signers():
 
     absent = confirm_from_snapshot(e, two, (frozenset(),), keys, f=1)
     assert absent is None  # element not in any epoch entry
+
+
+def reference_confirm(element, theset, epoch_sets, keys, f):
+    """confirm_from_snapshot as first written: parse every element of the
+    reply as a signed epoch hash, then count the verified matching ones."""
+    pool = set(theset).union(*epoch_sets)
+    hashes = [seh for e in pool
+              if (seh := SignedEpochHash.from_element(e)) is not None]
+    for i, entry in enumerate(epoch_sets, start=1):
+        if element not in entry:
+            continue
+        digest = hash_epoch(entry)
+        signers = {seh.signer for seh in hashes
+                   if seh.h == i and seh.digest == digest and seh.verify(keys)}
+        if len(signers) > f:
+            return Confirmation(element, i, digest, frozenset(signers))
+    return None
+
+
+# Ways to attest an epoch holding the target: honest, forged digest, wrong
+# h, a non-server author, a bad signature, and an honest copy that repeats
+# its signer elsewhere in the reply; "other" honestly attests another epoch.
+_SEAL_KINDS = ("honest", "forged", "wrong-h", "client", "bad-sig", "duplicate",
+               "other")
+
+
+@settings(max_examples=300)
+@given(seals=st.lists(st.tuples(st.sampled_from(_SEAL_KINDS), st.integers(0, 3),
+                                st.integers(0, 2), st.booleans()), max_size=10),
+       layout=st.lists(st.integers(0, 3), min_size=1, max_size=3),
+       f=st.integers(1, 2))
+def test_confirm_from_snapshot_equals_the_reference(seals, layout, f):
+    keys, servers, privates, author, author_key = signing_world()
+    target = keys.make_element(b"target", author, author_key)
+    others = [keys.make_element(b"x%d" % i, author, author_key) for i in range(3)]
+    # Epoch i holds the target when layout[i-1] is 0, else other elements.
+    entries = [frozenset({target}) if k == 0 else frozenset(others[:k])
+               for k in layout]
+    holding = [i for i, k in enumerate(layout, start=1) if k == 0] or [1]
+    theset = set().union(*entries)
+    later: set[Element] = set()  # seals stamped in an epoch after these
+    for kind, who, pick, in_theset in seals:
+        h = holding[pick % len(holding)]
+        if kind == "other":
+            h = pick % len(entries) + 1
+        digest = hash_epoch(entries[h - 1])
+        signer, key = servers[who], privates[servers[who]]
+        if kind == "forged":
+            digest = bytes(32)
+        elif kind == "wrong-h":
+            h += 1
+        elif kind == "client":
+            signer, key = author, author_key
+        payload = attestation_payload(h, digest)
+        if kind == "bad-sig":
+            seal = Element(payload, signer, b"junk")
+        else:
+            seal = keys.make_element(payload, signer, key)
+        if kind == "duplicate":
+            later.add(seal)
+            theset.add(seal)
+        elif in_theset:
+            theset.add(seal)
+        else:
+            later.add(seal)
+    epoch_sets = (*entries, frozenset(later))
+    got = confirm_from_snapshot(target, frozenset(theset), epoch_sets, keys, f)
+    assert got == reference_confirm(target, frozenset(theset), epoch_sets, keys, f)
 
 
 # -- optimistic client ------------------------------------------------------

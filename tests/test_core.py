@@ -1,7 +1,9 @@
 """Value types: elements, validity, canonical encodings, epoch digests, history."""
 
+import copy
 import hashlib
 import hmac
+import pickle
 import random
 import struct
 
@@ -232,6 +234,37 @@ def test_an_element_never_equals_a_non_element():
     for other in (e.wire, (e.payload, e.author, e.signature), e.payload, None, 0):
         assert e != other and not e == other
         assert e.__eq__(other) is NotImplemented
+
+
+def test_element_identity_runs_in_c_with_one_documented_exception():
+    e = Element(**FIELDS)
+    assert type(e).__hash__ is tuple.__hash__
+    assert tuple(e) == (e.wire, e.payload, e.author, e.signature)
+    # Reflected tuple comparison: a plain tuple of exactly the four items
+    # equals the element (and hashes equal).  No code builds one.
+    assert e == tuple(e) and hash(e) == hash(tuple(e))
+
+
+def test_an_element_survives_copy_and_pickle():
+    e = Element(**FIELDS)
+    for again in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+        assert again == e and type(again) is Element
+        assert (again.payload, again.author, again.signature) == (
+            e.payload, e.author, e.signature)
+
+
+def test_invalid_verdicts_are_not_memoised():
+    keys, author, private = make_world()
+    good = signed(keys, author, private)
+    assert keys.valid(good)
+    size = len(keys._memo)
+    rng = random.Random(3)
+    junk = [Element(rng.randbytes(16), author, rng.randbytes(32))
+            for _ in range(1_000)]
+    assert not any(keys.valid(e) for e in junk)
+    assert len(keys._memo) == size
+    assert not any(keys.valid(e) for e in junk)  # still invalid when asked again
+    assert keys.valid(good)
 
 
 def test_hash_epoch_empty_set_is_deterministic():

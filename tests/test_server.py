@@ -1,12 +1,22 @@
 """Server state machines: sequential reference, replicated fast path,
 aggregation, epoch signing, and the epoch driver."""
 
+import itertools
 import random
+import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import ServerCluster
-from setchain.core import KeyStore, ProcessId, ProcessKind, hash_epoch, parse_attestation
+from setchain.core import (
+    Element,
+    KeyStore,
+    ProcessId,
+    ProcessKind,
+    hash_epoch,
+    parse_attestation,
+)
 from setchain.server import (
     AGG_DESK,
     AGG_PRODUCTION,
@@ -50,6 +60,26 @@ def test_central_add_then_epoch_stamps_exactly_the_new_elements():
     chain.add(b)
     chain.epoch_inc(2)
     assert chain.get().history.get(2) == {b}
+
+
+@given(st.lists(st.tuples(st.sampled_from(("add", "invalid", "epoch", "stale")),
+                          st.integers(0, 5)), max_size=30))
+def test_central_unstamped_set_is_theset_minus_history_after_every_op(ops):
+    keys, author, private, chain = seq_world()
+    pool = [keys.make_element(b"e%d" % i, author, private) for i in range(6)]
+    for op, i in ops:
+        try:
+            if op == "add":
+                chain.add(pool[i])
+            elif op == "invalid":
+                chain.add(Element(b"e%d" % i, author, b"bad"))
+            elif op == "epoch":
+                chain.epoch_inc(chain.epoch + 1)
+            else:
+                chain.epoch_inc(chain.epoch)
+        except RequestRejected:
+            pass
+        assert chain._unstamped == chain.theset - chain.history.union()
 
 
 def test_central_rejects_invalid_and_wrong_epoch():
@@ -452,6 +482,48 @@ def test_rpc_add_and_get_round_trip():
     assert (op, status) == (OP_GET, STATUS_OK)
     theset, epochs, epoch = decode_get_state(body)
     assert e in theset and epoch == 1 and epochs[0] == frozenset([e])
+
+
+def reference_get_state(s) -> bytes:
+    """A server's get body, encoded whole from its state."""
+    out = [struct.pack(">QI", s.epoch, len(s.theset)), encode_element_set(s.theset)]
+    for es in s.history.entries:
+        out += [struct.pack(">I", len(es)), encode_element_set(es)]
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("agg", [None, AggConfig(max_batch=4, max_wait=300)],
+                         ids=["per-element", "batched"])
+def test_get_reply_bytes_equal_a_whole_encode_after_every_stamp(agg):
+    """Servers keep their stamped epochs' segments; a reply built from them
+    is byte for byte the whole state's encoding.  Server 0 is read after
+    every stamp, the others after every third, so they extend by several."""
+    expected, inbox, rids = {}, [], itertools.count(1)
+
+    def observe(pid, event, payload):
+        srv = c.servers[pid]
+        if event == "stamp" and (pid == c.correct_pids[0] or payload[0] % 3 == 0):
+            rid = next(rids)
+            expected[rid] = reference_get_state(srv)
+            srv.on_message(reader, encode_request(OP_GET, rid))
+
+    c = ServerCluster(agg=agg, sign_epochs=True, state_observer=observe)
+    reader = ProcessId(200, ProcessKind.CLIENT)
+    c.sim.register(reader, lambda frm, body: inbox.append(body))
+    driver = EpochDriver(c.sim, c.correct[: c.f + 1], period=150)
+    driver.start()
+    rng = random.Random(5)
+    for i in range(40):
+        c.sim.schedule(rng.randrange(2_000), c.correct[i % 3].add, c.element())
+    c.sim.run_until(2_000)
+    driver.stop()
+    c.drain()
+    got = {}
+    for body in inbox:
+        op, rid, status, state = decode_response(body)
+        assert (op, status) == (OP_GET, STATUS_OK)
+        got[rid] = state
+    assert len(expected) > 12 and got == expected
 
 
 def test_rpc_malformed_request_is_ignored():

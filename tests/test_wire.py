@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import damaged
-from setchain.core import Element, History, ProcessId, ProcessKind
+from setchain.core import Element, ProcessId, ProcessKind
 from setchain.wire import (
     ECHO,
     INIT,
@@ -19,11 +19,13 @@ from setchain.wire import (
     decode_element_set,
     decode_epochinc_body,
     decode_get_state,
+    decode_get_state_after,
     decode_inform,
     decode_request,
     decode_response,
     encode_brb,
     encode_element_set,
+    encode_epoch,
     encode_epochinc_body,
     encode_get_state,
     encode_inform,
@@ -42,10 +44,7 @@ element_sets_st = st.frozensets(elements_st, max_size=4)
 
 def _get_state(sets):
     theset = frozenset().union(*sets) if sets else frozenset()
-    history = History()
-    for i, es in enumerate(sets, start=1):
-        history = history.stamp(i, es)
-    return encode_get_state(theset, history, len(sets))
+    return encode_get_state(theset, [encode_epoch(es) for es in sets])
 
 
 def _brb(phase, origin, payload):
@@ -89,6 +88,66 @@ def test_decoders_return_a_value_or_raise_frame_error(decode, data):
 @given(data=st.data())
 def test_decoders_accept_what_the_encoders_produce(decode, data):
     decode(data.draw(VALID[decode]))
+
+
+# -- get replies decoded against the same server's previous reply -----------
+
+
+def _decoded(decode, buf, *args):
+    """What ``decode`` makes of ``buf``: its value, or FrameError."""
+    try:
+        return decode(buf, *args)
+    except FrameError:
+        return FrameError
+
+
+def _reply_after(old, new, shape):
+    """A reply's epoch sets, shaped against the previous reply's ``old``."""
+    if shape == "growing":
+        return old + new
+    if shape == "shorter":
+        return old[: len(old) // 2]
+    return new  # diverging: unrelated to what came before
+
+
+@given(old=st.lists(element_sets_st, max_size=3),
+       new=st.lists(element_sets_st, max_size=3),
+       shape=st.sampled_from(("growing", "diverging", "shorter")),
+       data=st.data())
+def test_prefix_aware_decode_equals_a_full_decode(old, new, shape, data):
+    prior = decode_get_state_after(_get_state(old), None)[3]
+    valid = _get_state(_reply_after(old, new, shape))
+    for buf in (valid, data.draw(damaged(st.just(valid))),
+                data.draw(st.binary(max_size=96))):
+        full = _decoded(decode_get_state_after, buf, None)
+        assert _decoded(decode_get_state_after, buf, prior) == full
+        assert _decoded(decode_get_state, buf) == (
+            full if full is FrameError else full[:3])
+
+
+def test_prefix_aware_decode_reuses_the_kept_epochs_only_when_claimed():
+    a, b = (frozenset({Element(p, ProcessId(1, ProcessKind.CLIENT), b"s")})
+            for p in (b"a", b"b"))
+    prior = decode_get_state_after(_get_state([a]), None)[3]
+    grown = decode_get_state_after(_get_state([a, b]), prior)
+    assert grown[1][0] is prior[1][0] and grown[1] == (a, b)
+    # The kept segment again, after a header that claims no epochs.
+    zero = _get_state([])
+    with pytest.raises(FrameError):
+        decode_get_state_after(zero + prior[0], prior)
+
+
+@given(data=st.data())
+def test_prefix_aware_decode_returns_a_value_or_raises_frame_error(data):
+    old = data.draw(st.lists(element_sets_st, max_size=3))
+    prior = decode_get_state_after(_get_state(old), None)[3]
+    grown = st.lists(element_sets_st, max_size=2).map(lambda new: _get_state(old + new))
+    buf = data.draw(st.one_of(st.binary(max_size=96), damaged(grown),
+                              damaged(VALID[decode_get_state])))
+    try:
+        decode_get_state_after(buf, prior)
+    except FrameError:
+        pass
 
 
 @given(st.lists(st.sampled_from(range(6)), max_size=10), st.lists(elements_st,
