@@ -12,6 +12,10 @@ payload so a late process can still learn it; ready frames carry only the
 digest.  A delivered instance keeps only its flags, so that a late init
 from the origin still draws this process's one echo.
 
+Each protocol step (the origin's INIT, a process's ECHO, its READY) sends
+one frame to every peer, this process included, as one
+``NetHandle.multicast`` to ``peers`` in their given order.
+
 Frames are decoded by ``wire.decode_brb``, which also checks that an init
 or echo frame's digest binds its payload and memoises the answer by the
 frame bytes, so each distinct frame is decoded and hashed once per cluster.
@@ -76,32 +80,31 @@ class BrbEngine:
         if frm not in self._peer_set:
             return  # only peers' echoes and readies count toward quorums
         try:
-            frame = decode_brb(body)
+            phase, origin, digest, payload = decode_brb(body)
         except FrameError:
             return  # garbage, or a digest that does not bind the payload
-        key = (frame.origin, frame.digest)
+        key = (origin, digest)
         inst = self.instances.get(key)
         if inst is None:
             inst = self.instances[key] = _Instance()
-        if frame.phase == INIT:
-            if frm != frame.origin:
+        if phase == INIT:
+            if frm != origin:
                 return  # authenticated channels: only the origin starts it
             if not inst.echoed:
                 inst.echoed = True
-                self._send_to_all(BrbFrame(ECHO, frame.origin, frame.digest,
-                                           frame.payload))
+                self._send_to_all(BrbFrame(ECHO, origin, digest, payload))
             if inst.delivered:
                 return
-            inst.payload = frame.payload
+            inst.payload = payload
         elif inst.delivered:
             return  # a late echo or ready changes nothing
-        elif frame.phase == ECHO:
+        elif phase == ECHO:
             inst.echoes.add(frm)
             if inst.payload is None:
-                inst.payload = frame.payload
-        elif frame.phase == READY:
+                inst.payload = payload
+        elif phase == READY:
             inst.readies.add(frm)
-        self._advance(frame.origin, frame.digest, inst)
+        self._advance(origin, digest, inst)
 
     def _advance(self, origin: ProcessId, digest: bytes, inst: _Instance) -> None:
         if not inst.readied and (
@@ -121,6 +124,4 @@ class BrbEngine:
             self.on_deliver(origin, payload)
 
     def _send_to_all(self, frame: BrbFrame) -> None:
-        body = encode_brb(frame)
-        for p in self.peers:
-            self.net.send(p, body)
+        self.net.multicast(self.peers, encode_brb(frame))

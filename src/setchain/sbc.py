@@ -81,7 +81,6 @@ class ConsensusService:
         self.sim = sim
         self.config = config
         self.rng = random.Random(f"{sim.config.rng_seed}:sbc")
-        self._randbelow = self.rng._randbelow
         self.on_propose = on_propose
         self._members: dict[ProcessId, Callable[[int, Propset], None]] = {}
         self._correct: dict[ProcessId, bool] = {}
@@ -115,7 +114,7 @@ class ConsensusService:
         for other in sorted(self._members):
             if other != by:
                 self.sim.send_as(by, other, notice)
-        self.sim.schedule(self.sim.now + self.sim.draw_delay(self._randbelow),
+        self.sim.schedule(self.sim.now + self.sim.draw_delays(1, self.rng)[0],
                           self._arrive, h, elements, by)
 
     def _arrive(self, h: int, elements: frozenset, by: ProcessId) -> None:
@@ -152,9 +151,9 @@ class ConsensusService:
             else:
                 propset[by] = p.elements  # anything registered pre-decision
         self.decisions[h] = Decision(h, propset, now)
-        for pid in sorted(self._members):
-            self.sim.schedule(now + self.sim.draw_delay(self._randbelow),
-                              self._deliver_one, pid, h)
+        members = sorted(self._members)
+        for pid, delay in zip(members, self.sim.draw_delays(len(members), self.rng)):
+            self.sim.schedule(now + delay, self._deliver_one, pid, h)
         nxt = self._instances.get(h + 1)
         if nxt is not None and nxt.deferred and nxt.decision_at is not None:
             self.sim.schedule(max(now, nxt.decision_at), self._try_decide, h + 1)

@@ -13,6 +13,13 @@ cannot be spoofed).  Before ``gst`` delivery delays are drawn uniformly
 from ``[latency_min, latency_max]``; from ``gst`` on they are additionally
 clamped to ``post_gst_bound``.
 
+``Simulation.draw_delays`` is the one latency rule: it makes the draws of
+``randint(latency_min, latency_max)`` and applies the clamp.  A multicast
+(``NetHandle.multicast``) is n sends in receiver order: it takes the same
+sequence numbers and the same delay draws as one send to each receiver in
+turn, so it puts the very same envelopes on the heap, in one call.  A send
+to a process that is not registered fails before anything is drawn or sent.
+
 With ``proc_cost > 0`` a receiver is busy for ``proc_cost`` ticks after each
 delivery.  A message that arrives while its receiver is busy waits in that
 receiver's inbox; when the receiver becomes free it takes the lowest-seq
@@ -87,7 +94,11 @@ class NetHandle:
         return self._sim.now
 
     def send(self, to: ProcessId, body: bytes) -> None:
-        self._sim._send(self.pid, to, body)
+        self._sim._multicast(self.pid, (to,), body)
+
+    def multicast(self, tos: tuple[ProcessId, ...], body: bytes) -> None:
+        """Send ``body`` to each of ``tos``, in that order."""
+        self._sim._multicast(self.pid, tos, body)
 
     def schedule(self, at: SimTime, fn: Callable, *args) -> None:
         self._sim.schedule(at, fn, *args)
@@ -107,16 +118,14 @@ class Simulation:
                  keep_bodies: bool = False):
         self.config = config
         self.rng = random.Random(config.rng_seed)
-        # randint(lo, hi) is lo + _randbelow(hi - lo + 1): the same stream
-        # of draws, without randint's and randrange's call overhead.
-        self._randbelow = self.rng._randbelow
         self._latency_span = config.latency_max - config.latency_min + 1
+        self._latency_bits = self._latency_span.bit_length()
+        self._latency_max_after_gst = min(config.latency_max, config.post_gst_bound)
         self.now: SimTime = 0
         self.log: list[LogEntry] = []
         self.record_log = record_log
         self.keep_bodies = keep_bodies
         self.counts: dict[str, int] = {}
-        self.delivered_total = 0
         self.frame_classifier: Callable[[bytes], str] = _default_classifier
         self._heap: list = []
         self._seq = 0
@@ -149,26 +158,50 @@ class Simulation:
 
     # -- sending and timers -------------------------------------------------
 
-    def draw_delay(self, randbelow=None) -> int:
-        """A latency-model delay drawn with ``randbelow``, the ``_randbelow``
-        of some RNG (this simulation's by default)."""
-        randbelow = randbelow or self._randbelow
-        delay = self.config.latency_min + randbelow(self._latency_span)
-        if self.now >= self.config.gst:
-            delay = min(delay, self.config.post_gst_bound)
-        return delay
+    def draw_delays(self, k: int, rng: Optional[random.Random] = None) -> list[int]:
+        """``k`` latency-model delays, drawn in order from ``rng`` (this
+        simulation's by default): the stream of ``k`` calls of
+        ``rng.randint(latency_min, latency_max)``, each clamped to
+        ``post_gst_bound`` from ``gst`` on."""
+        # randint(lo, hi) is lo + _randbelow(hi - lo + 1), and _randbelow(n)
+        # draws getrandbits(n.bit_length()) until the draw is below n; the
+        # loop below makes exactly those draws, without the three calls
+        # per delay.
+        getrandbits = (rng or self.rng).getrandbits
+        span, bits = self._latency_span, self._latency_bits
+        lo = self.config.latency_min
+        hi = (self._latency_max_after_gst if self.now >= self.config.gst
+              else self.config.latency_max)
+        delays = []
+        for _ in range(k):
+            r = getrandbits(bits)
+            while r >= span:
+                r = getrandbits(bits)
+            r += lo
+            delays.append(r if r <= hi else hi)
+        return delays
 
-    def _send(self, frm: ProcessId, to: ProcessId, body: bytes) -> None:
-        if frm not in self._handlers or to not in self._handlers:
-            raise SimError(f"send between unregistered processes {frm!r} -> {to!r}")
-        self._seq += 1
-        # An in-flight message: (deliver_at, seq, _ENVELOPE, src, dst, body).
-        heapq.heappush(self._heap, (self.now + self.draw_delay(), self._seq,
-                                    _ENVELOPE, frm, to, body))
+    def _multicast(self, frm: ProcessId, tos: tuple[ProcessId, ...],
+                   body: bytes) -> None:
+        """Put one envelope per receiver on the heap, in ``tos`` order: the
+        same sequence numbers and delay draws as one send to each in turn.
+        Nothing is drawn or pushed unless every process is registered."""
+        known = self._handlers.__contains__
+        if not (known(frm) and all(map(known, tos))):
+            for to in tos:
+                if not (known(frm) and known(to)):
+                    raise SimError(
+                        f"send between unregistered processes {frm!r} -> {to!r}")
+        heap, push, now, seq = self._heap, heapq.heappush, self.now, self._seq
+        for to, delay in zip(tos, self.draw_delays(len(tos))):
+            seq += 1
+            # An in-flight message: (deliver_at, seq, _ENVELOPE, src, dst, body).
+            push(heap, (now + delay, seq, _ENVELOPE, frm, to, body))
+        self._seq = seq
 
     def send_as(self, frm: ProcessId, to: ProcessId, body: bytes) -> None:
         """Trusted-harness send on behalf of ``frm`` (used by built-in services)."""
-        self._send(frm, to, body)
+        self._multicast(frm, (to,), body)
 
     def schedule(self, at: SimTime, fn: Callable, *args) -> None:
         if at < self.now:
@@ -182,13 +215,12 @@ class Simulation:
     def run_until(self, t: SimTime) -> list[LogEntry]:
         """Process every event with time <= t (inclusive); advance now to t."""
         start = len(self.log)
-        heap = self._heap
+        heap, pop, deliver = self._heap, heapq.heappop, self._deliver
         proc_cost = self.config.proc_cost
         while heap and heap[0][0] <= t:
-            entry = heapq.heappop(heap)
-            when = entry[0]
-            if entry[2] == _ENVELOPE:
-                _, seq, _, src, dst, body = entry
+            when, seq, kind, a, b, c = pop(heap)
+            if kind == _ENVELOPE:
+                src, dst, body = a, b, c
                 if proc_cost:  # with no busy time a receiver is never busy
                     busy = self._busy_until[dst]
                     if busy > when:
@@ -197,16 +229,18 @@ class Simulation:
                         if armed is None or seq < armed[1]:
                             self._arm(dst, busy, seq)
                         continue
-                self.now = max(self.now, when)
+                if when > self.now:
+                    self.now = when
                 if proc_cost:
                     self._busy_until[dst] = self.now + proc_cost
-                self._deliver(src, dst, body)
-            elif entry[2] == _TIMER:
-                _, _, _, fn, args, _ = entry
-                self.now = max(self.now, when)
+                deliver(src, dst, body)
+            elif kind == _TIMER:
+                fn, args = a, b
+                if when > self.now:
+                    self.now = when
                 fn(*args)
             else:  # a wake: dst may take its lowest-seq waiting message
-                _, seq, _, dst, _, _ = entry
+                dst = a
                 if self._armed[dst] != (when, seq):
                     continue  # superseded by a wake for a lower seq
                 busy = self._busy_until[dst]
@@ -214,14 +248,15 @@ class Simulation:
                     self._arm(dst, busy, seq)
                     continue
                 inbox = self._inbox[dst]
-                _, src, body = heapq.heappop(inbox)
-                self.now = max(self.now, when)
+                _, src, body = pop(inbox)
+                if when > self.now:
+                    self.now = when
                 busy = self._busy_until[dst] = self.now + proc_cost
                 if inbox:
                     self._arm(dst, busy, inbox[0][0])
                 else:
                     self._armed[dst] = None
-                self._deliver(src, dst, body)
+                deliver(src, dst, body)
         self.now = max(self.now, t)
         return self.log[start:]
 
@@ -230,8 +265,12 @@ class Simulation:
         self._armed[dst] = (at, seq)
         heapq.heappush(self._heap, (at, seq, _WAKE, dst, None, None))
 
+    @property
+    def delivered_total(self) -> int:
+        """Messages delivered so far (``counts`` holds one count per tag)."""
+        return sum(self.counts.values())
+
     def _deliver(self, src: ProcessId, dst: ProcessId, body: bytes) -> None:
-        self.delivered_total += 1
         tag = self.frame_classifier(body)
         self.counts[tag] = self.counts.get(tag, 0) + 1
         if self.record_log:

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     Element,
@@ -92,8 +91,10 @@ def decode_broadcast_message(buf: bytes):
 # -- broadcast frames -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BrbFrame:
+class BrbFrame(NamedTuple):
+    """One broadcast frame.  A tuple, so that building one per send is
+    cheap; it equals a bare 4-tuple, and no table mixes the two."""
+
     phase: int
     origin: ProcessId
     digest: bytes
@@ -102,7 +103,7 @@ class BrbFrame:
 
 def encode_brb(frame: BrbFrame) -> bytes:
     head = struct.pack(
-        ">cBIB", b"B", frame.phase, frame.origin.id, frame.origin.kind.value
+        ">cBIB", b"B", frame.phase, frame.origin.id, frame.origin.kind
     ) + frame.digest
     if frame.phase in (INIT, ECHO):
         if frame.payload is None:

@@ -238,14 +238,19 @@ def test_engine_requires_quorum_capable_membership():
 
 
 class _Recorder:
-    """A net handle that keeps every frame an engine sends."""
+    """A net handle that keeps every frame an engine sends, and every call."""
 
     def __init__(self, pid):
         self.pid = pid
         self.sent = []
+        self.calls = []
 
     def send(self, to, body):
-        self.sent.append((to, body))
+        self.multicast((to,), body)
+
+    def multicast(self, tos, body):
+        self.calls.append((tos, body))
+        self.sent.extend((to, body) for to in tos)
 
 
 def _delivered_without_init():
@@ -305,3 +310,27 @@ def test_late_echo_and_ready_frames_send_nothing():
     assert net.sent == []
     (inst,) = engine.instances.values()
     assert (inst.payload, inst.echoes, inst.readies) == (None, None, None)
+
+
+def test_each_protocol_step_is_one_multicast_to_the_peers_in_order():
+    peers = tuple(ProcessId(i) for i in (3, 0, 2, 1))  # not in id order
+    origin = peers[1]
+    net = _Recorder(origin)
+    delivered = []
+    engine = BrbEngine(net, peers, 1, lambda o, p: delivered.append((o, p)))
+    payload = b"one call per step"
+    digest = engine.broadcast(payload)
+    init = encode_brb(BrbFrame(INIT, origin, digest, payload))
+    echo = encode_brb(BrbFrame(ECHO, origin, digest, payload))
+    ready = encode_brb(BrbFrame(READY, origin, digest, None))
+    assert net.calls == [(peers, init)]
+    engine.handle_frame(origin, init)
+    assert net.calls[1:] == [(peers, echo)]
+    for frm in peers[:3]:
+        engine.handle_frame(frm, echo)
+    assert net.calls[2:] == [(peers, ready)]
+    for frm in peers:
+        engine.handle_frame(frm, echo)
+        engine.handle_frame(frm, ready)
+    assert len(net.calls) == 3 and delivered == [(origin, payload)]
+    assert all(tos is engine.peers for tos, _ in net.calls)

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setchain import simnet
 from setchain.core import ProcessId, ProcessKind
@@ -192,6 +193,32 @@ def test_handler_exceptions_carry_context():
         sim.run_until(10)
 
 
+@pytest.mark.parametrize("proc_cost, sends, t", [
+    pytest.param(0, (b"boom",), 1, id="no-busy-time"),
+    pytest.param(10, (b"boom",), 1, id="free-receiver"),
+    # b"ok" is delivered at t=1; b"boom" waits in the inbox until t=11.
+    pytest.param(10, (b"ok", b"boom"), 11, id="busy-receiver"),
+])
+def test_a_failing_handler_names_time_tag_and_sender(proc_cost, sends, t):
+    sim = Simulation(NetConfig(latency_min=1, latency_max=1, proc_cost=proc_cost))
+    a, b = ProcessId(0), ProcessId(1)
+    ha = sim.register(a, lambda frm, body: None)
+
+    def handler(frm, body):
+        if body == b"boom":
+            raise ValueError("bad frame")
+
+    sim.register(b, handler)
+    for body in sends:
+        ha.send(b, body)
+    with pytest.raises(SimError) as err:
+        sim.run_until(100)
+    assert str(err.value) == (  # 62: the default classifier's tag for b"b..."
+        f"handler for {b!r} failed at t={t} on 62 from {a!r}: bad frame")
+    assert isinstance(err.value.__cause__, ValueError)
+    assert sim.now == t and sim.delivered_total == len(sends)
+
+
 def test_jsonl_export_shape():
     sim, (a, ha), (b, _), _ = two_nodes(NetConfig(latency_min=1, latency_max=1))
     ha.send(b, b"xyz")
@@ -200,6 +227,12 @@ def test_jsonl_export_shape():
     sim.export_jsonl(out)
     lines = [json.loads(line) for line in out.getvalue().splitlines()]
     assert lines == [{"t": 1, "from": 0, "to": 1, "type": "78", "size": 3}]
+
+
+def scripted_delays(delays):
+    """A stand-in for ``Simulation.draw_delays`` that hands out ``delays``."""
+    it = iter(delays)
+    return lambda k, rng=None: [next(it) for _ in range(k)]
 
 
 @pytest.mark.parametrize("delays, order", [
@@ -215,7 +248,7 @@ def test_jsonl_export_shape():
 def test_receiver_busy_time_serialises_processing(delays, order):
     cfg = NetConfig(latency_min=1, latency_max=20, proc_cost=10)
     sim, (a, ha), (b, _), inbox = two_nodes(cfg)
-    sim.draw_delay = iter(delays).__next__
+    sim.draw_delays = scripted_delays(delays)
     for i in range(len(delays)):
         ha.send(b, bytes([i]))
     sim.run_to_quiescence()
@@ -321,7 +354,7 @@ def test_busy_receivers_keep_the_requeue_order():
 def test_pending_events_counts_waiting_messages_not_wakes():
     cfg = NetConfig(latency_min=1, latency_max=20, proc_cost=10)
     sim, (a, ha), (b, _), inbox = two_nodes(cfg)
-    sim.draw_delay = iter((1, 5, 3)).__next__
+    sim.draw_delays = scripted_delays((1, 5, 3))
     for i in range(3):
         ha.send(b, bytes([i]))
     sim.schedule(40, lambda: None)
@@ -337,3 +370,110 @@ def test_pending_events_counts_waiting_messages_not_wakes():
     assert len(inbox) == 3 and sim.pending_events() == 1
     sim.run_to_quiescence()
     assert sim.pending_events() == 0
+
+
+@st.composite
+def net_configs(draw):
+    """Latency models with equal bounds, gst on either side of the run's
+    clock, and post-gst bounds below, inside and above the latency range."""
+    lo = draw(st.integers(0, 6))
+    hi = lo + draw(st.sampled_from([0, 0, 1, 3, 40, 300]))
+    return NetConfig(latency_min=lo, latency_max=hi,
+                     gst=draw(st.sampled_from([0, 5, 30, 10**9])),
+                     post_gst_bound=draw(st.integers(1, hi + 3)),
+                     proc_cost=draw(st.sampled_from([0, 3])),
+                     rng_seed=draw(st.integers(0, 2**32)))
+
+
+def reference_send(sim, frm, to, body):
+    """One send as the network made it before multicast: a checked push
+    whose delay is ``latency_min + _randbelow(span)``, clamped from gst on."""
+    if frm not in sim._handlers or to not in sim._handlers:
+        raise SimError(f"send between unregistered processes {frm!r} -> {to!r}")
+    cfg = sim.config
+    delay = cfg.latency_min + sim.rng._randbelow(cfg.latency_max - cfg.latency_min + 1)
+    if sim.now >= cfg.gst:
+        delay = min(delay, cfg.post_gst_bound)
+    sim._seq += 1
+    heapq.heappush(sim._heap, (sim.now + delay, sim._seq, simnet._ENVELOPE,
+                               frm, to, body))
+
+
+def state(sim):
+    return list(sim._heap), sim._seq, sim.rng.getstate()
+
+
+PIDS = tuple(ProcessId(i) for i in range(5))
+STRANGER = ProcessId(9)  # never registered
+
+steps = st.lists(st.one_of(
+    st.tuples(st.just("run"), st.integers(0, 20)),
+    st.tuples(st.just("send"), st.sampled_from(PIDS + (STRANGER,)),
+              st.lists(st.sampled_from(PIDS + (STRANGER,)), max_size=7)
+              .map(tuple)),
+), max_size=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(net_configs(), steps)
+def test_a_multicast_is_the_sends_it_replaces(cfg, script):
+    sims = Simulation(cfg), Simulation(cfg)
+    handles = [{pid: sim.register(pid, lambda frm, body: None) for pid in PIDS}
+               for sim in sims]
+    new, old = sims
+    for i, step in enumerate(script):
+        if step[0] == "run":
+            for sim in sims:
+                sim.run_until(sim.now + step[1])
+            assert new.log == old.log
+            continue
+        _, frm, tos = step
+        body = i.to_bytes(2, "big")
+        before = state(old)
+        try:
+            for to in tos:
+                reference_send(old, frm, to, body)
+        except SimError as exc:
+            expected = str(exc)
+            old._heap[:], old._seq = before[0], before[1]
+            old.rng.setstate(before[2])
+        else:
+            expected = None
+        try:
+            if frm in handles[0]:
+                handles[0][frm].multicast(tos, body)
+            else:
+                new._multicast(frm, tos, body)
+        except SimError as exc:
+            assert str(exc) == expected
+            if frm in handles[0]:  # the same text as the one send to it
+                bad = next(to for to in tos if to not in handles[0])
+                with pytest.raises(SimError) as one:
+                    handles[0][frm].send(bad, body)
+                assert str(one.value) == expected
+        else:
+            assert expected is None
+        assert state(new) == state(old)
+    new.run_to_quiescence()
+    old.run_to_quiescence()
+    assert new.log == old.log and new.now == old.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(net_configs(), st.integers(0, 40), st.integers(0, 60),
+       st.integers(0, 2**32))
+def test_draw_delays_are_clamped_randint_draws(cfg, now, k, seed):
+    sim = Simulation(cfg)
+    sim.run_until(now)
+    rng, twin = random.Random(seed), random.Random(seed)
+    draws = [twin.randint(cfg.latency_min, cfg.latency_max) for _ in range(k)]
+    if now >= cfg.gst:
+        draws = [min(d, cfg.post_gst_bound) for d in draws]
+    assert sim.draw_delays(k, rng) == draws
+    assert rng.getstate() == twin.getstate()
+    own = random.Random(cfg.rng_seed)
+    assert sim.draw_delays(k) == [
+        min(own.randint(cfg.latency_min, cfg.latency_max), cfg.post_gst_bound)
+        if now >= cfg.gst else own.randint(cfg.latency_min, cfg.latency_max)
+        for _ in range(k)]
+    assert sim.rng.getstate() == own.getstate()
