@@ -9,7 +9,7 @@ Four flavours, from inert to actively hostile:
   notices and deliveries) and, on a seeded random schedule, emits
   broadcasts and consensus proposals built from random mixes of that
   knowledge and freshly minted invalid elements.  Reads are answered with
-  fabricated snapshots of the same material.
+  fabricated snapshots of the same material, against a random ``base``.
 * :class:`ForgedDigestServer` — follows the protocol but signs a wrong
   digest for every epoch, so its epoch attestations never match what a
   client recomputes.
@@ -45,6 +45,7 @@ from .server import RequestRejected, SetchainServer
 from .simnet import SimTime, Simulation
 from .wire import (
     INIT,
+    MAX_EPOCH,
     OP_ADD,
     OP_EPOCHINC,
     OP_GET,
@@ -55,6 +56,7 @@ from .wire import (
     decode_brb,
     decode_broadcast_message,
     decode_epochinc_body,
+    decode_get_request_body,
     decode_inform,
     decode_request,
     encode_brb,
@@ -243,11 +245,16 @@ class HavocServer:
             self.seen_h = max(self.seen_h, decode_epochinc_body(reqbody))
             self.net.send(frm, encode_response(op, req_id, STATUS_OK))
         elif op == OP_GET:
+            # A base up to one past what the reader holds: replies that reuse
+            # its epochs, and replies it must reject.
+            have = min(decode_get_request_body(reqbody), MAX_EPOCH)
             pool = self.knowledge | set(generate_invalid_elems(self.rng))
-            theset = havoc_subset(self.rng, pool, key=wire_order)
+            unstamped = havoc_subset(self.rng, pool, key=wire_order)
             parts = havoc_partition(
                 self.rng, havoc_subset(self.rng, pool, key=wire_order))
-            state = encode_get_state(theset, [encode_epoch(es) for es in parts])
+            base = havoc_number(self.rng, have + 1)
+            state = encode_get_state(unstamped, [encode_epoch(es) for es in parts],
+                                     base)
             self.net.send(frm, encode_response(op, req_id, STATUS_OK, state))
 
     def on_set_deliver(self, h: int, propset) -> None:
@@ -303,5 +310,7 @@ class LyingHistoryServer(SetchainServer):
         digest = hashlib.sha256(memoryview(segment)[4:]).digest()
         seal = self.keys.make_element(attestation_payload(1, digest), self.pid,
                                       self._private)
-        state = encode_get_state(fabricated | {seal}, (segment,))
+        # Base 0: the one epoch changes from read to read, so the reader
+        # must not reuse the one it holds.
+        state = encode_get_state({seal}, (segment,))
         self.net.send(frm, encode_response(OP_GET, req_id, STATUS_OK, state))

@@ -19,11 +19,13 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
   probe's ``PROBE_TIMEOUT`` are class constants; only ``epoch_period``
   is set per client.
 
-Both clients keep, for each server, the history bytes of that server's
-last get reply and the epoch sets decoded from them.  Stamped epochs never
-change, so a reply whose history starts with those bytes (and claims at
-least as many epochs) reuses the decoded sets and decodes only what
-follows; any other reply is decoded whole
+Both clients keep, for each server, the epoch sets of that server's last
+get reply (its prior), and each get request says how many they hold.
+Stamped epochs never change, so a correct server replies with a ``base``:
+the reader's epoch count when that is no more than the server's epoch, else
+0.  The reply carries only the epochs after ``base`` and the set's
+unstamped rest; the client reuses its prior's first ``base`` sets, decodes
+the rest, and rejects a ``base`` beyond its prior or the reply's epoch
 (:func:`~setchain.wire.decode_get_state_after`).  A quorum read drops its
 per-server snapshots once it has combined them, so a finished
 :class:`GetCall` holds only its result.
@@ -62,6 +64,7 @@ from .wire import (
     decode_get_state_after,
     decode_response,
     encode_epochinc_body,
+    encode_get_request_body,
     encode_request,
 )
 
@@ -72,6 +75,12 @@ class ClientError(Exception):
     def __init__(self, code: str):
         super().__init__(code)
         self.code = code
+
+
+def _get_request(priors, server: ProcessId, rid: int) -> bytes:
+    """A get request that tells ``server`` how many of its epochs we hold."""
+    have = len(priors.get(server, ()))
+    return encode_request(OP_GET, rid, encode_get_request_body(have))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +114,7 @@ def combine_get_responses(
     def entry(r: GetResult, i: int) -> Optional[frozenset[Element]]:
         return r.history.get(i) if i <= r.history.epoch else None
 
-    history = History()
+    epochs: list[frozenset[Element]] = []  # the agreed entries, in order
     i = 1
     remaining = {s for s, r in responses.items() if r.epoch >= i}
     while True:
@@ -124,11 +133,12 @@ def combine_get_responses(
             best = agreed[0]
         else:
             best = min(agreed, key=lambda es: (-tally[es], encode_element_set(es)))
-        history = history.stamp(i, best)
+        epochs.append(best)
         remaining = {s for s in remaining if entry(responses[s], i) == best}
         remaining -= {s for s in remaining if responses[s].epoch == i}
         i += 1
 
+    history = History(tuple(epochs))
     theset |= history.union()
     return GetResult(frozenset(theset), history, history.epoch)
 
@@ -227,7 +237,7 @@ class QuorumClient:
         for s in call.contacted:
             rid = next(self._req_ids)
             call.req_ids[rid] = s
-            self.net.send(s, encode_request(OP_GET, rid))
+            self.net.send(s, _get_request(self._priors, s, rid))
         self.net.after(self.GET_TIMEOUT, self._expire, call)
         return call
 
@@ -249,10 +259,11 @@ class QuorumClient:
         if call.req_ids.get(rid) != frm or frm in call.responses:
             return
         try:
-            theset, epochs, epoch, self._priors[frm] = decode_get_state_after(
-                respbody, self._priors.get(frm))
+            theset, epochs, epoch = decode_get_state_after(
+                respbody, self._priors.get(frm, ()))
         except FrameError:
             return
+        self._priors[frm] = epochs
         call.responses[frm] = GetResult(theset, History(epochs), epoch)
         if len(call.responses) >= 2 * self.f + 1:
             call.result = combine_get_responses(call.responses, self.f)
@@ -451,7 +462,7 @@ class OptimisticClient:
         rid = next(self._req_ids)
         call._probe_rid = rid
         call._probe_server = server
-        self.net.send(server, encode_request(OP_GET, rid))
+        self.net.send(server, _get_request(self._priors, server, rid))
         self.net.after(self.PROBE_TIMEOUT, self._probe_expired, call, rid)
 
     def _probe_expired(self, call: ConfirmCall, rid: int) -> None:
@@ -480,11 +491,12 @@ class OptimisticClient:
         confirmation = None
         if op == OP_GET and status == STATUS_OK:
             try:
-                theset, epochs, _, self._priors[frm] = decode_get_state_after(
-                    respbody, self._priors.get(frm))
+                theset, epochs, _ = decode_get_state_after(
+                    respbody, self._priors.get(frm, ()))
             except FrameError:
                 pass
             else:
+                self._priors[frm] = epochs
                 confirmation = confirm_from_snapshot(
                     call.element, theset, epochs, self.keys, self.f
                 )

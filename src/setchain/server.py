@@ -41,6 +41,7 @@ from .wire import (
     decode_add_request_body,
     decode_broadcast_message,
     decode_epochinc_body,
+    decode_get_request_body,
     decode_request,
     encode_epoch,
     encode_get_state,
@@ -155,7 +156,8 @@ class SetchainServer:
         # Inserted but not yet stamped; always theset - history.union().
         self._unstamped: set[Element] = set()
         # encode_epoch of each stamped entry, in order; a get encodes only
-        # the entries stamped since the last get (stamping never does).
+        # the entries stamped since the last get (stamping never does), and
+        # sends only those after the ones its reader holds.
         self._epoch_segments: list[bytes] = []
         self._flush_scheduled = False
 
@@ -169,12 +171,15 @@ class SetchainServer:
         """Pure snapshot of (theset, history, epoch)."""
         return GetResult(frozenset(self.theset), self.history, self.epoch)
 
-    def _get_state(self) -> bytes:
-        """The encoded snapshot a get returns."""
+    def _get_state(self, have: int) -> bytes:
+        """The encoded snapshot a get returns to a reader that holds
+        ``have`` of this server's epochs: the epochs after them, if it
+        holds no more than exist, else all of them; and the unstamped rest."""
         segments = self._epoch_segments
         for es in self.history.entries[len(segments):]:
             segments.append(encode_epoch(es))
-        return encode_get_state(self.theset, segments)
+        base = have if have <= self.epoch else 0
+        return encode_get_state(self._unstamped, segments[base:], base)
 
     def add(self, e: Element) -> None:
         if not self.keys.valid(e):
@@ -244,7 +249,7 @@ class SetchainServer:
             elif op == OP_EPOCHINC:
                 self.epoch_inc(decode_epochinc_body(reqbody))
             elif op == OP_GET:
-                respbody = self._get_state()
+                respbody = self._get_state(decode_get_request_body(reqbody))
         except RequestRejected as rej:
             status = RequestRejected.STATUS[rej.code]
         except FrameError:

@@ -13,10 +13,14 @@ All integers are big-endian.  Frames (first byte is the frame tag):
 
 * consensus proposal notices, tag ``P``:  ``'P' | u64 h | u32 count | set``
 * client requests, tag ``Q``:  ``'Q' | op u8 | u64 req_id | body``
-  with op 0 add (element), 1 get (empty), 2 epoch-inc (``u64 h``)
+  with op 0 add (element), 1 get (``u64 have``: how many of the server's
+  epochs the reader holds), 2 epoch-inc (``u64 h``)
 * server responses, tag ``R``:  ``'R' | op u8 | u64 req_id | status u8 | body``
-  where a get body is ``u64 epoch | u32 |S| | set | (u32 count | set) * epoch``;
-  each ``u32 count | set`` is one history entry's segment (``encode_epoch``)
+  where a get body is
+  ``u64 epoch | u64 base | u32 |U| | set(U) | (u32 count | set) * (epoch - base)``:
+  ``U`` is the set's unstamped rest (theset minus every epoch), and each
+  ``u32 count | set`` is the segment (``encode_epoch``) of one history
+  entry ``base + 1 .. epoch``; the reader already holds entries ``1 .. base``
 
 Unparseable frames are discarded by receivers.
 """
@@ -202,50 +206,63 @@ def encode_epoch(es) -> bytes:
     return struct.pack(">I", len(es)) + encode_element_set(es)
 
 
-def encode_get_state(theset, epochs: Sequence[bytes]) -> bytes:
-    """Body of a successful get response; ``epochs`` holds the
-    :func:`encode_epoch` segments of entries 1, 2, ... in order."""
-    return b"".join((struct.pack(">QI", len(epochs), len(theset)),
-                     encode_element_set(theset), *epochs))
+MAX_EPOCH = 1_000_000  # a get reply claiming more epochs is garbage
+
+
+def encode_get_request_body(have: int) -> bytes:
+    return struct.pack(">Q", have)
+
+
+def decode_get_request_body(body: bytes) -> int:
+    try:
+        (have,) = struct.unpack(">Q", body)
+        return have
+    except struct.error as exc:
+        raise FrameError(str(exc)) from exc
+
+
+def encode_get_state(unstamped, segments: Sequence[bytes], base: int = 0) -> bytes:
+    """Body of a successful get response; ``segments`` holds the
+    :func:`encode_epoch` segments of entries ``base + 1``, ``base + 2``, ...
+    in order, and ``unstamped`` the elements in no entry."""
+    return b"".join((struct.pack(">QQI", base + len(segments), base, len(unstamped)),
+                     encode_element_set(unstamped), *segments))
 
 
 # What a reply's decode keeps for the next reply from the same server: the
-# bytes of its history segments and the epoch sets decoded from them.
-GetPrior = tuple[bytes, tuple[frozenset[Element], ...]]
+# epoch sets it holds, in order.
+GetPrior = tuple[frozenset[Element], ...]
 
 
 def decode_get_state(buf: bytes):
     """Returns (theset, epoch_sets: tuple, epoch); raises FrameError."""
-    theset, epochs, epoch, _ = decode_get_state_after(buf, None)
-    return theset, epochs, epoch
+    return decode_get_state_after(buf, ())
 
 
-def decode_get_state_after(buf: bytes, prior: Optional[GetPrior]):
-    """:func:`decode_get_state` that decodes only what is new since
-    ``prior``, and also returns the prior for the next reply.
+def decode_get_state_after(buf: bytes, prior: GetPrior):
+    """:func:`decode_get_state` for a reader that holds ``prior``, the epoch
+    sets of its last reply from the same server.
 
-    The prior's epoch sets are reused when this reply's history starts with
-    exactly the prior's history bytes and claims at least as many epochs;
-    those bytes are whole segments, so their decode cannot differ.  Any
-    other reply is decoded in full.  Raises FrameError."""
+    The reply's first ``base`` epochs are ``prior[:base]``, reused as they
+    are; only the segments after them are decoded.  A ``base`` beyond
+    ``prior`` or beyond the reply's epoch raises FrameError, as does any
+    malformed body.  ``theset`` is the unstamped rest joined with every
+    epoch, and the returned epoch sets are the prior for the next reply."""
     try:
-        epoch, scount = struct.unpack_from(">QI", buf, 0)
-        if epoch > 1_000_000:
+        epoch, base, ucount = struct.unpack_from(">QQI", buf, 0)
+        if epoch > MAX_EPOCH:
             raise FrameError("implausible epoch")
-        theset, start = decode_element_set(buf, scount, 12)
-        epochs, offset = [], start
-        if prior is not None:
-            kept, kept_epochs = prior
-            if len(kept_epochs) <= epoch and buf.startswith(kept, start):
-                epochs, offset = list(kept_epochs), start + len(kept)
-        for _ in range(epoch - len(epochs)):
+        if base > epoch or base > len(prior):
+            raise FrameError("base beyond the epochs held")
+        unstamped, offset = decode_element_set(buf, ucount, 20)
+        epochs = list(prior[:base])
+        for _ in range(epoch - base):
             (count,) = struct.unpack_from(">I", buf, offset)
             es, offset = decode_element_set(buf, count, offset + 4)
             epochs.append(es)
         if offset != len(buf):
             raise FrameError("trailing bytes in get state")
-        epochs = tuple(epochs)
-        return theset, epochs, epoch, (buf[start:], epochs)
+        return unstamped.union(*epochs), tuple(epochs), epoch
     except (struct.error, ValueError, IndexError) as exc:
         raise FrameError(str(exc)) from exc
 

@@ -28,9 +28,12 @@ from setchain.core import (
 from setchain.server import EpochDriver
 from setchain.wire import (
     OP_GET,
+    FrameError,
     decode_brb,
     decode_broadcast_message,
+    decode_get_state_after,
     decode_response,
+    encode_get_request_body,
     encode_request,
 )
 
@@ -223,6 +226,55 @@ def test_havoc_get_answers_cannot_poison_a_quorum_read():
                    for s in cluster.correct)
 
 
+def test_havoc_get_replies_reuse_or_overshoot_what_the_reader_holds():
+    """A havoc reply's base is seeded in [0, have + 1]: a reader reuses its
+    first ``base`` epochs, or rejects a base past them."""
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    havoc = cluster.byz[cluster.byz_pids[0]]
+    havoc.knowledge |= {cluster.element() for _ in range(6)}
+    reader = ProcessId(205, ProcessKind.CLIENT)
+    inbox = []
+    cluster.sim.register(reader, lambda frm, body: inbox.append(body))
+    prior = (frozenset({cluster.element()}), frozenset({cluster.element()}))
+    bases = set()
+    for rid in range(40):
+        havoc.on_message(reader, encode_request(OP_GET, rid,
+                                                encode_get_request_body(len(prior))))
+        cluster.drain()
+        state = decode_response(inbox.pop())[3]
+        (base,) = struct.unpack_from(">Q", state, 8)
+        bases.add(base)
+        try:
+            _, epochs, _ = decode_get_state_after(state, prior)
+        except FrameError:
+            assert base == len(prior) + 1
+        else:
+            assert all(a is b for a, b in zip(epochs[:base], prior[:base]))
+    assert bases == {0, 1, 2, 3}
+
+
+def test_repeated_quorum_reads_stay_sound_next_to_havoc_replies():
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    havoc = cluster.byz[cluster.byz_pids[0]]
+    havoc.start(until=6_000)
+    client = QuorumClient(ProcessId(206, ProcessKind.CLIENT), cluster.sim,
+                          cluster.pids, cluster.f)
+    driver = EpochDriver(cluster.sim, cluster.correct[:2], period=300)
+    driver.start()
+    for _ in range(8):
+        client.add(cluster.element())
+        cluster.sim.run_until(cluster.sim.now + 600)
+        call = run_until_done(cluster.sim, client.get())
+        assert call.result is not None
+        for i, entry in call.result.history.items():
+            assert any(s.epoch >= i and s.history.get(i) == entry
+                       for s in cluster.correct)
+        assert call.result.theset <= set().union(*(s.theset for s in cluster.correct))
+    driver.stop()
+    havoc.stop()
+    assert cluster.byz_pids[0] in client._priors
+
+
 # -- targeted liars ---------------------------------------------------------
 
 
@@ -257,7 +309,7 @@ def test_lying_history_reply_is_one_self_sealed_epoch_of_everything_it_knows():
     reader = ProcessId(204, ProcessKind.CLIENT)
     inbox = []
     cluster.sim.register(reader, lambda frm, body: inbox.append(body))
-    liar.on_message(reader, encode_request(OP_GET, 7))
+    liar.on_message(reader, encode_request(OP_GET, 7, encode_get_request_body(1)))
     cluster.drain()
     [reply] = inbox
     state = decode_response(reply)[3]
@@ -265,8 +317,8 @@ def test_lying_history_reply_is_one_self_sealed_epoch_of_everything_it_knows():
     seal = cluster.keys.make_element(
         attestation_payload(1, hash_epoch(fabricated)), liar.pid,
         cluster.privates[liar.pid])
-    # The whole reply, encoded field by field from what the liar claims.
-    body = fabricated | {seal}
-    expected = (struct.pack(">QI", 1, len(body)) + encode_element_set(body)
+    # The whole reply, encoded field by field from what the liar claims: base
+    # 0 whatever the reader holds, and only the seal left unstamped.
+    expected = (struct.pack(">QQI", 1, 0, 1) + encode_element_set({seal})
                 + struct.pack(">I", len(fabricated)) + encode_element_set(fabricated))
     assert len(fabricated) == 3 and state == expected

@@ -1,6 +1,8 @@
 """Client protocols: quorum-voted reads/writes and optimistic
 single-server adds confirmed by signed epoch hashes."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,14 +148,20 @@ def test_quorum_get_drops_its_responses_and_reuses_each_servers_epochs():
         cluster.drain()
         cluster.correct[0].epoch_inc(h)
         cluster.drain()
-        kept = {s: prior[1] for s, prior in client._priors.items()}
+        kept = dict(client._priors)
         call = run_until_done(cluster.sim, client.get())
         assert call.result.epoch == h and call.responses == {}
         reads.append(call.result)
         for s, epochs in kept.items():  # epoch 1 was decoded once per server
-            assert client._priors[s][1][0] is epochs[0]
+            assert client._priors[s][0] is epochs[0]
     assert reads[1].history.entries[0] == reads[0].history.entries[0]
     assert len(kept) >= 3
+    # The second read's replies carried epoch 2 alone: base 1 and one segment.
+    second = [e for e in cluster.sim.log
+              if e.type == "resp-get" and e.dst == client.pid][-4:]
+    bases = {struct.unpack_from(">QQ", decode_response(e.body)[3])
+             for e in second if e.src in kept}
+    assert bases == {(2, 1)}
 
 
 def test_quorum_get_times_out_without_enough_responders():

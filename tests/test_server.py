@@ -6,7 +6,7 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import ServerCluster
 from setchain.core import (
@@ -31,8 +31,11 @@ from setchain.wire import (
     OP_GET,
     STATUS_OK,
     decode_get_state,
+    decode_get_state_after,
     decode_response,
     encode_element_set,
+    encode_epoch,
+    encode_get_request_body,
     encode_mepochinc,
     encode_request,
 )
@@ -463,6 +466,10 @@ def test_identical_epochs_give_identical_digests_distinct_signatures():
 # -- request handling over the network --------------------------------------
 
 
+def get_request(rid, have):
+    return encode_request(OP_GET, rid, encode_get_request_body(have))
+
+
 def test_rpc_add_and_get_round_trip():
     c = ServerCluster()
     client = ProcessId(200, ProcessKind.CLIENT)
@@ -473,7 +480,7 @@ def test_rpc_add_and_get_round_trip():
     c.drain()
     c.correct[0].epoch_inc(1)
     c.drain()
-    net.send(c.correct_pids[0], encode_request(OP_GET, 2))
+    net.send(c.correct_pids[0], get_request(2, have=0))
     c.drain()
     responses = {decode_response(b)[1]: b for _, b in inbox}
     op, _, status, _ = decode_response(responses[1])
@@ -484,10 +491,14 @@ def test_rpc_add_and_get_round_trip():
     assert e in theset and epoch == 1 and epochs[0] == frozenset([e])
 
 
-def reference_get_state(s) -> bytes:
-    """A server's get body, encoded whole from its state."""
-    out = [struct.pack(">QI", s.epoch, len(s.theset)), encode_element_set(s.theset)]
-    for es in s.history.entries:
+def reference_get_state(s, have) -> bytes:
+    """A server's get body for a reader holding ``have`` of its epochs,
+    encoded field by field from its state."""
+    base = have if have <= s.epoch else 0
+    unstamped = s.theset - s.history.union()
+    out = [struct.pack(">QQI", s.epoch, base, len(unstamped)),
+           encode_element_set(unstamped)]
+    for es in s.history.entries[base:]:
         out += [struct.pack(">I", len(es)), encode_element_set(es)]
     return b"".join(out)
 
@@ -496,16 +507,21 @@ def reference_get_state(s) -> bytes:
                          ids=["per-element", "batched"])
 def test_get_reply_bytes_equal_a_whole_encode_after_every_stamp(agg):
     """Servers keep their stamped epochs' segments; a reply built from them
-    is byte for byte the whole state's encoding.  Server 0 is read after
-    every stamp, the others after every third, so they extend by several."""
+    is byte for byte the field-by-field encoding of the state, for a reader
+    holding no epochs and for one holding the epochs of its last read.
+    Server 0 is read after every stamp, the others after every third, so
+    they extend by several."""
     expected, inbox, rids = {}, [], itertools.count(1)
+    held = {}  # epochs the second reader holds, per server
 
     def observe(pid, event, payload):
         srv = c.servers[pid]
         if event == "stamp" and (pid == c.correct_pids[0] or payload[0] % 3 == 0):
-            rid = next(rids)
-            expected[rid] = reference_get_state(srv)
-            srv.on_message(reader, encode_request(OP_GET, rid))
+            for have in (0, held.get(pid, 0)):
+                rid = next(rids)
+                expected[rid] = reference_get_state(srv, have)
+                srv.on_message(reader, get_request(rid, have))
+            held[pid] = srv.epoch
 
     c = ServerCluster(agg=agg, sign_epochs=True, state_observer=observe)
     reader = ProcessId(200, ProcessKind.CLIENT)
@@ -523,7 +539,103 @@ def test_get_reply_bytes_equal_a_whole_encode_after_every_stamp(agg):
         op, rid, status, state = decode_response(body)
         assert (op, status) == (OP_GET, STATUS_OK)
         got[rid] = state
-    assert len(expected) > 12 and got == expected
+    assert len(expected) > 24 and got == expected
+
+
+def stamped_server(epochs=4):
+    """A quiet cluster whose server 0 has stamped ``epochs`` epochs and
+    holds an unstamped element, and a reader's inbox."""
+    c = ServerCluster()
+    for h in range(1, epochs + 1):
+        c.correct[0].add(c.element())
+        c.drain()
+        c.correct[0].epoch_inc(h)
+        c.drain()
+    c.correct[0].add(c.element())
+    c.drain()
+    inbox = []
+    reader = ProcessId(200, ProcessKind.CLIENT)
+    c.sim.register(reader, lambda frm, body: inbox.append(body))
+    return c, c.correct[0], reader, inbox
+
+
+def read_reply(c, srv, reader, inbox, body):
+    srv.on_message(reader, encode_request(OP_GET, 1, body))
+    c.drain()
+    replies = [decode_response(b)[3] for b in inbox]
+    inbox.clear()
+    return replies
+
+
+def test_a_reader_holding_k_of_e_epochs_gets_exactly_the_e_minus_k_after_them():
+    c, srv, reader, inbox = stamped_server()
+    E, entries = srv.epoch, srv.history.entries
+    unstamped = encode_element_set(srv.theset - srv.history.union())
+    assert E == 4 and unstamped != encode_element_set(())
+    for k in range(E + 1):
+        [state] = read_reply(c, srv, reader, inbox, encode_get_request_body(k))
+        assert state[:16] == struct.pack(">QQ", E, k)
+        assert state[20:] == unstamped + b"".join(encode_epoch(es)
+                                                 for es in entries[k:])
+        assert decode_get_state_after(state, entries[:k]) == (srv.theset, entries, E)
+
+
+def test_a_reader_holding_more_epochs_than_the_server_gets_a_base_0_reply():
+    c, srv, reader, inbox = stamped_server()
+    for have in (srv.epoch + 1, 2**64 - 1):
+        [state] = read_reply(c, srv, reader, inbox, encode_get_request_body(have))
+        assert state == reference_get_state(srv, 0)
+        theset, epochs, epoch = decode_get_state(state)
+        assert (theset, epochs, epoch) == (srv.theset, srv.history.entries, srv.epoch)
+
+
+def test_a_malformed_get_body_gets_no_reply_and_changes_nothing():
+    c, srv, reader, inbox = stamped_server()
+    before, segments = srv.get(), list(srv._epoch_segments)
+    for body in (b"", b"\x00" * 7, b"\x00" * 9, b"\xff" * 16):
+        assert read_reply(c, srv, reader, inbox, body) == []
+    assert srv.get() == before and srv._epoch_segments == segments
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=st.lists(st.tuples(st.sampled_from(("add", "stamp", "read", "run")),
+                              st.integers(0, 3)),
+                    min_size=1, max_size=24),
+       agg=st.sampled_from((None, AggConfig(max_batch=2, max_wait=40))))
+def test_a_reader_rebuilds_each_servers_state_from_delta_replies(ops, agg):
+    """Adds, stamps and reads at any server, with the network run only in
+    part between them, so servers lag one another.  After every read the
+    reader's state rebuilt from that server's replies, reusing the epochs
+    it held, equals what the server held when it answered."""
+    c = ServerCluster(agg=agg)
+    reader = ProcessId(200, ProcessKind.CLIENT)
+    inbox = []
+    c.sim.register(reader, lambda frm, body: inbox.append(body))
+    priors, rids = {}, itertools.count(1)
+    for op, i in ops:
+        srv = c.correct[i % len(c.correct)]
+        if op == "add":
+            srv.add(c.element())
+        elif op == "stamp":
+            try:
+                srv.epoch_inc(srv.epoch + 1)
+            except RequestRejected:
+                pass
+        elif op == "run":
+            c.sim.run_until(c.sim.now + 40 * i)
+        else:
+            prior = priors.get(srv.pid, ())
+            srv.on_message(reader, get_request(next(rids), len(prior)))
+            snapshot = srv.get()
+            while not inbox:
+                c.sim.run_until(c.sim.now + 10)
+            theset, epochs, epoch = decode_get_state_after(
+                decode_response(inbox.pop())[3], prior)
+            assert epochs[: len(prior)] == prior
+            assert (theset, epochs, epoch) == (snapshot.theset,
+                                               snapshot.history.entries,
+                                               snapshot.epoch)
+            priors[srv.pid] = epochs
 
 
 def test_rpc_malformed_request_is_ignored():

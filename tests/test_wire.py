@@ -1,6 +1,7 @@
 """Wire decoders against garbage, and the element-set codec round trip."""
 
 import hashlib
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from setchain.wire import (
     decode_broadcast_message,
     decode_element_set,
     decode_epochinc_body,
+    decode_get_request_body,
     decode_get_state,
     decode_get_state_after,
     decode_inform,
@@ -27,6 +29,7 @@ from setchain.wire import (
     encode_element_set,
     encode_epoch,
     encode_epochinc_body,
+    encode_get_request_body,
     encode_get_state,
     encode_inform,
     encode_madd,
@@ -42,9 +45,20 @@ elements_st = st.builds(Element, payload=st.binary(max_size=24), author=pids_st,
 element_sets_st = st.frozensets(elements_st, max_size=4)
 
 
-def _get_state(sets):
-    theset = frozenset().union(*sets) if sets else frozenset()
-    return encode_get_state(theset, [encode_epoch(es) for es in sets])
+def _get_state(sets, unstamped=frozenset(), base=0):
+    """A get reply for a server whose epochs are ``sets``, to a reader that
+    holds the first ``base`` of them."""
+    return encode_get_state(unstamped, [encode_epoch(es) for es in sets[base:]],
+                            base)
+
+
+@st.composite
+def _delta_and_prior(draw):
+    """A reply that reuses some of a random prior's epochs, and the prior."""
+    prior = tuple(draw(st.lists(element_sets_st, max_size=3)))
+    base = draw(st.integers(0, len(prior)))
+    new = draw(st.lists(element_sets_st, max_size=2))
+    return _get_state([*prior[:base], *new], draw(element_sets_st), base), prior
 
 
 def _brb(phase, origin, payload):
@@ -53,33 +67,45 @@ def _brb(phase, origin, payload):
                                None if phase == READY else payload))
 
 
-# A well-formed input for each decoder, which the fuzz below then damages.
+def _alone(bufs):
+    return bufs.map(lambda buf: (buf,))
+
+
+# Well-formed arguments for each decoder: the bytes, which the fuzz below
+# then damages, and anything else the decoder reads them against.
 VALID = {
-    decode_brb: st.builds(_brb, st.sampled_from((INIT, ECHO, READY)), pids_st,
-                          st.binary(max_size=32)),
-    decode_broadcast_message: st.one_of(
+    decode_brb: _alone(st.builds(_brb, st.sampled_from((INIT, ECHO, READY)),
+                                 pids_st, st.binary(max_size=32))),
+    decode_broadcast_message: _alone(st.one_of(
         st.builds(encode_madd, element_sets_st),
-        st.builds(encode_mepochinc, st.integers(0, 2**64 - 1))),
-    decode_inform: st.builds(encode_inform, st.integers(0, 2**64 - 1),
-                             element_sets_st),
-    decode_request: st.builds(encode_request, st.sampled_from((0, 1, 2)),
-                              st.integers(0, 2**64 - 1), st.binary(max_size=16)),
-    decode_response: st.builds(encode_response, st.integers(0, 255),
-                               st.integers(0, 2**64 - 1), st.integers(0, 255),
-                               st.binary(max_size=16)),
-    decode_get_state: st.builds(_get_state, st.lists(element_sets_st, max_size=3)),
-    decode_add_request_body: elements_st.map(lambda e: e.wire),
-    decode_epochinc_body: st.builds(encode_epochinc_body,
-                                    st.integers(0, 2**64 - 1)),
+        st.builds(encode_mepochinc, st.integers(0, 2**64 - 1)))),
+    decode_inform: _alone(st.builds(encode_inform, st.integers(0, 2**64 - 1),
+                                    element_sets_st)),
+    decode_request: _alone(st.builds(encode_request, st.sampled_from((0, 1, 2)),
+                                     st.integers(0, 2**64 - 1),
+                                     st.binary(max_size=16))),
+    decode_response: _alone(st.builds(encode_response, st.integers(0, 255),
+                                      st.integers(0, 2**64 - 1),
+                                      st.integers(0, 255), st.binary(max_size=16))),
+    decode_get_state: _alone(st.builds(_get_state,
+                                       st.lists(element_sets_st, max_size=3),
+                                       element_sets_st)),
+    decode_get_state_after: _delta_and_prior(),
+    decode_get_request_body: _alone(st.builds(encode_get_request_body,
+                                              st.integers(0, 2**64 - 1))),
+    decode_add_request_body: _alone(elements_st.map(lambda e: e.wire)),
+    decode_epochinc_body: _alone(st.builds(encode_epochinc_body,
+                                           st.integers(0, 2**64 - 1))),
 }
 
 
 @pytest.mark.parametrize("decode", list(VALID), ids=lambda fn: fn.__name__)
 @given(data=st.data())
 def test_decoders_return_a_value_or_raise_frame_error(decode, data):
-    buf = data.draw(st.one_of(st.binary(max_size=96), damaged(VALID[decode])))
+    valid, *rest = data.draw(VALID[decode])
+    buf = data.draw(st.one_of(st.binary(max_size=96), damaged(st.just(valid))))
     try:
-        decode(buf)
+        decode(buf, *rest)
     except FrameError:
         pass
 
@@ -87,7 +113,7 @@ def test_decoders_return_a_value_or_raise_frame_error(decode, data):
 @pytest.mark.parametrize("decode", list(VALID), ids=lambda fn: fn.__name__)
 @given(data=st.data())
 def test_decoders_accept_what_the_encoders_produce(decode, data):
-    decode(data.draw(VALID[decode]))
+    decode(*data.draw(VALID[decode]))
 
 
 # -- get replies decoded against the same server's previous reply -----------
@@ -110,40 +136,73 @@ def _reply_after(old, new, shape):
     return new  # diverging: unrelated to what came before
 
 
+def _written_out(buf, prior):
+    """``buf`` with the epochs it reuses from ``prior`` written out as
+    segments and its base set to 0: the reply to a reader holding nothing.
+    Bytes whose header or unstamped set does not parse are kept as they are."""
+    try:
+        epoch, base, ucount = struct.unpack_from(">QQI", buf, 0)
+        _, end = decode_element_set(buf, ucount, 20)
+    except (struct.error, ValueError, IndexError):
+        return buf
+    if base > min(epoch, len(prior)):
+        return buf
+    reused = b"".join(encode_epoch(es) for es in prior[:base])
+    return struct.pack(">QQ", epoch, 0) + buf[16:end] + reused + buf[end:]
+
+
+def _shared(a, b):
+    """How many leading epoch sets ``a`` and ``b`` have in common."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y),
+                min(len(a), len(b)))
+
+
 @given(old=st.lists(element_sets_st, max_size=3),
        new=st.lists(element_sets_st, max_size=3),
        shape=st.sampled_from(("growing", "diverging", "shorter")),
-       data=st.data())
-def test_prefix_aware_decode_equals_a_full_decode(old, new, shape, data):
-    prior = decode_get_state_after(_get_state(old), None)[3]
-    valid = _get_state(_reply_after(old, new, shape))
+       unstamped=element_sets_st, data=st.data())
+def test_prefix_aware_decode_equals_a_full_decode(old, new, shape, unstamped, data):
+    """A reply decoded against the reader's prior equals the full decode of
+    the same reply with the reused epochs written out; for a base within
+    what the reader and the server share, that is the server's whole state."""
+    prior = decode_get_state(_get_state(old))[1]
+    sets = _reply_after(old, new, shape)
+    base = data.draw(st.integers(0, _shared(old, sets)))
+    valid = _get_state(sets, unstamped, base)
+    assert (decode_get_state_after(valid, prior)
+            == decode_get_state(_get_state(sets, unstamped))
+            == (unstamped.union(*sets), tuple(sets), len(sets)))
     for buf in (valid, data.draw(damaged(st.just(valid))),
                 data.draw(st.binary(max_size=96))):
-        full = _decoded(decode_get_state_after, buf, None)
-        assert _decoded(decode_get_state_after, buf, prior) == full
-        assert _decoded(decode_get_state, buf) == (
-            full if full is FrameError else full[:3])
+        assert (_decoded(decode_get_state_after, buf, prior)
+                == _decoded(decode_get_state, _written_out(buf, prior)))
 
 
 def test_prefix_aware_decode_reuses_the_kept_epochs_only_when_claimed():
     a, b = (frozenset({Element(p, ProcessId(1, ProcessKind.CLIENT), b"s")})
             for p in (b"a", b"b"))
-    prior = decode_get_state_after(_get_state([a]), None)[3]
-    grown = decode_get_state_after(_get_state([a, b]), prior)
-    assert grown[1][0] is prior[1][0] and grown[1] == (a, b)
-    # The kept segment again, after a header that claims no epochs.
-    zero = _get_state([])
-    with pytest.raises(FrameError):
-        decode_get_state_after(zero + prior[0], prior)
+    prior = decode_get_state(_get_state([a]))[1]
+    theset, grown, epoch = decode_get_state_after(_get_state([a, b], base=1), prior)
+    assert grown[0] is prior[0] and grown == (a, b) and (theset, epoch) == (a | b, 2)
+    # Base 0 claims nothing: every epoch is decoded afresh.
+    fresh = decode_get_state_after(_get_state([a, b]), prior)[1]
+    assert fresh == (a, b) and fresh[0] is not prior[0]
+    # A base beyond the epochs the reader holds, or beyond the reply's own.
+    for beyond in (_get_state([a, b], base=2), struct.pack(">QQI", 0, 1, 0)):
+        with pytest.raises(FrameError):
+            decode_get_state_after(beyond, prior)
 
 
 @given(data=st.data())
 def test_prefix_aware_decode_returns_a_value_or_raises_frame_error(data):
     old = data.draw(st.lists(element_sets_st, max_size=3))
-    prior = decode_get_state_after(_get_state(old), None)[3]
-    grown = st.lists(element_sets_st, max_size=2).map(lambda new: _get_state(old + new))
+    prior = decode_get_state(_get_state(old))[1]
+    grown = st.builds(lambda new, unstamped, base: _get_state(old + new, unstamped,
+                                                             base),
+                      st.lists(element_sets_st, max_size=2), element_sets_st,
+                      st.integers(0, len(old) + 1))
     buf = data.draw(st.one_of(st.binary(max_size=96), damaged(grown),
-                              damaged(VALID[decode_get_state])))
+                              damaged(VALID[decode_get_state].map(lambda a: a[0]))))
     try:
         decode_get_state_after(buf, prior)
     except FrameError:
