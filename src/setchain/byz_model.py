@@ -21,8 +21,11 @@ models share one :class:`Model` class parameterised by its adversarial
 process tuple; the pooled model is simply the instance with one adversary.
 A configuration holds the correct servers' states, a per-process view of
 the network (sent / pending / received), the map of decided consensus
-instances, and the adversary-side knowledge set.  Network books are kept
-as multisets exactly where duplicates matter.
+instances, and the adversary-side knowledge set.  A process's pending
+messages are a multiset (a ``Counter``); its sent and received logs stay
+ordered, because correct servers' channels are compared in order.  One
+body, :func:`trace_check`, generates, maps and checks a trace in either
+direction named in :data:`DIRECTIONS`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Iterable, Optional
 
 from .adversaries import generate_invalid_elems, havoc_number, havoc_subset
@@ -66,6 +70,9 @@ def mepochinc(h: int) -> Message:
 
 def proposal(h: int, elements: Iterable[Element]) -> Message:
     return ("prop", h, frozenset(elements))
+
+
+BRB_SHAPES = ("madd", "mepochinc")  # proposals travel by consensus instead
 
 
 def msg_key(m: Message):
@@ -144,14 +151,14 @@ def ev_consensus(h: int, elements: Iterable[Element]) -> ModelEvent:
 
 
 def valid_elements(ev: ModelEvent, keys: KeyStore) -> frozenset[Element]:
-    """The valid elements disclosed by an event (what an adversary learns)."""
-    if ev.tag == "add" and keys.valid(ev.element):
-        return frozenset({ev.element})
-    if ev.tag == "brb_deliver" and ev.msg[0] == "madd" and keys.valid(ev.msg[1]):
-        return frozenset({ev.msg[1]})
-    if ev.tag in ("sbc_inform", "sbc_set_deliver"):
-        return frozenset(e for e in ev.elements if keys.valid(e))
-    return frozenset()
+    """The valid elements disclosed by an event (what an adversary learns):
+    an added element, a decided set, or what a consumed message carries."""
+    if ev.tag == "add":
+        return msg_valid_elements(madd(ev.element), keys)
+    if ev.tag == "sbc_set_deliver":
+        return msg_valid_elements(proposal(ev.h, ev.elements), keys)
+    m = _event_message(ev)
+    return frozenset() if m is None else msg_valid_elements(m, keys)
 
 
 def _event_message(ev: ModelEvent) -> Optional[Message]:
@@ -172,47 +179,34 @@ def _event_message(ev: ModelEvent) -> Optional[Message]:
 class Channel:
     """One process's view of the network: an ordered log of what it sent
     and received, plus the multiset of messages addressed to it that it
-    has not consumed yet (stored as sorted (message, count) pairs)."""
+    has not consumed yet.  ``pending`` holds positive counts only and is
+    never changed in place: each step copies it first."""
 
     sent: tuple[Message, ...] = ()
     received: tuple[Message, ...] = ()
-    pending: tuple[tuple[Message, int], ...] = ()
-
-    def pending_count(self, m: Message) -> int:
-        for msg, cnt in self.pending:
-            if msg == m:
-                return cnt
-        return 0
-
-    def pending_counter(self) -> Counter:
-        return Counter(dict(self.pending))
-
-
-def _pack_pending(counter: Counter) -> tuple[tuple[Message, int], ...]:
-    return tuple(sorted(
-        ((m, c) for m, c in counter.items() if c > 0),
-        key=lambda pair: msg_key(pair[0]),
-    ))
+    pending: Counter = field(default_factory=Counter)
 
 
 def _channel_send(ch: Channel, m: Message, sender: bool) -> Channel:
-    pending = ch.pending_counter()
+    pending = ch.pending.copy()
     pending[m] += 1
     return Channel(
         sent=ch.sent + (m,) if sender else ch.sent,
         received=ch.received,
-        pending=_pack_pending(pending),
+        pending=pending,
     )
 
 
 def _channel_receive(ch: Channel, m: Message) -> Channel:
-    pending = ch.pending_counter()
+    pending = ch.pending.copy()
     assert pending[m] > 0, "receive of a message that is not pending"
     pending[m] -= 1
+    if not pending[m]:
+        del pending[m]
     return Channel(
         sent=ch.sent,
         received=ch.received + (m,),
-        pending=_pack_pending(pending),
+        pending=pending,
     )
 
 
@@ -316,14 +310,14 @@ class Model:
         if tag == "add":
             return self.keys.valid(ev.element) and (adv or ev.element not in state.theset)
         if tag == "brb_broadcast":
-            if not adv:
+            if not adv or ev.msg[0] not in BRB_SHAPES:
                 return False
             if ev.msg[0] == "mepochinc":
                 return True
             e = ev.msg[1]
             return e in cfg.knowledge or not self.keys.valid(e)
         if tag == "brb_deliver":
-            if cfg.net[s].pending_count(ev.msg) == 0:
+            if ev.msg[0] not in BRB_SHAPES or not cfg.net[s].pending[ev.msg]:
                 return False
             if ev.msg[0] == "madd":
                 return self.keys.valid(ev.msg[1])
@@ -339,7 +333,7 @@ class Model:
             valid = frozenset(e for e in ev.elements if self.keys.valid(e))
             return valid <= cfg.knowledge
         if tag == "sbc_inform":
-            return cfg.net[s].pending_count(proposal(ev.h, ev.elements)) > 0
+            return cfg.net[s].pending[proposal(ev.h, ev.elements)] > 0
         if tag == "sbc_set_deliver":
             if cfg.consensus.get(ev.h) != ev.elements:
                 return False
@@ -434,7 +428,7 @@ def equivalence_failure(many: "Model", phi: Config,
         adv_sent += Counter(phi.net[s].sent)
     if adv_sent != b_sent:
         return "net-sent-union"
-    b_pending = bch.pending_counter()
+    b_pending = bch.pending
     b_received = Counter(bch.received)
     adv_received: Counter = Counter()
     for s in many.adversarial:
@@ -443,9 +437,9 @@ def equivalence_failure(many: "Model", phi: Config,
         return "net-received-union"
     for s in many.adversarial:
         ch = phi.net[s]
-        if not _counter_leq(b_pending, ch.pending_counter()):
+        if not _counter_leq(b_pending, ch.pending):
             return "net-pending-subset"
-        if Counter(ch.received) + ch.pending_counter() != b_received + b_pending:
+        if Counter(ch.received) + ch.pending != b_received + b_pending:
             return "net-addressed-conservation"
         if not _counter_leq(Counter(ch.received), b_received):
             return "net-received-subset"
@@ -482,6 +476,12 @@ class MappingReport:
     source_configs: list[Config] = field(default_factory=list)
     mapped_configs: list[Config] = field(default_factory=list)
 
+    def fail(self, reason: str, index: int) -> "MappingReport":
+        self.ok = False
+        self.reason = reason
+        self.index = index
+        return self
+
 
 def map_to_single_adversary(many: Model, single: Model,
                             events: Iterable[ModelEvent]) -> MappingReport:
@@ -496,15 +496,9 @@ def map_to_single_adversary(many: Model, single: Model,
     report.source_configs.append(g)
     report.mapped_configs.append(p)
 
-    def fail(reason: str, index: int) -> MappingReport:
-        report.ok = False
-        report.reason = reason
-        report.index = index
-        return report
-
     for i, ev in enumerate(report.events):
         if not many.enabled(g, ev):
-            return fail("source-event-disabled", i)
+            return report.fail("source-event-disabled", i)
         g2 = many.effect(g, ev)
         if ev.server is not None and many.is_adversarial(ev.server):
             mapped = replace(ev, server=b)
@@ -515,9 +509,9 @@ def map_to_single_adversary(many: Model, single: Model,
         else:
             m = _event_message(mapped)
             if m is None:
-                return fail("unmappable-event", i)
-            if not Counter(p.net[b].received)[m] > Counter(g.net[ev.server].received)[m]:
-                return fail("missing-reception", i)
+                return report.fail("unmappable-event", i)
+            if p.net[b].received.count(m) <= g.net[ev.server].received.count(m):
+                return report.fail("missing-reception", i)
             mapped = NOP
             p2 = p
         report.mapped_events.append(mapped)
@@ -525,7 +519,7 @@ def map_to_single_adversary(many: Model, single: Model,
         report.mapped_configs.append(p2)
         reason = equivalence_failure(many, g2, single, p2)
         if reason is not None:
-            return fail(reason, i)
+            return report.fail(reason, i)
         g, p = g2, p2
     return report
 
@@ -547,12 +541,6 @@ def map_to_many_adversaries(single: Model, many: Model,
     report.source_configs.append(p)
     report.mapped_configs.append(g)
 
-    def fail(reason: str, index: int) -> MappingReport:
-        report.ok = False
-        report.reason = reason
-        report.index = index
-        return report
-
     # The expanded trace leads with f-1 no-ops so that the first f
     # configurations all align with the source's initial configuration:
     # expanded configuration k pairs with source configuration k // f.
@@ -560,7 +548,7 @@ def map_to_many_adversaries(single: Model, many: Model,
 
     for i, ev in enumerate(report.events):
         if not single.enabled(p, ev):
-            return fail("source-event-disabled", i)
+            return report.fail("source-event-disabled", i)
         p2 = single.effect(p, ev)
         if ev.server == b:
             if ev.tag in ("brb_deliver", "sbc_inform"):
@@ -577,14 +565,14 @@ def map_to_many_adversaries(single: Model, many: Model,
     for k, gev in enumerate(expanded):
         src_index = (k + 1) // f
         if not many.enabled(g, gev):
-            return fail("expansion-disabled", src_index)
+            return report.fail("expansion-disabled", src_index)
         g = many.effect(g, gev)
         report.mapped_events.append(gev)
         report.mapped_configs.append(g)
         reason = equivalence_failure(
             many, g, single, report.source_configs[src_index])
         if reason is not None:
-            return fail(reason, src_index)
+            return report.fail(reason, src_index)
     return report
 
 
@@ -614,7 +602,7 @@ def generate_trace(model: Model, rng: random.Random, length: int,
 
         hmax = max(cfg.consensus, default=0)
         for s in model.processes:
-            for m, _cnt in cfg.net[s].pending:
+            for m in sorted(cfg.net[s].pending, key=msg_key):
                 if m[0] == "prop":
                     offer(ev_inform(s, m[1], m[2]), 3)
                 else:
@@ -700,38 +688,41 @@ def make_model_pair(n: int, f: int, seed: int = 0) -> ModelPair:
     )
 
 
-def forward_trace_check(n: int, f: int, seed: int,
-                        length: int = 200) -> MappingReport:
+# direction: (the pair's model that generates the trace, the model it is
+# mapped onto, the mapping)
+DIRECTIONS = {
+    "forward": ("many", "single", map_to_single_adversary),
+    "backward": ("single", "many", map_to_many_adversaries),
+}
+
+
+def _direction(name: str) -> tuple:
+    if name not in DIRECTIONS:
+        raise ValueError(f"unknown mapping direction {name!r}")
+    return DIRECTIONS[name]
+
+
+def trace_check(direction: str, n: int, f: int, seed: int,
+                length: int = 200) -> MappingReport:
+    """Generate a trace on the direction's source model, map it onto the
+    other model, then check that every configuration of the pooled model
+    has recorded each valid element it received."""
+    source, target, mapping = _direction(direction)
     pair = make_model_pair(n, f, seed)
-    rng = random.Random(f"{seed}:many:{n}:{f}")
-    events = generate_trace(pair.many, rng, length, pair.pool)
-    report = map_to_single_adversary(pair.many, pair.single, events)
+    rng = random.Random(f"{seed}:{source}:{n}:{f}")
+    events = generate_trace(getattr(pair, source), rng, length, pair.pool)
+    report = mapping(getattr(pair, source), getattr(pair, target), events)
     if report.ok:
-        for i, cfg in enumerate(report.mapped_configs):
-            gap = unaccounted_received(pair.single, cfg)
-            if gap:
-                report.ok = False
-                report.reason = "received-not-recorded"
-                report.index = i
-                break
+        pooled = (report.mapped_configs if target == "single"
+                  else report.source_configs)
+        for i, cfg in enumerate(pooled):
+            if unaccounted_received(pair.single, cfg):
+                return report.fail("received-not-recorded", i)
     return report
 
 
-def backward_trace_check(n: int, f: int, seed: int,
-                         length: int = 200) -> MappingReport:
-    pair = make_model_pair(n, f, seed)
-    rng = random.Random(f"{seed}:single:{n}:{f}")
-    events = generate_trace(pair.single, rng, length, pair.pool)
-    report = map_to_many_adversaries(pair.single, pair.many, events)
-    if report.ok:
-        for i, cfg in enumerate(report.source_configs):
-            gap = unaccounted_received(pair.single, cfg)
-            if gap:
-                report.ok = False
-                report.reason = "received-not-recorded"
-                report.index = i
-                break
-    return report
+forward_trace_check = partial(trace_check, "forward")
+backward_trace_check = partial(trace_check, "backward")
 
 
 # -- JSON counterexample bundles --------------------------------------------
@@ -791,7 +782,7 @@ def event_from_json(d: dict) -> ModelEvent:
 def bundle_failure(direction: str, n: int, f: int, seed: int,
                    report: MappingReport) -> dict:
     """Everything needed to reproduce a failed trace mapping."""
-    assert direction in ("forward", "backward")
+    _direction(direction)
     return {
         "direction": direction,
         "n": n,
@@ -817,8 +808,7 @@ def load_bundle(path) -> dict:
 def replay_bundle(bundle: dict) -> MappingReport:
     """Re-run the mapping over the bundled event list (authoritative) and
     report the verdict afresh."""
+    source, target, mapping = _direction(bundle["direction"])
     pair = make_model_pair(bundle["n"], bundle["f"], bundle["seed"])
     events = [event_from_json(d) for d in bundle["events"]]
-    if bundle["direction"] == "forward":
-        return map_to_single_adversary(pair.many, pair.single, events)
-    return map_to_many_adversaries(pair.single, pair.many, events)
+    return mapping(getattr(pair, source), getattr(pair, target), events)

@@ -90,10 +90,10 @@ def _cmd_check_byzmodel(seeds: range, args: argparse.Namespace) -> int:
     scales = ((4, 1), (7, 2))
     failures = 0
     for n, f in scales:
-        for direction, check in (("forward", byz_model.forward_trace_check),
-                                 ("backward", byz_model.backward_trace_check)):
+        for direction in byz_model.DIRECTIONS:
             for seed in seeds:
-                report = check(n, f, seed, length=args.length)
+                report = byz_model.trace_check(direction, n, f, seed,
+                                               length=args.length)
                 if report.ok:
                     continue
                 failures += 1
@@ -119,7 +119,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     bundle = byz_model.load_bundle(args.counterexample)
-    report = byz_model.replay_bundle(bundle)
+    try:
+        report = byz_model.replay_bundle(bundle)
+    except ValueError as exc:
+        print(f"replay: {exc}", file=sys.stderr)
+        return 2
     print(f"{bundle['direction']} n={bundle['n']} f={bundle['f']} "
           f"seed={bundle['seed']}: recorded "
           f"{bundle['reason']!r} at event {bundle['index']}")

@@ -2,7 +2,10 @@
 observational-equivalence checker, trace mapping in both directions, and
 the counterexample bundles."""
 
+import hashlib
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -104,6 +107,7 @@ def test_broadcast_is_an_adversary_move_over_known_or_invalid_material(pair41):
     assert not m.enabled(cfg, ev_broadcast(z, madd(e)))  # not yet known
     assert m.enabled(cfg, ev_broadcast(z, madd(bad)))
     assert m.enabled(cfg, ev_broadcast(z, mepochinc(5)))
+    assert not m.enabled(cfg, ev_broadcast(z, proposal(1, {bad})))  # not a BRB shape
     cfg = m.effect(cfg, ev_add(z, e))
     assert m.enabled(cfg, ev_broadcast(z, madd(e)))
 
@@ -122,6 +126,22 @@ def test_epoch_message_delivery_cases(pair41):
     cfg2 = m.effect(cfg, ev_deliver(s0, mepochinc(1)))
     cfg2 = m.effect(cfg2, ev_broadcast(z, mepochinc(1)))
     assert not m.enabled(cfg2, ev_deliver(s0, mepochinc(1)))
+
+
+def test_a_proposal_is_consumed_only_by_inform(pair41):
+    s = pair41.single
+    s0, b = s.correct[0], s.adversarial[0]
+    e = pair41.pool[0]
+    cfg = s.initial()
+    for ev in (ev_add(s0, e), ev_deliver(s0, madd(e)),
+               ev_broadcast(b, mepochinc(1)), ev_deliver(s0, mepochinc(1))):
+        cfg = s.effect(cfg, ev)
+    assert cfg.net[b].pending[proposal(1, {e})] == 1  # s0 proposed {e}
+    assert not s.enabled(cfg, ev_deliver(b, proposal(1, {e})))
+    assert not s.enabled(cfg, ev_deliver(s0, proposal(1, {e})))
+    nxt = s.effect(cfg, ev_inform(b, 1, {e}))
+    assert nxt.knowledge == {e}
+    assert unaccounted_received(s, nxt) == frozenset()
 
 
 def test_proposals_are_adversary_moves_bounded_by_knowledge(pair41):
@@ -187,12 +207,12 @@ def test_correct_delivery_of_an_element_broadcast(pair41):
     cfg = m.effect(m.initial(), ev_add(s0, e))
     # the broadcast reached every pending multiset, sender included
     for s in m.processes:
-        assert cfg.net[s].pending_count(madd(e)) == 1
+        assert cfg.net[s].pending[madd(e)] == 1
     assert cfg.net[s0].sent == (madd(e),)
     nxt = m.effect(cfg, ev_deliver(s0, madd(e)))
     assert nxt.states[s0].theset == {e}
     assert nxt.states[s0].epoch == 0
-    assert nxt.net[s0].pending_count(madd(e)) == 0
+    assert nxt.net[s0].pending[madd(e)] == 0
     assert nxt.net[s0].received == (madd(e),)
     # nobody else moved
     for s in m.processes:
@@ -229,7 +249,7 @@ def test_next_epoch_delivery_makes_the_server_propose_its_backlog(pair41):
     assert nxt.net[s0].sent[-1] == expect
     assert nxt.net[s0].received[-1] == mepochinc(1)
     for s in m.processes:
-        assert nxt.net[s].pending_count(expect) == 1
+        assert nxt.net[s].pending[expect] == 1
 
 
 def test_set_delivery_stamps_valid_unstamped_elements_only(pair41):
@@ -290,7 +310,7 @@ def test_equivalence_network_conditions_fire_individually(pair41):
     assert equivalence_failure(
         many, g, single, doctor(Channel(sent=(extra,)))) == "net-sent-union"
     assert equivalence_failure(
-        many, g, single, doctor(Channel(pending=((extra, 1),)))
+        many, g, single, doctor(Channel(pending=Counter({extra: 1})))
     ) == "net-pending-subset"
     assert equivalence_failure(
         many, g, single, doctor(Channel(received=(extra,)))
@@ -475,3 +495,42 @@ def test_replaying_a_corrupted_bundle_reports_the_divergence(tmp_path):
     assert not replayed.ok
     assert replayed.reason == "source-event-disabled"
     assert replayed.index is not None
+
+
+def test_replaying_a_proposal_shaped_broadcast_reports_it_disabled(pair41):
+    z = pair41.many.adversarial[0]
+    bad = invalid_element(pair41)
+    report = forward_trace_check(4, 1, 2, length=20)
+    bundle = bundle_failure("forward", 4, 1, 2, report)
+    bundle["events"].insert(3, event_to_json(ev_broadcast(z, proposal(1, {bad}))))
+    replayed = replay_bundle(bundle)
+    assert not replayed.ok
+    assert replayed.reason == "source-event-disabled"
+    assert replayed.index == 3
+
+
+def test_an_unknown_direction_is_rejected():
+    report = forward_trace_check(4, 1, 2, length=20)
+    with pytest.raises(ValueError, match="sideways"):
+        bundle_failure("sideways", 4, 1, 2, report)
+    bundle = bundle_failure("forward", 4, 1, 2, report)
+    bundle["direction"] = "sideways"
+    with pytest.raises(ValueError, match="sideways"):
+        replay_bundle(bundle)
+
+
+# -- golden traces ----------------------------------------------------------
+
+
+def test_generated_and_mapped_traces_match_their_golden_digest():
+    digest = hashlib.sha256()
+    for n, f in ((4, 1), (7, 2)):
+        for check in (forward_trace_check, backward_trace_check):
+            r = check(n, f, 0, length=200)
+            assert r.ok, (n, f, r.reason, r.index)
+            digest.update(json.dumps(
+                [event_to_json(ev) for ev in r.events]
+                + [event_to_json(ev) for ev in r.mapped_events],
+                sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "5b5f4c5f2f3ee33777f2be42a00b3917c5ded346f294c8982fc6e9dcce674d17")

@@ -103,6 +103,16 @@ def test_replay_flags_a_bundle_that_no_longer_fails(tmp_path, capsys):
     assert "did not reproduce" in capsys.readouterr().out
 
 
+def test_replay_of_a_bundle_with_an_unknown_direction_fails(tmp_path, capsys):
+    bundle, _ = _corrupted_bundle()
+    bundle["direction"] = "sideways"
+    path = tmp_path / "bundle.json"
+    byz_model.save_bundle(path, bundle)
+    code = main(["replay", "--counterexample", str(path)])
+    assert code != 0
+    assert "unknown mapping direction 'sideways'" in capsys.readouterr().err
+
+
 def test_env_seed_is_the_default(monkeypatch, capsys):
     monkeypatch.setenv("SETCHAIN_SEED", "3")
     code = main(["check", "--suite", "byzmodel", "--length", "40"])
