@@ -5,7 +5,7 @@ Four flavours, from inert to actively hostile:
 * :class:`SilentServer` — occupies a server slot, absorbs all traffic,
   never sends anything.
 * :class:`HavocServer` — the generic chaotic adversary.  It remembers
-  every valid element it sees (add requests, broadcast traffic, consensus
+  every valid element it sees (add requests, broadcast payloads, consensus
   notices and deliveries) and, on a seeded random schedule, emits
   broadcasts and consensus proposals built from random mixes of that
   knowledge and freshly minted invalid elements.  Reads are answered with
@@ -23,6 +23,10 @@ abstract adversary process of the model-equivalence checker.
 A havoc server reads broadcast traffic through ``wire.decode_brb`` and
 ``wire.decode_broadcast_message``, both memoised by their bytes, so it
 shares the decodes of the correct servers and of the other havoc servers.
+It learns a broadcast payload only from a frame that carries one, an INIT
+or a SUPPLY; echo, ready and fetch frames carry only a digest.  Of the
+broadcast frames it sends INITs only: never an echo, ready, fetch or
+supply.
 """
 
 from __future__ import annotations

@@ -7,17 +7,28 @@ has ``2f + 1`` readies and knows the payload.  With ``n >= 3f + 1``
 processes this gives: delivered payloads from correct origins were really
 broadcast; a delivery happens at most once per instance; if the origin is
 correct every correct process delivers; and if any correct process
-delivers, all of them eventually do.  Init and echo frames carry the
-payload so a late process can still learn it; ready frames carry only the
-digest.  A delivered instance keeps only its flags, so that a late init
-from the origin still draws this process's one echo.
+delivers, all of them eventually do.
+
+Only the origin's INIT carries the payload; ECHO and READY frames carry
+the digest alone and only count toward the quorums (digest echoes, as in
+Cachin & Tessaro's AVID, 2005).  A process that has ``2f + 1`` readies but
+not the payload multicasts one FETCH to the other peers, and each peer
+that holds the payload answers with one SUPPLY.  That is enough: the first
+correct READY needed ``2f + 1`` echoes, so at least ``f + 1`` correct
+processes had the init, and kept its payload, before any fetch is sent.
+A process answers each peer's FETCH at most once, accepts a SUPPLY only
+for an instance it fetched, and opens no instance for either frame.  A
+delivered instance keeps its payload, to answer fetches, and its flags,
+so that a late init from the origin still draws this process's one echo;
+it drops its quorum sets.
 
 Each protocol step (the origin's INIT, a process's ECHO, its READY) sends
 one frame to every peer, this process included, as one
-``NetHandle.multicast`` to ``peers`` in their given order.
+``NetHandle.multicast`` to ``peers`` in their given order.  A FETCH goes
+to the other peers, a SUPPLY to the one peer that asked.
 
 Frames are decoded by ``wire.decode_brb``, which also checks that an init
-or echo frame's digest binds its payload and memoises the answer by the
+or supply frame's digest binds its payload and memoises the answer by the
 frame bytes, so each distinct frame is decoded and hashed once per cluster.
 """
 
@@ -29,18 +40,30 @@ from typing import Callable, Optional
 
 from .core import ProcessId
 from .simnet import NetHandle
-from .wire import BrbFrame, ECHO, INIT, READY, FrameError, decode_brb, encode_brb
+from .wire import (
+    ECHO,
+    FETCH,
+    INIT,
+    READY,
+    SUPPLY,
+    BrbFrame,
+    FrameError,
+    decode_brb,
+    encode_brb,
+)
 
 
 @dataclass
 class _Instance:
-    # Once delivered, an instance keeps only its flags: the payload and the
-    # quorum sets become None.
+    # Once delivered, an instance keeps its payload and flags: the quorum
+    # sets become None.
     payload: Optional[bytes] = None
     echoes: Optional[set[ProcessId]] = field(default_factory=set)
     readies: Optional[set[ProcessId]] = field(default_factory=set)
+    supplied: tuple[ProcessId, ...] = ()  # peers whose fetch was answered
     echoed: bool = False
     readied: bool = False
+    fetched: bool = False
     delivered: bool = False
 
 
@@ -59,6 +82,7 @@ class BrbEngine:
             raise ValueError("reliable broadcast needs n >= 3f + 1")
         self.net = net
         self.peers = tuple(peers)  # includes this process
+        self._others = tuple(p for p in self.peers if p != net.pid)
         self._peer_set = frozenset(self.peers)
         self.f = f
         self.quorum = 2 * f + 1  # echoes to turn ready; readies to deliver
@@ -78,7 +102,7 @@ class BrbEngine:
 
     def handle_frame(self, frm: ProcessId, body: bytes) -> None:
         if frm not in self._peer_set:
-            return  # only peers' echoes and readies count toward quorums
+            return  # only peers' frames count toward quorums or get answers
         try:
             phase, origin, digest, payload = decode_brb(body)
         except FrameError:
@@ -86,23 +110,33 @@ class BrbEngine:
         key = (origin, digest)
         inst = self.instances.get(key)
         if inst is None:
+            if phase >= FETCH:
+                return  # a fetch or supply opens no instance
             inst = self.instances[key] = _Instance()
         if phase == INIT:
             if frm != origin:
                 return  # authenticated channels: only the origin starts it
+            inst.payload = payload
             if not inst.echoed:
                 inst.echoed = True
-                self._send_to_all(BrbFrame(ECHO, origin, digest, payload))
+                self._send_to_all(BrbFrame(ECHO, origin, digest, None))
             if inst.delivered:
                 return
+        elif phase == FETCH:
+            if inst.payload is not None and frm not in inst.supplied:
+                inst.supplied += (frm,)
+                self.net.send(frm, encode_brb(
+                    BrbFrame(SUPPLY, origin, digest, inst.payload)))
+            return
+        elif phase == SUPPLY:
+            if not inst.fetched or inst.payload is not None:
+                return  # unasked for, or already known
             inst.payload = payload
         elif inst.delivered:
             return  # a late echo or ready changes nothing
         elif phase == ECHO:
             inst.echoes.add(frm)
-            if inst.payload is None:
-                inst.payload = payload
-        elif phase == READY:
+        else:
             inst.readies.add(frm)
         self._advance(origin, digest, inst)
 
@@ -112,16 +146,16 @@ class BrbEngine:
         ):
             inst.readied = True
             self._send_to_all(BrbFrame(READY, origin, digest, None))
-        if (
-            not inst.delivered
-            and len(inst.readies) >= self.quorum
-            and inst.payload is not None
-        ):
-            inst.delivered = True
-            self.delivered_count += 1
-            payload, inst.payload = inst.payload, None
-            inst.echoes = inst.readies = None
-            self.on_deliver(origin, payload)
+        if not inst.delivered and len(inst.readies) >= self.quorum:
+            if inst.payload is not None:
+                inst.delivered = True
+                self.delivered_count += 1
+                inst.echoes = inst.readies = None
+                self.on_deliver(origin, inst.payload)
+            elif not inst.fetched:
+                inst.fetched = True
+                self.net.multicast(self._others, encode_brb(
+                    BrbFrame(FETCH, origin, digest, None)))
 
     def _send_to_all(self, frame: BrbFrame) -> None:
         self.net.multicast(self.peers, encode_brb(frame))

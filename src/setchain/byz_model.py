@@ -766,17 +766,45 @@ def event_to_json(ev: ModelEvent) -> dict:
     }
 
 
+# The fields each event tag needs; an event without one of them cannot run.
+_EVENT_FIELDS = {
+    "nop": (),
+    "get": ("server",),
+    "add": ("server", "element"),
+    "brb_broadcast": ("server", "msg"),
+    "brb_deliver": ("server", "msg"),
+    "epoch_inc": ("server", "h"),
+    "sbc_propose": ("server", "h", "elements"),
+    "sbc_inform": ("server", "h", "elements"),
+    "sbc_set_deliver": ("server", "h", "elements"),
+    "sbc_consensus": ("h", "elements"),
+}
+
+
 def event_from_json(d: dict) -> ModelEvent:
-    return ModelEvent(
-        tag=d["tag"],
-        server=ProcessId(d["server"][0], ProcessKind(d["server"][1]))
-        if d["server"] else None,
-        element=_element_from_json(d["element"]) if d["element"] else None,
-        h=d["h"],
-        elements=frozenset(_element_from_json(s) for s in d["elements"])
-        if d["elements"] is not None else None,
-        msg=_msg_from_json(d["msg"]) if d["msg"] is not None else None,
-    )
+    """The event ``d`` encodes; raises ValueError for an unknown tag and for
+    fields that do not fit the tag."""
+    try:
+        ev = ModelEvent(
+            tag=d["tag"],
+            server=ProcessId(d["server"][0], ProcessKind(d["server"][1]))
+            if d["server"] else None,
+            element=_element_from_json(d["element"]) if d["element"] else None,
+            h=d["h"],
+            elements=frozenset(_element_from_json(s) for s in d["elements"])
+            if d["elements"] is not None else None,
+            msg=_msg_from_json(d["msg"]) if d["msg"] is not None else None,
+        )
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ValueError(f"malformed event {d!r}: {exc!r}") from exc
+    if ev.tag not in _EVENT_FIELDS:
+        raise ValueError(f"unknown event tag {ev.tag!r}")
+    missing = [name for name in _EVENT_FIELDS[ev.tag] if getattr(ev, name) is None]
+    if missing:
+        raise ValueError(f"{ev.tag} event without {', '.join(missing)}")
+    if ev.h is not None and type(ev.h) is not int:
+        raise ValueError(f"{ev.tag} event with a non-integer h {ev.h!r}")
+    return ev
 
 
 def bundle_failure(direction: str, n: int, f: int, seed: int,

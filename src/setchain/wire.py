@@ -4,8 +4,13 @@ All integers are big-endian.  Frames (first byte is the frame tag):
 
 * broadcast frames, tag ``B``::
 
-    'B' | phase u8 (0 init, 1 echo, 2 ready) | origin u32 id | origin u8 kind
-        | digest 32B | payload? (init/echo: u32 len | bytes)
+    'B' | phase u8 | origin u32 id | origin u8 kind | digest 32B
+        | payload? (init/supply: u32 len | bytes)
+
+  with phase 0 init, 1 echo, 2 ready, 3 fetch (ask the peers for the
+  payload of a digest) and 4 supply (the answer to one fetch).  Echo, ready
+  and fetch frames are 39 bytes; only the origin's init and a supply carry
+  the payload, and the digest of each must bind it.
 
   The broadcast payload is itself a tagged inner message: ``0x00`` for an
   element batch (``u32 count``, then the canonical element-set encoding) or
@@ -42,8 +47,10 @@ from .core import (
     sort_elements,  # unused here, but perfbench/tracing.py patches it by name
 )
 
-INIT, ECHO, READY = 0, 1, 2
-_PHASE_NAMES = {INIT: "brb-init", ECHO: "brb-echo", READY: "brb-ready"}
+INIT, ECHO, READY, FETCH, SUPPLY = 0, 1, 2, 3, 4
+_PHASE_NAMES = {INIT: "brb-init", ECHO: "brb-echo", READY: "brb-ready",
+                FETCH: "brb-fetch", SUPPLY: "brb-supply"}
+_CARRIES_PAYLOAD = (INIT, SUPPLY)
 
 OP_ADD, OP_GET, OP_EPOCHINC = 0, 1, 2
 _OP_NAMES = {OP_ADD: "add", OP_GET: "get", OP_EPOCHINC: "epochinc"}
@@ -102,16 +109,16 @@ class BrbFrame(NamedTuple):
     phase: int
     origin: ProcessId
     digest: bytes
-    payload: Optional[bytes]  # present for INIT and ECHO
+    payload: Optional[bytes]  # INIT and SUPPLY; the other phases ignore it
 
 
 def encode_brb(frame: BrbFrame) -> bytes:
     head = struct.pack(
         ">cBIB", b"B", frame.phase, frame.origin.id, frame.origin.kind
     ) + frame.digest
-    if frame.phase in (INIT, ECHO):
+    if frame.phase in _CARRIES_PAYLOAD:
         if frame.payload is None:
-            raise FrameError("init/echo frames carry a payload")
+            raise FrameError("init/supply frames carry a payload")
         return head + struct.pack(">I", len(frame.payload)) + frame.payload
     return head
 
@@ -119,10 +126,10 @@ def encode_brb(frame: BrbFrame) -> bytes:
 @lru_cache(maxsize=256)
 def decode_brb(buf: bytes) -> BrbFrame:
     """The frame in ``buf``; raises FrameError for garbage and for an init
-    or echo frame whose digest is not ``sha256(payload)``.
+    or supply frame whose digest is not ``sha256(payload)``.
 
     A pure function of the bytes: a process sends each frame to all its
-    peers, and an instance's echo and ready frames are the same bytes
+    peers, and an instance's echo, ready and fetch frames are the same bytes
     whoever sends them, so every receiver in a cluster shares one decode."""
     try:
         tag, phase, origin_id, origin_kind = struct.unpack_from(">cBIB", buf, 0)
@@ -132,7 +139,7 @@ def decode_brb(buf: bytes) -> BrbFrame:
         if len(digest) != 32:
             raise FrameError("short digest")
         payload = None
-        if phase in (INIT, ECHO):
+        if phase in _CARRIES_PAYLOAD:
             (plen,) = struct.unpack_from(">I", buf, 39)
             payload = bytes(buf[43 : 43 + plen])
             if len(payload) != plen or 43 + plen != len(buf):
@@ -140,7 +147,7 @@ def decode_brb(buf: bytes) -> BrbFrame:
             if hashlib.sha256(payload).digest() != digest:
                 raise FrameError("digest does not bind the payload")
         elif len(buf) != 39:
-            raise FrameError("trailing bytes in ready frame")
+            raise FrameError("trailing bytes in a digest-only frame")
         return BrbFrame(phase, ProcessId(origin_id, ProcessKind(origin_kind)),
                         digest, payload)
     except (struct.error, ValueError, IndexError) as exc:

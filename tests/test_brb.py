@@ -2,13 +2,24 @@
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from setchain.brb import BrbEngine
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, Simulation
-from setchain.wire import BrbFrame, ECHO, INIT, READY, decode_brb, encode_brb
+from setchain.wire import (
+    ECHO,
+    FETCH,
+    INIT,
+    READY,
+    SUPPLY,
+    BrbFrame,
+    classify,
+    decode_brb,
+    encode_brb,
+)
 
 
 class Cluster:
@@ -234,7 +245,7 @@ def test_engine_requires_quorum_capable_membership():
         BrbEngine(net, (pid,), f=1, on_deliver=lambda o, p: None)
 
 
-# -- delivered instances keep only their flags --------------------------------
+# -- delivered instances keep their payload and flags ---------------------------
 
 
 class _Recorder:
@@ -255,7 +266,7 @@ class _Recorder:
 
 def _delivered_without_init():
     """An engine at process 1 of four (f = 1) that delivered process 0's
-    payload from echoes and readies alone, so it never echoed."""
+    payload from echoes, readies and one supply, so it never echoed."""
     peers = tuple(ProcessId(i) for i in range(4))
     net = _Recorder(peers[1])
     delivered = []
@@ -263,27 +274,31 @@ def _delivered_without_init():
     origin, payload = peers[0], b"late init"
     digest = hashlib.sha256(payload).digest()
     for frm in peers[1:]:
-        engine.handle_frame(frm, encode_brb(BrbFrame(ECHO, origin, digest, payload)))
+        engine.handle_frame(frm, encode_brb(BrbFrame(ECHO, origin, digest, None)))
     for frm in peers[1:]:
         engine.handle_frame(frm, encode_brb(BrbFrame(READY, origin, digest, None)))
+    assert delivered == [] and net.calls[-1] == (
+        (peers[0], peers[2], peers[3]),
+        encode_brb(BrbFrame(FETCH, origin, digest, None)))
+    engine.handle_frame(peers[2], encode_brb(BrbFrame(SUPPLY, origin, digest, payload)))
     assert delivered == [(origin, payload)]
     net.sent.clear()
     return engine, net, peers, origin, payload, digest
 
 
-def test_delivered_instances_hold_no_payload_and_no_quorum_sets():
+def test_delivered_instances_keep_their_payload_and_drop_both_quorum_sets():
     c = Cluster(n=4, f=1, n_byz=1)
     c.engines[c.correct[0]].broadcast(b"m")
     c.drain()
     for pid in c.correct:
         (inst,) = c.engines[pid].instances.values()
         assert inst.delivered and inst.echoed and inst.readied
-        assert (inst.payload, inst.echoes, inst.readies) == (None, None, None)
+        assert (inst.payload, inst.echoes, inst.readies) == (b"m", None, None)
 
-    engine, *_ = _delivered_without_init()
+    engine, _, _, _, payload, _ = _delivered_without_init()
     (inst,) = engine.instances.values()
-    assert inst.delivered and not inst.echoed
-    assert (inst.payload, inst.echoes, inst.readies) == (None, None, None)
+    assert inst.delivered and inst.fetched and not inst.echoed
+    assert (inst.payload, inst.echoes, inst.readies) == (payload, None, None)
 
 
 def test_late_init_from_the_origin_draws_exactly_one_echo():
@@ -295,21 +310,110 @@ def test_late_init_from_the_origin_draws_exactly_one_echo():
     engine.handle_frame(origin, init)  # a second init: already echoed
     assert [to for to, _ in net.sent] == list(peers)
     assert {decode_brb(body) for _, body in net.sent} == {
-        BrbFrame(ECHO, origin, digest, payload)}
+        BrbFrame(ECHO, origin, digest, None)}
     (inst,) = engine.instances.values()
-    assert inst.echoed and inst.payload is None
+    assert inst.echoed and inst.payload == payload
 
 
 def test_late_echo_and_ready_frames_send_nothing():
     engine, net, peers, origin, payload, digest = _delivered_without_init()
-    echo = encode_brb(BrbFrame(ECHO, origin, digest, payload))
+    echo = encode_brb(BrbFrame(ECHO, origin, digest, None))
     ready = encode_brb(BrbFrame(READY, origin, digest, None))
+    supply = encode_brb(BrbFrame(SUPPLY, origin, digest, payload))
     for frm in peers:
         engine.handle_frame(frm, echo)
         engine.handle_frame(frm, ready)
+        engine.handle_frame(frm, supply)
     assert net.sent == []
     (inst,) = engine.instances.values()
-    assert (inst.payload, inst.echoes, inst.readies) == (None, None, None)
+    assert (inst.payload, inst.echoes, inst.readies) == (payload, None, None)
+
+
+# -- digest echoes: fetch a missing payload once --------------------------------
+
+
+def test_a_process_the_byzantine_origin_skipped_fetches_the_payload_once():
+    # The origin inits two of the three correct processes and adds its own
+    # echo and ready: the third reaches 2f + 1 readies without the payload.
+    c = Cluster(n=4, f=1, n_byz=1)
+    c.sim.frame_classifier = classify
+    byz, (a, b, skipped) = c.byz[0], c.correct
+    payload = b"two of three"
+    digest = hashlib.sha256(payload).digest()
+    for pid in (a, b):
+        c.handles[byz].send(pid, encode_brb(BrbFrame(INIT, byz, digest, payload)))
+    for phase in (ECHO, READY):
+        c.handles[byz].multicast(c.correct, encode_brb(BrbFrame(phase, byz, digest, None)))
+    c.drain()
+    assert all(c.deliveries(pid) == [(byz, payload)] for pid in c.correct)
+    # one fetch frame to each other peer: a single multicast
+    fetches = sorted((e.src, e.dst) for e in c.sim.log if e.type == "brb-fetch")
+    assert fetches == [(skipped, to) for to in c.pids if to != skipped]
+    supplies = sorted((e.src, e.dst) for e in c.sim.log if e.type == "brb-supply")
+    assert supplies == [(a, skipped), (b, skipped)]
+    assert c.engines[skipped].instances[(byz, digest)].fetched
+
+
+def test_a_repeated_fetch_from_one_peer_draws_one_supply():
+    peers = tuple(ProcessId(i) for i in range(4))
+    net = _Recorder(peers[1])
+    engine = BrbEngine(net, peers, 1, lambda o, p: None)
+    origin, payload = peers[0], b"held"
+    digest = hashlib.sha256(payload).digest()
+    fetch = encode_brb(BrbFrame(FETCH, origin, digest, None))
+    engine.handle_frame(peers[2], fetch)  # the payload is not held yet
+    assert net.sent == [] and engine.instances == {}
+    engine.handle_frame(origin, encode_brb(BrbFrame(INIT, origin, digest, payload)))
+    net.sent.clear()
+    for frm in (peers[2], peers[2], peers[3], peers[2], peers[3]):
+        engine.handle_frame(frm, fetch)
+    supply = encode_brb(BrbFrame(SUPPLY, origin, digest, payload))
+    assert net.sent == [(peers[2], supply), (peers[3], supply)]
+
+
+def test_an_unfetched_instance_ignores_a_supply():
+    peers = tuple(ProcessId(i) for i in range(4))
+    net = _Recorder(peers[1])
+    engine = BrbEngine(net, peers, 1, lambda o, p: None)
+    origin, payload = peers[0], b"unasked"
+    digest = hashlib.sha256(payload).digest()
+    engine.handle_frame(peers[2], encode_brb(BrbFrame(ECHO, origin, digest, None)))
+    engine.handle_frame(peers[2], encode_brb(BrbFrame(SUPPLY, origin, digest, payload)))
+    (inst,) = engine.instances.values()
+    assert inst.payload is None and not inst.fetched and net.sent == []
+
+
+FLOOD = 5_000
+
+
+def test_a_byzantine_flood_leaves_no_payload_bytes_and_draws_no_reply():
+    # n = 4, f = 1: one Byzantine peer floods a correct server with digest
+    # echoes and readies for fresh instances, unasked-for supplies of fresh
+    # 1,000-byte payloads, and fetches for digests nobody broadcast.
+    rng = random.Random(0)
+    peers = tuple(ProcessId(i) for i in range(4))
+    byz, origin = peers[0], peers[2]
+    net = _Recorder(peers[1])
+    delivered = []
+    engine = BrbEngine(net, peers, 1, lambda o, p: delivered.append(p))
+    for _ in range(FLOOD):
+        digest = hashlib.sha256(rng.randbytes(1_000)).digest()
+        engine.handle_frame(byz, encode_brb(BrbFrame(ECHO, origin, digest, None)))
+    for _ in range(FLOOD):
+        engine.handle_frame(byz, encode_brb(BrbFrame(READY, origin, rng.randbytes(32),
+                                                     None)))
+    opened = len(engine.instances)
+    assert opened == 2 * FLOOD
+    for _ in range(FLOOD):
+        payload = rng.randbytes(1_000)
+        digest = hashlib.sha256(payload).digest()
+        engine.handle_frame(byz, encode_brb(BrbFrame(SUPPLY, origin, digest, payload)))
+    for _ in range(FLOOD):
+        engine.handle_frame(byz, encode_brb(BrbFrame(FETCH, origin, rng.randbytes(32),
+                                                     None)))
+    assert len(engine.instances) == opened  # supply and fetch open nothing
+    assert sum(len(inst.payload or b"") for inst in engine.instances.values()) == 0
+    assert net.calls == [] and delivered == []
 
 
 def test_each_protocol_step_is_one_multicast_to_the_peers_in_order():
@@ -321,7 +425,7 @@ def test_each_protocol_step_is_one_multicast_to_the_peers_in_order():
     payload = b"one call per step"
     digest = engine.broadcast(payload)
     init = encode_brb(BrbFrame(INIT, origin, digest, payload))
-    echo = encode_brb(BrbFrame(ECHO, origin, digest, payload))
+    echo = encode_brb(BrbFrame(ECHO, origin, digest, None))
     ready = encode_brb(BrbFrame(READY, origin, digest, None))
     assert net.calls == [(peers, init)]
     engine.handle_frame(origin, init)

@@ -113,6 +113,27 @@ def test_replay_of_a_bundle_with_an_unknown_direction_fails(tmp_path, capsys):
     assert "unknown mapping direction 'sideways'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, error", [
+    ({"tag": "brb_deliver"}, "brb_deliver event without msg"),
+    ({"tag": "brb_broadcast"}, "brb_broadcast event without msg"),
+    ({"tag": "sbc_inform"}, "sbc_inform event without elements"),
+    ({"tag": "sbc_propose"}, "sbc_propose event without elements"),
+    ({"tag": "epoch_inc", "h": "1"}, "epoch_inc event with a non-integer h '1'"),
+], ids=["deliver-no-msg", "broadcast-no-msg", "inform-no-elements",
+        "propose-no-elements", "epoch-inc-text-h"])
+def test_replay_of_a_bundle_with_a_malformed_event_fails_cleanly(
+        tmp_path, capsys, fields, error):
+    bundle, _ = _corrupted_bundle(seed=2)
+    server = next(ev["server"] for ev in bundle["events"] if ev["server"])
+    bundle["events"].insert(3, {"server": server, "element": None, "h": 1,
+                                "elements": None, "msg": None, **fields})
+    path = tmp_path / "bundle.json"
+    byz_model.save_bundle(path, bundle)
+    code = main(["replay", "--counterexample", str(path)])
+    assert code != 0
+    assert capsys.readouterr().err == f"replay: {error}\n"
+
+
 def test_env_seed_is_the_default(monkeypatch, capsys):
     monkeypatch.setenv("SETCHAIN_SEED", "3")
     code = main(["check", "--suite", "byzmodel", "--length", "40"])

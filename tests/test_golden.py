@@ -35,7 +35,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
     ),
     "safety-n4-fast-havoc": (
         "eea25331e0610e300d263efa03e552e33379a2a8f1a95df2be724196cb1b7ffe",
-        "5df599d6aacbb0ca0b3bc31336673d71b05ea35faf6594bc1acd7b3e17c78d45",
+        "73cf21412cc6aedc057a0cfe9ef1e58130c29cca23742e55afd3386c79a25d1a",
     ),
     "safety-n4-fast-agg-none": (
         "f141f706844bda6ecb2a47531f7a4437bb458f2560054475493d41f5b93e3f55",
@@ -47,7 +47,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
     ),
     "safety-n4-fast-agg-havoc": (
         "ef00ca29e2ba865ee743f99e2a4f04e63e9aee3d5c102b5719c47c6438ef723a",
-        "8f86d08e95b2b3fccc0cd55cce411a17803dda79ef0effae4d6046ba723a032c",
+        "6e4e634a13c347880c0fe41b7804a84d52c169b7d8b562bf793b62e40b934029",
     ),
     "safety-n7-fast-none": (
         "839d7ed6933461ea8c3471607729ff7cc7251305ab9e0eb0526c97c22ec7532d",
@@ -58,8 +58,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "cb25108fd22842b63a1289d6dd0f991ef47720d84e079876cd21f72a43ce0e55",
     ),
     "safety-n7-fast-havoc": (
-        "9ff87c8933383d81b945710fb85af527c86beb062adafe2d0a05b04c467e1e0e",
-        "85837b0ba778556effcadd509181d7fe46ba53ab3eb59f40984c6327cd11fb07",
+        "f42d5769ef026f26f6e1bb557cbcc5f02b596899cf0e075a488bfa78ad6d2769",
+        "c0ddff82714d6c009e0f877118726bf419a6168bc70117655fc33c0e99aeae37",
     ),
     "safety-n7-fast-agg-none": (
         "6cee677f1c924fd29931dc38f0a9e12d2a3f517c7b160d87715c865dd113e16e",
@@ -70,7 +70,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "8fceedc8652994a816be57bcd7b2e5582f9ccdbb7528fe9aa9f6129db284a54f",
     ),
     "safety-n7-fast-agg-havoc": (
-        "bcb9ee31bb00716faf4e702974c6456415c0d3e4059cafcdc7cf3f1d7bc4da91",
+        "6966702bb34274b0bc6300ed57ae296e869dad4a30dad0e131d779a7cba18767",
         "5d284f4ef41e8f35410d8f8bf04fd35088533cecdd4acb18aac776f6dc434a6a",
     ),
     "safety-n10-fast-none": (
@@ -82,7 +82,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "7d88f85c2c45203f74438dfca5e97ac182b151d81af37da3c052b685a2800cea",
     ),
     "safety-n10-fast-havoc": (
-        "f1df5f002f27bcc06b41776eacf996cef88946606ce44669496627540c40821e",
+        "bc55d7be232eddc5c7a9638fdf19f38b47d23c379156c73c507ca937c6b72be9",
         "7c7a764ed43360ed40714a1748c7e594f06606a34ec8798af74918e980fc4613",
     ),
     "safety-n10-fast-agg-none": (
@@ -95,7 +95,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
     ),
     "safety-n10-fast-agg-havoc": (
         "bb35c9d0670d1d39ca67c6b0a64f7f7cb0f49fe8e5fca3832ccd4df0aa95a15e",
-        "71321cbe05504648f46fe3c6a798492bc08f8e408a8af737c09ff8ef01489f6c",
+        "5f1880730413a6d8a1b8e17068e2fe55640282f43b579cec5a0c82f2228bd2dc",
     ),
 }
 

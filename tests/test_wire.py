@@ -10,8 +10,10 @@ from conftest import damaged
 from setchain.core import Element, ProcessId, ProcessKind
 from setchain.wire import (
     ECHO,
+    FETCH,
     INIT,
     READY,
+    SUPPLY,
     BrbFrame,
     FrameError,
     decode_add_request_body,
@@ -61,10 +63,14 @@ def _delta_and_prior(draw):
     return _get_state([*prior[:base], *new], draw(element_sets_st), base), prior
 
 
+PHASES = (INIT, ECHO, READY, FETCH, SUPPLY)
+DIGEST_ONLY = (ECHO, READY, FETCH)
+
+
 def _brb(phase, origin, payload):
     digest = hashlib.sha256(payload).digest()
     return encode_brb(BrbFrame(phase, origin, digest,
-                               None if phase == READY else payload))
+                               None if phase in DIGEST_ONLY else payload))
 
 
 def _alone(bufs):
@@ -74,7 +80,7 @@ def _alone(bufs):
 # Well-formed arguments for each decoder: the bytes, which the fuzz below
 # then damages, and anything else the decoder reads them against.
 VALID = {
-    decode_brb: _alone(st.builds(_brb, st.sampled_from((INIT, ECHO, READY)),
+    decode_brb: _alone(st.builds(_brb, st.sampled_from(PHASES),
                                  pids_st, st.binary(max_size=32))),
     decode_broadcast_message: _alone(st.one_of(
         st.builds(encode_madd, element_sets_st),
@@ -248,7 +254,7 @@ def test_shared_broadcast_decode_still_rejects_garbage_each_time():
 
 def test_brb_decode_rejects_a_digest_that_does_not_bind_the_payload():
     origin = ProcessId(2, ProcessKind.CORRECT_SERVER)
-    for phase in (INIT, ECHO):
+    for phase in (INIT, SUPPLY):
         bound = _brb(phase, origin, b"payload")
         assert decode_brb(bound).payload == b"payload"
         unbound = encode_brb(BrbFrame(phase, origin,
@@ -256,6 +262,25 @@ def test_brb_decode_rejects_a_digest_that_does_not_bind_the_payload():
                                       b"payload"))
         with pytest.raises(FrameError):
             decode_brb(unbound)
+
+
+@pytest.mark.parametrize("phase", PHASES)
+def test_brb_frames_round_trip_in_every_phase(phase):
+    origin = ProcessId(3, ProcessKind.CORRECT_SERVER)
+    frame = _brb(phase, origin, b"payload")
+    payload = None if phase in DIGEST_ONLY else b"payload"
+    assert decode_brb(frame) == BrbFrame(phase, origin,
+                                         hashlib.sha256(b"payload").digest(),
+                                         payload)
+    assert len(frame) == (39 if phase in DIGEST_ONLY else 43 + len(b"payload"))
+
+
+@pytest.mark.parametrize("phase", DIGEST_ONLY)
+def test_a_digest_only_frame_with_trailing_bytes_is_a_frame_error(phase):
+    frame = _brb(phase, ProcessId(3, ProcessKind.CORRECT_SERVER), b"payload")
+    for tail in (b"\x00", struct.pack(">I", 7) + b"payload"):
+        with pytest.raises(FrameError):
+            decode_brb(frame + tail)
 
 
 def test_brb_decode_is_shared_for_equal_bytes_and_rejects_garbage_each_time():
