@@ -53,7 +53,6 @@ from .server import (
     AggConfig,
     CentralSetchain,
     EpochDriver,
-    RequestRejected,
     SetchainServer,
 )
 from .simnet import NetConfig, Simulation, SimTime
@@ -91,7 +90,12 @@ class BenchError(ValueError):
 def seed_from_env(default: int = 0) -> int:
     """Honours the SETCHAIN_SEED environment variable."""
     raw = os.environ.get("SETCHAIN_SEED")
-    return default if raw is None else int(raw)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"SETCHAIN_SEED={raw!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -530,21 +534,18 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     epochs_completed = servers[0].epoch
 
     # Drain: the load and the havoc servers stop on their own at the end of
-    # the driven window; stop the epoch timer, then alternate "flush and cut
-    # one more epoch" with full quiescence until every element everywhere is
-    # stamped.  Checking at quiescence is exact — nothing is in flight.
+    # the driven window; stop the epoch timer, then alternate "cut one more
+    # epoch" with full quiescence until every element everywhere is stamped.
+    # Checking at quiescence is exact — nothing is in flight.  No buffer
+    # needs a flush: a non-empty aggregation buffer always has its flush
+    # timer pending, and quiescence runs every timer, so each buffer is
+    # empty by then.
     driver.stop()
     for _ in range(_DRAIN_ROUNDS):
         sim.run_to_quiescence()
         if _settled(servers, monitor):
             break
-        for server in servers:
-            server._flush()
-        for server in servers[: f + 1]:
-            try:
-                server.epoch_inc(server.epoch + 1)
-            except RequestRejected:
-                pass
+        driver.cut()
     else:
         monitor.violate("drain-stalled",
                         "drain ended before every element was stamped")
@@ -581,10 +582,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
 def _settled(servers: list[SetchainServer], monitor: SafetyMonitor) -> bool:
     if len({server.epoch for server in servers}) != 1:
         return False
-    return all(
-        not server.tobroadcast and server.theset == monitor.stamped[server.pid]
-        for server in servers
-    )
+    return all(server.theset == monitor.stamped[server.pid] for server in servers)
 
 
 def run_matrix(scenarios: list[Scenario], seeds: range,

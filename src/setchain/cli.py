@@ -34,11 +34,6 @@ def _parse_seeds(spec: str) -> range:
     return seeds
 
 
-def _default_seeds() -> range:
-    base = bench.seed_from_env(0)
-    return range(base, base + 1)
-
-
 def _report_line(r: bench.RunReport) -> str:
     state = "ok" if r.ok else f"VIOLATIONS={len(r.property_violations)}"
     return (f"{r.scenario} seed={r.seed} adds={r.adds_stamped_final}"
@@ -52,8 +47,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         names = args.scenario or ["stock"]
         scenarios = [bench.named_scenario(name) for name in names]
-    seeds = args.seeds or _default_seeds()
-    reports = bench.run_matrix(scenarios, seeds)
+    reports = bench.run_matrix(scenarios, args.seeds)
     for report in reports:
         print(_report_line(report))
         for violation in report.property_violations:
@@ -111,10 +105,9 @@ def _cmd_check_byzmodel(seeds: range, args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    seeds = args.seeds or _default_seeds()
     if args.suite == "properties":
-        return _cmd_check_properties(seeds, args)
-    return _cmd_check_byzmodel(seeds, args)
+        return _cmd_check_properties(args.seeds, args)
+    return _cmd_check_byzmodel(args.seeds, args)
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -175,7 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "seeds" in args and args.seeds is None:  # SETCHAIN_SEED, else seed 0
+        try:
+            base = bench.seed_from_env(0)
+        except ValueError as exc:
+            parser.error(str(exc))
+        args.seeds = range(base, base + 1)
     return args.fn(args)
 
 

@@ -17,7 +17,7 @@ to the burn, so the split always conserves the fee exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterable, Mapping, Optional

@@ -3,9 +3,9 @@
 The decider is a deterministic harness component rather than an embedded
 consensus protocol, which gives the contract by construction: per
 instance ``h`` it collects proposals (one counted per proposer), and once
-instance ``h - 1`` is decided and ``decide_deadline = max(first proposal
-arrival + window, gst)`` has passed, it fixes the decision as a map from
-proposer to proposed set.  A correct proposer's entry is included iff its
+instance ``h - 1`` is decided and ``deadline = max(first proposal arrival +
+WINDOW, gst)`` has passed, it fixes the decision as a map from proposer to
+proposed set.  A correct proposer's entry is included iff its
 proposal arrived by the deadline (after ``gst`` that is all of them);
 entries from Byzantine proposers are included whenever they arrived
 before the decision.  Every registered process then receives the
@@ -19,7 +19,7 @@ adversary can harvest what correct servers proposed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import Element, ProcessId
@@ -28,17 +28,18 @@ from .wire import encode_inform
 
 Propset = dict[ProcessId, frozenset[Element]]
 
+WINDOW = 50  # ticks from an instance's first proposal to its deadline
+
 
 @dataclass(frozen=True)
 class SbcConfig:
-    """Decision window after the first proposal, plus extra decision latency."""
+    """Extra decision latency after the deadline."""
 
-    window: int = 50
     decision_cost: int = 0
 
     def __post_init__(self) -> None:
-        if self.window < 0 or self.decision_cost < 0:
-            raise ValueError("window and decision_cost must be non-negative")
+        if self.decision_cost < 0:
+            raise ValueError("decision_cost must be non-negative")
 
 
 @dataclass
@@ -49,10 +50,8 @@ class _Proposal:
 
 @dataclass
 class _Instance:
-    h: int
-    proposals: dict[ProcessId, _Proposal] = field(default_factory=dict)
-    deadline: Optional[SimTime] = None
-    decision_at: Optional[SimTime] = None
+    deadline: SimTime
+    proposals: dict[ProcessId, _Proposal]
     deferred: bool = False
 
 
@@ -61,12 +60,6 @@ class Decision:
     h: int
     propset: Propset
     decided_at: SimTime
-
-    def union(self) -> frozenset[Element]:
-        out: frozenset[Element] = frozenset()
-        for es in self.propset.values():
-            out |= es
-        return out
 
 
 class ConsensusService:
@@ -86,7 +79,6 @@ class ConsensusService:
         self._correct: dict[ProcessId, bool] = {}
         self._instances: dict[int, _Instance] = {}
         self.decisions: dict[int, Decision] = {}
-        self.extra_proposals: list[tuple[int, ProcessId, SimTime]] = []
         self._delivered_upto: dict[ProcessId, int] = {}
         self._stash: dict[ProcessId, set[int]] = {}
 
@@ -118,26 +110,24 @@ class ConsensusService:
                           self._arrive, h, elements, by)
 
     def _arrive(self, h: int, elements: frozenset, by: ProcessId) -> None:
-        inst = self._instances.setdefault(h, _Instance(h))
         if h in self.decisions:
-            self.extra_proposals.append((h, by, self.sim.now))
             return
-        if by in inst.proposals:
-            self.extra_proposals.append((h, by, self.sim.now))
-            return
-        inst.proposals[by] = _Proposal(elements, self.sim.now)
-        if inst.deadline is None:
-            inst.deadline = max(self.sim.now + self.config.window,
-                                self.sim.config.gst)
-            inst.decision_at = inst.deadline + self.config.decision_cost
-            self.sim.schedule(inst.decision_at, self._try_decide, h)
+        proposal = _Proposal(elements, self.sim.now)
+        inst = self._instances.get(h)
+        if inst is None:
+            deadline = max(self.sim.now + WINDOW, self.sim.config.gst)
+            self._instances[h] = _Instance(deadline, {by: proposal})
+            self.sim.schedule(deadline + self.config.decision_cost,
+                              self._try_decide, h)
+        elif by not in inst.proposals:
+            inst.proposals[by] = proposal
 
     # -- deciding -----------------------------------------------------------
 
     def _try_decide(self, h: int) -> None:
-        inst = self._instances.get(h)
-        if inst is None or h in self.decisions or not inst.proposals:
+        if h in self.decisions:
             return
+        inst = self._instances[h]
         if h > 1 and (h - 1) not in self.decisions:
             inst.deferred = True  # re-tried when h - 1 decides
             return
@@ -155,8 +145,9 @@ class ConsensusService:
         for pid, delay in zip(members, self.sim.draw_delays(len(members), self.rng)):
             self.sim.schedule(now + delay, self._deliver_one, pid, h)
         nxt = self._instances.get(h + 1)
-        if nxt is not None and nxt.deferred and nxt.decision_at is not None:
-            self.sim.schedule(max(now, nxt.decision_at), self._try_decide, h + 1)
+        if nxt is not None and nxt.deferred:
+            self.sim.schedule(max(now, nxt.deadline + self.config.decision_cost),
+                              self._try_decide, h + 1)
 
     def _deliver_one(self, pid: ProcessId, h: int) -> None:
         if self._delivered_upto[pid] != h - 1:

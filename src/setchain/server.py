@@ -150,7 +150,7 @@ class SetchainServer:
 
         self.theset: set[Element] = set()
         self.history = History()
-        self.prop: dict[int, frozenset[Element]] = {}
+        self._proposed = 0  # the last instance this server proposed to
         self.tobroadcast: dict[Element, SimTime] = {}  # insertion = enqueue order
         self.pending_epochinc: set[int] = set()
         # Inserted but not yet stamped; always theset - history.union().
@@ -303,11 +303,10 @@ class SetchainServer:
         if h > self.epoch + 1:
             self.pending_epochinc.add(h)  # replayed once this server catches up
             return
-        if h in self.prop:
+        if h == self._proposed:
             return  # already proposed for this instance
-        proposal = frozenset(self._unstamped)
-        self.prop[h] = proposal
-        self.sbc.propose(h, proposal, self.pid)
+        self._proposed = h
+        self.sbc.propose(h, frozenset(self._unstamped), self.pid)
 
     # -- consensus deliveries ----------------------------------------------
 
@@ -324,7 +323,6 @@ class SetchainServer:
         self.theset |= inserted
         self.history = self.history.stamp(h, E)
         self._unstamped -= E
-        self.prop.pop(h, None)  # never read once h is stamped
         self._unqueue(E)
         if self.state_observer is not None:
             if inserted:
@@ -333,7 +331,6 @@ class SetchainServer:
             self.state_observer(self.pid, "stamp", (h, E))
         if self.sign_epochs:
             self._sign_epoch(h, E)
-        self.pending_epochinc = {x for x in self.pending_epochinc if x > self.epoch}
         if self.epoch + 1 in self.pending_epochinc:
             self.pending_epochinc.discard(self.epoch + 1)
             self._deliver_epochinc(self.epoch + 1)
@@ -364,12 +361,16 @@ class EpochDriver:
     def stop(self) -> None:
         self.stopped = True
 
-    def _tick(self) -> None:
-        if self.stopped:
-            return
+    def cut(self) -> None:
+        """Asks each target for the epoch after its own."""
         for server in self.targets:
             try:
                 server.epoch_inc(server.epoch + 1)
             except RequestRejected:
                 pass
+
+    def _tick(self) -> None:
+        if self.stopped:
+            return
+        self.cut()
         self.sim.schedule(self.sim.now + self.period, self._tick)

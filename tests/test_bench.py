@@ -140,6 +140,9 @@ def test_seed_from_env(monkeypatch):
     assert seed_from_env(7) == 7
     monkeypatch.setenv("SETCHAIN_SEED", "42")
     assert seed_from_env(7) == 42
+    monkeypatch.setenv("SETCHAIN_SEED", "4x2")
+    with pytest.raises(ValueError, match="SETCHAIN_SEED='4x2' is not an integer"):
+        seed_from_env(7)
 
 
 # ---------------------------------------------------------------------------

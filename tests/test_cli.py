@@ -134,6 +134,27 @@ def test_replay_of_a_bundle_with_a_malformed_event_fails_cleanly(
     assert capsys.readouterr().err == f"replay: {error}\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["bench", "--scenario", "overload-agg"],
+    ["check", "--suite", "properties"],
+    ["check", "--suite", "byzmodel"],
+], ids=["bench", "check-properties", "check-byzmodel"])
+def test_a_malformed_env_seed_is_a_usage_error(command, monkeypatch, capsys):
+    monkeypatch.setenv("SETCHAIN_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(command)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "SETCHAIN_SEED='abc' is not an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_an_explicit_seed_spec_overrides_a_malformed_env_seed(monkeypatch, capsys):
+    monkeypatch.setenv("SETCHAIN_SEED", "abc")
+    assert main(["check", "--suite", "byzmodel", "--seeds", "1", "--length", "40"]) == 0
+    capsys.readouterr()
+
+
 def test_env_seed_is_the_default(monkeypatch, capsys):
     monkeypatch.setenv("SETCHAIN_SEED", "3")
     code = main(["check", "--suite", "byzmodel", "--length", "40"])

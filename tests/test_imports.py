@@ -1,0 +1,51 @@
+"""Every name a ``setchain`` module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "setchain"
+
+# Imported only so that the benchmark's tracer (perfbench/tracing.py) can
+# patch them by module and name; no code in the module itself reads them.
+PATCHED_BY_NAME = {
+    ("bench", "encode_element_set"),
+    ("client", "decode_get_state"),
+    ("wire", "sort_elements"),
+}
+
+
+def imported_names(tree: ast.Module) -> set[str]:
+    """The names that the module's import statements bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names.add(alias.asname or alias.name.partition(".")[0])
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names.add(alias.asname or alias.name)
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every bare name the module reads (no module defines ``__all__``)."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+MODULES = sorted(SRC.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = {name for name in imported_names(tree) - used_names(tree)
+              if (path.stem, name) not in PATCHED_BY_NAME}
+    assert not unused, f"{path.name} imports but never uses {sorted(unused)}"
+
+
+def test_every_name_kept_for_the_tracer_is_still_imported():
+    for module, name in sorted(PATCHED_BY_NAME):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        assert name in imported_names(tree), f"{module}.{name}"

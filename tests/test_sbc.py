@@ -4,7 +4,7 @@ nontriviality, censorship-resistance after gst, in-order decisions."""
 import pytest
 
 from setchain.core import Element, KeyStore, ProcessId, ProcessKind, encode_element_set
-from setchain.sbc import ConsensusService, SbcConfig
+from setchain.sbc import WINDOW, ConsensusService, SbcConfig
 from setchain.simnet import NetConfig, Simulation
 from setchain.wire import decode_inform
 
@@ -175,7 +175,7 @@ def test_decisions_happen_in_instance_order():
 
 
 def test_termination_bound_after_gst():
-    cfg = SbcConfig(window=50, decision_cost=0)
+    cfg = SbcConfig(decision_cost=0)
     w = World(seed=11, cfg=cfg)
     start = w.sim.now
     for pid in w.correct:
@@ -183,15 +183,15 @@ def test_termination_bound_after_gst():
     w.drain()
     decision = w.service.decided(1)
     first_arrival_bound = start + w.sim.config.post_gst_bound
-    assert decision.decided_at <= first_arrival_bound + cfg.window
+    assert decision.decided_at <= first_arrival_bound + WINDOW
     # every process has it shortly after the decision
     for pid in w.correct:
         assert w.delivered[pid] and w.delivered[pid][0][0] == 1
 
 
 def test_decision_cost_delays_the_decision():
-    base = World(seed=6, cfg=SbcConfig(window=50, decision_cost=0))
-    cost = World(seed=6, cfg=SbcConfig(window=50, decision_cost=100))
+    base = World(seed=6, cfg=SbcConfig(decision_cost=0))
+    cost = World(seed=6, cfg=SbcConfig(decision_cost=100))
     for w in (base, cost):
         for pid in w.correct:
             w.service.propose(1, w.make(b"t"), pid)
@@ -234,12 +234,14 @@ def test_byzantine_repeat_proposals_count_once():
     w = World(n_correct=3, n_byz=1, seed=8)
     z1, z2 = w.make(b"z1"), w.make(b"z2")
     w.service.propose(1, z1, w.byz[0])
-    w.service.propose(1, z2, w.byz[0])
+    while w.byz[0] not in w.service.proposals_for(1):
+        w.sim.run_until(w.sim.now + 1)
+    w.service.propose(1, z2, w.byz[0])  # arrives well before the deadline
     for pid in w.correct:
         w.service.propose(1, w.make(b"a"), pid)
     w.drain()
-    assert w.service.decided(1).propset[w.byz[0]] in (z1, z2)
-    assert any(by == w.byz[0] for _, by, _ in w.service.extra_proposals)
+    assert w.service.proposals_for(1)[w.byz[0]] == z1
+    assert w.service.decided(1).propset[w.byz[0]] == z1
 
 
 def test_late_byzantine_proposal_is_excluded():
@@ -250,7 +252,7 @@ def test_late_byzantine_proposal_is_excluded():
     w.service.propose(1, w.make(b"late"), w.byz[0])
     w.drain()
     assert w.byz[0] not in w.service.decided(1).propset
-    assert any(by == w.byz[0] for _, by, _ in w.service.extra_proposals)
+    assert w.byz[0] not in w.service.proposals_for(1)
 
 
 def test_instance_numbering_is_validated():

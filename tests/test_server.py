@@ -172,7 +172,8 @@ def test_epoch_inc_with_wrong_h_is_rejected_and_silent():
 
 
 def test_concurrent_epoch_inc_stamps_once():
-    c = ServerCluster()
+    proposers = []
+    c = ServerCluster(on_propose=lambda h, elements, by: proposers.append((h, by)))
     e = c.element()
     c.correct[0].add(e)
     c.drain()
@@ -184,7 +185,7 @@ def test_concurrent_epoch_inc_stamps_once():
         assert s.history.get(1) == frozenset([e])
     # each server proposed exactly once despite hearing two announcements
     assert set(c.service.proposals_for(1)) == set(c.correct_pids)
-    assert c.service.extra_proposals == []
+    assert sorted(proposers) == [(1, pid) for pid in c.correct_pids]
 
 
 def test_batch_delivery_validates_per_element():
@@ -318,14 +319,19 @@ def test_byzantine_valid_proposal_is_stamped_like_a_client_add():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_unstamped_set_and_proposals_track_every_stamp(agg, seed):
     """After every insert and stamp, ``_unstamped`` is the set minus the
-    history and no proposal outlives the epoch it was for.  A Byzantine
-    slot keeps proposing stamped, fresh and invalid elements."""
+    history, no server has proposed past the next epoch, and every held
+    epoch announcement is for a future epoch.  A Byzantine slot keeps
+    proposing stamped, fresh and invalid elements, and announcing an epoch
+    two ahead of a correct server."""
     checked = []
+    held = []
 
     def observe(pid, event, payload):
         s = c.servers[pid]
         assert s._unstamped == s.theset - s.history.union()
-        assert all(h > s.epoch for h in s.prop)
+        assert s._proposed <= s.epoch + 1
+        assert all(h > s.epoch for h in s.pending_epochinc)
+        held.append(len(s.pending_epochinc))
         checked.append(event)
 
     c = ServerCluster(n_byz=1, seed=seed, agg=agg, state_observer=observe)
@@ -339,6 +345,7 @@ def test_unstamped_set_and_proposals_track_every_stamp(agg, seed):
         if stamped:
             junk.add(rng.choice(stamped))
         byz.propose(s.epoch + 1, frozenset(junk))
+        byz.brb_broadcast(encode_mepochinc(s.epoch + 3), c.pids)
 
     driver = EpochDriver(c.sim, c.correct[: c.f + 1], period=250)
     driver.start()
@@ -355,9 +362,10 @@ def test_unstamped_set_and_proposals_track_every_stamp(agg, seed):
         c.correct[0].epoch_inc(c.correct[0].epoch + 1)
         c.drain()
     assert checked.count("stamp") >= 3 * 8
+    assert any(held)
     for s in c.correct:
         assert set(added) <= s.theset == s.history.union()
-        assert s.prop == {}
+        assert s._proposed <= s.epoch
 
 
 # -- aggregation ------------------------------------------------------------
@@ -418,6 +426,28 @@ def test_set_deliver_prunes_pending_buffer():
     c.drain()
     assert a in c.correct[1].history.get(1)
     assert a not in c.correct[1].tobroadcast
+
+
+@pytest.mark.parametrize("max_wait", [AGG_DESK.max_wait, 50],
+                         ids=["longer-than-the-run", "short"])
+def test_quiescence_leaves_every_aggregation_buffer_empty(max_wait):
+    """A non-empty buffer always has its flush timer pending, so at
+    quiescence every buffer is empty and every add is in the set; the
+    bench drain cuts epochs without flushing on that account."""
+    c = agg_cluster(max_batch=2, max_wait=max_wait)
+    added = [c.element() for _ in range(6)]
+    for t, e in zip((0, 1, 2), added):  # the third add flushes by size
+        c.sim.schedule(t, c.correct[0].add, e)
+    c.sim.schedule(30, c.correct[0].add, added[3])  # the pending timer re-arms
+    c.sim.schedule(3, c.correct[1].add, added[0])  # queued at two servers
+    c.sim.schedule(5, c.correct[1].add, added[4])
+    c.sim.schedule(7, c.correct[2].add, added[5])
+    c.sim.run_until(100)
+    c.drain()
+    for s in c.correct:
+        assert s.tobroadcast == {}
+        assert s._flush_scheduled is False
+        assert set(added) <= s.theset
 
 
 def test_aggregation_presets_match_declared_constants():
@@ -661,6 +691,17 @@ def test_epoch_driver_advances_epochs_at_the_configured_period():
     driver.stop()
     c.drain()
     assert len({s.epoch for s in c.correct}) == 1
+
+
+def test_a_cut_asks_each_target_for_one_more_epoch_and_schedules_nothing():
+    c = ServerCluster()
+    driver = EpochDriver(c.sim, c.correct[: c.f + 1])
+    driver.stop()  # a cut works whether or not the timer runs
+    for epoch in (1, 2):
+        driver.cut()
+        c.drain()
+        assert {s.epoch for s in c.correct} == {epoch}
+        assert c.sim.pending_events() == 0
 
 
 def test_driver_against_sequential_reference():
