@@ -6,10 +6,13 @@ Four flavours, from inert to actively hostile:
   never sends anything.
 * :class:`HavocServer` — the generic chaotic adversary.  It remembers
   every valid element it sees (add requests, broadcast payloads, consensus
-  notices and deliveries) and, on a seeded random schedule, emits
-  broadcasts and consensus proposals built from random mixes of that
-  knowledge and freshly minted invalid elements.  Reads are answered with
-  fabricated snapshots of the same material, against a random ``base``.
+  notices and deliveries).  On a seeded random schedule it emits
+  broadcasts built from random mixes of that knowledge and freshly minted
+  invalid elements, and consensus proposals that also name a few of the
+  batch digests it saw since its last proposal (of INIT and SUPPLY
+  payloads, in notices and decisions, and of its own broadcasts) and a few
+  fresh random digests.  Reads are answered with fabricated snapshots,
+  against a random ``base``.
 * :class:`ForgedDigestServer` — follows the protocol but signs a wrong
   digest for every epoch, so its epoch attestations never match what a
   client recomputes.
@@ -106,16 +109,26 @@ def havoc_number(rng: random.Random, hi: int, lo: int = 0) -> int:
 _FORGER = ProcessId(999_999, ProcessKind.CLIENT)  # never registered anywhere
 
 
-def generate_invalid_elems(rng: random.Random) -> list[Element]:
-    """Freshly minted never-valid elements; the count follows a coin-flip
-    (geometric) distribution capped at four per call."""
+def _coin_count(rng: random.Random) -> int:
+    """A coin-flip (geometric) count, capped at four."""
     count = 0
     while count < 4 and rng.random() < 0.5:
         count += 1
+    return count
+
+
+def generate_invalid_elems(rng: random.Random) -> list[Element]:
+    """Freshly minted never-valid elements, :func:`_coin_count` of them."""
     return [
         Element(rng.randbytes(rng.randint(8, 24)), _FORGER, rng.randbytes(32))
-        for _ in range(count)
+        for _ in range(_coin_count(rng))
     ]
+
+
+def generate_junk_digests(rng: random.Random) -> list[bytes]:
+    """Fresh random 32-byte digests that name no batch, :func:`_coin_count`
+    of them."""
+    return [rng.randbytes(32) for _ in range(_coin_count(rng))]
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +163,9 @@ class HavocServer:
     Knowledge only ever contains *valid* elements — the adversary cannot
     forge client signatures, so everything else it sends is freshly
     minted invalid junk that correct servers discard on validity checks.
-    The gap between two actions is drawn uniformly from ``TICK_GAP`` ticks.
+    The digests it names are ones it saw, which count only where ``f + 1``
+    proposers name them, or random ones that name no batch.  The gap
+    between two actions is drawn uniformly from ``TICK_GAP`` ticks.
     """
 
     TICK_GAP = (20, 150)
@@ -170,9 +185,14 @@ class HavocServer:
         self.peers = tuple(p for p in peers if p != pid)
         self.f = f
         self.rng = random.Random(f"{sim.config.rng_seed}:havoc:{pid.id}")
+        # The digests it names come from a stream of their own, so that what
+        # it sends, and when, follows from ``rng`` alone.
+        self.digest_rng = random.Random(
+            f"{sim.config.rng_seed}:havoc-digests:{pid.id}")
         self.net = sim.register(pid, self.on_message)
         service.register(pid, self.on_set_deliver, correct=False)
         self.knowledge: set[Element] = set()
+        self.digests: set[bytes] = set()  # seen since its last proposal
         self.seen_h = 0
         self.stopped = False
         self.until: Optional[SimTime] = None
@@ -200,12 +220,18 @@ class HavocServer:
                 havoc_number(self.rng, self.seen_h + 2)))
         else:
             h = havoc_number(self.rng, self.seen_h + 2, lo=1)
-            prop = havoc_subset(self.rng, pool, key=wire_order)
+            seen = sorted(self.digests)
+            self.digests.clear()
+            prop = havoc_subset(self.rng, pool, key=wire_order).union(
+                self.digest_rng.sample(seen, min(len(seen),
+                                                 _coin_count(self.digest_rng))),
+                generate_junk_digests(self.digest_rng))
             self.service.propose(h, prop, self.pid)
         self.net.after(self.rng.randint(*self.TICK_GAP), self._tick)
 
     def _brb_broadcast(self, payload: bytes) -> None:
         digest = hashlib.sha256(payload).digest()
+        self.digests.add(digest)
         frame = encode_brb(BrbFrame(INIT, self.pid, digest, payload))
         targets = self.peers
         if self.rng.random() < 0.25:  # sometimes only tell a subset
@@ -215,10 +241,13 @@ class HavocServer:
 
     # -- absorbing traffic into knowledge -----------------------------------
 
-    def _learn(self, elements: Iterable[Element]) -> None:
-        for e in elements:
-            if self.keys.valid(e):
-                self.knowledge.add(e)
+    def _learn(self, names: Iterable) -> None:
+        """Keeps the digests and the valid elements among ``names``."""
+        for x in names:
+            if isinstance(x, bytes):
+                self.digests.add(x)
+            elif self.keys.valid(x):
+                self.knowledge.add(x)
 
     def on_message(self, frm: ProcessId, body: bytes) -> None:
         tag = body[:1]
@@ -226,15 +255,16 @@ class HavocServer:
             if tag == b"B":
                 frame = decode_brb(body)
                 if frame.payload is not None:
+                    self.digests.add(frame.digest)
                     kind, value = decode_broadcast_message(frame.payload)
                     if kind == "add":
                         self._learn(value)
                     else:
                         self.seen_h = max(self.seen_h, value)
             elif tag == b"P":
-                h, elements = decode_inform(body)
+                h, names = decode_inform(body)
                 self.seen_h = max(self.seen_h, h)
-                self._learn(elements)
+                self._learn(names)
             elif tag == b"Q":
                 self._handle_request(frm, body)
         except FrameError:
@@ -263,8 +293,8 @@ class HavocServer:
 
     def on_set_deliver(self, h: int, propset) -> None:
         self.seen_h = max(self.seen_h, h)
-        for es in propset.values():
-            self._learn(es)
+        for names in propset.values():
+            self._learn(names)
 
 
 # ---------------------------------------------------------------------------

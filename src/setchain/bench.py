@@ -280,8 +280,9 @@ class SafetyMonitor:
         if kind == "add":
             self.origins.update(value)
 
-    def on_propose(self, h: int, elements: frozenset, by: ProcessId) -> None:
-        self.origins.update(elements)
+    def on_propose(self, h: int, names: frozenset, by: ProcessId) -> None:
+        """Elements named by value are origin records; digests are not."""
+        self.origins.update(x for x in names if not isinstance(x, bytes))
 
     # -- per-event checks ----------------------------------------------------
 
@@ -344,6 +345,10 @@ class SafetyMonitor:
             if server.theset != self.stamped[server.pid]:
                 self.violate("never-stamped",
                              f"{server.pid!r} holds elements that never got stamped")
+            if server.open_batches:
+                self.violate("open-batches",
+                             f"{server.pid!r} keeps {len(server.open_batches)} "
+                             "batches with nothing left to stamp")
         missing = accepted - ref.theset
         if missing:
             self.violate("accepted-missing",

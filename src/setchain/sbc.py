@@ -1,4 +1,4 @@
-"""Set consensus service: agree on which proposed element sets form an epoch.
+"""Set consensus service: agree on which proposed sets form an epoch.
 
 The decider is a deterministic harness component rather than an embedded
 consensus protocol, which gives the contract by construction: per
@@ -12,8 +12,12 @@ before the decision.  Every registered process then receives the
 identical decision via its set-deliver callback, per process in instance
 order, after a network-like delay.
 
-Proposals also fan out as notice frames to every other process, so an
-adversary can harvest what correct servers proposed.
+A proposal is a set of names that the service does not look inside: a
+setchain server names the add batches it delivered by the 32-byte digest
+of their broadcast payload, and a Byzantine one may also name elements by
+value.  Proposals also fan out as notice frames to every other process
+(``wire.encode_inform``: the digests, then the elements), so an adversary
+can harvest what correct servers proposed.
 """
 
 from __future__ import annotations
@@ -22,11 +26,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import Element, ProcessId
+from .core import ProcessId
 from .simnet import SimTime, Simulation
 from .wire import encode_inform
 
-Propset = dict[ProcessId, frozenset[Element]]
+# Proposer -> what it proposed: digests (bytes) and elements.
+Propset = dict[ProcessId, frozenset]
 
 WINDOW = 50  # ticks from an instance's first proposal to its deadline
 
@@ -44,7 +49,7 @@ class SbcConfig:
 
 @dataclass
 class _Proposal:
-    elements: frozenset[Element]
+    names: frozenset
     arrived_at: SimTime
 
 
@@ -93,26 +98,26 @@ class ConsensusService:
 
     # -- proposing ----------------------------------------------------------
 
-    def propose(self, h: int, elements, by: ProcessId) -> None:
+    def propose(self, h: int, names, by: ProcessId) -> None:
         """Register a proposal for instance ``h`` and notify the other processes."""
         if h < 1:
             raise ValueError("instances are numbered from 1")
         if by not in self._members:
             raise ValueError(f"{by!r} is not a consensus participant")
-        elements = frozenset(elements)
+        names = frozenset(names)
         if self.on_propose is not None:
-            self.on_propose(h, elements, by)
-        notice = encode_inform(h, elements)
+            self.on_propose(h, names, by)
+        notice = encode_inform(h, names)
         for other in sorted(self._members):
             if other != by:
                 self.sim.send_as(by, other, notice)
         self.sim.schedule(self.sim.now + self.sim.draw_delays(1, self.rng)[0],
-                          self._arrive, h, elements, by)
+                          self._arrive, h, names, by)
 
-    def _arrive(self, h: int, elements: frozenset, by: ProcessId) -> None:
+    def _arrive(self, h: int, names: frozenset, by: ProcessId) -> None:
         if h in self.decisions:
             return
-        proposal = _Proposal(elements, self.sim.now)
+        proposal = _Proposal(names, self.sim.now)
         inst = self._instances.get(h)
         if inst is None:
             deadline = max(self.sim.now + WINDOW, self.sim.config.gst)
@@ -137,9 +142,9 @@ class ConsensusService:
             p = inst.proposals[by]
             if self._correct[by]:
                 if p.arrived_at <= inst.deadline:
-                    propset[by] = p.elements
+                    propset[by] = p.names
             else:
-                propset[by] = p.elements  # anything registered pre-decision
+                propset[by] = p.names  # anything registered pre-decision
         self.decisions[h] = Decision(h, propset, now)
         members = sorted(self._members)
         for pid, delay in zip(members, self.sim.draw_delays(len(members), self.rng)):
@@ -166,11 +171,11 @@ class ConsensusService:
 
     # -- introspection ------------------------------------------------------
 
-    def proposals_for(self, h: int) -> dict[ProcessId, frozenset[Element]]:
+    def proposals_for(self, h: int) -> Propset:
         inst = self._instances.get(h)
         if inst is None:
             return {}
-        return {by: p.elements for by, p in inst.proposals.items()}
+        return {by: p.names for by, p in inst.proposals.items()}
 
     def decided(self, h: int) -> Optional[Decision]:
         return self.decisions.get(h)

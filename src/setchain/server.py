@@ -9,10 +9,31 @@ elements.  Optional behaviours: batching adds into one broadcast
 (aggregation, when given an ``AggConfig``) and signing each stamped
 epoch's digest back into the set so light clients can check membership
 proofs.
+
+Proposals name batches, not elements (as in Hashchain, Capretto et al.,
+2022).  A server keeps each delivered add batch that still holds an
+unstamped element, keyed by the sha256 of its broadcast payload, and
+proposes those digests.  A decided epoch stamps:
+
+* the batches of the digests that at least ``f + 1`` proposers name.  One
+  of them is correct, so it delivered the batch, and reliable broadcast
+  brings the batch to every correct server.  A digest named fewer times
+  is ignored; its elements stay open and are proposed again;
+* every valid element named by value, which only a Byzantine proposer
+  does.
+
+Every correct server applies these rules to the same decision at the same
+history, so all of them stamp the same entry.  A server that has not yet
+delivered a batch the decision needs holds that decision, and every later
+one, until the batch arrives, and then stamps them in order.  A batch is
+dropped when its last element is stamped, so at quiescence none is kept.
 """
 
 from __future__ import annotations
 
+import hashlib
+from collections import Counter, deque
+from itertools import chain
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -143,7 +164,7 @@ class SetchainServer:
         self.brb = BrbEngine(self.net, peers, f, self._deliver_broadcast,
                              on_broadcast=on_broadcast)
         self.sbc = sbc
-        sbc.register(pid, self.on_set_deliver, correct=True)
+        sbc.register(pid, self._queue_decision, correct=True)
         self.agg = agg  # None: broadcast each add on its own
         self.sign_epochs = sign_epochs
         self.state_observer = state_observer
@@ -155,6 +176,12 @@ class SetchainServer:
         self.pending_epochinc: set[int] = set()
         # Inserted but not yet stamped; always theset - history.union().
         self._unstamped: set[Element] = set()
+        # Payload digest -> the unstamped elements of that delivered add
+        # batch, for each batch that has one; their union is _unstamped.
+        self.open_batches: dict[bytes, frozenset[Element]] = {}
+        # Decisions not stamped yet, in order: the first one waits for a
+        # batch that it certifies and this server has not delivered.
+        self._held: deque[tuple[int, Propset]] = deque()
         # encode_epoch of each stamped entry, in order; a get encodes only
         # the entries stamped since the last get (stamping never does), and
         # sends only those after the ones its reader holds.
@@ -264,19 +291,24 @@ class SetchainServer:
         except FrameError:
             return
         if kind == "add":
-            self._deliver_add(value)
+            self._deliver_add(hashlib.sha256(payload).digest(), value)
         else:
             self._deliver_epochinc(value)
 
-    def _deliver_add(self, batch: frozenset[Element]) -> None:
+    def _deliver_add(self, digest: bytes, batch: frozenset[Element]) -> None:
         self._unqueue(batch)
         fresh = self._valid_new(batch)
-        if not fresh:
-            return
-        self.theset |= fresh
-        self._unstamped |= fresh
-        if self.state_observer is not None:
+        if fresh:
+            self.theset |= fresh
+            self._unstamped |= fresh
+        if digest not in self.open_batches:  # else an equal payload came first
+            rest = batch & self._unstamped
+            if rest:
+                self.open_batches[digest] = rest
+        if fresh and self.state_observer is not None:
             self.state_observer(self.pid, "insert", tuple(sort_elements(fresh)))
+        if self._held:
+            self._release()
 
     # Sets and dicts store each element's hash, and set algebra between them
     # (``set(a_dict)`` included) reuses the stored hashes, so it runs in C
@@ -306,23 +338,56 @@ class SetchainServer:
         if h == self._proposed:
             return  # already proposed for this instance
         self._proposed = h
-        self.sbc.propose(h, frozenset(self._unstamped), self.pid)
+        self.sbc.propose(h, frozenset(self.open_batches), self.pid)
 
     # -- consensus deliveries ----------------------------------------------
 
+    def _queue_decision(self, h: int, propset: Propset) -> None:
+        """The consensus service's set-deliver callback: stamps decision
+        ``h`` now, or holds it behind the decisions already held."""
+        self._held.append((h, propset))
+        self._release()
+
+    def _release(self) -> None:
+        """Stamps the held decisions in order, up to the first one that
+        certifies a batch this server has not delivered."""
+        held, open_batches = self._held, self.open_batches
+        while held and all(d in open_batches for d in self._split(held[0][1])[0]):
+            self.on_set_deliver(*held.popleft())
+
+    def _split(self, propset: Propset) -> tuple[list[bytes], frozenset[Element]]:
+        """The digests that at least ``f + 1`` proposers of ``propset`` name,
+        and the elements it names by value."""
+        certified, by_value = [], []
+        for x, count in Counter(chain.from_iterable(propset.values())).items():
+            if not isinstance(x, bytes):
+                by_value.append(x)
+            elif count > self.f:
+                certified.append(x)
+        return certified, frozenset(by_value)
+
     def on_set_deliver(self, h: int, propset: Propset) -> None:
+        """Stamps decision ``h``; this server holds every batch it certifies."""
         if h != self.epoch + 1:
             raise RuntimeError(
                 f"consensus delivered epoch {h} to {self.pid!r} at epoch "
                 f"{self.epoch}; the service must deliver in order")
-        candidates = frozenset().union(*propset.values())
-        # Stamp every valid candidate not stamped yet.  Elements of theset
+        certified, by_value = self._split(propset)
+        try:
+            batches = [self.open_batches[d] for d in certified]
+        except KeyError:
+            raise RuntimeError(
+                f"epoch {h} certifies a batch that {self.pid!r} has not "
+                "delivered; the decision must be held until it is") from None
+        # Stamp every valid element named by value that is not stamped yet,
+        # and the open elements of each certified batch.  Elements of theset
         # are valid, and those not stamped are exactly the unstamped ones.
-        inserted = self._valid_new(candidates)
-        E = (candidates & self._unstamped) | inserted
+        inserted = self._valid_new(by_value)
+        E = (by_value & self._unstamped).union(inserted, *batches)
         self.theset |= inserted
         self.history = self.history.stamp(h, E)
         self._unstamped -= E
+        self._close(E)
         self._unqueue(E)
         if self.state_observer is not None:
             if inserted:
@@ -334,6 +399,18 @@ class SetchainServer:
         if self.epoch + 1 in self.pending_epochinc:
             self.pending_epochinc.discard(self.epoch + 1)
             self._deliver_epochinc(self.epoch + 1)
+
+    def _close(self, stamped: frozenset[Element]) -> None:
+        """Removes ``stamped`` from the open batches, dropping each batch
+        that has no element left."""
+        open_batches = self.open_batches
+        for d, rest in list(open_batches.items()):
+            if not rest.isdisjoint(stamped):
+                rest -= stamped
+                if rest:
+                    open_batches[d] = rest
+                else:
+                    del open_batches[d]
 
     def _sign_epoch(self, h: int, E: frozenset[Element]) -> None:
         payload = attestation_payload(h, hash_epoch(E))

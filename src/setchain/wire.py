@@ -16,7 +16,12 @@ All integers are big-endian.  Frames (first byte is the frame tag):
   element batch (``u32 count``, then the canonical element-set encoding) or
   ``0x01`` for an epoch announcement (``u64 h``).
 
-* consensus proposal notices, tag ``P``:  ``'P' | u64 h | u32 count | set``
+* consensus proposal notices, tag ``P``::
+
+    'P' | u64 h | u32 ndigests | 32B * ndigests (sorted) | u32 count | set
+
+  A proposal names add batches by the 32-byte digest of their broadcast
+  payload, and elements by value; the set holds the elements.
 * client requests, tag ``Q``:  ``'Q' | op u8 | u64 req_id | body``
   with op 0 add (element), 1 get (``u64 have``: how many of the server's
   epochs the reader holds), 2 epoch-inc (``u64 h``)
@@ -157,20 +162,38 @@ def decode_brb(buf: bytes) -> BrbFrame:
 # -- consensus proposal notices --------------------------------------------
 
 
-def encode_inform(h: int, elements) -> bytes:
-    return (b"P" + struct.pack(">QI", h, len(elements))
-            + encode_element_set(elements))
+DIGEST_BYTES = 32  # a proposal's name for a batch: sha256 of its payload
 
 
-def decode_inform(buf: bytes) -> tuple[int, frozenset[Element]]:
+def encode_inform(h: int, names) -> bytes:
+    """The notice of a proposal for instance ``h``: its digests (``bytes``),
+    then its elements."""
+    names = frozenset(names)
+    digests = sorted(x for x in names if isinstance(x, bytes))
+    if any(len(d) != DIGEST_BYTES for d in digests):
+        raise FrameError("a proposal digest is 32 bytes")
+    elements = names.difference(digests)
+    return b"".join((b"P", struct.pack(">QI", h, len(digests)), *digests,
+                     struct.pack(">I", len(elements)),
+                     encode_element_set(elements)))
+
+
+def decode_inform(buf: bytes) -> tuple[int, frozenset]:
+    """``(h, names)``: the digests and elements of a proposal notice."""
     try:
         if buf[:1] != b"P":
             raise FrameError("not a proposal notice")
-        h, count = struct.unpack_from(">QI", buf, 1)
-        elements, end = decode_element_set(buf, count, 13)
-        if end != len(buf):
+        h, ndigests = struct.unpack_from(">QI", buf, 1)
+        end = 13 + DIGEST_BYTES * ndigests
+        if end + 4 > len(buf):  # before slicing, so a huge count costs nothing
+            raise FrameError("truncated digest list")
+        digests = [bytes(buf[i : i + DIGEST_BYTES])
+                   for i in range(13, end, DIGEST_BYTES)]
+        (count,) = struct.unpack_from(">I", buf, end)
+        elements, stop = decode_element_set(buf, count, end + 4)
+        if stop != len(buf):
             raise FrameError("trailing bytes in proposal notice")
-        return h, elements
+        return h, elements.union(digests) if digests else elements
     except (struct.error, ValueError, IndexError) as exc:
         raise FrameError(str(exc)) from exc
 

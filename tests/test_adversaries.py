@@ -17,6 +17,7 @@ from setchain.adversaries import (
 )
 from setchain.client import QuorumClient
 from setchain.core import (
+    Element,
     KeyStore,
     ProcessId,
     ProcessKind,
@@ -155,7 +156,8 @@ def test_havoc_learns_from_requests_and_informs_then_proposes_loot():
         (h, prop)
         for h in range(1, havoc.seen_h + 4)
         for by, prop in cluster.service.proposals_for(h).items()
-        if by == havoc.pid and any(cluster.keys.valid(x) for x in prop)
+        if by == havoc.pid
+        and any(isinstance(x, Element) and cluster.keys.valid(x) for x in prop)
     ]
     assert looted, "the adversary proposed elements it learned"
 
@@ -322,3 +324,33 @@ def test_lying_history_reply_is_one_self_sealed_epoch_of_everything_it_knows():
     expected = (struct.pack(">QQI", 1, 0, 1) + encode_element_set({seal})
                 + struct.pack(">I", len(fabricated)) + encode_element_set(fabricated))
     assert len(fabricated) == 3 and state == expected
+
+
+def test_havoc_names_seen_and_junk_digests_and_correct_servers_ignore_them():
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    havoc = cluster.byz[cluster.byz_pids[0]]
+    havoc.start(until=3_000)
+    elems = [cluster.element() for _ in range(6)]
+    for i, e in enumerate(elems):
+        cluster.sim.schedule(100 * i, cluster.correct[i % 3].add, e)
+    driver = EpochDriver(cluster.sim, cluster.correct[:2], period=250)
+    driver.start()
+    cluster.sim.run_until(3_000)
+    driver.stop()
+    havoc.stop()
+    cluster.drain()
+    named = {x for h in range(1, havoc.seen_h + 3)
+             for by, prop in cluster.service.proposals_for(h).items()
+             if by == havoc.pid for x in prop if isinstance(x, bytes)}
+    correct_named = {x for h in range(1, havoc.seen_h + 3)
+                     for by, prop in cluster.service.proposals_for(h).items()
+                     if by != havoc.pid for x in prop}
+    broadcast = {decode_brb(entry.body).digest for entry in cluster.sim.log
+                 if entry.type == "brb-init"}
+    assert named & correct_named, "replays a digest that correct servers named"
+    assert named - broadcast, "names fresh random digests"
+    reference = cluster.correct[0]
+    for s in cluster.correct:
+        assert s.history == reference.history
+        assert set(elems) <= s.theset == s.history.union()
+        assert s.open_batches == {} and not s._held

@@ -285,9 +285,49 @@ def test_monitor_flags_entry_disagreement_between_servers():
     assert any("disagrees" in v for v in monitor.violations)
 
 
+def test_monitor_takes_only_elements_named_by_value_as_origins():
+    monitor, _, _, mk = _monitor_with_stubs()
+    e = mk(b"named")
+    monitor.on_propose(1, frozenset([e, bytes(32)]), ProcessId(2))
+    assert monitor.origins == {e}
+
+
+def test_monitor_flags_batches_kept_open_at_quiescence():
+    monitor, s0, s1, _ = _monitor_with_stubs()
+    s0.open_batches, s1.open_batches = {}, {bytes(32): frozenset()}
+    monitor.quiescence_checks(set(), None)
+    assert [v.split(" ", 1)[0] for v in monitor.violations] == ["open-batches"]
+
+
 # ---------------------------------------------------------------------------
 # Whole-scenario runs
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_keeps_no_batch_and_proposes_no_element(name, monkeypatch):
+    """After the run every correct server's open-batch map is empty, and no
+    delivered proposal notice carries an element: with no adversary that
+    proposes, every proposal names digests only."""
+    servers, notices = [], []
+    attach, classify = SafetyMonitor.attach, bench.classify
+
+    def keep(monitor, server):
+        servers.append(server)
+        attach(monitor, server)
+
+    def inspect(body):
+        if body[:1] == b"P":
+            notices.append(wire.decode_inform(body)[1])
+        return classify(body)
+
+    monkeypatch.setattr(SafetyMonitor, "attach", keep)
+    monkeypatch.setattr(bench, "classify", inspect)
+    scenario = preset(name).with_seed(0)
+    assert scenario.byzantine != "havoc"
+    assert run_scenario(scenario).ok
+    assert servers and all(not s.open_batches for s in servers)
+    assert notices and all(isinstance(x, bytes) for names in notices for x in names)
 
 
 def test_small_run_stamps_every_accepted_add():

@@ -20,21 +20,21 @@ PRESETS_AT_SEED_0 = {
     "overload-agg": "0dffab0fd17487d17cbfe98400567df102250ba8e28780054bbac98a20542d88",
     "large-none": "be880927ae4cf4350124cf21f588080fbf6dd7e3fb369009e05ccb150325b9e5",
     "large-silent": "240915560239ba090a2f7d09d80d715a48c46aa7e74b4bff14a6824f1d022205",
-    "marathon": "d897eca50551db59d1ed6082e73bdc9cb3f3677f16ae2532a884f7dbe15ae9ce",
+    "marathon": "16a69c7b32b81cac1313be9a181a9938ad642f0bd76f4c03ddc1523de38ce28e",
 }
 
 MATRIX_SEEDS = range(2)
 MATRIX = {  # cell -> digests at MATRIX_SEEDS
     "safety-n4-fast-none": (
-        "014aabffdae6a6cc5a773c8748bd123391efc228905a67ebfd3e3931c0061ced",
+        "084af166e1ede394676b7d844651fab9410d9e900dbd9ce358fc64ec0f12a14c",
         "6d63cfd037dbe4719d40b506e28d9ea5bc6942ece3c555e48cf50b11aa993a29",
     ),
     "safety-n4-fast-silent": (
-        "da36fa2f8e3619efdc9f068ea2dc2f7e72ca6ad4b8d05633045986045ef71957",
-        "73ec28051c4cfbafa6fadb2e1f4d81f0656d0de8097f1596f3036b77542c1e89",
+        "3d2ac0c3a1d94ff06af7a710f6a62fe1a73f667a7597790db0d9c89b0b342091",
+        "e9582fc70c168a579d5e2fe167923a8d0ebfd54e889baf08ab7cdbde474695ee",
     ),
     "safety-n4-fast-havoc": (
-        "eea25331e0610e300d263efa03e552e33379a2a8f1a95df2be724196cb1b7ffe",
+        "fb46eacb79e9801ecd5557fae6ccd972550ae787181a5a97199c4a32e98cd17a",
         "73cf21412cc6aedc057a0cfe9ef1e58130c29cca23742e55afd3386c79a25d1a",
     ),
     "safety-n4-fast-agg-none": (
@@ -46,7 +46,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "0a1b927bbecf237d094e30472ce8d74d8a036d1ebfa35b3aa4969b119c384b51",
     ),
     "safety-n4-fast-agg-havoc": (
-        "ef00ca29e2ba865ee743f99e2a4f04e63e9aee3d5c102b5719c47c6438ef723a",
+        "e473566ad1e107e2c8f5c83b8753218491ae63b704ff6bf33d804562a4ca0b7d",
         "6e4e634a13c347880c0fe41b7804a84d52c169b7d8b562bf793b62e40b934029",
     ),
     "safety-n7-fast-none": (
@@ -55,7 +55,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
     ),
     "safety-n7-fast-silent": (
         "c2537ea74cfb1c658e1412ce234225eab0e2db6466ad80978335c408042b8bfa",
-        "cb25108fd22842b63a1289d6dd0f991ef47720d84e079876cd21f72a43ce0e55",
+        "910af97e34b8da12088557d33ede211c119929a4f32268e70d55eb8bb1a74a11",
     ),
     "safety-n7-fast-havoc": (
         "f42d5769ef026f26f6e1bb557cbcc5f02b596899cf0e075a488bfa78ad6d2769",
@@ -71,7 +71,7 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
     ),
     "safety-n7-fast-agg-havoc": (
         "6966702bb34274b0bc6300ed57ae296e869dad4a30dad0e131d779a7cba18767",
-        "5d284f4ef41e8f35410d8f8bf04fd35088533cecdd4acb18aac776f6dc434a6a",
+        "4c8339270dcf0aa2b63f9ffd1ae0640bff6f5d9a12d4070c84f586c3e08b478f",
     ),
     "safety-n10-fast-none": (
         "6efb389ceae773c3451f8c3960da8dd682a8d5ebd06349a8dcf0ad4992969f68",

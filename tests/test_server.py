@@ -1,6 +1,7 @@
 """Server state machines: sequential reference, replicated fast path,
 aggregation, epoch signing, and the epoch driver."""
 
+import hashlib
 import itertools
 import random
 import struct
@@ -36,6 +37,7 @@ from setchain.wire import (
     encode_element_set,
     encode_epoch,
     encode_get_request_body,
+    encode_madd,
     encode_mepochinc,
     encode_request,
 )
@@ -188,12 +190,22 @@ def test_concurrent_epoch_inc_stamps_once():
     assert sorted(proposers) == [(1, pid) for pid in c.correct_pids]
 
 
+def _digest(batch):
+    """The digest a server keys a delivered batch by: its payload's sha256."""
+    return hashlib.sha256(encode_madd(batch)).digest()
+
+
+def _deliver(s, batch):
+    s._deliver_add(_digest(batch), frozenset(batch))
+
+
 def test_batch_delivery_validates_per_element():
     c = ServerCluster()
     s = c.correct[0]
     good, bad = c.element(), c.invalid_element()
-    s._deliver_add(frozenset([good, bad]))
+    _deliver(s, [good, bad])
     assert good in s.theset and bad not in s.theset
+    assert s.open_batches == {_digest([good, bad]): frozenset([good])}
 
 
 @pytest.mark.parametrize("agg", [None, AggConfig(max_batch=50, max_wait=10_000)],
@@ -206,7 +218,7 @@ def test_batch_delivery_inserts_exactly_the_fresh_valid_elements(agg):
     present, invalid, queued = c.element(), c.invalid_element(), c.element()
     fresh = [c.element() for _ in range(5)]
     bystander = c.element()  # queued, but not in the batch
-    s._deliver_add(frozenset([present]))
+    _deliver(s, [present])
     for e in (queued, bystander):
         if agg is None:
             s.tobroadcast[e] = c.sim.now  # per-element servers never queue
@@ -215,10 +227,12 @@ def test_batch_delivery_inserts_exactly_the_fresh_valid_elements(agg):
     assert list(s.tobroadcast) == [queued, bystander]
     before, unstamped_before = set(s.theset), set(s._unstamped)
     events.clear()
-    s._deliver_add(frozenset([present, invalid, queued, *fresh]))
+    _deliver(s, [present, invalid, queued, *fresh])
     gained = {queued, *fresh}
     assert s.theset == before | gained
     assert s._unstamped == unstamped_before | gained
+    assert s.open_batches[_digest([present, invalid, queued, *fresh])] == {
+        present, *gained}
     assert events == [(s.pid, "insert",
                        tuple(sorted(gained, key=lambda e: e.wire)))]
     assert list(s.tobroadcast) == [bystander]
@@ -263,6 +277,55 @@ def test_set_deliver_merges_union_and_advances_epoch():
     assert s.history.get(1) == expected == {a, b}
     assert s.epoch == 1
     assert expected <= s.theset
+
+
+def test_a_digest_named_by_only_f_proposers_stamps_nothing_and_holds_nothing():
+    c = ServerCluster(n=7, f=2, n_byz=2)
+    s = c.correct[0]
+    e = c.element()
+    s.add(e)
+    c.drain()  # every correct server delivered e's batch
+    (d,) = s.open_batches
+    junk = bytes(32)  # a digest of no batch
+    z1, z2 = c.byz_pids
+    # f names each: the delivered batch by one correct and one Byzantine
+    # proposer, the junk digest by the two Byzantine ones.
+    s._queue_decision(1, {c.correct_pids[1]: frozenset([d]),
+                          z1: frozenset([d, junk]), z2: frozenset([junk])})
+    assert s.epoch == 1 and s.history.get(1) == frozenset()
+    assert not s._held
+    assert s.open_batches == {d: frozenset([e])}
+    # f + 1 names certify the batch.
+    s._queue_decision(2, {c.correct_pids[1]: frozenset([d]),
+                          c.correct_pids[2]: frozenset([d]), z1: frozenset([d])})
+    assert s.history.get(2) == frozenset([e])
+    assert s.open_batches == {} and s._unstamped == set()
+
+
+def test_a_certified_batch_not_yet_delivered_holds_its_decision_and_the_next():
+    stamps = []
+    c = ServerCluster(state_observer=lambda pid, event, payload: stamps.append(
+        payload[0]) if event == "stamp" else None)
+    s = c.correct[0]
+    a, b, x = c.element(), c.element(), c.element()
+    d = _digest([a, b])
+    others = c.correct_pids[1:]
+    s._queue_decision(1, {p: frozenset([d]) for p in others})
+    s._queue_decision(2, {others[0]: frozenset([x])})
+    assert s.epoch == 0 and [h for h, _ in s._held] == [1, 2] and not stamps
+    _deliver(s, [a, b])
+    assert stamps == [1, 2] and not s._held
+    assert s.history.get(1) == {a, b} and s.history.get(2) == {x}
+    assert s.open_batches == {}
+
+
+def test_an_element_named_by_value_is_stamped_without_certification():
+    c = ServerCluster(n_byz=1)
+    s = c.correct[0]
+    z = c.element(b"byz-sourced")
+    s._queue_decision(1, {c.byz_pids[0]: frozenset([z, c.invalid_element()])})
+    assert s.history.get(1) == {z} and z in s.theset
+    assert s.open_batches == {} and not s._held
 
 
 @pytest.mark.parametrize("h", [0, 2])
@@ -329,6 +392,7 @@ def test_unstamped_set_and_proposals_track_every_stamp(agg, seed):
     def observe(pid, event, payload):
         s = c.servers[pid]
         assert s._unstamped == s.theset - s.history.union()
+        assert s._unstamped == set().union(*s.open_batches.values())
         assert s._proposed <= s.epoch + 1
         assert all(h > s.epoch for h in s.pending_epochinc)
         held.append(len(s.pending_epochinc))

@@ -45,6 +45,9 @@ pids_st = st.builds(ProcessId, id=st.integers(0, 2**32 - 1),
 elements_st = st.builds(Element, payload=st.binary(max_size=24), author=pids_st,
                         signature=st.binary(max_size=24))
 element_sets_st = st.frozensets(elements_st, max_size=4)
+digests_st = st.frozensets(st.binary(min_size=32, max_size=32), max_size=3)
+# A proposal names batches by digest and elements by value.
+proposals_st = st.builds(frozenset.union, digests_st, element_sets_st)
 
 
 def _get_state(sets, unstamped=frozenset(), base=0):
@@ -86,7 +89,7 @@ VALID = {
         st.builds(encode_madd, element_sets_st),
         st.builds(encode_mepochinc, st.integers(0, 2**64 - 1)))),
     decode_inform: _alone(st.builds(encode_inform, st.integers(0, 2**64 - 1),
-                                    element_sets_st)),
+                                    proposals_st)),
     decode_request: _alone(st.builds(encode_request, st.sampled_from((0, 1, 2)),
                                      st.integers(0, 2**64 - 1),
                                      st.binary(max_size=16))),
@@ -120,6 +123,24 @@ def test_decoders_return_a_value_or_raise_frame_error(decode, data):
 @given(data=st.data())
 def test_decoders_accept_what_the_encoders_produce(decode, data):
     decode(*data.draw(VALID[decode]))
+
+
+@given(h=st.integers(0, 2**64 - 1), names=proposals_st)
+def test_proposal_notice_round_trip(h, names):
+    assert decode_inform(encode_inform(h, names)) == (h, names)
+
+
+def test_proposal_notice_layout_and_its_digest_count():
+    element = Element(b"p", ProcessId(1, ProcessKind.CLIENT), b"s")
+    a, b = bytes(32), b"\xff" * 32
+    notice = encode_inform(7, {b, element, a})
+    assert notice == (b"P" + struct.pack(">QI", 7, 2) + a + b
+                      + struct.pack(">I", 1) + encode_element_set([element]))
+    for ndigests in (3, 2**32 - 1):  # more than the frame holds
+        with pytest.raises(FrameError):
+            decode_inform(notice[:9] + struct.pack(">I", ndigests) + notice[13:])
+    with pytest.raises(FrameError):
+        encode_inform(7, {b"short"})
 
 
 # -- get replies decoded against the same server's previous reply -----------
