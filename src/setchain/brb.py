@@ -22,10 +22,13 @@ delivered instance keeps its payload, to answer fetches, and its flags,
 so that a late init from the origin still draws this process's one echo;
 it drops its quorum sets.
 
-Each protocol step (the origin's INIT, a process's ECHO, its READY) sends
-one frame to every peer, this process included, as one
-``NetHandle.multicast`` to ``peers`` in their given order.  A FETCH goes
-to the other peers, a SUPPLY to the one peer that asked.
+Each protocol step (the origin's INIT, a process's ECHO, its READY) is one
+``NetHandle.multicast`` to the other peers, in their given order; the
+process then applies the step to its own instance at once, as Bracha's
+protocol counts a process's own echo and ready, so a step is never a
+message to itself.  A FETCH goes to the other peers, a SUPPLY to the one
+peer that asked.  ``on_deliver`` gets the origin, the digest and the
+payload.
 
 Frames are decoded by ``wire.decode_brb``, which also checks that an init
 or supply frame's digest binds its payload and memoises the answer by the
@@ -75,15 +78,14 @@ class BrbEngine:
         net: NetHandle,
         peers: tuple[ProcessId, ...],
         f: int,
-        on_deliver: Callable[[ProcessId, bytes], None],
+        on_deliver: Callable[[ProcessId, bytes, bytes], None],
         on_broadcast: Optional[Callable[[ProcessId, bytes], None]] = None,
     ):
         if len(peers) < 3 * f + 1:
             raise ValueError("reliable broadcast needs n >= 3f + 1")
         self.net = net
-        self.peers = tuple(peers)  # includes this process
-        self._others = tuple(p for p in self.peers if p != net.pid)
-        self._peer_set = frozenset(self.peers)
+        self._others = tuple(p for p in peers if p != net.pid)
+        self._peer_set = frozenset(peers)
         self.f = f
         self.quorum = 2 * f + 1  # echoes to turn ready; readies to deliver
         self.amplify = f + 1  # readies to turn ready
@@ -104,9 +106,15 @@ class BrbEngine:
         if frm not in self._peer_set:
             return  # only peers' frames count toward quorums or get answers
         try:
-            phase, origin, digest, payload = decode_brb(body)
+            frame = decode_brb(body)
         except FrameError:
             return  # garbage, or a digest that does not bind the payload
+        self._apply(frm, frame)
+
+    def _apply(self, frm: ProcessId, frame: BrbFrame) -> None:
+        # One frame argument, not five: star-unpacking a NamedTuple into a
+        # call costs more than the unpacking below, on every frame.
+        phase, origin, digest, payload = frame
         key = (origin, digest)
         inst = self.instances.get(key)
         if inst is None:
@@ -151,11 +159,17 @@ class BrbEngine:
                 inst.delivered = True
                 self.delivered_count += 1
                 inst.echoes = inst.readies = None
-                self.on_deliver(origin, inst.payload)
+                self.on_deliver(origin, digest, inst.payload)
             elif not inst.fetched:
                 inst.fetched = True
                 self.net.multicast(self._others, encode_brb(
                     BrbFrame(FETCH, origin, digest, None)))
 
     def _send_to_all(self, frame: BrbFrame) -> None:
-        self.net.multicast(self.peers, encode_brb(frame))
+        # Other peers first, so the multicast's delay draws come before any
+        # that the own step sets off.  The step is applied from the decode of
+        # the very bytes sent, which the peers' decodes then reuse from the
+        # memo: the cluster keeps one copy of the payload and the digest.
+        body = encode_brb(frame)
+        self.net.multicast(self._others, body)
+        self._apply(self.net.pid, decode_brb(body))

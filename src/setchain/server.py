@@ -31,7 +31,6 @@ dropped when its last element is stamped, so at quiescence none is kept.
 
 from __future__ import annotations
 
-import hashlib
 from collections import Counter, deque
 from itertools import chain
 from dataclasses import dataclass
@@ -285,13 +284,14 @@ class SetchainServer:
 
     # -- broadcast deliveries ----------------------------------------------
 
-    def _deliver_broadcast(self, origin: ProcessId, payload: bytes) -> None:
+    def _deliver_broadcast(self, origin: ProcessId, digest: bytes,
+                           payload: bytes) -> None:
         try:
             kind, value = decode_broadcast_message(payload)
         except FrameError:
             return
         if kind == "add":
-            self._deliver_add(hashlib.sha256(payload).digest(), value)
+            self._deliver_add(digest, value)
         else:
             self._deliver_epochinc(value)
 

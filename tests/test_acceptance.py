@@ -155,7 +155,7 @@ class _BrbWorld:
                 self.handles[pid] = handle
                 self.engines[pid] = BrbEngine(
                     handle, self.pids, f,
-                    lambda origin, payload, pid=pid:
+                    lambda origin, digest, payload, pid=pid:
                         self.delivered[pid].append((origin, payload)),
                 )
 

@@ -327,28 +327,42 @@ def test_lying_history_reply_is_one_self_sealed_epoch_of_everything_it_knows():
 
 
 def test_havoc_names_seen_and_junk_digests_and_correct_servers_ignore_them():
-    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    # The havoc server draws which digests it names from its own stream, so
+    # the run goes on, one add per 100 ticks, until it has named both a
+    # digest that a correct server named too and a fresh random one (at most
+    # 100 adds).
+    named = {}  # proposer -> every digest it proposed
+
+    def on_propose(h, names, by):
+        named.setdefault(by, set()).update(x for x in names if isinstance(x, bytes))
+
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory,
+                            on_propose=on_propose)
     havoc = cluster.byz[cluster.byz_pids[0]]
-    havoc.start(until=3_000)
-    elems = [cluster.element() for _ in range(6)]
-    for i, e in enumerate(elems):
-        cluster.sim.schedule(100 * i, cluster.correct[i % 3].add, e)
+    havoc.start()
     driver = EpochDriver(cluster.sim, cluster.correct[:2], period=250)
     driver.start()
-    cluster.sim.run_until(3_000)
-    driver.stop()
+    elems = []
+
+    def replayed():
+        correct_named = set().union(*(d for by, d in named.items() if by != havoc.pid))
+        return named.get(havoc.pid, set()) & correct_named
+
+    def fresh():
+        broadcast = {decode_brb(entry.body).digest for entry in cluster.sim.log
+                     if entry.type == "brb-init"}
+        return named.get(havoc.pid, set()) - broadcast
+
+    while not (replayed() and fresh()) and len(elems) < 100:
+        elems.append(cluster.element())
+        cluster.correct[len(elems) % 3].add(elems[-1])
+        cluster.sim.run_until(cluster.sim.now + 100)
     havoc.stop()
+    cluster.sim.run_until(cluster.sim.now + 1_000)  # epochs stamp the last adds
+    driver.stop()
     cluster.drain()
-    named = {x for h in range(1, havoc.seen_h + 3)
-             for by, prop in cluster.service.proposals_for(h).items()
-             if by == havoc.pid for x in prop if isinstance(x, bytes)}
-    correct_named = {x for h in range(1, havoc.seen_h + 3)
-                     for by, prop in cluster.service.proposals_for(h).items()
-                     if by != havoc.pid for x in prop}
-    broadcast = {decode_brb(entry.body).digest for entry in cluster.sim.log
-                 if entry.type == "brb-init"}
-    assert named & correct_named, "replays a digest that correct servers named"
-    assert named - broadcast, "names fresh random digests"
+    assert replayed(), "replays a digest that correct servers named"
+    assert fresh(), "names fresh random digests"
     reference = cluster.correct[0]
     for s in cluster.correct:
         assert s.history == reference.history

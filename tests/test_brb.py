@@ -47,7 +47,7 @@ class Cluster:
                 self.handles[pid] = net_handle
                 self.engines[pid] = BrbEngine(
                     net_handle, self.pids, f,
-                    lambda origin, payload, pid=pid:
+                    lambda origin, digest, payload, pid=pid:
                         self.delivered[pid].append((origin, payload)),
                 )
 
@@ -242,7 +242,7 @@ def test_engine_requires_quorum_capable_membership():
     pid = ProcessId(0)
     net = sim.register(pid, lambda f, b: None)
     with pytest.raises(ValueError):
-        BrbEngine(net, (pid,), f=1, on_deliver=lambda o, p: None)
+        BrbEngine(net, (pid,), f=1, on_deliver=lambda o, d, p: None)
 
 
 # -- delivered instances keep their payload and flags ---------------------------
@@ -270,7 +270,7 @@ def _delivered_without_init():
     peers = tuple(ProcessId(i) for i in range(4))
     net = _Recorder(peers[1])
     delivered = []
-    engine = BrbEngine(net, peers, 1, lambda o, p: delivered.append((o, p)))
+    engine = BrbEngine(net, peers, 1, lambda o, d, p: delivered.append((o, p)))
     origin, payload = peers[0], b"late init"
     digest = hashlib.sha256(payload).digest()
     for frm in peers[1:]:
@@ -308,7 +308,8 @@ def test_late_init_from_the_origin_draws_exactly_one_echo():
     assert net.sent == []
     engine.handle_frame(origin, init)
     engine.handle_frame(origin, init)  # a second init: already echoed
-    assert [to for to, _ in net.sent] == list(peers)
+    # one echo to each other peer, in order; none to this process
+    assert [to for to, _ in net.sent] == [p for p in peers if p != net.pid]
     assert {decode_brb(body) for _, body in net.sent} == {
         BrbFrame(ECHO, origin, digest, None)}
     (inst,) = engine.instances.values()
@@ -357,7 +358,7 @@ def test_a_process_the_byzantine_origin_skipped_fetches_the_payload_once():
 def test_a_repeated_fetch_from_one_peer_draws_one_supply():
     peers = tuple(ProcessId(i) for i in range(4))
     net = _Recorder(peers[1])
-    engine = BrbEngine(net, peers, 1, lambda o, p: None)
+    engine = BrbEngine(net, peers, 1, lambda o, d, p: None)
     origin, payload = peers[0], b"held"
     digest = hashlib.sha256(payload).digest()
     fetch = encode_brb(BrbFrame(FETCH, origin, digest, None))
@@ -374,7 +375,7 @@ def test_a_repeated_fetch_from_one_peer_draws_one_supply():
 def test_an_unfetched_instance_ignores_a_supply():
     peers = tuple(ProcessId(i) for i in range(4))
     net = _Recorder(peers[1])
-    engine = BrbEngine(net, peers, 1, lambda o, p: None)
+    engine = BrbEngine(net, peers, 1, lambda o, d, p: None)
     origin, payload = peers[0], b"unasked"
     digest = hashlib.sha256(payload).digest()
     engine.handle_frame(peers[2], encode_brb(BrbFrame(ECHO, origin, digest, None)))
@@ -395,7 +396,7 @@ def test_a_byzantine_flood_leaves_no_payload_bytes_and_draws_no_reply():
     byz, origin = peers[0], peers[2]
     net = _Recorder(peers[1])
     delivered = []
-    engine = BrbEngine(net, peers, 1, lambda o, p: delivered.append(p))
+    engine = BrbEngine(net, peers, 1, lambda o, d, p: delivered.append(p))
     for _ in range(FLOOD):
         digest = hashlib.sha256(rng.randbytes(1_000)).digest()
         engine.handle_frame(byz, encode_brb(BrbFrame(ECHO, origin, digest, None)))
@@ -419,22 +420,44 @@ def test_a_byzantine_flood_leaves_no_payload_bytes_and_draws_no_reply():
 def test_each_protocol_step_is_one_multicast_to_the_peers_in_order():
     peers = tuple(ProcessId(i) for i in (3, 0, 2, 1))  # not in id order
     origin = peers[1]
+    others = (peers[0], peers[2], peers[3])
     net = _Recorder(origin)
     delivered = []
-    engine = BrbEngine(net, peers, 1, lambda o, p: delivered.append((o, p)))
+    engine = BrbEngine(net, peers, 1, lambda o, d, p: delivered.append((o, p)))
     payload = b"one call per step"
     digest = engine.broadcast(payload)
     init = encode_brb(BrbFrame(INIT, origin, digest, payload))
     echo = encode_brb(BrbFrame(ECHO, origin, digest, None))
     ready = encode_brb(BrbFrame(READY, origin, digest, None))
-    assert net.calls == [(peers, init)]
-    engine.handle_frame(origin, init)
-    assert net.calls[1:] == [(peers, echo)]
-    for frm in peers[:3]:
+    # the origin applies its own init and echo at once: two multicasts
+    assert net.calls == [(others, init), (others, echo)]
+    (inst,) = engine.instances.values()
+    assert inst.echoes == {origin} and not inst.readied
+    engine.handle_frame(origin, init)  # its own init again: nothing new
+    assert len(net.calls) == 2
+    for frm in others[:2]:
         engine.handle_frame(frm, echo)
-    assert net.calls[2:] == [(peers, ready)]
+    assert net.calls[2:] == [(others, ready)]
+    assert inst.readies == {origin}
     for frm in peers:
         engine.handle_frame(frm, echo)
         engine.handle_frame(frm, ready)
     assert len(net.calls) == 3 and delivered == [(origin, payload)]
-    assert all(tos is engine.peers for tos, _ in net.calls)
+    assert all(origin not in tos for tos, _ in net.calls)
+
+
+def test_with_f_0_the_origin_delivers_its_own_broadcast_once_inside_broadcast():
+    peers = tuple(ProcessId(i) for i in range(4))
+    origin = peers[0]
+    net = _Recorder(origin)
+    delivered = []
+    engine = BrbEngine(net, peers, 0, lambda o, d, p: delivered.append((o, d, p)))
+    digest = engine.broadcast(b"quorum of one")
+    assert delivered == [(origin, digest, b"quorum of one")]
+    # init, echo, ready: each one multicast to the three other peers
+    assert [tos for tos, _ in net.calls] == [peers[1:]] * 3
+    for frm in peers:
+        for phase in (INIT, ECHO, READY):
+            engine.handle_frame(frm, encode_brb(
+                BrbFrame(phase, origin, digest, b"quorum of one")))
+    assert len(delivered) == 1 and len(net.calls) == 3

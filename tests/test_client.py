@@ -32,6 +32,7 @@ from setchain.core import (
 )
 from setchain.server import EpochDriver
 from setchain.wire import (
+    STATUS_OK,
     STATUS_STALE_OR_FUTURE_EPOCH,
     decode_get_state,
     decode_response,
@@ -92,28 +93,32 @@ def test_quorum_add_survives_silent_byzantine_contact():
 
 
 def test_quorum_epoch_inc_advances_via_the_nonlagging_server():
-    # seed chosen so one server still lags when the second request lands
-    cluster = ServerCluster(n=4, f=1, seed=8)
-    client = quorum_client(cluster)
-    client.epoch_inc(1)
-    # run tick by tick until exactly some (not all) servers cut epoch 1
-    while not any(s.epoch == 1 for s in cluster.correct):
-        cluster.sim.run_until(cluster.sim.now + 1)
-    epochs = [s.epoch for s in cluster.correct]
-    assert sorted(set(epochs)) == [0, 1], "seed must catch a lagging server"
-    # aim a fresh client at an adjacent (lagging, advanced) server pair
-    i = next(i for i in range(4)
-             if epochs[i] != epochs[(i + 1) % 4])
-    straddler = quorum_client(cluster, pid_id=240 + i)
+    # Server 0's consensus decisions are held back, so it still lags at epoch
+    # 0 when a client's epoch_inc(2) reaches it and server 1, which cut 1.
+    cluster = ServerCluster(n=4, f=1)
+    lagger, leader = cluster.correct[:2]
+    members = cluster.service._members
+    deliver, held = members[lagger.pid], []
+    members[lagger.pid] = lambda h, propset: held.append((h, propset))
+    quorum_client(cluster).epoch_inc(1)
+    cluster.drain()
+    assert [s.epoch for s in cluster.correct] == [0, 1, 1, 1], "one server lags"
+    straddler = quorum_client(cluster, pid_id=240)
     contacted = straddler.epoch_inc(2)
-    assert len(set(contacted)) == 2
+    assert contacted == (lagger.pid, leader.pid)
+    cluster.drain()
+    assert lagger.epoch == 0 and [h for h, _ in held] == [1, 2]
+    members[lagger.pid] = deliver
+    for h, propset in held:
+        deliver(h, propset)
     cluster.drain()
     assert all(s.epoch == 2 for s in cluster.correct)
-    statuses = set()
+    statuses = {}
     for entry in cluster.sim.log:
         if entry.type == "resp-epochinc" and entry.dst == straddler.pid:
-            statuses.add(decode_response(entry.body)[2])
-    assert STATUS_STALE_OR_FUTURE_EPOCH in statuses
+            statuses[entry.src] = decode_response(entry.body)[2]
+    assert statuses == {lagger.pid: STATUS_STALE_OR_FUTURE_EPOCH,
+                        leader.pid: STATUS_OK}
 
 
 # -- quorum reads -----------------------------------------------------------

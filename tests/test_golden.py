@@ -14,88 +14,88 @@ import pytest
 from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safety_matrix
 
 PRESETS_AT_SEED_0 = {
-    "stock": "2be708e61e5d8f82f78862ac3add740ae1ed6fdd4a8a0792920719dced54116c",
-    "firehose": "a617fa360bff5d6a2775fae17e9234f0587a7d761614c1ae7ceb68aa2f22e65d",
-    "overload-fast": "e030f29fbbd5bae812dd220225abf2ea1c92920b961a2630ec3ba744de7827ba",
-    "overload-agg": "0dffab0fd17487d17cbfe98400567df102250ba8e28780054bbac98a20542d88",
-    "large-none": "be880927ae4cf4350124cf21f588080fbf6dd7e3fb369009e05ccb150325b9e5",
-    "large-silent": "240915560239ba090a2f7d09d80d715a48c46aa7e74b4bff14a6824f1d022205",
-    "marathon": "16a69c7b32b81cac1313be9a181a9938ad642f0bd76f4c03ddc1523de38ce28e",
+    "stock": "ec34c792fd00252f8913472b15e39fded5785341b14063df6e6e6ac3e4d90270",
+    "firehose": "98e4c01c2650f7bd1b1aaccca38113047fd6e6706a98e654c4ff8b1a3ab8691a",
+    "overload-fast": "59dee2b871db1eb3e24ad6a739fa59d8c698c2b1f881a7f36aaafb87531ab683",
+    "overload-agg": "1a922dbcd208233152d996968de1f189c0c9fff120ceba7e27c7d41fe70ef7a7",
+    "large-none": "532e6f49faa854b37cb2d89d7e2d70b83533e65ff3392d4b375c82a4df905822",
+    "large-silent": "7cd765f9360d13b71cdb0da27d050bdd9c6c98299265487f10933789905be9e9",
+    "marathon": "ed452deafa0f2a46f7fa5096eee4f61f29761a1c70fa73f827d672b1df4b4c63",
 }
 
 MATRIX_SEEDS = range(2)
 MATRIX = {  # cell -> digests at MATRIX_SEEDS
     "safety-n4-fast-none": (
-        "084af166e1ede394676b7d844651fab9410d9e900dbd9ce358fc64ec0f12a14c",
-        "6d63cfd037dbe4719d40b506e28d9ea5bc6942ece3c555e48cf50b11aa993a29",
+        "362e15ef027b04bd62a874e267ed808c73cf3bd3fcf71fb1b73c5939b2b51c03",
+        "878663feffe3092d978a2a4964a9b7d9c5b21deec241dbb7a1fe9e625c2f1d1f",
     ),
     "safety-n4-fast-silent": (
-        "3d2ac0c3a1d94ff06af7a710f6a62fe1a73f667a7597790db0d9c89b0b342091",
-        "e9582fc70c168a579d5e2fe167923a8d0ebfd54e889baf08ab7cdbde474695ee",
+        "572e243222ff51119818d9e1c465651d11c9d52b17290e723c612a07ce725573",
+        "7999b31beb75f41e7467526bb0c652b955a15ca038a74c39cbb1910e47aff851",
     ),
     "safety-n4-fast-havoc": (
-        "fb46eacb79e9801ecd5557fae6ccd972550ae787181a5a97199c4a32e98cd17a",
-        "73cf21412cc6aedc057a0cfe9ef1e58130c29cca23742e55afd3386c79a25d1a",
+        "115cbb6721b6585e8dea0621dc06b8b159908705d7a6358249d5b2512bee0f40",
+        "83ecd58b1bfa2eb2f8d03750160ac7e57934fb8da6001244c05eb5f5b3ad5661",
     ),
     "safety-n4-fast-agg-none": (
-        "f141f706844bda6ecb2a47531f7a4437bb458f2560054475493d41f5b93e3f55",
-        "f7e1fefc1e157e368d58d039ef70b1e556124f89294717d37e5f50fe00404e14",
+        "cb9dd225bad9695bab82a3bd932686e07be8a55b2f5c159125e531f38809b1cc",
+        "4d14c73cab16ccabe8058a922690647f0f250d788531e8d2b180b2cb0313e70e",
     ),
     "safety-n4-fast-agg-silent": (
-        "b20f9a0f01257b221179b6bd4e0d5ceba761fd4df790d0ca624eef8160e7bc42",
-        "0a1b927bbecf237d094e30472ce8d74d8a036d1ebfa35b3aa4969b119c384b51",
+        "7d3d8ef5687b2ddf0cada6e0483ed4454659c9dfa7fef142b6386f77432b3862",
+        "177ec03dfc8f2c5d153bdc4a930e1424083b33b74b2c98412f43f8c63943bebf",
     ),
     "safety-n4-fast-agg-havoc": (
-        "e473566ad1e107e2c8f5c83b8753218491ae63b704ff6bf33d804562a4ca0b7d",
-        "6e4e634a13c347880c0fe41b7804a84d52c169b7d8b562bf793b62e40b934029",
+        "88c38d35285214d414f4821872ffd6cbcc8c4394ff1b9fe4de70fff831d6320c",
+        "bb28fc3831e2d6259526b7e621561e66b5a1ba555976db380ee9b8ac262b36c8",
     ),
     "safety-n7-fast-none": (
-        "839d7ed6933461ea8c3471607729ff7cc7251305ab9e0eb0526c97c22ec7532d",
-        "52237fe700320d5296b638807c6bf4d1e091686f008421e33f3b82b93066c3cb",
+        "cc0c73dc8b6f079816601a33140a5e5d9cdfe915593ffcd91bc70edd8df85841",
+        "17e5126876193d1da52d15eecb6970e4f3a68ff0aa7e6e3a08e93152e95ccad2",
     ),
     "safety-n7-fast-silent": (
-        "c2537ea74cfb1c658e1412ce234225eab0e2db6466ad80978335c408042b8bfa",
-        "910af97e34b8da12088557d33ede211c119929a4f32268e70d55eb8bb1a74a11",
+        "93be13109943c37c9a6d316018fab5bfa88f47b34e75607b66f3acef0df9c4e5",
+        "7998844b9038eb33d4bd49e6ec35ea1d8dbf5abb5871a9a3aac0472f5970bdaf",
     ),
     "safety-n7-fast-havoc": (
-        "f42d5769ef026f26f6e1bb557cbcc5f02b596899cf0e075a488bfa78ad6d2769",
-        "c0ddff82714d6c009e0f877118726bf419a6168bc70117655fc33c0e99aeae37",
+        "6c04f4feec63021e0a2a222b7b7175d884d8467d8f68b07babbdadd0803b4f84",
+        "810b1e08c228da3a867b11ad4aa53e3ca8a475f03e94aef41e9f241cf2515431",
     ),
     "safety-n7-fast-agg-none": (
-        "6cee677f1c924fd29931dc38f0a9e12d2a3f517c7b160d87715c865dd113e16e",
-        "521ed7c55337e4cba9c2710999f1187a45347cce72b241356e005db7c27a6ca8",
+        "2daeda9faad611de066127531f2279eef7c1de7bf8b2a8eb14dcf7279b13db03",
+        "03219a3811cf1e151b8de4ff74744eb568436f122ba54c013937b4a74001174c",
     ),
     "safety-n7-fast-agg-silent": (
-        "37c62360e79da645878a9929bc4c71fb9e61590ccaf9e54f623c0d9805319745",
-        "8fceedc8652994a816be57bcd7b2e5582f9ccdbb7528fe9aa9f6129db284a54f",
+        "196b2e3cb749e3f03b39391f7010169005fcf5b291407f367d42f84e39bc8e18",
+        "c3b1fbab029493b1c2429276271eb358829cd105a1cbd567051113a641eca071",
     ),
     "safety-n7-fast-agg-havoc": (
-        "6966702bb34274b0bc6300ed57ae296e869dad4a30dad0e131d779a7cba18767",
-        "4c8339270dcf0aa2b63f9ffd1ae0640bff6f5d9a12d4070c84f586c3e08b478f",
+        "cde5fd45c440303a84d8b663aaaebb62c57f3d6ddb7cd0ce40ba34a8610eaf30",
+        "292a56d27d013763eff35300ba6e4b11dadcd526f3ae357af33b3a2ac97e31da",
     ),
     "safety-n10-fast-none": (
-        "6efb389ceae773c3451f8c3960da8dd682a8d5ebd06349a8dcf0ad4992969f68",
-        "52429ab21e2ec55c2716b3c502590a9687189e906da9f02518a0a1ff83fad897",
+        "989dbbd8c43b7d31f6663e1a8bde8ae810fb640e9dadb6043f4eab332f9a3cf7",
+        "5983c89cda9f1b5ab653b10350004a2751511cd7f17c237b5a7d3ac07ad448d8",
     ),
     "safety-n10-fast-silent": (
-        "4c36aae1188c9bf4e5530794fc15c099662408c1b7687af2697cfa95fd1c5bbf",
-        "7d88f85c2c45203f74438dfca5e97ac182b151d81af37da3c052b685a2800cea",
+        "e38689cb87ba238f5e099c0496aab24045d9ea9c5110319df8e7af7d6b0c5611",
+        "e38c926731731b23bd63eb6ef6c56b9e03bbc7482eb7b7a1a424fefdeabb7d67",
     ),
     "safety-n10-fast-havoc": (
-        "bc55d7be232eddc5c7a9638fdf19f38b47d23c379156c73c507ca937c6b72be9",
-        "7c7a764ed43360ed40714a1748c7e594f06606a34ec8798af74918e980fc4613",
+        "defc196d0a76bee0c08d5528c5390249fd1e60a8d40fdeba1e26b150f9a26cc9",
+        "dbcb594c80f702eb06d81452be068f211e4fe601c7592e5d120ebe168032da83",
     ),
     "safety-n10-fast-agg-none": (
-        "703c0b4b0a8d461b3f75e8d97f46a6447bf95e316a3d9f4c5fcc74bdc1248c1a",
-        "a068912377f9ca453f5c049e9abffd297f0c17f89be7139e19d9ad01a4c19ad5",
+        "022562adfd8ed1eb5abba552eb09c1c0b6a179682065f5358f4edfc1284d91dd",
+        "a041a3bafe20371150f5369f2f4c0a2a2ebf548e74d1bf6faee76ead750df4be",
     ),
     "safety-n10-fast-agg-silent": (
-        "8161222fd320932cc24986bf249eaeee276b2ad271b73b787a66810fa6cfd479",
-        "15cbc7a2e315d0d278d37281c793067254e72679202e792887a763908c829404",
+        "1bfd4fdc50d01e89beae5c81a1049e29bf9b32d0970b5a91510e0008bb50a174",
+        "881c4f25e271bd1e3b256bc1fe3f0bf17ccc16690b4130a8a4f47ab09c0542a7",
     ),
     "safety-n10-fast-agg-havoc": (
-        "bb35c9d0670d1d39ca67c6b0a64f7f7cb0f49fe8e5fca3832ccd4df0aa95a15e",
-        "5f1880730413a6d8a1b8e17068e2fe55640282f43b579cec5a0c82f2228bd2dc",
+        "52fad22b2f85f27ed995bd46b8072def00ef5e192445f38e261b66a076007e55",
+        "caa5bbaada4fe436f7eed0e0d6cc011950b1d3990f1f9f0523ddfea942207210",
     ),
 }
 

@@ -28,12 +28,16 @@ from setchain.server import (
 )
 from setchain.simnet import NetConfig
 from setchain.wire import (
+    ECHO,
     OP_ADD,
     OP_GET,
+    READY,
     STATUS_OK,
+    BrbFrame,
     decode_get_state,
     decode_get_state_after,
     decode_response,
+    encode_brb,
     encode_element_set,
     encode_epoch,
     encode_get_request_body,
@@ -164,6 +168,40 @@ def test_add_then_epoch_lands_in_history_everywhere():
         assert s.epoch == 1
         assert s.history.get(1) == frozenset([e])
         assert e in s.theset
+
+
+def test_no_correct_server_sends_a_frame_to_itself():
+    c = ServerCluster(n=4, f=1, n_byz=1)
+    for i in range(3):
+        c.correct[i].add(c.element())
+    c.drain()
+    c.correct[0].epoch_inc(1)
+    c.drain()
+    sent = [x for x in c.sim.log if x.src in c.correct_pids]
+    assert {x.src for x in sent if x.type == "brb-echo"} == set(c.correct_pids)
+    assert [x for x in sent if x.src == x.dst] == []
+
+
+def test_a_server_the_byzantine_origin_skipped_fetches_the_batch_and_stamps_it():
+    # The Byzantine origin inits its add batch at two of the three correct
+    # servers and echoes and readies it to all three: the third reaches
+    # 2f + 1 readies without the payload and must fetch it.
+    c = ServerCluster(n=4, f=1, n_byz=1)
+    byz = c.byz[c.byz_pids[0]]
+    e = c.element()
+    payload = encode_madd((e,))
+    digest = hashlib.sha256(payload).digest()
+    byz.brb_broadcast(payload, c.correct_pids[:2])
+    for phase in (ECHO, READY):
+        byz.net.multicast(c.correct_pids,
+                          encode_brb(BrbFrame(phase, byz.pid, digest, None)))
+    c.drain()
+    assert c.sim.counts["brb-fetch"] > 0 and c.sim.counts["brb-supply"] > 0
+    c.correct[0].epoch_inc(1)
+    c.drain()
+    reference = c.correct[0].history
+    for s in c.correct:
+        assert e in s.history and s.history == reference
 
 
 def test_epoch_inc_with_wrong_h_is_rejected_and_silent():
@@ -451,7 +489,7 @@ def test_adds_buffer_until_batch_threshold_is_exceeded():
     s.add(es[3])  # 4 > max_batch triggers the flush
     assert s.tobroadcast == {}
     c.drain()
-    assert c.sim.counts["brb-init"] == len(c.pids)  # one broadcast only
+    assert c.sim.counts["brb-init"] == len(c.pids) - 1  # one broadcast only
     for srv in c.correct:
         assert set(es) <= srv.theset
 
@@ -475,7 +513,7 @@ def test_timer_on_empty_buffer_broadcasts_nothing():
     s.add(c.element())
     s.add(c.element())  # 2 > 1: size flush empties the buffer
     c.drain()  # includes the later timer tick on an empty buffer
-    assert c.sim.counts["brb-init"] == len(c.pids)
+    assert c.sim.counts["brb-init"] == len(c.pids) - 1
 
 
 def test_set_deliver_prunes_pending_buffer():
