@@ -89,8 +89,14 @@ class RequestRejected(Exception):
 
 @dataclass(frozen=True)
 class AggConfig:
-    """Add-batching thresholds: flush when the buffer exceeds ``max_batch``
-    elements or its oldest entry is older than ``max_wait`` ticks."""
+    """Add-batching thresholds: flush when more than ``max_batch`` adds have
+    entered the buffer since it was last empty, or when its oldest entry is
+    older than ``max_wait`` ticks.
+
+    Adds that a peer's delivered batch removes from the buffer still count
+    toward ``max_batch``, so a peer's batch that carries some of them does
+    not put the flush off: under steady load a server flushes every
+    ``max_batch + 1`` adds it queues, however soon peers' batches reach it."""
 
     max_batch: int = 1000
     max_wait: int = 5_000_000
@@ -186,6 +192,7 @@ class SetchainServer:
         # sends only those after the ones its reader holds.
         self._epoch_segments: list[bytes] = []
         self._flush_scheduled = False
+        self._queued = 0  # adds queued since tobroadcast was last empty
 
     @property
     def epoch(self) -> int:
@@ -228,7 +235,8 @@ class SetchainServer:
         if e in self.tobroadcast:
             return
         self.tobroadcast[e] = self.net.now
-        if len(self.tobroadcast) > self.agg.max_batch:
+        self._queued += 1
+        if self._queued > self.agg.max_batch:
             self._flush()
         elif not self._flush_scheduled:
             self._flush_scheduled = True
@@ -239,6 +247,7 @@ class SetchainServer:
             return
         batch = tuple(self.tobroadcast)
         self.tobroadcast.clear()
+        self._queued = 0
         self.brb.broadcast(encode_madd(batch))
 
     def _flush_timer(self) -> None:
@@ -328,6 +337,8 @@ class SetchainServer:
         if tobroadcast:
             for e in elements & set(tobroadcast):
                 del tobroadcast[e]
+            if not tobroadcast:
+                self._queued = 0
 
     def _deliver_epochinc(self, h: int) -> None:
         if h < self.epoch + 1:

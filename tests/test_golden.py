@@ -15,7 +15,7 @@ from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safet
 
 PRESETS_AT_SEED_0 = {
     "stock": "ec34c792fd00252f8913472b15e39fded5785341b14063df6e6e6ac3e4d90270",
-    "firehose": "98e4c01c2650f7bd1b1aaccca38113047fd6e6706a98e654c4ff8b1a3ab8691a",
+    "firehose": "d280fa2dbc6263c5d330d2feaeac647cb4a8f9bebad0d4dcdbbe9b8c170303a2",
     "overload-fast": "59dee2b871db1eb3e24ad6a739fa59d8c698c2b1f881a7f36aaafb87531ab683",
     "overload-agg": "1a922dbcd208233152d996968de1f189c0c9fff120ceba7e27c7d41fe70ef7a7",
     "large-none": "532e6f49faa854b37cb2d89d7e2d70b83533e65ff3392d4b375c82a4df905822",

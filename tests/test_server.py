@@ -494,6 +494,38 @@ def test_adds_buffer_until_batch_threshold_is_exceeded():
         assert set(es) <= srv.theset
 
 
+def test_adds_a_peer_batch_delivers_still_count_toward_the_threshold():
+    c = agg_cluster()
+    s = c.correct[0]
+    es = [c.element() for _ in range(4)]
+    s.add(es[0])
+    s.add(es[1])
+    _deliver(s, [es[0]])  # a peer's batch carries one queued add
+    assert list(s.tobroadcast) == [es[1]]
+    s.add(es[2])
+    assert c.sim.counts.get("brb-init", 0) == 0
+    s.add(es[3])  # the fourth add queued: 4 > max_batch flushes the three left
+    assert s.tobroadcast == {}
+    c.drain()
+    assert c.sim.counts["brb-init"] == len(c.pids) - 1
+    for srv in c.correct:  # the one flushed batch carries the other three
+        assert set(es[1:]) <= srv.theset
+
+
+def test_a_buffer_emptied_by_a_peer_batch_counts_afresh():
+    c = agg_cluster()
+    s = c.correct[0]
+    es = [c.element() for _ in range(5)]
+    s.add(es[0])
+    s.add(es[1])
+    _deliver(s, es[:2])  # every queued add delivered: the buffer is empty
+    assert s.tobroadcast == {}
+    for e in es[2:]:
+        s.add(e)
+    assert len(s.tobroadcast) == 3  # 3 queued since it was empty, not 5
+    assert c.sim.counts.get("brb-init", 0) == 0
+
+
 def test_oldest_entry_triggers_timeout_flush():
     c = agg_cluster(max_wait=100)
     s = c.correct[0]
