@@ -1,7 +1,7 @@
 """Scenario runner: drives a simulated cluster under load, checks invariants.
 
 A :class:`Scenario` describes one cluster configuration plus a client
-workload; :func:`run_scenario` builds the cluster, injects adds through
+workload; :func:`run_scenario` builds a :class:`Cluster`, injects adds through
 the request wire at ``f + 1`` servers apiece, cuts epochs on a timer,
 and watches every state change through :class:`SafetyMonitor`.  The
 result is a :class:`RunReport` whose JSON form is byte-identical across
@@ -397,6 +397,49 @@ class SafetyMonitor:
 
 
 # ---------------------------------------------------------------------------
+# Cluster
+# ---------------------------------------------------------------------------
+
+
+class Cluster:
+    """n server slots on one simulation; the last ``n_byz`` are Byzantine.
+
+    Every slot gets a key (``privates``).  The correct slots run
+    :class:`SetchainServer` in pid order; then ``byz_factory(pid, cluster)``
+    builds each Byzantine slot, and ``byz`` keeps what it returns.
+    """
+
+    def __init__(self, sim: Simulation, keys: KeyStore, n: int, f: int,
+                 n_byz: int, sbc_cfg: SbcConfig, byz_factory, agg=None,
+                 sign_epochs=False, state_observer=None, on_broadcast=None,
+                 on_propose=None):
+        self.sim, self.keys, self.f = sim, keys, f
+        self.pids = tuple(
+            ProcessId(i, ProcessKind.BYZANTINE_SERVER if i >= n - n_byz
+                      else ProcessKind.CORRECT_SERVER)
+            for i in range(n)
+        )
+        self.correct_pids = self.pids[: n - n_byz]
+        self.byz_pids = self.pids[n - n_byz:]
+        sim.frame_classifier = classify
+        self.service = ConsensusService(sim, sbc_cfg, on_propose=on_propose)
+        self.privates = {pid: keys.keygen(pid) for pid in self.pids}
+        self.servers = {
+            pid: SetchainServer(
+                pid, sim, keys, self.privates[pid], self.pids, f, self.service,
+                agg=agg, sign_epochs=sign_epochs,
+                state_observer=state_observer, on_broadcast=on_broadcast,
+            )
+            for pid in self.correct_pids
+        }
+        self.byz = {pid: byz_factory(pid, self) for pid in self.byz_pids}
+
+    @property
+    def correct(self) -> list[SetchainServer]:
+        return [self.servers[pid] for pid in self.correct_pids]
+
+
+# ---------------------------------------------------------------------------
 # Client workload
 # ---------------------------------------------------------------------------
 
@@ -499,40 +542,30 @@ def _clear_decode_memos() -> None:
 def _run_scenario(scenario: Scenario) -> RunReport:
     sim = Simulation(replace(scenario.net, rng_seed=scenario.seed),
                      record_log=False)
-    sim.frame_classifier = classify
     keys = KeyStore()
     monitor = SafetyMonitor(sim, keys)
-    service = ConsensusService(sim, SBC, on_propose=monitor.on_propose)
+
+    def adversary(pid: ProcessId, c: Cluster):
+        if scenario.byzantine == "silent":
+            return SilentServer(pid, c.sim, c.service)
+        havoc = HavocServer(pid, c.sim, c.keys, c.service, c.pids, c.f)
+        havoc.start(until=scenario.duration)
+        return havoc
 
     n, f, n_byz = scenario.n, scenario.f, scenario.n_byz
-    pids = tuple(
-        ProcessId(i, ProcessKind.BYZANTINE_SERVER if i >= n - n_byz
-                  else ProcessKind.CORRECT_SERVER)
-        for i in range(n)
-    )
-    correct_pids, byz_pids = pids[: n - n_byz], pids[n - n_byz:]
-    servers = [
-        SetchainServer(
-            pid, sim, keys, keys.keygen(pid), pids, f, service,
-            agg=scenario.agg,
-            state_observer=monitor.observe, on_broadcast=monitor.on_broadcast,
-        )
-        for pid in correct_pids
-    ]
+    cluster = Cluster(sim, keys, n, f, n_byz, SBC, adversary,
+                      agg=scenario.agg, state_observer=monitor.observe,
+                      on_broadcast=monitor.on_broadcast,
+                      on_propose=monitor.on_propose)
+    servers = cluster.correct
     for server in servers:
         monitor.attach(server)
-    for pid in byz_pids:  # the simulation keeps them alive
-        if scenario.byzantine == "silent":
-            SilentServer(pid, sim, service)
-        else:
-            HavocServer(pid, sim, keys, service, pids, f).start(
-                until=scenario.duration)
 
     central = CentralSetchain(keys) if n_byz == 0 else None
     driver = EpochDriver(sim, servers[: f + 1], scenario.epoch_period)
     driver.start(scenario.epoch_period)
-    load = Workload(sim, keys, scenario, pids, frozenset(correct_pids),
-                    monitor, central)
+    load = Workload(sim, keys, scenario, cluster.pids,
+                    frozenset(cluster.correct_pids), monitor, central)
     load.start(at=1)
 
     sim.run_until(scenario.duration)

@@ -1,14 +1,16 @@
-"""Shared scripted-cluster harness for protocol tests."""
+"""Shared harnesses for protocol tests: a server cluster, a bare BRB world
+and a bare SBC world."""
 
 import hashlib
 
 from hypothesis import strategies as st
 
+from setchain.bench import Cluster
+from setchain.brb import BrbEngine
 from setchain.core import Element, KeyStore, ProcessId, ProcessKind
 from setchain.sbc import ConsensusService, SbcConfig
-from setchain.server import SetchainServer
 from setchain.simnet import NetConfig, Simulation
-from setchain.wire import INIT, BrbFrame, classify, encode_brb
+from setchain.wire import INIT, BrbFrame, decode_inform, encode_brb
 
 
 class ByzStub:
@@ -37,45 +39,25 @@ class ByzStub:
         self.service.propose(h, elements, self.pid)
 
 
-class ServerCluster:
-    """n servers on one network; the last ``n_byz`` slots are Byzantine.
+class ServerCluster(Cluster):
+    """A :class:`~setchain.bench.Cluster` on a seeded network that keeps
+    frame bodies, plus a client author that mints elements.
 
     ``byz_factory(pid, cluster)`` builds each Byzantine slot (default: the
     silent recording stub above).
     """
 
-    def __init__(self, n=4, f=1, n_byz=0, seed=0, net=None, sbc_cfg=None,
-                 agg=None, sign_epochs=False,
-                 state_observer=None, on_broadcast=None, on_propose=None,
-                 byz_factory=None):
-        self.f = f
-        self.sim = Simulation(net or NetConfig(rng_seed=seed), keep_bodies=True)
-        self.sim.frame_classifier = classify
-        self.keys = KeyStore()
-        self.service = ConsensusService(self.sim, sbc_cfg or SbcConfig(),
-                                        on_propose=on_propose)
-        self.pids = tuple(
-            ProcessId(i, ProcessKind.BYZANTINE_SERVER if i >= n - n_byz
-                      else ProcessKind.CORRECT_SERVER)
-            for i in range(n)
+    def __init__(self, n=4, f=1, n_byz=0, seed=0, agg=None, sign_epochs=False,
+                 state_observer=None, on_propose=None, byz_factory=None):
+        super().__init__(
+            Simulation(NetConfig(rng_seed=seed), keep_bodies=True), KeyStore(),
+            n, f, n_byz, SbcConfig(),
+            byz_factory or (lambda pid, c: ByzStub(pid, c.sim, c.service)),
+            agg=agg, sign_epochs=sign_epochs, state_observer=state_observer,
+            on_propose=on_propose,
         )
-        self.correct_pids = self.pids[: n - n_byz]
-        self.byz_pids = self.pids[n - n_byz:]
         self.author = ProcessId(100, ProcessKind.CLIENT)
         self.author_key = self.keys.keygen(self.author)
-        self.privates = {pid: self.keys.keygen(pid) for pid in self.pids}
-        self.servers = {
-            pid: SetchainServer(
-                pid, self.sim, self.keys, self.privates[pid], self.pids, f,
-                self.service, agg=agg,
-                sign_epochs=sign_epochs, state_observer=state_observer,
-                on_broadcast=on_broadcast,
-            )
-            for pid in self.correct_pids
-        }
-        if byz_factory is None:
-            byz_factory = lambda pid, c: ByzStub(pid, c.sim, c.service)
-        self.byz = {pid: byz_factory(pid, self) for pid in self.byz_pids}
         self._counter = 0
 
     def element(self, payload=None) -> Element:
@@ -87,13 +69,86 @@ class ServerCluster:
     def invalid_element(self, payload=b"broken") -> Element:
         return Element(payload, self.author, b"not-a-signature")
 
-    @property
-    def correct(self):
-        return [self.servers[pid] for pid in self.correct_pids]
-
     def drain(self):
         self.sim.run_to_quiescence()
         return self
+
+
+class BrbWorld:
+    """n bare broadcast engines; the first ``n_byz`` slots are raw-frame
+    injectors."""
+
+    def __init__(self, n, f, n_byz=0, seed=0):
+        self.sim = Simulation(NetConfig(rng_seed=seed))
+        self.pids = tuple(
+            ProcessId(i, ProcessKind.BYZANTINE_SERVER if i < n_byz
+                      else ProcessKind.CORRECT_SERVER)
+            for i in range(n)
+        )
+        self.byz = self.pids[:n_byz]
+        self.correct = self.pids[n_byz:]
+        self.delivered = {pid: [] for pid in self.pids}
+        self.engines, self.handles = {}, {}
+        for pid in self.byz:
+            self.handles[pid] = self.sim.register(pid, lambda frm, body: None)
+        for pid in self.correct:
+            def handler(frm, body, pid=pid):
+                self.engines[pid].handle_frame(frm, body)
+            self.handles[pid] = self.sim.register(pid, handler)
+            self.engines[pid] = BrbEngine(
+                self.handles[pid], self.pids, f,
+                lambda origin, digest, payload, pid=pid:
+                    self.delivered[pid].append((origin, payload)),
+            )
+
+    def inject(self, frm, frame, targets):
+        body = encode_brb(frame)
+        for pid in targets:
+            self.handles[frm].send(pid, body)
+
+    def drain(self):
+        self.sim.run_to_quiescence()
+
+    def deliveries(self, pid):
+        return self.delivered[pid]
+
+
+class SbcWorld:
+    """Correct and Byzantine members on one bare consensus service; every
+    member records its set-deliveries and the inform notices it receives."""
+
+    def __init__(self, n_correct=4, n_byz=0, seed=0, net=None, cfg=None):
+        self.sim = Simulation(net or NetConfig(rng_seed=seed), keep_bodies=True)
+        self.service = ConsensusService(self.sim, cfg or SbcConfig())
+        self.keys = KeyStore()
+        self.author = ProcessId(50, ProcessKind.CLIENT)
+        self.private = self.keys.keygen(self.author)
+        self.correct = tuple(ProcessId(i) for i in range(n_correct))
+        self.byz = tuple(ProcessId(n_correct + i, ProcessKind.BYZANTINE_SERVER)
+                         for i in range(n_byz))
+        self.delivered = {}
+        self.informs = {}
+        for pid in self.correct + self.byz:
+            self.delivered[pid] = []
+            self.informs[pid] = []
+
+            def handler(frm, body, pid=pid):
+                if body[:1] == b"P":
+                    self.informs[pid].append((frm,) + decode_inform(body))
+
+            self.sim.register(pid, handler)
+            self.service.register(
+                pid,
+                lambda h, propset, pid=pid: self.delivered[pid].append((h, propset)),
+                correct=pid in self.correct,
+            )
+
+    def make(self, *names):
+        return frozenset(self.keys.make_element(nm, self.author, self.private)
+                         for nm in names)
+
+    def drain(self):
+        self.sim.run_to_quiescence()
 
 
 @st.composite

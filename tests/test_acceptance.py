@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ServerCluster, run_until_done
+from conftest import BrbWorld, SbcWorld, ServerCluster, run_until_done
 from setchain.adversaries import ForgedDigestServer, LyingHistoryServer
 from setchain.bench import (
     compare,
@@ -29,7 +29,6 @@ from setchain.bench import (
     seed_from_env,
     stationarity_ratio,
 )
-from setchain.brb import BrbEngine
 from setchain.byz_model import backward_trace_check, forward_trace_check
 from setchain.client import OptimisticClient, QuorumClient
 from setchain.core import (
@@ -40,10 +39,9 @@ from setchain.core import (
     sort_elements,
 )
 from setchain.incentives import CENT, RewardParams, fee_split, reward
-from setchain.sbc import ConsensusService, SbcConfig
 from setchain.server import EpochDriver
-from setchain.simnet import NetConfig, Simulation
-from setchain.wire import BrbFrame, ECHO, INIT, READY, encode_brb
+from setchain.simnet import NetConfig
+from setchain.wire import BrbFrame, ECHO, INIT, READY
 
 SEEDS = 100
 SCALES = ((4, 1), (7, 2))
@@ -131,45 +129,11 @@ def test_stamp_once_record_agreement_and_sequential_convergence(matrix):
 # ---------------------------------------------------------------------------
 
 
-class _BrbWorld:
-    """n broadcast engines; the first f slots are raw-frame injectors."""
-
-    def __init__(self, n, f, seed):
-        self.sim = Simulation(NetConfig(rng_seed=seed))
-        self.pids = tuple(
-            ProcessId(i, ProcessKind.BYZANTINE_SERVER if i < f
-                      else ProcessKind.CORRECT_SERVER)
-            for i in range(n)
-        )
-        self.byz = self.pids[:f]
-        self.correct = self.pids[f:]
-        self.delivered = {pid: [] for pid in self.correct}
-        self.engines, self.handles = {}, {}
-        for pid in self.pids:
-            if pid in self.byz:
-                self.handles[pid] = self.sim.register(pid, lambda frm, b: None)
-            else:
-                def handler(frm, body, pid=pid):
-                    self.engines[pid].handle_frame(frm, body)
-                handle = self.sim.register(pid, handler)
-                self.handles[pid] = handle
-                self.engines[pid] = BrbEngine(
-                    handle, self.pids, f,
-                    lambda origin, digest, payload, pid=pid:
-                        self.delivered[pid].append((origin, payload)),
-                )
-
-    def inject(self, frm, frame, targets):
-        body = encode_brb(frame)
-        for pid in targets:
-            self.handles[frm].send(pid, body)
-
-
 def _brb_round(n, f, seed):
     """One randomized run; returns the set of correctly broadcast pairs
     and the per-process delivery lists."""
     rng = random.Random(f"brb:{n}:{f}:{seed}")
-    w = _BrbWorld(n, f, seed)
+    w = BrbWorld(n, f, n_byz=f, seed=seed)
     broadcast = set()
     for origin in rng.sample(w.correct, 2):
         payload = f"valid-{origin.id}-{seed}".encode()
@@ -224,38 +188,6 @@ def test_reliable_broadcast_contract_at_both_scales():
           f"agreement on {runs} randomized runs at n=4 and n=7")
 
 
-class _SbcWorld:
-    """Correct and Byzantine members on one consensus service, with the
-    network already past its stabilization time."""
-
-    def __init__(self, n, f, seed):
-        net = NetConfig(latency_min=1, latency_max=400, gst=500,
-                        post_gst_bound=10, rng_seed=seed)
-        self.sim = Simulation(net)
-        self.service = ConsensusService(self.sim, SbcConfig())
-        from setchain.core import KeyStore
-        self.keys = KeyStore()
-        self.author = ProcessId(50, CLIENT)
-        self.private = self.keys.keygen(self.author)
-        self.correct = tuple(ProcessId(i) for i in range(n - f))
-        self.byz = tuple(ProcessId(n - f + i, ProcessKind.BYZANTINE_SERVER)
-                         for i in range(f))
-        self.delivered = {pid: [] for pid in self.correct + self.byz}
-        for pid in self.correct + self.byz:
-            self.sim.register(pid, lambda frm, body: None)
-            self.service.register(
-                pid,
-                lambda h, propset, pid=pid: self.delivered[pid].append(
-                    (h, propset)),
-                correct=pid in self.correct,
-            )
-        self.sim.run_until(600)  # everything below happens after gst
-
-    def make(self, *names):
-        return frozenset(self.keys.make_element(nm, self.author, self.private)
-                         for nm in names)
-
-
 def _propset_bytes(propset):
     return b"".join(
         bytes(str(pid), "ascii") + encode_element_set(sort_elements(es))
@@ -268,7 +200,10 @@ def test_consensus_contract_at_both_scales():
     for n, f in SCALES:
         for seed in range(SEEDS):
             rng = random.Random(f"sbc:{n}:{f}:{seed}")
-            w = _SbcWorld(n, f, seed)
+            w = SbcWorld(n - f, f, seed, NetConfig(
+                latency_min=1, latency_max=400, gst=500, post_gst_bound=10,
+                rng_seed=seed))
+            w.sim.run_until(600)  # everything below happens after gst
             proposals = {}  # (h, pid) -> proposed set
             for h in (1, 2):
                 for pid in w.correct:

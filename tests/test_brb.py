@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import BrbWorld
 from setchain.brb import BrbEngine
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, Simulation
@@ -22,44 +23,8 @@ from setchain.wire import (
 )
 
 
-class Cluster:
-    """n processes; the first ``n_byz`` are Byzantine (raw frame injectors)."""
-
-    def __init__(self, n, f, n_byz=0, seed=0, net=None):
-        self.sim = Simulation(net or NetConfig(rng_seed=seed))
-        self.pids = tuple(
-            ProcessId(i, ProcessKind.BYZANTINE_SERVER if i < n_byz
-                      else ProcessKind.CORRECT_SERVER)
-            for i in range(n)
-        )
-        self.byz = self.pids[:n_byz]
-        self.correct = self.pids[n_byz:]
-        self.delivered = {pid: [] for pid in self.pids}
-        self.engines = {}
-        self.handles = {}
-        for pid in self.pids:
-            if pid in self.byz:
-                self.handles[pid] = self.sim.register(pid, lambda f, b: None)
-            else:
-                def handler(frm, body, pid=pid):
-                    self.engines[pid].handle_frame(frm, body)
-                net_handle = self.sim.register(pid, handler)
-                self.handles[pid] = net_handle
-                self.engines[pid] = BrbEngine(
-                    net_handle, self.pids, f,
-                    lambda origin, digest, payload, pid=pid:
-                        self.delivered[pid].append((origin, payload)),
-                )
-
-    def drain(self):
-        self.sim.run_to_quiescence()
-
-    def deliveries(self, pid):
-        return self.delivered[pid]
-
-
 def test_all_correct_cluster_delivers_everywhere_exactly_once():
-    c = Cluster(n=4, f=0)
+    c = BrbWorld(n=4, f=0)
     c.engines[c.pids[0]].broadcast(b"m")
     c.drain()
     for pid in c.pids:
@@ -67,7 +32,7 @@ def test_all_correct_cluster_delivers_everywhere_exactly_once():
 
 
 def test_silent_byzantine_does_not_block_delivery():
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     origin = c.correct[0]
     c.engines[origin].broadcast(b"m")
     c.drain()
@@ -76,7 +41,7 @@ def test_silent_byzantine_does_not_block_delivery():
 
 
 def test_origin_delivers_its_own_broadcast():
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     origin = c.correct[1]
     c.engines[origin].broadcast(b"mine")
     c.drain()
@@ -85,7 +50,7 @@ def test_origin_delivers_its_own_broadcast():
 
 def _byz_partial_init(subset_ids, extra_echo, seed):
     """Byzantine origin inits only a subset; optionally echoes to everyone."""
-    c = Cluster(n=4, f=1, n_byz=1, seed=seed)
+    c = BrbWorld(n=4, f=1, n_byz=1, seed=seed)
     byz = c.byz[0]
     payload = b"equiv"
     digest = hashlib.sha256(payload).digest()
@@ -125,7 +90,7 @@ def test_partial_init_with_byzantine_echo_completes():
 
 
 def test_byzantine_echo_of_uninited_message_is_not_delivered():
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     byz = c.byz[0]
     payload = b"phantom"
     digest = hashlib.sha256(payload).digest()
@@ -159,20 +124,20 @@ def _clients(c, count):
 def test_echoes_and_readies_from_clients_are_not_counted():
     # With f=1 the quorum is 3: one Byzantine server plus two clients would
     # make it if clients counted, and every correct server would deliver.
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     senders = [c.handles[c.byz[0]]] + _clients(c, 2)
     _echo_and_ready_from(c, senders, origin=c.correct[0])
     assert all(c.deliveries(pid) == [] for pid in c.correct)
 
 
 def test_frames_from_non_peers_open_no_instance():
-    c = Cluster(n=4, f=1)
+    c = BrbWorld(n=4, f=1)
     _echo_and_ready_from(c, _clients(c, 3), origin=c.correct[0])
     assert all(c.engines[pid].instances == {} for pid in c.correct)
 
 
 def test_two_byzantine_echoes_at_larger_scale_are_still_insufficient():
-    c = Cluster(n=7, f=2, n_byz=2)
+    c = BrbWorld(n=7, f=2, n_byz=2)
     payload = b"phantom"
     digest = hashlib.sha256(payload).digest()
     for byz in c.byz:
@@ -186,7 +151,7 @@ def test_two_byzantine_echoes_at_larger_scale_are_still_insufficient():
 
 
 def test_rebroadcast_of_identical_payload_is_idempotent():
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     origin = c.correct[0]
     c.engines[origin].broadcast(b"m")
     c.engines[origin].broadcast(b"m")
@@ -196,7 +161,7 @@ def test_rebroadcast_of_identical_payload_is_idempotent():
 
 
 def test_distinct_payloads_are_both_delivered_without_ordering_guarantee():
-    c = Cluster(n=4, f=1, n_byz=1, seed=5)
+    c = BrbWorld(n=4, f=1, n_byz=1, seed=5)
     origin = c.correct[0]
     c.engines[origin].broadcast(b"m1")
     c.engines[origin].broadcast(b"m2")
@@ -206,7 +171,7 @@ def test_distinct_payloads_are_both_delivered_without_ordering_guarantee():
 
 
 def test_no_broadcast_means_no_delivery():
-    c = Cluster(n=4, f=1, n_byz=1, seed=2)
+    c = BrbWorld(n=4, f=1, n_byz=1, seed=2)
     byz = c.byz[0]
     for pid in c.correct:
         c.handles[byz].send(pid, b"\xff\x00garbage")
@@ -216,7 +181,7 @@ def test_no_broadcast_means_no_delivery():
 
 
 def test_init_claiming_another_origin_is_ignored():
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     byz, victim = c.byz[0], c.correct[0]
     payload = b"forged"
     digest = hashlib.sha256(payload).digest()
@@ -228,7 +193,7 @@ def test_init_claiming_another_origin_is_ignored():
 
 
 def test_mismatched_digest_payload_is_dropped():
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     byz = c.byz[0]
     bad = encode_brb(BrbFrame(INIT, byz, b"\x00" * 32, b"payload"))
     for pid in c.correct:
@@ -287,7 +252,7 @@ def _delivered_without_init():
 
 
 def test_delivered_instances_keep_their_payload_and_drop_both_quorum_sets():
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     c.engines[c.correct[0]].broadcast(b"m")
     c.drain()
     for pid in c.correct:
@@ -336,7 +301,7 @@ def test_late_echo_and_ready_frames_send_nothing():
 def test_a_process_the_byzantine_origin_skipped_fetches_the_payload_once():
     # The origin inits two of the three correct processes and adds its own
     # echo and ready: the third reaches 2f + 1 readies without the payload.
-    c = Cluster(n=4, f=1, n_byz=1)
+    c = BrbWorld(n=4, f=1, n_byz=1)
     c.sim.frame_classifier = classify
     byz, (a, b, skipped) = c.byz[0], c.correct
     payload = b"two of three"

@@ -41,7 +41,6 @@ from setchain.byz_model import (
     save_bundle,
     unaccounted_received,
 )
-from setchain.core import ProcessKind
 
 
 @pytest.fixture

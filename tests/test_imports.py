@@ -1,11 +1,13 @@
-"""Every name a ``setchain`` module imports is used in that module."""
+"""Every name a ``setchain`` module or a test module imports is used in
+that module."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "setchain"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "setchain"
 
 # Imported only so that the benchmark's tracer (perfbench/tracing.py) can
 # patch them by module and name; no code in the module itself reads them.
@@ -34,7 +36,7 @@ def used_names(tree: ast.Module) -> set[str]:
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-MODULES = sorted(SRC.glob("*.py"))
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])

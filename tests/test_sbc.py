@@ -3,48 +3,10 @@ nontriviality, censorship-resistance after gst, in-order decisions."""
 
 import pytest
 
-from setchain.core import Element, KeyStore, ProcessId, ProcessKind, encode_element_set
-from setchain.sbc import WINDOW, ConsensusService, SbcConfig
-from setchain.simnet import NetConfig, Simulation
-from setchain.wire import decode_inform
-
-
-def elems(keys, author, private, *names):
-    return frozenset(keys.make_element(n, author, private) for n in names)
-
-
-class World:
-    def __init__(self, n_correct=4, n_byz=0, seed=0, net=None, cfg=None):
-        self.sim = Simulation(net or NetConfig(rng_seed=seed), keep_bodies=True)
-        self.service = ConsensusService(self.sim, cfg or SbcConfig())
-        self.keys = KeyStore()
-        self.author = ProcessId(50, ProcessKind.CLIENT)
-        self.private = self.keys.keygen(self.author)
-        self.correct = tuple(ProcessId(i) for i in range(n_correct))
-        self.byz = tuple(ProcessId(n_correct + i, ProcessKind.BYZANTINE_SERVER)
-                         for i in range(n_byz))
-        self.delivered = {}
-        self.informs = {}
-        for pid in self.correct + self.byz:
-            self.delivered[pid] = []
-            self.informs[pid] = []
-
-            def handler(frm, body, pid=pid):
-                if body[:1] == b"P":
-                    self.informs[pid].append((frm,) + decode_inform(body))
-
-            self.sim.register(pid, handler)
-            self.service.register(
-                pid,
-                lambda h, propset, pid=pid: self.delivered[pid].append((h, propset)),
-                correct=pid in self.correct,
-            )
-
-    def make(self, *names):
-        return elems(self.keys, self.author, self.private, *names)
-
-    def drain(self):
-        self.sim.run_to_quiescence()
+from conftest import SbcWorld
+from setchain.core import ProcessId, encode_element_set
+from setchain.sbc import WINDOW, SbcConfig
+from setchain.simnet import NetConfig
 
 
 def union(propset):
@@ -55,7 +17,7 @@ def union(propset):
 
 
 def test_identical_proposals_decide_that_set():
-    w = World()
+    w = SbcWorld()
     p = w.make(b"a", b"b")
     for pid in w.correct:
         w.service.propose(1, p, pid)
@@ -69,7 +31,7 @@ def test_identical_proposals_decide_that_set():
 
 
 def test_everyone_proposing_empty_decides_empty():
-    w = World()
+    w = SbcWorld()
     for pid in w.correct:
         w.service.propose(1, frozenset(), pid)
     w.drain()
@@ -77,7 +39,7 @@ def test_everyone_proposing_empty_decides_empty():
 
 
 def test_byzantine_proposal_can_join_but_nothing_else_can():
-    w = World(n_correct=3, n_byz=1, seed=3)
+    w = SbcWorld(n_correct=3, n_byz=1, seed=3)
     a, z = w.make(b"a"), w.make(b"z")
     for pid in w.correct:
         w.service.propose(1, a, pid)
@@ -91,7 +53,7 @@ def test_byzantine_proposal_can_join_but_nothing_else_can():
 
 def test_validity_decided_values_come_from_proposals():
     for seed in range(20):
-        w = World(n_correct=4, n_byz=1, seed=seed)
+        w = SbcWorld(n_correct=4, n_byz=1, seed=seed)
         proposals = []
         for i, pid in enumerate(w.correct):
             p = w.make(f"p{i}".encode())
@@ -107,7 +69,7 @@ def test_validity_decided_values_come_from_proposals():
 
 def test_censorship_resistance_after_gst():
     net = NetConfig(latency_min=1, latency_max=400, gst=500, post_gst_bound=10)
-    w = World(net=net)
+    w = SbcWorld(net=net)
     w.sim.run_until(600)  # all proposals happen after gst
     e = w.make(b"e")
     for pid in w.correct:
@@ -125,7 +87,7 @@ def test_pre_gst_runs_can_censor_but_never_fabricate():
     for seed in range(40):
         net = NetConfig(latency_min=1, latency_max=400, gst=100,
                         post_gst_bound=10, rng_seed=seed)
-        w = World(net=net)
+        w = SbcWorld(net=net)
         proposed = {}
         for pid in w.correct:
             p = w.make(str(pid.id).encode())
@@ -142,7 +104,7 @@ def test_pre_gst_runs_can_censor_but_never_fabricate():
 
 
 def test_decision_is_byte_identical_at_every_process():
-    w = World(n_correct=4, n_byz=0, seed=9)
+    w = SbcWorld(n_correct=4, n_byz=0, seed=9)
     for i, pid in enumerate(w.correct):
         w.service.propose(1, w.make(f"x{i}".encode()), pid)
     w.drain()
@@ -158,7 +120,7 @@ def test_decision_is_byte_identical_at_every_process():
 
 
 def test_decisions_happen_in_instance_order():
-    w = World(seed=4)
+    w = SbcWorld(seed=4)
     p2 = w.make(b"second")
     w.service.propose(2, p2, w.correct[0])
     w.sim.run_until(300)
@@ -176,7 +138,7 @@ def test_decisions_happen_in_instance_order():
 
 def test_termination_bound_after_gst():
     cfg = SbcConfig(decision_cost=0)
-    w = World(seed=11, cfg=cfg)
+    w = SbcWorld(seed=11, cfg=cfg)
     start = w.sim.now
     for pid in w.correct:
         w.service.propose(1, w.make(b"t"), pid)
@@ -190,8 +152,8 @@ def test_termination_bound_after_gst():
 
 
 def test_decision_cost_delays_the_decision():
-    base = World(seed=6, cfg=SbcConfig(decision_cost=0))
-    cost = World(seed=6, cfg=SbcConfig(decision_cost=100))
+    base = SbcWorld(seed=6, cfg=SbcConfig(decision_cost=0))
+    cost = SbcWorld(seed=6, cfg=SbcConfig(decision_cost=100))
     for w in (base, cost):
         for pid in w.correct:
             w.service.propose(1, w.make(b"t"), pid)
@@ -201,7 +163,7 @@ def test_decision_cost_delays_the_decision():
 
 
 def test_proposals_fan_out_as_notices_to_everyone_else():
-    w = World(n_correct=4, n_byz=1)
+    w = SbcWorld(n_correct=4, n_byz=1)
     p = w.make(b"a")
     w.service.propose(1, p, w.correct[0])
     w.drain()
@@ -211,14 +173,14 @@ def test_proposals_fan_out_as_notices_to_everyone_else():
 
 
 def test_no_proposals_no_notices_no_decision():
-    w = World()
+    w = SbcWorld()
     w.sim.run_until(10_000)
     assert all(not lst for lst in w.informs.values())
     assert w.service.decided(1) is None
 
 
 def test_notice_count_per_observer_matches_other_proposals():
-    w = World(n_correct=4)
+    w = SbcWorld(n_correct=4)
     for rnd in range(3):
         for pid in w.correct:
             w.service.propose(rnd + 1, w.make(f"r{rnd}{pid.id}".encode()), pid)
@@ -231,7 +193,7 @@ def test_notice_count_per_observer_matches_other_proposals():
 
 
 def test_byzantine_repeat_proposals_count_once():
-    w = World(n_correct=3, n_byz=1, seed=8)
+    w = SbcWorld(n_correct=3, n_byz=1, seed=8)
     z1, z2 = w.make(b"z1"), w.make(b"z2")
     w.service.propose(1, z1, w.byz[0])
     while w.byz[0] not in w.service.proposals_for(1):
@@ -245,7 +207,7 @@ def test_byzantine_repeat_proposals_count_once():
 
 
 def test_late_byzantine_proposal_is_excluded():
-    w = World(n_correct=3, n_byz=1, seed=1)
+    w = SbcWorld(n_correct=3, n_byz=1, seed=1)
     for pid in w.correct:
         w.service.propose(1, w.make(b"a"), pid)
     w.drain()  # decision made
@@ -256,7 +218,7 @@ def test_late_byzantine_proposal_is_excluded():
 
 
 def test_instance_numbering_is_validated():
-    w = World()
+    w = SbcWorld()
     with pytest.raises(ValueError):
         w.service.propose(0, frozenset(), w.correct[0])
     with pytest.raises(ValueError):

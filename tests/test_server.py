@@ -26,7 +26,6 @@ from setchain.server import (
     EpochDriver,
     RequestRejected,
 )
-from setchain.simnet import NetConfig
 from setchain.wire import (
     ECHO,
     OP_ADD,
