@@ -27,6 +27,20 @@ history, so all of them stamp the same entry.  A server that has not yet
 delivered a batch the decision needs holds that decision, and every later
 one, until the batch arrives, and then stamps them in order.  A batch is
 dropped when its last element is stamped, so at quiescence none is kept.
+
+A client sends each add to ``f + 1`` servers, so with batching several of
+them usually queue it.  When a server's buffer reaches ``max_batch`` it
+leaves out of that flush every queued add that a peer's INIT already
+carries: an INIT whose payload this server holds (``BrbEngine.pending``)
+and whose instance it has not delivered.  The left-out adds stay queued;
+the peer's batch, once delivered, removes them, so one copy of each
+crosses the network instead of two.  Two rules keep a Byzantine peer that
+INITs a batch and never completes it from trapping adds:
+
+* an add is left out of at most one threshold flush: the next flush sends
+  it whatever the peers hold;
+* the ``max_wait`` timer flush sends the whole buffer, so at quiescence
+  every buffer is empty.
 """
 
 from __future__ import annotations
@@ -34,7 +48,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from itertools import chain
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import AbstractSet, Callable, Optional
 
 from .brb import BrbEngine
 from .core import (
@@ -90,13 +104,18 @@ class RequestRejected(Exception):
 @dataclass(frozen=True)
 class AggConfig:
     """Add-batching thresholds: flush when more than ``max_batch`` adds have
-    entered the buffer since it was last empty, or when its oldest entry is
-    older than ``max_wait`` ticks.
+    entered the buffer since it was last flushed or empty, or when its
+    oldest entry is older than ``max_wait`` ticks.
 
     Adds that a peer's delivered batch removes from the buffer still count
     toward ``max_batch``, so a peer's batch that carries some of them does
     not put the flush off: under steady load a server flushes every
-    ``max_batch + 1`` adds it queues, however soon peers' batches reach it."""
+    ``max_batch + 1`` adds it queues, however soon peers' batches reach it.
+
+    A flush at ``max_batch`` leaves out the queued adds that a peer's
+    undelivered INIT carries, unless the previous flush left them out
+    already; they stay in the buffer and no longer count toward the next
+    ``max_batch``.  A flush at ``max_wait`` sends the whole buffer."""
 
     max_batch: int = 1000
     max_wait: int = 5_000_000
@@ -192,7 +211,9 @@ class SetchainServer:
         # sends only those after the ones its reader holds.
         self._epoch_segments: list[bytes] = []
         self._flush_scheduled = False
-        self._queued = 0  # adds queued since tobroadcast was last empty
+        self._queued = 0  # adds queued since the last flush or empty buffer
+        # The queued adds that the last flush left out: the next one sends them.
+        self._left_out: AbstractSet[Element] = frozenset()
 
     @property
     def epoch(self) -> int:
@@ -237,18 +258,37 @@ class SetchainServer:
         self.tobroadcast[e] = self.net.now
         self._queued += 1
         if self._queued > self.agg.max_batch:
-            self._flush()
+            self._flush(self._carried_by_peers())
         elif not self._flush_scheduled:
             self._flush_scheduled = True
             self.net.after(self.agg.max_wait + 1, self._flush_timer)
 
-    def _flush(self) -> None:
-        if not self.tobroadcast:
-            return
-        batch = tuple(self.tobroadcast)
-        self.tobroadcast.clear()
+    def _carried_by_peers(self) -> set[Element]:
+        """The queued adds that a peer's INIT carries, for each INIT whose
+        payload this server holds and whose instance it has not delivered;
+        less the adds left out of the last flush, which go out now."""
+        queued = set(self.tobroadcast).difference(self._left_out)
+        carried = set()
+        for payload in self.brb.pending.values():
+            try:
+                kind, value = decode_broadcast_message(payload)
+            except FrameError:
+                continue
+            if kind == "add":
+                carried |= queued & value
+        return carried
+
+    def _flush(self, leave_out: AbstractSet[Element] = frozenset()) -> None:
+        """Broadcasts the queued adds but ``leave_out``, which stay queued
+        until a peer's batch delivers them or the next flush sends them."""
+        tobroadcast = self.tobroadcast
+        batch = [e for e in tobroadcast if e not in leave_out]
+        for e in batch:
+            del tobroadcast[e]
         self._queued = 0
-        self.brb.broadcast(encode_madd(batch))
+        self._left_out = leave_out
+        if batch:
+            self.brb.broadcast(encode_madd(batch))
 
     def _flush_timer(self) -> None:
         self._flush_scheduled = False
@@ -321,8 +361,8 @@ class SetchainServer:
 
     # Sets and dicts store each element's hash, and set algebra between them
     # (``set(a_dict)`` included) reuses the stored hashes, so it runs in C
-    # without calling Element.__hash__.  Only ``_unqueue``'s deletions call
-    # it, once for each element that was actually queued.
+    # without calling Element.__hash__.  Only the deletions in ``_unqueue``
+    # and ``_flush`` call it, once per deleted element.
 
     def _valid_new(self, elements: frozenset[Element]) -> frozenset[Element]:
         """The valid elements of ``elements`` that are not in theset yet."""

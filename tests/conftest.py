@@ -1,16 +1,26 @@
 """Shared harnesses for protocol tests: a server cluster, a bare BRB world
-and a bare SBC world."""
+and a bare SBC world.  Every test starts and ends with empty decode memos."""
 
 import hashlib
 
+import pytest
 from hypothesis import strategies as st
 
-from setchain.bench import Cluster
+from setchain.bench import Cluster, _clear_decode_memos
 from setchain.brb import BrbEngine
 from setchain.core import Element, KeyStore, ProcessId, ProcessKind
 from setchain.sbc import ConsensusService, SbcConfig
 from setchain.simnet import NetConfig, Simulation
 from setchain.wire import INIT, BrbFrame, decode_inform, encode_brb
+
+
+@pytest.fixture(autouse=True)
+def fresh_decode_memos():
+    """Empties the process-wide decode memos around each test, so that no
+    test's cluster is handed the decoded frames and elements of another's."""
+    _clear_decode_memos()
+    yield
+    _clear_decode_memos()
 
 
 class ByzStub:

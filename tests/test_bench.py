@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import ServerCluster
 import setchain.bench as bench
 from setchain import core, wire
 from setchain.bench import (
@@ -404,6 +405,18 @@ def test_decode_memos_live_for_one_run(monkeypatch):
     assert sizes_at_build == [[0, 0, 0], [0, 0, 0]]
     assert _memo_sizes() == [0, 0, 0]
     assert second == first
+
+
+def test_a_cluster_outside_a_run_leaves_its_decodes_in_the_memos():
+    c = ServerCluster()
+    c.correct[0].add(c.element())
+    c.drain()
+    del c
+    assert 0 not in _memo_sizes()  # the conftest fixture empties them next
+
+
+def test_a_test_starts_with_empty_decode_memos():
+    assert _memo_sizes() == [0, 0, 0]
 
 
 def test_each_add_goes_to_f_plus_one_servers():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import BrbWorld
+from setchain.bench import PRESET_NAMES, preset, run_scenario
 from setchain.brb import BrbEngine
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, Simulation
@@ -426,3 +427,46 @@ def test_with_f_0_the_origin_delivers_its_own_broadcast_once_inside_broadcast():
             engine.handle_frame(frm, encode_brb(
                 BrbFrame(phase, origin, digest, b"quorum of one")))
     assert len(delivered) == 1 and len(net.calls) == 3
+
+
+def _held_undelivered(engine):
+    """Each other origin's undelivered instance whose payload ``engine`` holds."""
+    me = engine.net.pid
+    return {key: inst.payload for key, inst in engine.instances.items()
+            if key[0] != me and inst.payload is not None and not inst.delivered}
+
+
+def test_pending_holds_exactly_the_other_origins_undelivered_inits():
+    c = BrbWorld(n=4, f=1, n_byz=1, seed=3)
+    byz = c.byz[0]
+    for i, pid in enumerate(c.correct):
+        c.engines[pid].broadcast(b"batch-%d" % i)
+    stray = b"never delivered"
+    c.inject(byz, BrbFrame(INIT, byz, hashlib.sha256(stray).digest(), stray),
+             c.correct[:1])
+    while c.sim.pending_events():
+        c.sim.run_until(c.sim.now + 1)
+        for engine in c.engines.values():
+            assert engine.pending == _held_undelivered(engine)
+    for pid in c.correct:
+        assert len(c.deliveries(pid)) == 3
+    # only the silent origin's INIT stays pending, where it was sent
+    assert [list(c.engines[pid].pending.values()) for pid in c.correct] == [
+        [stray], [], []]
+
+
+@pytest.mark.parametrize("name", [name for name in PRESET_NAMES
+                                  if preset(name).n_byz == 0])
+def test_no_payload_is_pending_at_quiescence_without_byzantine_slots(
+        name, monkeypatch):
+    engines = []
+    init = BrbEngine.__init__
+
+    def capture(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        engines.append(engine)
+
+    monkeypatch.setattr(BrbEngine, "__init__", capture)
+    run_scenario(preset(name).with_seed(0))
+    assert len(engines) == preset(name).n
+    assert all(engine.pending == {} for engine in engines)

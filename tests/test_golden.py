@@ -4,7 +4,8 @@ A report is a pure function of its scenario and seed, so a change that keeps
 behaviour keeps these bytes: every preset at seed 0 and every safety-matrix
 cell at seeds 0 and 1.  A change that alters them on purpose says why and
 re-records them; ``PYTHONPATH=src python tests/test_golden.py`` prints the
-current values in the layout below.
+current values in the layout below, then the wider report digest of
+:func:`report_digest`.
 """
 
 import hashlib
@@ -106,6 +107,21 @@ def digest(report) -> str:
     return hashlib.sha256(report.to_json().encode()).hexdigest()
 
 
+def report_digest() -> str:
+    """One sha256 over 194 reports: each safety-matrix cell at seeds 0-9,
+    then each preset at seeds 1-2.  Each report gives the line
+    ``name@seed <digest>``; the lines are joined with newlines."""
+    lines = []
+    for cell, scenario in CELLS.items():
+        for seed, report in enumerate(run_matrix([scenario], range(10))):
+            lines.append(f"{cell}@{seed} {digest(report)}")
+    for name in PRESET_NAMES:
+        for seed in (1, 2):
+            lines.append(f"{name}@{seed} "
+                         f"{digest(run_scenario(preset(name).with_seed(seed)))}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 def test_goldens_cover_every_preset_and_matrix_cell():
     assert set(PRESETS_AT_SEED_0) == set(PRESET_NAMES)
     assert set(MATRIX) == set(CELLS)
@@ -132,4 +148,4 @@ if __name__ == "__main__":
         for report in run_matrix([scenario], MATRIX_SEEDS):
             print(f'        "{digest(report)}",')
         print("    ),")
-    print("}")
+    print("}\n\nreport_digest() =", report_digest())

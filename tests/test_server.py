@@ -33,6 +33,8 @@ from setchain.wire import (
     READY,
     STATUS_OK,
     BrbFrame,
+    decode_broadcast_message,
+    decode_brb,
     decode_get_state,
     decode_get_state_after,
     decode_response,
@@ -581,6 +583,66 @@ def test_quiescence_leaves_every_aggregation_buffer_empty(max_wait):
         assert s.tobroadcast == {}
         assert s._flush_scheduled is False
         assert set(added) <= s.theset
+
+
+def _batches_sent(c, s):
+    """The add batch of each INIT that ``s`` sent and a peer received."""
+    bodies = dict.fromkeys(x.body for x in c.sim.log
+                           if x.type == "brb-init" and x.src == s.pid)
+    return [decode_broadcast_message(decode_brb(b).payload)[1] for b in bodies]
+
+
+def test_a_threshold_flush_leaves_out_the_adds_a_peers_held_init_carries():
+    c = agg_cluster(max_batch=3, max_wait=10_000)
+    s0, s1 = c.correct[:2]
+    shared = [c.element() for _ in range(3)]
+    for e in shared:
+        s0.add(e)
+        s1.add(e)
+    s0.add(own := c.element())  # 4 > 3: s0 flushes first
+    while not s1.brb.pending and c.sim.now < 5:
+        c.sim.run_until(c.sim.now + 1)
+    assert s1.brb.pending  # s1 holds s0's INIT and has not delivered it
+    s1.add(late := c.element())  # 4 > 3: s1 flushes what s0's INIT lacks
+    assert set(s1.tobroadcast) == set(shared)
+    c.drain()
+    assert s1.tobroadcast == {}  # s0's delivered batch unqueued them
+    assert _batches_sent(c, s0) == [frozenset(shared + [own])]
+    assert _batches_sent(c, s1) == [frozenset([late])]
+    c.correct[0].epoch_inc(1)
+    c.drain()
+    for s in c.correct:
+        assert s.history.entries == (frozenset(shared + [own, late]),)
+
+
+def test_an_add_a_silent_peers_init_carries_is_left_out_of_one_flush_only():
+    # The Byzantine origin INITs a batch of two queued adds at one correct
+    # server only and then goes silent, so the batch is never delivered.
+    c = agg_cluster(max_batch=3, max_wait=10_000, n_byz=1)
+    s = c.correct[0]
+    byz = c.byz[c.byz_pids[0]]
+    carried = [c.element() for _ in range(2)]
+    for e in carried:
+        s.add(e)
+    byz.brb_broadcast(encode_madd(carried), [s.pid])
+    c.sim.run_until(5)
+    assert list(s.brb.pending.values()) == [encode_madd(carried)]
+    first = [c.element() for _ in range(2)]
+    for e in first:
+        s.add(e)  # 4 > 3: the first threshold flush leaves `carried` out
+    assert set(s.tobroadcast) == set(carried)
+    second = [c.element() for _ in range(4)]
+    for e in second:
+        s.add(e)  # 4 more: the next threshold flush sends them all
+    assert s.tobroadcast == {}
+    c.sim.run_until(100)
+    assert set(_batches_sent(c, s)) == {frozenset(first),
+                                        frozenset(carried + second)}
+    s.epoch_inc(1)
+    c.sim.run_until(1_000)
+    for srv in c.correct:  # stamped long before the max_wait timer fires
+        assert srv.history.entries == (frozenset(carried + first + second),)
+    assert list(s.brb.pending.values()) == [encode_madd(carried)]
 
 
 def test_aggregation_presets_match_declared_constants():
