@@ -273,7 +273,7 @@ class HavocServer:
     def _handle_request(self, frm: ProcessId, body: bytes) -> None:
         op, req_id, reqbody = decode_request(body)
         if op == OP_ADD:
-            self._learn([decode_add_request_body(reqbody)])
+            self._learn([decode_add_request_body(reqbody)[0]])
             self.net.send(frm, encode_response(op, req_id, STATUS_OK))
         elif op == OP_EPOCHINC:
             self.seen_h = max(self.seen_h, decode_epochinc_body(reqbody))

@@ -63,6 +63,8 @@ from .wire import (
     classify,
     decode_broadcast_message,
     decode_response,
+    digests_in,
+    encode_add_request_body,
     encode_request,
 )
 
@@ -282,7 +284,7 @@ class SafetyMonitor:
 
     def on_propose(self, h: int, names: frozenset, by: ProcessId) -> None:
         """Elements named by value are origin records; digests are not."""
-        self.origins.update(x for x in names if not isinstance(x, bytes))
+        self.origins.update(names.difference(digests_in(names)))
 
     # -- per-event checks ----------------------------------------------------
 
@@ -445,7 +447,8 @@ class Cluster:
 
 
 class Workload:
-    """Request-wire load generator: each element goes to ``f + 1`` servers."""
+    """Request-wire load generator: each element goes to ``f + 1`` servers,
+    one of them as its primary copy."""
 
     def __init__(self, sim: Simulation, keys: KeyStore, scenario: Scenario,
                  targets: tuple[ProcessId, ...], correct: frozenset[ProcessId],
@@ -487,11 +490,12 @@ class Workload:
             self.central.add(e)
         start = self._rotation
         self._rotation += 1
-        for j in range(self.scenario.f + 1):
+        for j in range(self.scenario.f + 1):  # the first copy is the primary
             target = self.targets[(start + j) % len(self.targets)]
             self._rid += 1
             self.sent[self._rid] = e
-            self.net.send(target, encode_request(OP_ADD, self._rid, e.wire))
+            body = encode_add_request_body(e, j == 0)
+            self.net.send(target, encode_request(OP_ADD, self._rid, body))
 
     def on_message(self, frm: ProcessId, body: bytes) -> None:
         try:

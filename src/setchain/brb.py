@@ -22,16 +22,6 @@ delivered instance keeps its payload, to answer fetches, and its flags,
 so that a late init from the origin still draws this process's one echo;
 it drops its quorum sets.
 
-``pending`` maps the key of each other origin's instance whose INIT this
-process holds and has not delivered to that INIT's payload: an entry is
-added when the INIT arrives and dropped at delivery, both in O(1).  A
-batching server reads it to leave out of a flush at ``max_batch`` the adds
-that a peer is already broadcasting.  An instance that is never delivered
-(a Byzantine origin's INIT that reached too few processes) keeps its
-entry, as it keeps its ``instances`` entry, so the server leaves an add
-out of at most one such flush, and its ``max_wait`` flush sends the whole
-buffer: an INIT that never completes delays an add by one flush at most.
-
 Each protocol step (the origin's INIT, a process's ECHO, its READY) is one
 ``NetHandle.multicast`` to the other peers, in their given order; the
 process then applies the step to its own instance at once, as Bracha's
@@ -102,8 +92,6 @@ class BrbEngine:
         self.on_deliver = on_deliver
         self.on_broadcast = on_broadcast
         self.instances: dict[tuple[ProcessId, bytes], _Instance] = {}
-        # Other origins' undelivered instances whose INIT payload is held.
-        self.pending: dict[tuple[ProcessId, bytes], bytes] = {}
         self.delivered_count = 0
 
     def broadcast(self, payload: bytes) -> bytes:
@@ -142,8 +130,6 @@ class BrbEngine:
                 self._send_to_all(BrbFrame(ECHO, origin, digest, None))
             if inst.delivered:
                 return
-            if origin != self.net.pid:
-                self.pending[key] = payload
         elif phase == FETCH:
             if inst.payload is not None and frm not in inst.supplied:
                 inst.supplied += (frm,)
@@ -173,7 +159,6 @@ class BrbEngine:
                 inst.delivered = True
                 self.delivered_count += 1
                 inst.echoes = inst.readies = None
-                self.pending.pop((origin, digest), None)
                 self.on_deliver(origin, digest, inst.payload)
             elif not inst.fetched:
                 inst.fetched = True

@@ -3,21 +3,24 @@
 Two correct-client strategies with opposite latency/traffic tradeoffs:
 
 * :class:`QuorumClient` — writes go to ``f + 1`` distinct servers so at
-  least one is correct; reads contact ``3f + 1`` servers, wait for the
-  first ``2f + 1`` responses (at most ``GET_TIMEOUT`` ticks), and keep
-  only what at least ``f + 1`` servers vouch for, so no lying minority
-  can fabricate elements or history entries.
-* :class:`OptimisticClient` — one add request to a single server, a
-  wait, then one read probe to a single server.  The probe is trusted
-  only as far as its cryptographic evidence: the element must sit in an
-  epoch whose recomputed digest is signed by ``f + 1`` distinct servers.
-  Far fewer messages (every server-side add triggers a quadratic
-  broadcast, so redundant quorum writes are expensive), but higher
-  latency, and an "unconfirmed" signal after ``RETRIES`` attempts — the
-  cue to fall back to the quorum client.  The wait before each probe
-  (``WAIT_FACTOR`` epoch periods, times ``BACKOFF`` per retry) and the
-  probe's ``PROBE_TIMEOUT`` are class constants; only ``epoch_period``
-  is set per client.
+  least one is correct, and mark one copy primary: a batching server
+  broadcasts a primary copy at its next flush, and leaves a backup copy
+  out of one flush, since the primary holder is likely to broadcast it;
+  reads contact ``3f + 1`` servers, wait for the first ``2f + 1``
+  responses (at most ``GET_TIMEOUT`` ticks), and keep only what at least
+  ``f + 1`` servers vouch for, so no lying minority can fabricate
+  elements or history entries.
+* :class:`OptimisticClient` — one add request, its primary copy, to a
+  single server, a wait, then one read probe to a single server.  The
+  probe is trusted only as far as its cryptographic evidence: the
+  element must sit in an epoch whose recomputed digest is signed by
+  ``f + 1`` distinct servers.  Far fewer messages (every server-side add
+  triggers a quadratic broadcast, so redundant quorum writes are
+  expensive), but higher latency, and an "unconfirmed" signal after
+  ``RETRIES`` attempts — the cue to fall back to the quorum client.  The
+  wait before each probe (``WAIT_FACTOR`` epoch periods, times
+  ``BACKOFF`` per retry) and the probe's ``PROBE_TIMEOUT`` are class
+  constants; only ``epoch_period`` is set per client.
 
 Both clients keep, for each server, the epoch sets of that server's last
 get reply (its prior), and each get request says how many they hold.
@@ -63,6 +66,7 @@ from .wire import (
     decode_get_state,  # unused here, but perfbench/tracing.py patches it by name
     decode_get_state_after,
     decode_response,
+    encode_add_request_body,
     encode_epochinc_body,
     encode_get_request_body,
     encode_request,
@@ -207,10 +211,12 @@ class QuorumClient:
     # -- writes --------------------------------------------------------------
 
     def add(self, e: Element) -> tuple[ProcessId, ...]:
-        """Send the element to ``f + 1`` distinct servers; returns them."""
+        """Send the element to ``f + 1`` distinct servers, the first of them
+        as its primary; returns them."""
         contacted = self._rotation(self.f + 1)
-        for s in contacted:
-            self.net.send(s, encode_request(OP_ADD, next(self._req_ids), e.wire))
+        for j, s in enumerate(contacted):
+            body = encode_add_request_body(e, j == 0)
+            self.net.send(s, encode_request(OP_ADD, next(self._req_ids), body))
         return contacted
 
     def epoch_inc(self, h: int) -> tuple[ProcessId, ...]:
@@ -450,8 +456,8 @@ class OptimisticClient:
         server = target if target is not None else self._pick()
         call.attempts += 1
         call.servers_tried += (server,)
-        self.net.send(server,
-                      encode_request(OP_ADD, next(self._req_ids), call.element.wire))
+        body = encode_add_request_body(call.element, True)  # the only copy
+        self.net.send(server, encode_request(OP_ADD, next(self._req_ids), body))
         wait = self.WAIT_FACTOR * self.epoch_period
         wait *= self.BACKOFF ** (call.attempts - 1)
         self.net.after(wait, self._probe, call, server)

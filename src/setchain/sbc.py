@@ -14,10 +14,11 @@ order, after a network-like delay.
 
 A proposal is a set of names that the service does not look inside: a
 setchain server names the add batches it delivered by the 32-byte digest
-of their broadcast payload, and a Byzantine one may also name elements by
-value.  Proposals also fan out as notice frames to every other process
-(``wire.encode_inform``: the digests, then the elements), so an adversary
-can harvest what correct servers proposed.
+of their broadcast payload, and the adds still in its batching buffer by
+value; a Byzantine one may name any elements by value.  Proposals also
+fan out as notice frames to every other process (``wire.encode_inform``:
+the digests, then the elements), so an adversary can harvest what correct
+servers proposed.
 """
 
 from __future__ import annotations

@@ -10,17 +10,21 @@ elements.  Optional behaviours: batching adds into one broadcast
 epoch's digest back into the set so light clients can check membership
 proofs.
 
-Proposals name batches, not elements (as in Hashchain, Capretto et al.,
-2022).  A server keeps each delivered add batch that still holds an
-unstamped element, keyed by the sha256 of its broadcast payload, and
-proposes those digests.  A decided epoch stamps:
+Proposals name delivered batches by digest (as in Hashchain, Capretto et
+al., 2022) and queued adds by value.  A server keeps each delivered add
+batch that still holds an unstamped element, keyed by the sha256 of its
+broadcast payload, and proposes those digests; a batching server also
+proposes every add in its buffer, so that the adds queued when an epoch
+is cut are stamped in that epoch rather than after the next flush.  A
+decided epoch stamps:
 
 * the batches of the digests that at least ``f + 1`` proposers name.  One
   of them is correct, so it delivered the batch, and reliable broadcast
   brings the batch to every correct server.  A digest named fewer times
   is ignored; its elements stay open and are proposed again;
-* every valid element named by value, which only a Byzantine proposer
-  does.
+* every valid element named by value.  A correct proposer names only
+  adds a client asked it for; a Byzantine one may name any valid element,
+  which is no more than a client could add.
 
 Every correct server applies these rules to the same decision at the same
 history, so all of them stamp the same entry.  A server that has not yet
@@ -28,19 +32,26 @@ delivered a batch the decision needs holds that decision, and every later
 one, until the batch arrives, and then stamps them in order.  A batch is
 dropped when its last element is stamped, so at quiescence none is kept.
 
-A client sends each add to ``f + 1`` servers, so with batching several of
-them usually queue it.  When a server's buffer reaches ``max_batch`` it
-leaves out of that flush every queued add that a peer's INIT already
-carries: an INIT whose payload this server holds (``BrbEngine.pending``)
-and whose instance it has not delivered.  The left-out adds stay queued;
-the peer's batch, once delivered, removes them, so one copy of each
-crosses the network instead of two.  Two rules keep a Byzantine peer that
-INITs a batch and never completes it from trapping adds:
+The adds a proposal names stay queued.  A flush at ``max_batch`` leaves
+them out until the decision of that instance is stamped: the decision
+stamps them, or, if the proposal missed its deadline, they go out in a
+later flush or are proposed again at the next cut.
 
-* an add is left out of at most one threshold flush: the next flush sends
-  it whatever the peers hold;
+A client sends each add to ``f + 1`` servers and marks one copy primary
+and the others backup (the primary/backup client requests of PBFT,
+Castro & Liskov, 1999).  A flush at ``max_batch`` leaves out each backup
+copy queued since the last flush: its primary holder is likely to
+broadcast it, and that batch, once delivered, removes it from the buffer,
+so one copy of each add crosses the network instead of two.  Three rules
+keep a Byzantine primary that never broadcasts from trapping an add:
+
+* a backup copy is left out of at most one flush: the next one sends it;
+* a cut's proposal names every queued add, backups included;
 * the ``max_wait`` timer flush sends the whole buffer, so at quiescence
   every buffer is empty.
+
+So a Byzantine primary delays an add by one flush at most, and never until
+``max_wait``.
 """
 
 from __future__ import annotations
@@ -77,6 +88,7 @@ from .wire import (
     decode_epochinc_body,
     decode_get_request_body,
     decode_request,
+    digests_in,
     encode_epoch,
     encode_get_state,
     encode_madd,
@@ -112,10 +124,11 @@ class AggConfig:
     not put the flush off: under steady load a server flushes every
     ``max_batch + 1`` adds it queues, however soon peers' batches reach it.
 
-    A flush at ``max_batch`` leaves out the queued adds that a peer's
-    undelivered INIT carries, unless the previous flush left them out
-    already; they stay in the buffer and no longer count toward the next
-    ``max_batch``.  A flush at ``max_wait`` sends the whole buffer."""
+    A flush at ``max_batch`` leaves out the backup copies queued since the
+    last flush and the adds the server's pending proposal names by value;
+    they stay in the buffer and no longer count toward the next
+    ``max_batch``.  A flush at ``max_wait`` sends the whole buffer.  Every
+    queued add, whatever its copy, is proposed by value at each cut."""
 
     max_batch: int = 1000
     max_wait: int = 5_000_000
@@ -212,8 +225,12 @@ class SetchainServer:
         self._epoch_segments: list[bytes] = []
         self._flush_scheduled = False
         self._queued = 0  # adds queued since the last flush or empty buffer
-        # The queued adds that the last flush left out: the next one sends them.
-        self._left_out: AbstractSet[Element] = frozenset()
+        # Backup copies queued since the last flush: the next threshold
+        # flush leaves them out, and the one after sends them.
+        self._backups: set[Element] = set()
+        # The queued adds that the proposal for instance _proposed names by
+        # value: threshold flushes leave them out until it is decided.
+        self._proposed_adds: frozenset[Element] = frozenset()
 
     @property
     def epoch(self) -> int:
@@ -235,13 +252,15 @@ class SetchainServer:
         base = have if have <= self.epoch else 0
         return encode_get_state(self._unstamped, segments[base:], base)
 
-    def add(self, e: Element) -> None:
+    def add(self, e: Element, primary: bool = True) -> None:
+        """Accepts ``e``; ``primary`` is false for a client's backup copy,
+        which a batching server may leave out of one threshold flush."""
         if not self.keys.valid(e):
             raise RequestRejected("invalid-element")
         if e in self.theset:
             raise RequestRejected("already-present")
         if self.agg is not None:
-            self._enqueue(e)
+            self._enqueue(e, primary)
         else:
             self.brb.broadcast(encode_madd((e,)))
 
@@ -252,41 +271,29 @@ class SetchainServer:
 
     # -- aggregation --------------------------------------------------------
 
-    def _enqueue(self, e: Element) -> None:
+    def _enqueue(self, e: Element, primary: bool) -> None:
         if e in self.tobroadcast:
             return
         self.tobroadcast[e] = self.net.now
+        if not primary:
+            self._backups.add(e)
         self._queued += 1
         if self._queued > self.agg.max_batch:
-            self._flush(self._carried_by_peers())
+            self._flush(self._backups.union(self._proposed_adds))
         elif not self._flush_scheduled:
             self._flush_scheduled = True
             self.net.after(self.agg.max_wait + 1, self._flush_timer)
 
-    def _carried_by_peers(self) -> set[Element]:
-        """The queued adds that a peer's INIT carries, for each INIT whose
-        payload this server holds and whose instance it has not delivered;
-        less the adds left out of the last flush, which go out now."""
-        queued = set(self.tobroadcast).difference(self._left_out)
-        carried = set()
-        for payload in self.brb.pending.values():
-            try:
-                kind, value = decode_broadcast_message(payload)
-            except FrameError:
-                continue
-            if kind == "add":
-                carried |= queued & value
-        return carried
-
     def _flush(self, leave_out: AbstractSet[Element] = frozenset()) -> None:
         """Broadcasts the queued adds but ``leave_out``, which stay queued
-        until a peer's batch delivers them or the next flush sends them."""
+        until a batch or a decision takes them out or a later flush sends
+        them."""
         tobroadcast = self.tobroadcast
         batch = [e for e in tobroadcast if e not in leave_out]
         for e in batch:
             del tobroadcast[e]
         self._queued = 0
-        self._left_out = leave_out
+        self._backups = set()
         if batch:
             self.brb.broadcast(encode_madd(batch))
 
@@ -320,7 +327,7 @@ class SetchainServer:
         status, respbody = STATUS_OK, b""
         try:
             if op == OP_ADD:
-                self.add(decode_add_request_body(reqbody))
+                self.add(*decode_add_request_body(reqbody))
             elif op == OP_EPOCHINC:
                 self.epoch_inc(decode_epochinc_body(reqbody))
             elif op == OP_GET:
@@ -379,6 +386,7 @@ class SetchainServer:
                 del tobroadcast[e]
             if not tobroadcast:
                 self._queued = 0
+                self._backups = set()
 
     def _deliver_epochinc(self, h: int) -> None:
         if h < self.epoch + 1:
@@ -389,7 +397,11 @@ class SetchainServer:
         if h == self._proposed:
             return  # already proposed for this instance
         self._proposed = h
-        self.sbc.propose(h, frozenset(self.open_batches), self.pid)
+        names = frozenset(self.open_batches)
+        if self.tobroadcast:
+            self._proposed_adds = frozenset(self.tobroadcast)
+            names |= self._proposed_adds
+        self.sbc.propose(h, names, self.pid)
 
     # -- consensus deliveries ----------------------------------------------
 
@@ -403,19 +415,13 @@ class SetchainServer:
         """Stamps the held decisions in order, up to the first one that
         certifies a batch this server has not delivered."""
         held, open_batches = self._held, self.open_batches
-        while held and all(d in open_batches for d in self._split(held[0][1])[0]):
+        while held and all(d in open_batches for d in self._certified(held[0][1])):
             self.on_set_deliver(*held.popleft())
 
-    def _split(self, propset: Propset) -> tuple[list[bytes], frozenset[Element]]:
-        """The digests that at least ``f + 1`` proposers of ``propset`` name,
-        and the elements it names by value."""
-        certified, by_value = [], []
-        for x, count in Counter(chain.from_iterable(propset.values())).items():
-            if not isinstance(x, bytes):
-                by_value.append(x)
-            elif count > self.f:
-                certified.append(x)
-        return certified, frozenset(by_value)
+    def _certified(self, propset: Propset) -> list[bytes]:
+        """The digests that at least ``f + 1`` proposers of ``propset`` name."""
+        counts = Counter(chain.from_iterable(map(digests_in, propset.values())))
+        return [d for d, count in counts.items() if count > self.f]
 
     def on_set_deliver(self, h: int, propset: Propset) -> None:
         """Stamps decision ``h``; this server holds every batch it certifies."""
@@ -423,9 +429,10 @@ class SetchainServer:
             raise RuntimeError(
                 f"consensus delivered epoch {h} to {self.pid!r} at epoch "
                 f"{self.epoch}; the service must deliver in order")
-        certified, by_value = self._split(propset)
+        names = frozenset().union(*propset.values())
+        by_value = names.difference(digests_in(names))
         try:
-            batches = [self.open_batches[d] for d in certified]
+            batches = [self.open_batches[d] for d in self._certified(propset)]
         except KeyError:
             raise RuntimeError(
                 f"epoch {h} certifies a batch that {self.pid!r} has not "
@@ -440,6 +447,7 @@ class SetchainServer:
         self._unstamped -= E
         self._close(E)
         self._unqueue(E)
+        self._proposed_adds = frozenset()  # they were proposed for instance h
         if self.state_observer is not None:
             if inserted:
                 self.state_observer(self.pid, "insert",

@@ -23,8 +23,10 @@ All integers are big-endian.  Frames (first byte is the frame tag):
   A proposal names add batches by the 32-byte digest of their broadcast
   payload, and elements by value; the set holds the elements.
 * client requests, tag ``Q``:  ``'Q' | op u8 | u64 req_id | body``
-  with op 0 add (element), 1 get (``u64 have``: how many of the server's
-  epochs the reader holds), 2 epoch-inc (``u64 h``)
+  with op 0 add (``element | u8 primary``), 1 get (``u64 have``: how many
+  of the server's epochs the reader holds), 2 epoch-inc (``u64 h``).  A
+  client sends each add to several servers and marks one copy primary
+  (flag 1) and the others backup (flag 0); any other flag is garbage
 * server responses, tag ``R``:  ``'R' | op u8 | u64 req_id | status u8 | body``
   where a get body is
   ``u64 epoch | u64 base | u32 |U| | set(U) | (u32 count | set) * (epoch - base)``:
@@ -39,7 +41,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import compress
+from operator import is_
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -164,12 +168,22 @@ def decode_brb(buf: bytes) -> BrbFrame:
 
 DIGEST_BYTES = 32  # a proposal's name for a batch: sha256 of its payload
 
+_is_bytes = partial(is_, bytes)
+
+
+def digests_in(names: frozenset) -> list[bytes]:
+    """The digests (``bytes``) among a proposal's ``names``; the rest are
+    elements named by value.  A proposal can name thousands of queued adds,
+    so this makes no Python call per name, and ``names.difference`` of the
+    result keeps the hashes that ``names`` stores."""
+    return list(compress(names, map(_is_bytes, map(type, names))))
+
 
 def encode_inform(h: int, names) -> bytes:
     """The notice of a proposal for instance ``h``: its digests (``bytes``),
     then its elements."""
     names = frozenset(names)
-    digests = sorted(x for x in names if isinstance(x, bytes))
+    digests = sorted(digests_in(names))
     if any(len(d) != DIGEST_BYTES for d in digests):
         raise FrameError("a proposal digest is 32 bytes")
     elements = names.difference(digests)
@@ -297,12 +311,21 @@ def decode_get_state_after(buf: bytes, prior: GetPrior):
         raise FrameError(str(exc)) from exc
 
 
-def decode_add_request_body(body: bytes) -> Element:
+def encode_add_request_body(e: Element, primary: bool) -> bytes:
+    return e.wire + (b"\x01" if primary else b"\x00")
+
+
+def decode_add_request_body(body: bytes) -> tuple[Element, bool]:
+    """``(element, primary)``; raises FrameError unless exactly one flag
+    byte, 0 or 1, follows the element."""
     try:
         e, end = decode_element(body)
-        if end != len(body):
-            raise FrameError("trailing bytes in add request")
-        return e
+        if end != len(body) - 1:
+            raise FrameError("an add request is an element and one flag byte")
+        flag = body[end]
+        if flag > 1:
+            raise FrameError("the primary flag is 0 or 1")
+        return e, flag == 1
     except (struct.error, ValueError, IndexError) as exc:
         raise FrameError(str(exc)) from exc
 

@@ -13,6 +13,7 @@ import hashlib
 import math
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -20,8 +21,10 @@ import pytest
 from conftest import BrbWorld, SbcWorld, ServerCluster, run_until_done
 from setchain.adversaries import ForgedDigestServer, LyingHistoryServer
 from setchain.bench import (
+    SafetyMonitor,
     compare,
     metric_value,
+    named_scenario,
     preset,
     run_matrix,
     run_scenario,
@@ -74,12 +77,35 @@ def _hits(reports, codes):
     return out
 
 
+@contextmanager
+def _recording_waits(sink):
+    """Appends to ``sink``, for each scenario run inside, the (request tick,
+    stamp tick or None) of each of its workload adds, in run order."""
+    summary = SafetyMonitor.latency_summary
+
+    def record(monitor, duration):
+        sink.append([(t0, monitor.stamp_tick.get(e))
+                     for e, t0 in monitor.request_tick.items()])
+        return summary(monitor, duration)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SafetyMonitor, "latency_summary", record)
+        yield
+
+
 @pytest.fixture(scope="module")
-def matrix():
+def stamp_waits():
+    """The request and stamp ticks of the matrix runs; ``matrix`` fills it."""
+    return []
+
+
+@pytest.fixture(scope="module")
+def matrix(stamp_waits):
     """The adversarial grid, once: {n=4,7,10} x {fast, fast-agg} x
     {none, silent, havoc} x 100 seeds."""
     start = time.perf_counter()
-    reports = run_matrix(safety_matrix(), range(SEEDS))
+    with _recording_waits(stamp_waits):
+        reports = run_matrix(safety_matrix(), range(SEEDS))
     return reports, time.perf_counter() - start
 
 
@@ -110,6 +136,40 @@ def test_liveness_all_adds_stamped_and_replicas_converge(matrix):
     total = sum(r.adds_stamped_final for r in reports)
     print(f"liveness: {total} adds accepted and stamped across "
           f"{len(reports)} runs, replicas converged in all")
+
+
+TAIL_PERIODS = 4
+
+
+def test_batched_adds_are_stamped_within_four_epoch_periods(matrix, stamp_waits):
+    """Every batched add is stamped within a few epochs of its request, in
+    the nine fast-agg cells and on ``firehose`` seed 1, and none waits for
+    the ``max_wait`` flush (5 M ticks).  The window's last period is left
+    out: an add requested there is proposed only for the window's last
+    instance, whose deadline a Byzantine proposer can close before the
+    correct proposals arrive, and the next cut is the drain's, which the
+    ``max_wait`` timers still pending hold back until about tick 5 M."""
+    reports, _ = matrix
+    assert len(stamp_waits) == len(reports)
+    runs = [(r, waits) for r, waits in zip(reports, stamp_waits)
+            if r.algorithm == "fast-agg"]
+    assert len(runs) == 9 * SEEDS
+    firehose = []
+    with _recording_waits(firehose):
+        runs.append((run_scenario(preset("firehose").with_seed(1)), firehose[0]))
+    waited, late = [], []  # each early add's wait, in epoch periods
+    for r, waits in runs:
+        period = named_scenario(r.scenario).epoch_period
+        for t0, t1 in waits:
+            if t0 < r.duration - period:
+                waited.append(math.inf if t1 is None else (t1 - t0) / period)
+                if waited[-1] > TAIL_PERIODS:
+                    late.append((r.scenario, r.seed, t0, t1))
+    assert not late, f"adds stamped after {TAIL_PERIODS} periods: {late[:5]}"
+    assert len(waited) > 20_000  # 16,200 in the matrix, 16,000 on firehose
+    print(f"batched tail: {len(waited)} adds over {len(runs)} runs, each "
+          f"stamped within {max(waited):.2f} epoch periods "
+          f"(needs <= {TAIL_PERIODS})")
 
 
 def test_stamp_once_record_agreement_and_sequential_convergence(matrix):

@@ -305,30 +305,48 @@ def test_monitor_flags_batches_kept_open_at_quiescence():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", PRESET_NAMES)
-def test_a_preset_keeps_no_batch_and_proposes_no_element(name, monkeypatch):
-    """After the run every correct server's open-batch map is empty, and no
-    delivered proposal notice carries an element: with no adversary that
-    proposes, every proposal names digests only."""
-    servers, notices = [], []
-    attach, classify = SafetyMonitor.attach, bench.classify
+def _run_watching_proposals(name, monkeypatch):
+    """Runs preset ``name`` at seed 0 and checks that no correct server
+    keeps a batch or an add at the end; returns, for each proposal, the
+    elements it names by value and its proposer's buffer at that moment."""
+    servers, proposals = {}, []
+    attach, on_propose = SafetyMonitor.attach, SafetyMonitor.on_propose
 
     def keep(monitor, server):
-        servers.append(server)
+        servers[server.pid] = server
         attach(monitor, server)
 
-    def inspect(body):
-        if body[:1] == b"P":
-            notices.append(wire.decode_inform(body)[1])
-        return classify(body)
+    def watch(monitor, h, names, by):
+        proposals.append((names.difference(wire.digests_in(names)),
+                          set(servers[by].tobroadcast)))
+        on_propose(monitor, h, names, by)
 
     monkeypatch.setattr(SafetyMonitor, "attach", keep)
-    monkeypatch.setattr(bench, "classify", inspect)
+    monkeypatch.setattr(SafetyMonitor, "on_propose", watch)
     scenario = preset(name).with_seed(0)
-    assert scenario.byzantine != "havoc"
+    assert scenario.byzantine != "havoc"  # every proposer is a correct server
     assert run_scenario(scenario).ok
-    assert servers and all(not s.open_batches for s in servers)
-    assert notices and all(isinstance(x, bytes) for names in notices for x in names)
+    assert servers and all(not s.open_batches for s in servers.values())
+    assert all(s.tobroadcast == {} for s in servers.values())
+    return proposals
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg is None])
+def test_a_preset_keeps_no_batch_and_proposes_no_element(name, monkeypatch):
+    """After the run every correct server's open-batch map is empty, and
+    with no batching every proposal names digests only."""
+    proposals = _run_watching_proposals(name, monkeypatch)
+    assert proposals and all(not by_value for by_value, _ in proposals)
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg])
+def test_a_batched_preset_keeps_no_batch_and_proposes_only_queued_adds(
+        name, monkeypatch):
+    """With batching, a proposal names by value exactly the adds in its
+    proposer's buffer, and at the end no batch is open and no add queued."""
+    proposals = _run_watching_proposals(name, monkeypatch)
+    assert any(by_value for by_value, _ in proposals)
+    assert all(by_value == queued for by_value, queued in proposals)
 
 
 def test_small_run_stamps_every_accepted_add():

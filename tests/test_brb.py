@@ -429,30 +429,10 @@ def test_with_f_0_the_origin_delivers_its_own_broadcast_once_inside_broadcast():
     assert len(delivered) == 1 and len(net.calls) == 3
 
 
-def _held_undelivered(engine):
-    """Each other origin's undelivered instance whose payload ``engine`` holds."""
-    me = engine.net.pid
+def _undelivered_payloads(engine):
+    """Each instance whose payload ``engine`` holds and has not delivered."""
     return {key: inst.payload for key, inst in engine.instances.items()
-            if key[0] != me and inst.payload is not None and not inst.delivered}
-
-
-def test_pending_holds_exactly_the_other_origins_undelivered_inits():
-    c = BrbWorld(n=4, f=1, n_byz=1, seed=3)
-    byz = c.byz[0]
-    for i, pid in enumerate(c.correct):
-        c.engines[pid].broadcast(b"batch-%d" % i)
-    stray = b"never delivered"
-    c.inject(byz, BrbFrame(INIT, byz, hashlib.sha256(stray).digest(), stray),
-             c.correct[:1])
-    while c.sim.pending_events():
-        c.sim.run_until(c.sim.now + 1)
-        for engine in c.engines.values():
-            assert engine.pending == _held_undelivered(engine)
-    for pid in c.correct:
-        assert len(c.deliveries(pid)) == 3
-    # only the silent origin's INIT stays pending, where it was sent
-    assert [list(c.engines[pid].pending.values()) for pid in c.correct] == [
-        [stray], [], []]
+            if inst.payload is not None and not inst.delivered}
 
 
 @pytest.mark.parametrize("name", [name for name in PRESET_NAMES
@@ -469,4 +449,4 @@ def test_no_payload_is_pending_at_quiescence_without_byzantine_slots(
     monkeypatch.setattr(BrbEngine, "__init__", capture)
     run_scenario(preset(name).with_seed(0))
     assert len(engines) == preset(name).n
-    assert all(engine.pending == {} for engine in engines)
+    assert all(_undelivered_payloads(engine) == {} for engine in engines)

@@ -5,10 +5,13 @@ behaviour keeps these bytes: every preset at seed 0 and every safety-matrix
 cell at seeds 0 and 1.  A change that alters them on purpose says why and
 re-records them; ``PYTHONPATH=src python tests/test_golden.py`` prints the
 current values in the layout below, then the wider report digest of
-:func:`report_digest`.
+:func:`report_digest`.  With ``--changed`` it lists instead each recorded
+golden that differs on the current tree, as ``name@seed``, so a
+re-baseline can show exactly which runs it touches.
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -16,9 +19,9 @@ from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safet
 
 PRESETS_AT_SEED_0 = {
     "stock": "ec34c792fd00252f8913472b15e39fded5785341b14063df6e6e6ac3e4d90270",
-    "firehose": "d280fa2dbc6263c5d330d2feaeac647cb4a8f9bebad0d4dcdbbe9b8c170303a2",
+    "firehose": "f8bb23c302a564c9eb92eccba6f0a2c2d1abb5f59b9919529b75ee4241476048",
     "overload-fast": "59dee2b871db1eb3e24ad6a739fa59d8c698c2b1f881a7f36aaafb87531ab683",
-    "overload-agg": "1a922dbcd208233152d996968de1f189c0c9fff120ceba7e27c7d41fe70ef7a7",
+    "overload-agg": "7d502e49a5412fb4bfcf7015c21583badd4bacff183ccc5eb3250a449b5ffc73",
     "large-none": "532e6f49faa854b37cb2d89d7e2d70b83533e65ff3392d4b375c82a4df905822",
     "large-silent": "7cd765f9360d13b71cdb0da27d050bdd9c6c98299265487f10933789905be9e9",
     "marathon": "ed452deafa0f2a46f7fa5096eee4f61f29761a1c70fa73f827d672b1df4b4c63",
@@ -39,16 +42,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "83ecd58b1bfa2eb2f8d03750160ac7e57934fb8da6001244c05eb5f5b3ad5661",
     ),
     "safety-n4-fast-agg-none": (
-        "cb9dd225bad9695bab82a3bd932686e07be8a55b2f5c159125e531f38809b1cc",
-        "4d14c73cab16ccabe8058a922690647f0f250d788531e8d2b180b2cb0313e70e",
+        "b33171504b179c872c092be38a58cb2a5ad3c61be5b19172559b736918f7ba1e",
+        "6d1f4011762977c4c005a857c58dab60103c739a0c08fda9e218cc085e6c73b9",
     ),
     "safety-n4-fast-agg-silent": (
-        "7d3d8ef5687b2ddf0cada6e0483ed4454659c9dfa7fef142b6386f77432b3862",
-        "177ec03dfc8f2c5d153bdc4a930e1424083b33b74b2c98412f43f8c63943bebf",
+        "eeb6bbf02843fd9eda60a1db78994fe61da8d02f92e73ea91430099bd67c431f",
+        "8ed055df2e7bfd8150211b17a3a8ef148db32d2684938bb61e26c387620895a5",
     ),
     "safety-n4-fast-agg-havoc": (
-        "88c38d35285214d414f4821872ffd6cbcc8c4394ff1b9fe4de70fff831d6320c",
-        "bb28fc3831e2d6259526b7e621561e66b5a1ba555976db380ee9b8ac262b36c8",
+        "60272f10453f250a8d78b78f14a67e4e045fc4a7a5504b622d775ed0937dfe42",
+        "3b249a8a26eb3ca1ca69ef8bb63724c51038695f4fe9ffc4d6ef1c1e839c1cb4",
     ),
     "safety-n7-fast-none": (
         "cc0c73dc8b6f079816601a33140a5e5d9cdfe915593ffcd91bc70edd8df85841",
@@ -63,16 +66,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "810b1e08c228da3a867b11ad4aa53e3ca8a475f03e94aef41e9f241cf2515431",
     ),
     "safety-n7-fast-agg-none": (
-        "2daeda9faad611de066127531f2279eef7c1de7bf8b2a8eb14dcf7279b13db03",
-        "03219a3811cf1e151b8de4ff74744eb568436f122ba54c013937b4a74001174c",
+        "5bcb89b7475aaf0d688ca9b1bb20c1a95cf749fc36495be8dda91942ca462002",
+        "41dc3fd1317348206edc6ae94d03a97f4b7fd2bd046e3da18a4ad31f99d5cbb4",
     ),
     "safety-n7-fast-agg-silent": (
-        "196b2e3cb749e3f03b39391f7010169005fcf5b291407f367d42f84e39bc8e18",
-        "c3b1fbab029493b1c2429276271eb358829cd105a1cbd567051113a641eca071",
+        "10397ecb9d79f1a1adbebf68b03fe1c850747a10322dfca9cb8affb27f69d521",
+        "a925ce47c132aa27cfb711b91387c22ac81cb54c93820fd98b8bd0965117fe98",
     ),
     "safety-n7-fast-agg-havoc": (
-        "cde5fd45c440303a84d8b663aaaebb62c57f3d6ddb7cd0ce40ba34a8610eaf30",
-        "292a56d27d013763eff35300ba6e4b11dadcd526f3ae357af33b3a2ac97e31da",
+        "c0f94151e1ea5a7ac61885ba4ba8c9806e5858407295a9269c630b3c4eca0073",
+        "5a6ebe5b985c3f3c27bc8f4470362cf9fb85634a8a5cb3c81cfd840d589a437d",
     ),
     "safety-n10-fast-none": (
         "989dbbd8c43b7d31f6663e1a8bde8ae810fb640e9dadb6043f4eab332f9a3cf7",
@@ -87,16 +90,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "dbcb594c80f702eb06d81452be068f211e4fe601c7592e5d120ebe168032da83",
     ),
     "safety-n10-fast-agg-none": (
-        "022562adfd8ed1eb5abba552eb09c1c0b6a179682065f5358f4edfc1284d91dd",
-        "a041a3bafe20371150f5369f2f4c0a2a2ebf548e74d1bf6faee76ead750df4be",
+        "c9356d74fbe21f6c21721060b57a731f4c4c81c2ccdb17c793203015ce253070",
+        "3d64b9896a758d7c2724c98cd2c0969ac233fe4aa3eaf325343bee81d0316ef6",
     ),
     "safety-n10-fast-agg-silent": (
-        "1bfd4fdc50d01e89beae5c81a1049e29bf9b32d0970b5a91510e0008bb50a174",
-        "881c4f25e271bd1e3b256bc1fe3f0bf17ccc16690b4130a8a4f47ab09c0542a7",
+        "ab68e69f211c3370e2c03a24ba0a05c712a7bfad04f166e8f8161c57b58dcd93",
+        "ad3d422b62feb791ff3ee3d54283b6064c03c4abdc119c5f36b9da26a71f4bed",
     ),
     "safety-n10-fast-agg-havoc": (
-        "52fad22b2f85f27ed995bd46b8072def00ef5e192445f38e261b66a076007e55",
-        "caa5bbaada4fe436f7eed0e0d6cc011950b1d3990f1f9f0523ddfea942207210",
+        "041b0f06a89262303f0837cc0bef0080f8253a38d7be4d94c8cfccc4f17c24f7",
+        "96ddab05b3ae6df4aae0d0bb2371a73c5cfe8f1d5024617fbcdf4b432b3a7ef5",
     ),
 }
 
@@ -138,7 +141,27 @@ def test_matrix_cell_report_bytes_are_unchanged(cell):
     assert tuple(digest(r) for r in reports) == MATRIX[cell]
 
 
-if __name__ == "__main__":
+def changed_goldens() -> list[str]:
+    """``name@seed`` of each recorded golden whose digest differs now."""
+    changed = [f"{name}@0" for name in PRESET_NAMES
+               if digest(run_scenario(preset(name).with_seed(0)))
+               != PRESETS_AT_SEED_0[name]]
+    for cell, scenario in CELLS.items():
+        reports = run_matrix([scenario], MATRIX_SEEDS)
+        changed += [f"{cell}@{seed}" for seed, report, recorded
+                    in zip(MATRIX_SEEDS, reports, MATRIX[cell])
+                    if digest(report) != recorded]
+    return changed
+
+
+def print_changed() -> None:
+    changed = changed_goldens()
+    print("\n".join(changed))
+    print(f"{len(changed)} goldens changed, in "
+          f"{len({line.split('@')[0] for line in changed})} entries")
+
+
+def print_goldens() -> None:
     print("PRESETS_AT_SEED_0 = {")
     for name in PRESET_NAMES:
         print(f'    "{name}": "{digest(run_scenario(preset(name).with_seed(0)))}",')
@@ -149,3 +172,10 @@ if __name__ == "__main__":
             print(f'        "{digest(report)}",')
         print("    ),")
     print("}\n\nreport_digest() =", report_digest())
+
+
+if __name__ == "__main__":
+    if "--changed" in sys.argv[1:]:
+        print_changed()
+    else:
+        print_goldens()

@@ -38,6 +38,7 @@ from setchain.wire import (
     decode_get_state,
     decode_get_state_after,
     decode_response,
+    encode_add_request_body,
     encode_brb,
     encode_element_set,
     encode_epoch,
@@ -589,60 +590,103 @@ def _batches_sent(c, s):
     """The add batch of each INIT that ``s`` sent and a peer received."""
     bodies = dict.fromkeys(x.body for x in c.sim.log
                            if x.type == "brb-init" and x.src == s.pid)
-    return [decode_broadcast_message(decode_brb(b).payload)[1] for b in bodies]
+    messages = [decode_broadcast_message(decode_brb(b).payload) for b in bodies]
+    return [value for kind, value in messages if kind == "add"]
 
 
-def test_a_threshold_flush_leaves_out_the_adds_a_peers_held_init_carries():
+def test_a_backup_copy_is_left_out_of_exactly_one_threshold_flush():
     c = agg_cluster(max_batch=3, max_wait=10_000)
     s0, s1 = c.correct[:2]
     shared = [c.element() for _ in range(3)]
-    for e in shared:
+    for e in shared:  # s0 holds the primary copies, s1 the backups
         s0.add(e)
-        s1.add(e)
-    s0.add(own := c.element())  # 4 > 3: s0 flushes first
-    while not s1.brb.pending and c.sim.now < 5:
-        c.sim.run_until(c.sim.now + 1)
-    assert s1.brb.pending  # s1 holds s0's INIT and has not delivered it
-    s1.add(late := c.element())  # 4 > 3: s1 flushes what s0's INIT lacks
-    assert set(s1.tobroadcast) == set(shared)
-    c.drain()
-    assert s1.tobroadcast == {}  # s0's delivered batch unqueued them
-    assert _batches_sent(c, s0) == [frozenset(shared + [own])]
-    assert _batches_sent(c, s1) == [frozenset([late])]
-    c.correct[0].epoch_inc(1)
-    c.drain()
-    for s in c.correct:
-        assert s.history.entries == (frozenset(shared + [own, late]),)
-
-
-def test_an_add_a_silent_peers_init_carries_is_left_out_of_one_flush_only():
-    # The Byzantine origin INITs a batch of two queued adds at one correct
-    # server only and then goes silent, so the batch is never delivered.
-    c = agg_cluster(max_batch=3, max_wait=10_000, n_byz=1)
-    s = c.correct[0]
-    byz = c.byz[c.byz_pids[0]]
-    carried = [c.element() for _ in range(2)]
-    for e in carried:
-        s.add(e)
-    byz.brb_broadcast(encode_madd(carried), [s.pid])
-    c.sim.run_until(5)
-    assert list(s.brb.pending.values()) == [encode_madd(carried)]
-    first = [c.element() for _ in range(2)]
-    for e in first:
-        s.add(e)  # 4 > 3: the first threshold flush leaves `carried` out
-    assert set(s.tobroadcast) == set(carried)
+        s1.add(e, False)
+    s0.add(own := c.element())  # 4 > 3: s0 flushes its primaries
+    s1.add(orphan := c.element(), False)  # its primary reached no server
+    assert set(s1.tobroadcast) == set(shared + [orphan])  # 4 > 3: all left out
+    c.sim.run_until(100)
+    assert list(s1.tobroadcast) == [orphan]  # s0's batch unqueued the rest
     second = [c.element() for _ in range(4)]
     for e in second:
-        s.add(e)  # 4 more: the next threshold flush sends them all
-    assert s.tobroadcast == {}
-    c.sim.run_until(100)
-    assert set(_batches_sent(c, s)) == {frozenset(first),
-                                        frozenset(carried + second)}
+        s1.add(e)  # 4 > 3: this flush sends the backup it left out
+    assert s1.tobroadcast == {}
+    c.drain()
+    assert _batches_sent(c, s0) == [frozenset(shared + [own])]
+    assert _batches_sent(c, s1) == [frozenset([orphan] + second)]
+    s0.epoch_inc(1)
+    c.drain()
+    for s in c.correct:  # each add crossed the network once and is stamped once
+        assert s.history.entries == (frozenset(shared + [own, orphan] + second),)
+
+
+def test_an_add_whose_primary_is_silent_is_stamped_by_the_next_cut():
+    # The primary copies went to the silent Byzantine slot, which never
+    # broadcasts them; the one correct holder has the backup copies.
+    c = agg_cluster(max_batch=3, max_wait=1_000_000, n_byz=1)
+    s = c.correct[0]
+    s.add(left_out := c.element(), False)
+    primaries = [c.element() for _ in range(3)]
+    for e in primaries:
+        s.add(e)  # 4 > 3: the threshold flush leaves the backup out
+    assert list(s.tobroadcast) == [left_out]
+    s.add(fresh := c.element(), False)  # queued since that flush
     s.epoch_inc(1)
-    c.sim.run_until(1_000)
-    for srv in c.correct:  # stamped long before the max_wait timer fires
-        assert srv.history.entries == (frozenset(carried + first + second),)
-    assert list(s.brb.pending.values()) == [encode_madd(carried)]
+    c.sim.run_until(1_000)  # far short of max_wait
+    assert s.tobroadcast == {}
+    assert _batches_sent(c, s) == [frozenset(primaries)]
+    for srv in c.correct:  # the cut's proposal named both backups
+        assert srv.epoch >= 1 and {left_out, fresh} <= srv.history.get(1)
+    assert len({srv.history.entries for srv in c.correct}) == 1
+
+
+def test_a_flush_between_a_proposal_and_its_decision_leaves_out_the_adds_it_names():
+    c = agg_cluster(max_batch=3, max_wait=10_000)
+    s = c.correct[0]
+    named = [c.element() for _ in range(2)]
+    for e in named:
+        s.add(e)
+    s.epoch_inc(1)
+    while s._proposed < 1 and c.sim.now < 1_000:
+        c.sim.run_until(c.sim.now + 1)
+    assert s._proposed == 1 and s.epoch == 0  # proposed, not yet decided
+    later = [c.element() for _ in range(2)]
+    for e in later:
+        s.add(e)  # 4 > 3: the flush leaves out what the proposal names
+    assert set(s.tobroadcast) == set(named)
+    while s.epoch < 1 and c.sim.now < 1_000:
+        c.sim.run_until(c.sim.now + 1)
+    assert s.epoch == 1 and set(named) <= s.history.get(1)  # decided
+    assert s.tobroadcast == {}
+    c.drain()
+    s.epoch_inc(2)
+    c.drain()
+    assert _batches_sent(c, s) == [frozenset(later)]
+    for srv in c.correct:  # every add stamped once
+        assert srv.history.union() == frozenset(named + later)
+        assert sum(map(len, srv.history.entries)) == len(named + later)
+
+
+def test_adds_whose_proposal_missed_its_decision_go_in_the_next_flush():
+    c = agg_cluster(max_batch=3, max_wait=10_000, n_byz=1)
+    s = c.correct[0]
+    named = [c.element() for _ in range(2)]
+    for e in named:
+        s.add(e)
+    c.byz[c.byz_pids[0]].propose(1, frozenset())  # opens instance 1 early
+    c.sim.run_until(20)
+    deadline = c.service._instances[1].deadline
+    c.sim.schedule(deadline, s._deliver_epochinc, 1)  # s proposes too late
+    while s.epoch < 1 and c.sim.now < 1_000:
+        c.sim.run_until(c.sim.now + 1)
+    assert s._proposed == 1 and s.history.get(1) == frozenset()
+    assert list(c.service.decided(1).propset) == [c.byz_pids[0]]
+    assert set(s.tobroadcast) == set(named)  # proposed, not stamped
+    later = [c.element() for _ in range(2)]
+    for e in later:
+        s.add(e)  # 4 > 3: decision 1 is stamped, so the flush sends all
+    assert s.tobroadcast == {}
+    c.drain()
+    assert _batches_sent(c, s) == [frozenset(named + later)]
 
 
 def test_aggregation_presets_match_declared_constants():
@@ -701,7 +745,8 @@ def test_rpc_add_and_get_round_trip():
     inbox = []
     net = c.sim.register(client, lambda frm, body: inbox.append((frm, body)))
     e = c.element()
-    net.send(c.correct_pids[0], encode_request(OP_ADD, 1, e.wire))
+    net.send(c.correct_pids[0],
+             encode_request(OP_ADD, 1, encode_add_request_body(e, True)))
     c.drain()
     c.correct[0].epoch_inc(1)
     c.drain()

@@ -27,6 +27,7 @@ from setchain.wire import (
     decode_inform,
     decode_request,
     decode_response,
+    encode_add_request_body,
     encode_brb,
     encode_element_set,
     encode_epoch,
@@ -102,7 +103,8 @@ VALID = {
     decode_get_state_after: _delta_and_prior(),
     decode_get_request_body: _alone(st.builds(encode_get_request_body,
                                               st.integers(0, 2**64 - 1))),
-    decode_add_request_body: _alone(elements_st.map(lambda e: e.wire)),
+    decode_add_request_body: _alone(st.builds(encode_add_request_body, elements_st,
+                                              st.booleans())),
     decode_epochinc_body: _alone(st.builds(encode_epochinc_body,
                                            st.integers(0, 2**64 - 1))),
 }
@@ -123,6 +125,19 @@ def test_decoders_return_a_value_or_raise_frame_error(decode, data):
 @given(data=st.data())
 def test_decoders_accept_what_the_encoders_produce(decode, data):
     decode(*data.draw(VALID[decode]))
+
+
+@given(e=elements_st, primary=st.booleans())
+def test_add_request_body_round_trip(e, primary):
+    assert decode_add_request_body(encode_add_request_body(e, primary)) == (e, primary)
+
+
+@given(e=elements_st, flag=st.one_of(
+    st.just(b""), st.integers(2, 255).map(lambda b: bytes([b])),
+    st.binary(min_size=2, max_size=4)))
+def test_an_add_request_needs_exactly_one_flag_byte_of_0_or_1(e, flag):
+    with pytest.raises(FrameError):
+        decode_add_request_body(e.wire + flag)
 
 
 @given(h=st.integers(0, 2**64 - 1), names=proposals_st)
