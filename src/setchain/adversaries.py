@@ -8,11 +8,11 @@ Four flavours, from inert to actively hostile:
   every valid element it sees (add requests, broadcast payloads, consensus
   notices and deliveries).  On a seeded random schedule it emits
   broadcasts built from random mixes of that knowledge and freshly minted
-  invalid elements, and consensus proposals that also name a few of the
-  batch digests it saw since its last proposal (of INIT and SUPPLY
-  payloads, in notices and decisions, and of its own broadcasts) and a few
-  fresh random digests.  Reads are answered with fabricated snapshots,
-  against a random ``base``.
+  invalid elements, and consensus proposals whose elements are such a mix
+  and whose digests are a few of the batch digests it saw since its last
+  proposal (of INIT and SUPPLY payloads, in notices and decisions, and of
+  its own broadcasts) and a few fresh random digests.  Reads are answered
+  with fabricated snapshots, against a random ``base``.
 * :class:`ForgedDigestServer` — follows the protocol but signs a wrong
   digest for every epoch, so its epoch attestations never match what a
   client recomputes.
@@ -59,6 +59,7 @@ from .wire import (
     STATUS_OK,
     BrbFrame,
     FrameError,
+    Proposal,
     decode_add_request_body,
     decode_brb,
     decode_broadcast_message,
@@ -222,11 +223,12 @@ class HavocServer:
             h = havoc_number(self.rng, self.seen_h + 2, lo=1)
             seen = sorted(self.digests)
             self.digests.clear()
-            prop = havoc_subset(self.rng, pool, key=wire_order).union(
-                self.digest_rng.sample(seen, min(len(seen),
-                                                 _coin_count(self.digest_rng))),
-                generate_junk_digests(self.digest_rng))
-            self.service.propose(h, prop, self.pid)
+            elements = havoc_subset(self.rng, pool, key=wire_order)
+            digests = self.digest_rng.sample(
+                seen, min(len(seen), _coin_count(self.digest_rng)))
+            digests += generate_junk_digests(self.digest_rng)
+            self.service.propose(h, Proposal(frozenset(digests), elements),
+                                 self.pid)
         self.net.after(self.rng.randint(*self.TICK_GAP), self._tick)
 
     def _brb_broadcast(self, payload: bytes) -> None:
@@ -241,13 +243,12 @@ class HavocServer:
 
     # -- absorbing traffic into knowledge -----------------------------------
 
-    def _learn(self, names: Iterable) -> None:
-        """Keeps the digests and the valid elements among ``names``."""
-        for x in names:
-            if isinstance(x, bytes):
-                self.digests.add(x)
-            elif self.keys.valid(x):
-                self.knowledge.add(x)
+    def _learn(self, elements: Iterable[Element],
+               digests: Iterable[bytes] = ()) -> None:
+        """Keeps ``digests`` and the valid elements among ``elements``."""
+        self.digests.update(digests)
+        valid = self.keys.valid
+        self.knowledge.update(e for e in elements if valid(e))
 
     def on_message(self, frm: ProcessId, body: bytes) -> None:
         tag = body[:1]
@@ -262,9 +263,9 @@ class HavocServer:
                     else:
                         self.seen_h = max(self.seen_h, value)
             elif tag == b"P":
-                h, names = decode_inform(body)
+                h, proposal = decode_inform(body)
                 self.seen_h = max(self.seen_h, h)
-                self._learn(names)
+                self._learn(proposal.elements, proposal.digests)
             elif tag == b"Q":
                 self._handle_request(frm, body)
         except FrameError:
@@ -293,8 +294,8 @@ class HavocServer:
 
     def on_set_deliver(self, h: int, propset) -> None:
         self.seen_h = max(self.seen_h, h)
-        for names in propset.values():
-            self._learn(names)
+        for proposal in propset.values():
+            self._learn(proposal.elements, proposal.digests)
 
 
 # ---------------------------------------------------------------------------

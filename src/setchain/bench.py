@@ -60,10 +60,10 @@ from .wire import (
     OP_ADD,
     STATUS_OK,
     FrameError,
+    Proposal,
     classify,
     decode_broadcast_message,
     decode_response,
-    digests_in,
     encode_add_request_body,
     encode_request,
 )
@@ -282,9 +282,9 @@ class SafetyMonitor:
         if kind == "add":
             self.origins.update(value)
 
-    def on_propose(self, h: int, names: frozenset, by: ProcessId) -> None:
+    def on_propose(self, h: int, proposal: Proposal, by: ProcessId) -> None:
         """Elements named by value are origin records; digests are not."""
-        self.origins.update(names.difference(digests_in(names)))
+        self.origins.update(proposal.elements)
 
     # -- per-event checks ----------------------------------------------------
 

@@ -8,8 +8,9 @@ canonical ones used on the wire and inside digests, so they are stable:
   ``u32 len(payload) | payload | u32 author.id | u8 author.kind | u32 len(sig) | sig``
 * canonical element order: lexicographic over the element encoding
   (sort key :data:`wire_order`)
-* epoch digest: SHA-256 over the concatenation of ``u32 len(enc) | enc``
-  for every element encoding ``enc`` in canonical order
+* element set encoding: the element encodings, in canonical order, back to
+  back; each one carries its own lengths, so no other length is needed
+* epoch digest: SHA-256 over the element set encoding
 * epoch attestation payload: ``b"SEH1" | u64 h | 32-byte epoch digest``
 
 An element is a ``(wire, payload, author, signature)`` tuple whose first
@@ -168,23 +169,18 @@ def sort_elements(elements: Iterable[Element]) -> list[Element]:
 
 
 def encode_element_set(elements: Iterable[Element]) -> bytes:
-    """Injective encoding of a finite element set: sorted, length-prefixed."""
-    parts = []
-    for e in sort_elements(elements):
-        w = e.wire
-        parts.append(struct.pack(">I", len(w)))
-        parts.append(w)
-    return b"".join(parts)
+    """Injective encoding of a finite element set: the element encodings in
+    canonical order, concatenated.  Each one is self-delimiting."""
+    return b"".join(sorted(map(wire_order, elements)))
 
 
 def decode_element_set(buf: bytes, count: int, offset: int = 0) -> tuple[frozenset[Element], int]:
+    """The ``count`` elements encoded back to back at ``offset``; returns
+    (elements, next offset)."""
     out = []
     for _ in range(count):
-        (wlen,) = struct.unpack_from(">I", buf, offset)
-        start, offset = offset + 4, offset + 4 + wlen
-        if offset > len(buf):
-            raise ValueError("truncated element")
-        out.append(_element_from_wire(bytes(buf[start:offset])))
+        e, offset = decode_element(buf, offset)
+        out.append(e)
     return frozenset(out), offset
 
 
@@ -349,13 +345,6 @@ class History:
 
     def __contains__(self, e: Element) -> bool:
         return any(e in es for es in self.entries)
-
-    def digest(self) -> Digest:
-        """Digest over the whole history (epoch digests in order)."""
-        acc = hashlib.sha256()
-        for es in self.entries:
-            acc.update(hash_epoch(es))
-        return acc.digest()
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,12 @@ before the decision.  Every registered process then receives the
 identical decision via its set-deliver callback, per process in instance
 order, after a network-like delay.
 
-A proposal is a set of names that the service does not look inside: a
-setchain server names the add batches it delivered by the 32-byte digest
-of their broadcast payload, and the adds still in its batching buffer by
-value; a Byzantine one may name any elements by value.  Proposals also
-fan out as notice frames to every other process (``wire.encode_inform``:
-the digests, then the elements), so an adversary can harvest what correct
+A proposal is a :class:`wire.Proposal` that the service does not look
+inside: a setchain server names the add batches it delivered by the
+32-byte digest of their broadcast payload, and the adds still in its
+batching buffer by value; a Byzantine one may name any digests and any
+elements.  Proposals also fan out as notice frames to every other process
+(``wire.encode_inform``), so an adversary can harvest what correct
 servers proposed.
 """
 
@@ -29,10 +29,9 @@ from typing import Callable, Optional
 
 from .core import ProcessId
 from .simnet import SimTime, Simulation
-from .wire import encode_inform
+from .wire import Proposal, encode_inform
 
-# Proposer -> what it proposed: digests (bytes) and elements.
-Propset = dict[ProcessId, frozenset]
+Propset = dict[ProcessId, Proposal]  # proposer -> what it proposed
 
 WINDOW = 50  # ticks from an instance's first proposal to its deadline
 
@@ -49,15 +48,15 @@ class SbcConfig:
 
 
 @dataclass
-class _Proposal:
-    names: frozenset
+class _Arrival:
+    proposal: Proposal
     arrived_at: SimTime
 
 
 @dataclass
 class _Instance:
     deadline: SimTime
-    proposals: dict[ProcessId, _Proposal]
+    proposals: dict[ProcessId, _Arrival]
     deferred: bool = False
 
 
@@ -75,7 +74,7 @@ class ConsensusService:
         self,
         sim: Simulation,
         config: SbcConfig = SbcConfig(),
-        on_propose: Optional[Callable[[int, frozenset, ProcessId], None]] = None,
+        on_propose: Optional[Callable[[int, Proposal, ProcessId], None]] = None,
     ):
         self.sim = sim
         self.config = config
@@ -99,34 +98,33 @@ class ConsensusService:
 
     # -- proposing ----------------------------------------------------------
 
-    def propose(self, h: int, names, by: ProcessId) -> None:
+    def propose(self, h: int, proposal: Proposal, by: ProcessId) -> None:
         """Register a proposal for instance ``h`` and notify the other processes."""
         if h < 1:
             raise ValueError("instances are numbered from 1")
         if by not in self._members:
             raise ValueError(f"{by!r} is not a consensus participant")
-        names = frozenset(names)
         if self.on_propose is not None:
-            self.on_propose(h, names, by)
-        notice = encode_inform(h, names)
+            self.on_propose(h, proposal, by)
+        notice = encode_inform(h, proposal)
         for other in sorted(self._members):
             if other != by:
                 self.sim.send_as(by, other, notice)
         self.sim.schedule(self.sim.now + self.sim.draw_delays(1, self.rng)[0],
-                          self._arrive, h, names, by)
+                          self._arrive, h, proposal, by)
 
-    def _arrive(self, h: int, names: frozenset, by: ProcessId) -> None:
+    def _arrive(self, h: int, proposal: Proposal, by: ProcessId) -> None:
         if h in self.decisions:
             return
-        proposal = _Proposal(names, self.sim.now)
+        arrival = _Arrival(proposal, self.sim.now)
         inst = self._instances.get(h)
         if inst is None:
             deadline = max(self.sim.now + WINDOW, self.sim.config.gst)
-            self._instances[h] = _Instance(deadline, {by: proposal})
+            self._instances[h] = _Instance(deadline, {by: arrival})
             self.sim.schedule(deadline + self.config.decision_cost,
                               self._try_decide, h)
         elif by not in inst.proposals:
-            inst.proposals[by] = proposal
+            inst.proposals[by] = arrival
 
     # -- deciding -----------------------------------------------------------
 
@@ -143,9 +141,9 @@ class ConsensusService:
             p = inst.proposals[by]
             if self._correct[by]:
                 if p.arrived_at <= inst.deadline:
-                    propset[by] = p.names
+                    propset[by] = p.proposal
             else:
-                propset[by] = p.names  # anything registered pre-decision
+                propset[by] = p.proposal  # anything registered pre-decision
         self.decisions[h] = Decision(h, propset, now)
         members = sorted(self._members)
         for pid, delay in zip(members, self.sim.draw_delays(len(members), self.rng)):
@@ -176,7 +174,7 @@ class ConsensusService:
         inst = self._instances.get(h)
         if inst is None:
             return {}
-        return {by: p.names for by, p in inst.proposals.items()}
+        return {by: p.proposal for by, p in inst.proposals.items()}
 
     def decided(self, h: int) -> Optional[Decision]:
         return self.decisions.get(h)

@@ -10,13 +10,13 @@ elements.  Optional behaviours: batching adds into one broadcast
 epoch's digest back into the set so light clients can check membership
 proofs.
 
-Proposals name delivered batches by digest (as in Hashchain, Capretto et
-al., 2022) and queued adds by value.  A server keeps each delivered add
-batch that still holds an unstamped element, keyed by the sha256 of its
-broadcast payload, and proposes those digests; a batching server also
-proposes every add in its buffer, so that the adds queued when an epoch
-is cut are stamped in that epoch rather than after the next flush.  A
-decided epoch stamps:
+A proposal (``wire.Proposal``) names delivered batches by digest (as in
+Hashchain, Capretto et al., 2022) and queued adds by value.  A server
+keeps each delivered add batch that still holds an unstamped element,
+keyed by the sha256 of its broadcast payload, and proposes those digests;
+a batching server also proposes every add in its buffer by value, so that
+the adds queued when an epoch is cut are stamped in that epoch rather than
+after the next flush.  A decided epoch stamps:
 
 * the batches of the digests that at least ``f + 1`` proposers name.  One
   of them is correct, so it delivered the batch, and reliable broadcast
@@ -83,12 +83,12 @@ from .wire import (
     STATUS_OK,
     STATUS_STALE_OR_FUTURE_EPOCH,
     FrameError,
+    Proposal,
     decode_add_request_body,
     decode_broadcast_message,
     decode_epochinc_body,
     decode_get_request_body,
     decode_request,
-    digests_in,
     encode_epoch,
     encode_get_state,
     encode_madd,
@@ -138,9 +138,7 @@ class AggConfig:
             raise ValueError("aggregation thresholds must be positive")
 
 
-# Desk-scale default, and the production constants (10^6 elements / 5 s).
-AGG_DESK = AggConfig(max_batch=1000, max_wait=5_000_000)
-AGG_PRODUCTION = AggConfig(max_batch=1_000_000, max_wait=5_000_000)
+AGG_DESK = AggConfig(max_batch=1000, max_wait=5_000_000)  # desk-scale default
 
 # Observer events: ("insert", elements) on set growth, ("stamp", (h, E)) on epochs.
 StateObserver = Callable[[ProcessId, str, object], None]
@@ -397,11 +395,9 @@ class SetchainServer:
         if h == self._proposed:
             return  # already proposed for this instance
         self._proposed = h
-        names = frozenset(self.open_batches)
-        if self.tobroadcast:
-            self._proposed_adds = frozenset(self.tobroadcast)
-            names |= self._proposed_adds
-        self.sbc.propose(h, names, self.pid)
+        self._proposed_adds = frozenset(self.tobroadcast)
+        self.sbc.propose(h, Proposal(frozenset(self.open_batches),
+                                     self._proposed_adds), self.pid)
 
     # -- consensus deliveries ----------------------------------------------
 
@@ -420,7 +416,7 @@ class SetchainServer:
 
     def _certified(self, propset: Propset) -> list[bytes]:
         """The digests that at least ``f + 1`` proposers of ``propset`` name."""
-        counts = Counter(chain.from_iterable(map(digests_in, propset.values())))
+        counts = Counter(chain.from_iterable(p.digests for p in propset.values()))
         return [d for d, count in counts.items() if count > self.f]
 
     def on_set_deliver(self, h: int, propset: Propset) -> None:
@@ -429,8 +425,7 @@ class SetchainServer:
             raise RuntimeError(
                 f"consensus delivered epoch {h} to {self.pid!r} at epoch "
                 f"{self.epoch}; the service must deliver in order")
-        names = frozenset().union(*propset.values())
-        by_value = names.difference(digests_in(names))
+        by_value = frozenset().union(*(p.elements for p in propset.values()))
         try:
             batches = [self.open_batches[d] for d in self._certified(propset)]
         except KeyError:

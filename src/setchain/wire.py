@@ -1,27 +1,31 @@
 """Byte formats for every frame that crosses the simulated network.
 
-All integers are big-endian.  Frames (first byte is the frame tag):
+All integers are big-endian.  A ``set`` below is an element set encoding
+(``core.encode_element_set``): the element encodings in canonical order,
+back to back, each carrying its own lengths.  Frames (first byte is the
+frame tag):
 
 * broadcast frames, tag ``B``::
 
-    'B' | phase u8 | origin u32 id | origin u8 kind | digest 32B
-        | payload? (init/supply: u32 len | bytes)
+    'B' | phase u8 | origin u32 id | origin u8 kind | digest 32B | payload?
 
   with phase 0 init, 1 echo, 2 ready, 3 fetch (ask the peers for the
   payload of a digest) and 4 supply (the answer to one fetch).  Echo, ready
   and fetch frames are 39 bytes; only the origin's init and a supply carry
-  the payload, and the digest of each must bind it.
+  the payload, which runs to the end of the frame, and the digest of each
+  must bind it.
 
   The broadcast payload is itself a tagged inner message: ``0x00`` for an
-  element batch (``u32 count``, then the canonical element-set encoding) or
-  ``0x01`` for an epoch announcement (``u64 h``).
+  element batch (``u32 count | set``) or ``0x01`` for an epoch
+  announcement (``u64 h``).
 
 * consensus proposal notices, tag ``P``::
 
     'P' | u64 h | u32 ndigests | 32B * ndigests (sorted) | u32 count | set
 
-  A proposal names add batches by the 32-byte digest of their broadcast
-  payload, and elements by value; the set holds the elements.
+  the two halves of a :class:`Proposal`: the add batches it names by the
+  32-byte digest of their broadcast payload, and the elements it names by
+  value.
 * client requests, tag ``Q``:  ``'Q' | op u8 | u64 req_id | body``
   with op 0 add (``element | u8 primary``), 1 get (``u64 have``: how many
   of the server's epochs the reader holds), 2 epoch-inc (``u64 h``).  A
@@ -41,9 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import lru_cache, partial
-from itertools import compress
-from operator import is_
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
@@ -128,7 +130,7 @@ def encode_brb(frame: BrbFrame) -> bytes:
     if frame.phase in _CARRIES_PAYLOAD:
         if frame.payload is None:
             raise FrameError("init/supply frames carry a payload")
-        return head + struct.pack(">I", len(frame.payload)) + frame.payload
+        return head + frame.payload
     return head
 
 
@@ -149,10 +151,7 @@ def decode_brb(buf: bytes) -> BrbFrame:
             raise FrameError("short digest")
         payload = None
         if phase in _CARRIES_PAYLOAD:
-            (plen,) = struct.unpack_from(">I", buf, 39)
-            payload = bytes(buf[43 : 43 + plen])
-            if len(payload) != plen or 43 + plen != len(buf):
-                raise FrameError("bad payload length")
+            payload = bytes(buf[39:])
             if hashlib.sha256(payload).digest() != digest:
                 raise FrameError("digest does not bind the payload")
         elif len(buf) != 39:
@@ -168,32 +167,28 @@ def decode_brb(buf: bytes) -> BrbFrame:
 
 DIGEST_BYTES = 32  # a proposal's name for a batch: sha256 of its payload
 
-_is_bytes = partial(is_, bytes)
+
+class Proposal(NamedTuple):
+    """What a server proposes for one consensus instance: the add batches
+    it names by digest, and the elements it names by value."""
+
+    digests: frozenset[bytes] = frozenset()
+    elements: frozenset[Element] = frozenset()
 
 
-def digests_in(names: frozenset) -> list[bytes]:
-    """The digests (``bytes``) among a proposal's ``names``; the rest are
-    elements named by value.  A proposal can name thousands of queued adds,
-    so this makes no Python call per name, and ``names.difference`` of the
-    result keeps the hashes that ``names`` stores."""
-    return list(compress(names, map(_is_bytes, map(type, names))))
-
-
-def encode_inform(h: int, names) -> bytes:
-    """The notice of a proposal for instance ``h``: its digests (``bytes``),
-    then its elements."""
-    names = frozenset(names)
-    digests = sorted(digests_in(names))
+def encode_inform(h: int, proposal: Proposal) -> bytes:
+    """The notice of ``proposal`` for instance ``h``."""
+    digests = sorted(proposal.digests)
     if any(len(d) != DIGEST_BYTES for d in digests):
         raise FrameError("a proposal digest is 32 bytes")
-    elements = names.difference(digests)
+    elements = proposal.elements
     return b"".join((b"P", struct.pack(">QI", h, len(digests)), *digests,
                      struct.pack(">I", len(elements)),
                      encode_element_set(elements)))
 
 
-def decode_inform(buf: bytes) -> tuple[int, frozenset]:
-    """``(h, names)``: the digests and elements of a proposal notice."""
+def decode_inform(buf: bytes) -> tuple[int, Proposal]:
+    """``(h, proposal)`` of a proposal notice."""
     try:
         if buf[:1] != b"P":
             raise FrameError("not a proposal notice")
@@ -201,13 +196,13 @@ def decode_inform(buf: bytes) -> tuple[int, frozenset]:
         end = 13 + DIGEST_BYTES * ndigests
         if end + 4 > len(buf):  # before slicing, so a huge count costs nothing
             raise FrameError("truncated digest list")
-        digests = [bytes(buf[i : i + DIGEST_BYTES])
-                   for i in range(13, end, DIGEST_BYTES)]
+        digests = frozenset(bytes(buf[i : i + DIGEST_BYTES])
+                            for i in range(13, end, DIGEST_BYTES))
         (count,) = struct.unpack_from(">I", buf, end)
         elements, stop = decode_element_set(buf, count, end + 4)
         if stop != len(buf):
             raise FrameError("trailing bytes in proposal notice")
-        return h, elements.union(digests) if digests else elements
+        return h, Proposal(digests, elements)
     except (struct.error, ValueError, IndexError) as exc:
         raise FrameError(str(exc)) from exc
 

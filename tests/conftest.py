@@ -11,7 +11,7 @@ from setchain.brb import BrbEngine
 from setchain.core import Element, KeyStore, ProcessId, ProcessKind
 from setchain.sbc import ConsensusService, SbcConfig
 from setchain.simnet import NetConfig, Simulation
-from setchain.wire import INIT, BrbFrame, decode_inform, encode_brb
+from setchain.wire import INIT, BrbFrame, Proposal, decode_inform, encode_brb
 
 
 @pytest.fixture(autouse=True)
@@ -45,8 +45,8 @@ class ByzStub:
         for pid in targets:
             self.net.send(pid, frame)
 
-    def propose(self, h, elements) -> None:
-        self.service.propose(h, elements, self.pid)
+    def propose(self, h, proposal) -> None:
+        self.service.propose(h, proposal, self.pid)
 
 
 class ServerCluster(Cluster):
@@ -154,8 +154,9 @@ class SbcWorld:
             )
 
     def make(self, *names):
-        return frozenset(self.keys.make_element(nm, self.author, self.private)
-                         for nm in names)
+        """A proposal that names by value the elements with these payloads."""
+        return Proposal(elements=frozenset(
+            self.keys.make_element(nm, self.author, self.private) for nm in names))
 
     def drain(self):
         self.sim.run_to_quiescence()

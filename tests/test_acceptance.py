@@ -39,7 +39,6 @@ from setchain.core import (
     ProcessKind,
     encode_element_set,
     hash_epoch,
-    sort_elements,
 )
 from setchain.incentives import CENT, RewardParams, fee_split, reward
 from setchain.server import EpochDriver
@@ -250,8 +249,8 @@ def test_reliable_broadcast_contract_at_both_scales():
 
 def _propset_bytes(propset):
     return b"".join(
-        bytes(str(pid), "ascii") + encode_element_set(sort_elements(es))
-        for pid, es in sorted(propset.items())
+        bytes(str(pid), "ascii") + encode_element_set(p.elements)
+        for pid, p in sorted(propset.items())
     )
 
 

@@ -17,7 +17,6 @@ from setchain.adversaries import (
 )
 from setchain.client import QuorumClient
 from setchain.core import (
-    Element,
     KeyStore,
     ProcessId,
     ProcessKind,
@@ -157,7 +156,7 @@ def test_havoc_learns_from_requests_and_informs_then_proposes_loot():
         for h in range(1, havoc.seen_h + 4)
         for by, prop in cluster.service.proposals_for(h).items()
         if by == havoc.pid
-        and any(isinstance(x, Element) and cluster.keys.valid(x) for x in prop)
+        and any(cluster.keys.valid(x) for x in prop.elements)
     ]
     assert looted, "the adversary proposed elements it learned"
 
@@ -333,8 +332,8 @@ def test_havoc_names_seen_and_junk_digests_and_correct_servers_ignore_them():
     # 100 adds).
     named = {}  # proposer -> every digest it proposed
 
-    def on_propose(h, names, by):
-        named.setdefault(by, set()).update(x for x in names if isinstance(x, bytes))
+    def on_propose(h, proposal, by):
+        named.setdefault(by, set()).update(proposal.digests)
 
     cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory,
                             on_propose=on_propose)

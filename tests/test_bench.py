@@ -35,7 +35,7 @@ from setchain.bench import (
 )
 from setchain.core import Element, History, KeyStore, ProcessId, ProcessKind
 from setchain.simnet import Simulation, NetConfig
-from setchain.wire import OP_ADD, STATUS_OK, encode_madd, encode_response
+from setchain.wire import OP_ADD, STATUS_OK, Proposal, encode_madd, encode_response
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -289,7 +289,8 @@ def test_monitor_flags_entry_disagreement_between_servers():
 def test_monitor_takes_only_elements_named_by_value_as_origins():
     monitor, _, _, mk = _monitor_with_stubs()
     e = mk(b"named")
-    monitor.on_propose(1, frozenset([e, bytes(32)]), ProcessId(2))
+    monitor.on_propose(1, Proposal(frozenset([bytes(32)]), frozenset([e])),
+                       ProcessId(2))
     assert monitor.origins == {e}
 
 
@@ -316,10 +317,9 @@ def _run_watching_proposals(name, monkeypatch):
         servers[server.pid] = server
         attach(monitor, server)
 
-    def watch(monitor, h, names, by):
-        proposals.append((names.difference(wire.digests_in(names)),
-                          set(servers[by].tobroadcast)))
-        on_propose(monitor, h, names, by)
+    def watch(monitor, h, proposal, by):
+        proposals.append((proposal.elements, set(servers[by].tobroadcast)))
+        on_propose(monitor, h, proposal, by)
 
     monkeypatch.setattr(SafetyMonitor, "attach", keep)
     monkeypatch.setattr(SafetyMonitor, "on_propose", watch)

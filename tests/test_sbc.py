@@ -7,12 +7,13 @@ from conftest import SbcWorld
 from setchain.core import ProcessId, encode_element_set
 from setchain.sbc import WINDOW, SbcConfig
 from setchain.simnet import NetConfig
+from setchain.wire import Proposal
 
 
 def union(propset):
     out = frozenset()
-    for es in propset.values():
-        out |= es
+    for p in propset.values():
+        out |= p.elements
     return out
 
 
@@ -24,7 +25,7 @@ def test_identical_proposals_decide_that_set():
     w.drain()
     decision = w.service.decided(1)
     assert decision is not None
-    assert union(decision.propset) == p
+    assert union(decision.propset) == p.elements
     assert set(decision.propset) == set(w.correct)
     for pid in w.correct:
         assert w.delivered[pid] == [(1, decision.propset)]
@@ -33,7 +34,7 @@ def test_identical_proposals_decide_that_set():
 def test_everyone_proposing_empty_decides_empty():
     w = SbcWorld()
     for pid in w.correct:
-        w.service.propose(1, frozenset(), pid)
+        w.service.propose(1, Proposal(), pid)
     w.drain()
     assert union(w.service.decided(1).propset) == frozenset()
 
@@ -46,8 +47,8 @@ def test_byzantine_proposal_can_join_but_nothing_else_can():
     w.service.propose(1, z, w.byz[0])
     w.drain()
     decided = union(w.service.decided(1).propset)
-    assert a <= decided
-    assert decided <= a | z
+    assert a.elements <= decided
+    assert decided <= a.elements | z.elements
     assert w.byz[0] in w.service.decided(1).propset
 
 
@@ -63,7 +64,7 @@ def test_validity_decided_values_come_from_proposals():
         proposals.append(z)
         w.service.propose(1, z, w.byz[0])
         w.drain()
-        all_proposed = frozenset().union(*proposals)
+        all_proposed = frozenset().union(*(p.elements for p in proposals))
         assert union(w.service.decided(1).propset) <= all_proposed
 
 
@@ -71,9 +72,9 @@ def test_censorship_resistance_after_gst():
     net = NetConfig(latency_min=1, latency_max=400, gst=500, post_gst_bound=10)
     w = SbcWorld(net=net)
     w.sim.run_until(600)  # all proposals happen after gst
-    e = w.make(b"e")
+    e = w.make(b"e").elements
     for pid in w.correct:
-        w.service.propose(1, e | w.make(str(pid.id).encode()), pid)
+        w.service.propose(1, w.make(b"e", str(pid.id).encode()), pid)
     w.drain()
     decision = w.service.decided(1)
     assert set(decision.propset) == set(w.correct)  # nobody censored
@@ -112,8 +113,8 @@ def test_decision_is_byte_identical_at_every_process():
     for pid in w.correct:
         (h, propset), = w.delivered[pid]
         blob = b"".join(
-            bytes([by.id]) + encode_element_set(es)
-            for by, es in sorted(propset.items(), key=lambda kv: kv[0].id)
+            bytes([by.id]) + encode_element_set(p.elements)
+            for by, p in sorted(propset.items(), key=lambda kv: kv[0].id)
         )
         images.add((h, blob))
     assert len(images) == 1
@@ -220,6 +221,6 @@ def test_late_byzantine_proposal_is_excluded():
 def test_instance_numbering_is_validated():
     w = SbcWorld()
     with pytest.raises(ValueError):
-        w.service.propose(0, frozenset(), w.correct[0])
+        w.service.propose(0, Proposal(), w.correct[0])
     with pytest.raises(ValueError):
-        w.service.propose(1, frozenset(), ProcessId(77))
+        w.service.propose(1, Proposal(), ProcessId(77))

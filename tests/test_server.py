@@ -20,7 +20,6 @@ from setchain.core import (
 )
 from setchain.server import (
     AGG_DESK,
-    AGG_PRODUCTION,
     AggConfig,
     CentralSetchain,
     EpochDriver,
@@ -33,6 +32,7 @@ from setchain.wire import (
     READY,
     STATUS_OK,
     BrbFrame,
+    Proposal,
     decode_broadcast_message,
     decode_brb,
     decode_get_state,
@@ -239,6 +239,14 @@ def _deliver(s, batch):
     s._deliver_add(_digest(batch), frozenset(batch))
 
 
+def by_digest(*digests):
+    return Proposal(digests=frozenset(digests))
+
+
+def by_value(*elements):
+    return Proposal(elements=frozenset(elements))
+
+
 def test_batch_delivery_validates_per_element():
     c = ServerCluster()
     s = c.correct[0]
@@ -308,10 +316,10 @@ def test_set_deliver_merges_union_and_advances_epoch():
     c = ServerCluster()
     s = c.correct[0]
     a, b = c.element(), c.element()
-    propset = {c.correct_pids[1]: frozenset([a]),
-               c.correct_pids[2]: frozenset([a, b])}
+    propset = {c.correct_pids[1]: by_value(a),
+               c.correct_pids[2]: by_value(a, b)}
     # oracle: valid, unstamped elements of the union
-    expected = {e for es in propset.values() for e in es
+    expected = {e for p in propset.values() for e in p.elements
                 if c.keys.valid(e) and e not in s.history}
     s.on_set_deliver(1, propset)
     assert s.history.get(1) == expected == {a, b}
@@ -330,14 +338,14 @@ def test_a_digest_named_by_only_f_proposers_stamps_nothing_and_holds_nothing():
     z1, z2 = c.byz_pids
     # f names each: the delivered batch by one correct and one Byzantine
     # proposer, the junk digest by the two Byzantine ones.
-    s._queue_decision(1, {c.correct_pids[1]: frozenset([d]),
-                          z1: frozenset([d, junk]), z2: frozenset([junk])})
+    s._queue_decision(1, {c.correct_pids[1]: by_digest(d),
+                          z1: by_digest(d, junk), z2: by_digest(junk)})
     assert s.epoch == 1 and s.history.get(1) == frozenset()
     assert not s._held
     assert s.open_batches == {d: frozenset([e])}
     # f + 1 names certify the batch.
-    s._queue_decision(2, {c.correct_pids[1]: frozenset([d]),
-                          c.correct_pids[2]: frozenset([d]), z1: frozenset([d])})
+    s._queue_decision(2, {c.correct_pids[1]: by_digest(d),
+                          c.correct_pids[2]: by_digest(d), z1: by_digest(d)})
     assert s.history.get(2) == frozenset([e])
     assert s.open_batches == {} and s._unstamped == set()
 
@@ -350,8 +358,8 @@ def test_a_certified_batch_not_yet_delivered_holds_its_decision_and_the_next():
     a, b, x = c.element(), c.element(), c.element()
     d = _digest([a, b])
     others = c.correct_pids[1:]
-    s._queue_decision(1, {p: frozenset([d]) for p in others})
-    s._queue_decision(2, {others[0]: frozenset([x])})
+    s._queue_decision(1, {p: by_digest(d) for p in others})
+    s._queue_decision(2, {others[0]: by_value(x)})
     assert s.epoch == 0 and [h for h, _ in s._held] == [1, 2] and not stamps
     _deliver(s, [a, b])
     assert stamps == [1, 2] and not s._held
@@ -363,7 +371,7 @@ def test_an_element_named_by_value_is_stamped_without_certification():
     c = ServerCluster(n_byz=1)
     s = c.correct[0]
     z = c.element(b"byz-sourced")
-    s._queue_decision(1, {c.byz_pids[0]: frozenset([z, c.invalid_element()])})
+    s._queue_decision(1, {c.byz_pids[0]: by_value(z, c.invalid_element())})
     assert s.history.get(1) == {z} and z in s.theset
     assert s.open_batches == {} and not s._held
 
@@ -374,7 +382,7 @@ def test_out_of_order_set_delivery_is_refused_without_side_effects(h):
     s = c.correct[0]
     before = s.get()
     with pytest.raises(RuntimeError, match="deliver in order"):
-        s.on_set_deliver(h, {c.correct_pids[1]: frozenset([c.element()])})
+        s.on_set_deliver(h, {c.correct_pids[1]: by_value(c.element())})
     assert s.get() == before and s.epoch == 0
 
 
@@ -386,7 +394,7 @@ def test_stamped_elements_are_never_stamped_twice():
     c.correct[0].epoch_inc(1)
     c.drain()
     byz = c.byz[c.byz_pids[0]]
-    byz.propose(2, frozenset([a]))  # replay a stamped element
+    byz.propose(2, by_value(a))  # replay a stamped element
     c.correct[0].epoch_inc(2)
     c.drain()
     for s in c.correct:
@@ -398,7 +406,7 @@ def test_stamped_elements_are_never_stamped_twice():
 def test_invalid_elements_in_decided_sets_are_excluded():
     c = ServerCluster(n_byz=1)
     byz = c.byz[c.byz_pids[0]]
-    byz.propose(1, frozenset([c.invalid_element()]))
+    byz.propose(1, by_value(c.invalid_element()))
     c.correct[0].epoch_inc(1)
     c.drain()
     for s in c.correct:
@@ -409,7 +417,7 @@ def test_invalid_elements_in_decided_sets_are_excluded():
 def test_byzantine_valid_proposal_is_stamped_like_a_client_add():
     c = ServerCluster(n_byz=1)
     z = c.element(b"byz-sourced")  # valid, just proposed rather than added
-    c.byz[c.byz_pids[0]].propose(1, frozenset([z]))
+    c.byz[c.byz_pids[0]].propose(1, by_value(z))
     c.correct[0].epoch_inc(1)
     c.drain()
     for s in c.correct:
@@ -448,7 +456,7 @@ def test_unstamped_set_and_proposals_track_every_stamp(agg, seed):
         junk = {c.element(), c.invalid_element(b"junk-%d" % rng.randrange(99))}
         if stamped:
             junk.add(rng.choice(stamped))
-        byz.propose(s.epoch + 1, frozenset(junk))
+        byz.propose(s.epoch + 1, by_value(*junk))
         byz.brb_broadcast(encode_mepochinc(s.epoch + 3), c.pids)
 
     driver = EpochDriver(c.sim, c.correct[: c.f + 1], period=250)
@@ -672,7 +680,7 @@ def test_adds_whose_proposal_missed_its_decision_go_in_the_next_flush():
     named = [c.element() for _ in range(2)]
     for e in named:
         s.add(e)
-    c.byz[c.byz_pids[0]].propose(1, frozenset())  # opens instance 1 early
+    c.byz[c.byz_pids[0]].propose(1, Proposal())  # opens instance 1 early
     c.sim.run_until(20)
     deadline = c.service._instances[1].deadline
     c.sim.schedule(deadline, s._deliver_epochinc, 1)  # s proposes too late
@@ -690,7 +698,6 @@ def test_adds_whose_proposal_missed_its_decision_go_in_the_next_flush():
 
 
 def test_aggregation_presets_match_declared_constants():
-    assert AGG_PRODUCTION == AggConfig(max_batch=1_000_000, max_wait=5_000_000)
     assert AGG_DESK == AggConfig(max_batch=1000, max_wait=5_000_000)
 
 

@@ -12,6 +12,7 @@ from setchain import simnet
 from setchain.core import ProcessId, ProcessKind
 from setchain.sbc import ConsensusService
 from setchain.simnet import NetConfig, SimError, Simulation
+from setchain.wire import Proposal
 
 
 def two_nodes(config, collect=None):
@@ -102,7 +103,7 @@ def test_delays_are_successive_seeded_randint_draws(lo, hi, gst, bound):
     service, me = ConsensusService(sim), ProcessId(0)
     service.register(me, lambda h, propset: None)
     for h in range(1, 301):
-        service.propose(h, (), me)
+        service.propose(h, Proposal(), me)
     rng = random.Random(f"{seed}:sbc")
     arrivals = expected(rng)
     assert service.rng.getstate() == rng.getstate()

@@ -16,6 +16,7 @@ from setchain.wire import (
     SUPPLY,
     BrbFrame,
     FrameError,
+    Proposal,
     decode_add_request_body,
     decode_brb,
     decode_broadcast_message,
@@ -48,7 +49,7 @@ elements_st = st.builds(Element, payload=st.binary(max_size=24), author=pids_st,
 element_sets_st = st.frozensets(elements_st, max_size=4)
 digests_st = st.frozensets(st.binary(min_size=32, max_size=32), max_size=3)
 # A proposal names batches by digest and elements by value.
-proposals_st = st.builds(frozenset.union, digests_st, element_sets_st)
+proposals_st = st.builds(Proposal, digests_st, element_sets_st)
 
 
 def _get_state(sets, unstamped=frozenset(), base=0):
@@ -140,22 +141,22 @@ def test_an_add_request_needs_exactly_one_flag_byte_of_0_or_1(e, flag):
         decode_add_request_body(e.wire + flag)
 
 
-@given(h=st.integers(0, 2**64 - 1), names=proposals_st)
-def test_proposal_notice_round_trip(h, names):
-    assert decode_inform(encode_inform(h, names)) == (h, names)
+@given(h=st.integers(0, 2**64 - 1), proposal=proposals_st)
+def test_proposal_notice_round_trip(h, proposal):
+    assert decode_inform(encode_inform(h, proposal)) == (h, proposal)
 
 
 def test_proposal_notice_layout_and_its_digest_count():
     element = Element(b"p", ProcessId(1, ProcessKind.CLIENT), b"s")
     a, b = bytes(32), b"\xff" * 32
-    notice = encode_inform(7, {b, element, a})
+    notice = encode_inform(7, Proposal(frozenset([b, a]), frozenset([element])))
     assert notice == (b"P" + struct.pack(">QI", 7, 2) + a + b
-                      + struct.pack(">I", 1) + encode_element_set([element]))
+                      + struct.pack(">I", 1) + element.wire)
     for ndigests in (3, 2**32 - 1):  # more than the frame holds
         with pytest.raises(FrameError):
             decode_inform(notice[:9] + struct.pack(">I", ndigests) + notice[13:])
     with pytest.raises(FrameError):
-        encode_inform(7, {b"short"})
+        encode_inform(7, Proposal(frozenset([b"short"])))
 
 
 # -- get replies decoded against the same server's previous reply -----------
@@ -275,8 +276,8 @@ UNKNOWN_KINDS = (len(ProcessKind), 255)
 def test_shared_broadcast_decode_still_rejects_garbage_each_time():
     element = Element(b"p", ProcessId(1, ProcessKind.CLIENT), b"s")
     madd = encode_madd([element])
-    # tag, count, element length, then the element's payload and author id
-    author_kind_at = 1 + 4 + 4 + 4 + len(element.payload) + 4
+    # tag, count, then the element's payload length, payload and author id
+    author_kind_at = 1 + 4 + 4 + len(element.payload) + 4
     assert madd[author_kind_at] == ProcessKind.CLIENT
     garbage = [b"\x00\x00\x00\x00\x01"]
     garbage += [_with_byte(madd, author_kind_at, k) for k in UNKNOWN_KINDS]
@@ -308,7 +309,7 @@ def test_brb_frames_round_trip_in_every_phase(phase):
     assert decode_brb(frame) == BrbFrame(phase, origin,
                                          hashlib.sha256(b"payload").digest(),
                                          payload)
-    assert len(frame) == (39 if phase in DIGEST_ONLY else 43 + len(b"payload"))
+    assert len(frame) == (39 if phase in DIGEST_ONLY else 39 + len(b"payload"))
 
 
 @pytest.mark.parametrize("phase", DIGEST_ONLY)
