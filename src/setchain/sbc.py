@@ -3,12 +3,15 @@
 The decider is a deterministic harness component rather than an embedded
 consensus protocol, which gives the contract by construction: per
 instance ``h`` it collects proposals (one counted per proposer), and once
-instance ``h - 1`` is decided and ``deadline = max(first proposal arrival +
-WINDOW, gst)`` has passed, it fixes the decision as a map from proposer to
-proposed set.  A correct proposer's entry is included iff its
-proposal arrived by the deadline (after ``gst`` that is all of them);
-entries from Byzantine proposers are included whenever they arrived
-before the decision.  Every registered process then receives the
+instance ``h - 1`` is decided and ``deadline = max(first correct proposal's
+arrival + WINDOW, gst)`` has passed, it fixes the decision as a map from
+proposer to proposal.  A correct proposer's entry is included iff its
+proposal arrived by the deadline; entries from Byzantine proposers are
+included whenever they arrived before the decision.  Only a correct
+proposal opens the window, so a Byzantine proposer that proposes early
+cannot close it before the correct proposals arrive: after ``gst``, every
+correct proposal made within ``WINDOW`` minus the delay bound of the first
+one is included.  Every registered process then receives the
 identical decision via its set-deliver callback, per process in instance
 order, after a network-like delay.
 
@@ -24,7 +27,7 @@ servers proposed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import ProcessId
@@ -33,7 +36,7 @@ from .wire import Proposal, encode_inform
 
 Propset = dict[ProcessId, Proposal]  # proposer -> what it proposed
 
-WINDOW = 50  # ticks from an instance's first proposal to its deadline
+WINDOW = 50  # ticks from an instance's first correct proposal to its deadline
 
 
 @dataclass(frozen=True)
@@ -55,8 +58,8 @@ class _Arrival:
 
 @dataclass
 class _Instance:
-    deadline: SimTime
-    proposals: dict[ProcessId, _Arrival]
+    proposals: dict[ProcessId, _Arrival] = field(default_factory=dict)
+    deadline: Optional[SimTime] = None  # set by the first correct arrival
     deferred: bool = False
 
 
@@ -116,15 +119,12 @@ class ConsensusService:
     def _arrive(self, h: int, proposal: Proposal, by: ProcessId) -> None:
         if h in self.decisions:
             return
-        arrival = _Arrival(proposal, self.sim.now)
-        inst = self._instances.get(h)
-        if inst is None:
-            deadline = max(self.sim.now + WINDOW, self.sim.config.gst)
-            self._instances[h] = _Instance(deadline, {by: arrival})
-            self.sim.schedule(deadline + self.config.decision_cost,
+        inst = self._instances.setdefault(h, _Instance())
+        inst.proposals.setdefault(by, _Arrival(proposal, self.sim.now))
+        if inst.deadline is None and self._correct[by]:
+            inst.deadline = max(self.sim.now + WINDOW, self.sim.config.gst)
+            self.sim.schedule(inst.deadline + self.config.decision_cost,
                               self._try_decide, h)
-        elif by not in inst.proposals:
-            inst.proposals[by] = arrival
 
     # -- deciding -----------------------------------------------------------
 

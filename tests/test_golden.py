@@ -38,8 +38,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "7999b31beb75f41e7467526bb0c652b955a15ca038a74c39cbb1910e47aff851",
     ),
     "safety-n4-fast-havoc": (
-        "115cbb6721b6585e8dea0621dc06b8b159908705d7a6358249d5b2512bee0f40",
-        "83ecd58b1bfa2eb2f8d03750160ac7e57934fb8da6001244c05eb5f5b3ad5661",
+        "321818fdf5a3faee43a16d9d93114faeab1a9ea71ac3a234a12096d76e4a1ee6",
+        "bc140f64ec4aa83bc6b164cb9d4930bb23f1321cd9a2944952ac0efc27dd56c9",
     ),
     "safety-n4-fast-agg-none": (
         "b33171504b179c872c092be38a58cb2a5ad3c61be5b19172559b736918f7ba1e",
@@ -50,8 +50,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "8ed055df2e7bfd8150211b17a3a8ef148db32d2684938bb61e26c387620895a5",
     ),
     "safety-n4-fast-agg-havoc": (
-        "60272f10453f250a8d78b78f14a67e4e045fc4a7a5504b622d775ed0937dfe42",
-        "3b249a8a26eb3ca1ca69ef8bb63724c51038695f4fe9ffc4d6ef1c1e839c1cb4",
+        "9db47c0fc10743d033035fe11ae6553956ec3d1f419367a15be383acca44d2bc",
+        "1a39cf9be56bd2a4de0bd249877017b33fe1f8cbee9817fb8726fecabe913b83",
     ),
     "safety-n7-fast-none": (
         "cc0c73dc8b6f079816601a33140a5e5d9cdfe915593ffcd91bc70edd8df85841",
@@ -62,8 +62,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "7998844b9038eb33d4bd49e6ec35ea1d8dbf5abb5871a9a3aac0472f5970bdaf",
     ),
     "safety-n7-fast-havoc": (
-        "6c04f4feec63021e0a2a222b7b7175d884d8467d8f68b07babbdadd0803b4f84",
-        "810b1e08c228da3a867b11ad4aa53e3ca8a475f03e94aef41e9f241cf2515431",
+        "74ee81468da7ac179acbd4daabf327043879770a194c68d5242517741888b699",
+        "6e49f35179b6e170dfee8857ff265e4a1eaa7b82de372ed8428e6e169b5ec969",
     ),
     "safety-n7-fast-agg-none": (
         "5bcb89b7475aaf0d688ca9b1bb20c1a95cf749fc36495be8dda91942ca462002",
@@ -74,8 +74,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "a925ce47c132aa27cfb711b91387c22ac81cb54c93820fd98b8bd0965117fe98",
     ),
     "safety-n7-fast-agg-havoc": (
-        "c0f94151e1ea5a7ac61885ba4ba8c9806e5858407295a9269c630b3c4eca0073",
-        "5a6ebe5b985c3f3c27bc8f4470362cf9fb85634a8a5cb3c81cfd840d589a437d",
+        "edf115ce386829b59050ac04d1e0d2d90befbe39e65dc0572f050cfddf9ec1ed",
+        "f811ce0d4e42bbb013405b021a43ee8e4d84d496f94646c52023e8cf6eed6073",
     ),
     "safety-n10-fast-none": (
         "989dbbd8c43b7d31f6663e1a8bde8ae810fb640e9dadb6043f4eab332f9a3cf7",
@@ -86,8 +86,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "e38c926731731b23bd63eb6ef6c56b9e03bbc7482eb7b7a1a424fefdeabb7d67",
     ),
     "safety-n10-fast-havoc": (
-        "defc196d0a76bee0c08d5528c5390249fd1e60a8d40fdeba1e26b150f9a26cc9",
-        "dbcb594c80f702eb06d81452be068f211e4fe601c7592e5d120ebe168032da83",
+        "fe619eec1cd5a9fdb6e655d14c0a53ef174f40ced64622e9ac4b55f896c722f5",
+        "64d40f0ad104fc0d6904741824f8c9499c22d93d349b043d41ebf8fab0799b3c",
     ),
     "safety-n10-fast-agg-none": (
         "c9356d74fbe21f6c21721060b57a731f4c4c81c2ccdb17c793203015ce253070",
@@ -98,8 +98,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "ad3d422b62feb791ff3ee3d54283b6064c03c4abdc119c5f36b9da26a71f4bed",
     ),
     "safety-n10-fast-agg-havoc": (
-        "041b0f06a89262303f0837cc0bef0080f8253a38d7be4d94c8cfccc4f17c24f7",
-        "96ddab05b3ae6df4aae0d0bb2371a73c5cfe8f1d5024617fbcdf4b432b3a7ef5",
+        "54f5ec98c37cfc429afb7c7549af7e555d3d137e14ff1321c3f97acfd6de6571",
+        "2fb3ce19666fdacda3b45a1107aebc9fc43c075431d96847020815c244b3a6db",
     ),
 }
 

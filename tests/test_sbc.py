@@ -207,6 +207,26 @@ def test_byzantine_repeat_proposals_count_once():
     assert w.service.decided(1).propset[w.byz[0]] == z1
 
 
+def test_a_byzantine_proposal_that_comes_first_does_not_open_the_window():
+    """The deadline runs from the first correct arrival, so correct
+    proposals that arrive more than WINDOW after an early Byzantine one
+    are all in the decision."""
+    w = SbcWorld(n_correct=3, n_byz=1, seed=2)
+    z = w.make(b"z")
+    w.service.propose(1, z, w.byz[0])
+    while w.byz[0] not in w.service.proposals_for(1):
+        w.sim.run_until(w.sim.now + 1)
+    opened = w.sim.now
+    w.sim.run_until(opened + 2 * WINDOW)
+    proposed = {pid: w.make(str(pid.id).encode()) for pid in w.correct}
+    for pid, p in proposed.items():
+        w.service.propose(1, p, pid)
+    w.drain()
+    assert w.service.decided(1).propset == {**proposed, w.byz[0]: z}
+    arrivals = w.service._instances[1].proposals
+    assert all(arrivals[pid].arrived_at > opened + WINDOW for pid in w.correct)
+
+
 def test_late_byzantine_proposal_is_excluded():
     w = SbcWorld(n_correct=3, n_byz=1, seed=1)
     for pid in w.correct:

@@ -680,14 +680,15 @@ def test_adds_whose_proposal_missed_its_decision_go_in_the_next_flush():
     named = [c.element() for _ in range(2)]
     for e in named:
         s.add(e)
-    c.byz[c.byz_pids[0]].propose(1, Proposal())  # opens instance 1 early
+    peer = c.correct[1]
+    peer._deliver_epochinc(1)  # the peer's proposal opens instance 1 early
     c.sim.run_until(20)
     deadline = c.service._instances[1].deadline
     c.sim.schedule(deadline, s._deliver_epochinc, 1)  # s proposes too late
     while s.epoch < 1 and c.sim.now < 1_000:
         c.sim.run_until(c.sim.now + 1)
     assert s._proposed == 1 and s.history.get(1) == frozenset()
-    assert list(c.service.decided(1).propset) == [c.byz_pids[0]]
+    assert list(c.service.decided(1).propset) == [peer.pid]
     assert set(s.tobroadcast) == set(named)  # proposed, not stamped
     later = [c.element() for _ in range(2)]
     for e in later:
