@@ -9,11 +9,11 @@ proposer to proposal.  A correct proposer's entry is included iff its
 proposal arrived by the deadline; entries from Byzantine proposers are
 included whenever they arrived before the decision.  Only a correct
 proposal opens the window, so a Byzantine proposer that proposes early
-cannot close it before the correct proposals arrive: after ``gst``, every
-correct proposal made within ``WINDOW`` minus the delay bound of the first
-one is included.  Every registered process then receives the
-identical decision via its set-deliver callback, per process in instance
-order, after a network-like delay.
+cannot close it before the correct proposals arrive.  After ``gst`` a
+correct proposal is included whenever it is made at most ``WINDOW`` minus
+the network's delay bound after the first correct one.  Every registered
+process then receives the identical decision via its set-deliver
+callback, per process in instance order, after a network-like delay.
 
 A proposal is a :class:`wire.Proposal` that the service does not look
 inside: a setchain server names the add batches it delivered by the
