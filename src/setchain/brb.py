@@ -9,6 +9,18 @@ broadcast; a delivery happens at most once per instance; if the origin is
 correct every correct process delivers; and if any correct process
 delivers, all of them eventually do.
 
+``broadcast`` starts an instance whose origin is this process, and a
+process accepts that instance's init from its origin alone.  ``announce``
+starts, or joins, the one instance of a payload whose origin is the
+reserved ``wire.SHARED_ORIGIN``, and a process accepts that instance's
+init from any peer.  It is for a message that several processes send with
+the same bytes and that counts once, such as the ``f + 1`` announcements of
+one epoch change: each process echoes, readies and delivers it once,
+however many peers announce it.  The digest binds the payload, so no
+announcer can make two processes deliver different payloads under one
+key; if one announcer is correct, its init reaches every correct process
+and every correct process delivers.
+
 Only the origin's INIT carries the payload; ECHO and READY frames carry
 the digest alone and only count toward the quorums (digest echoes, as in
 Cachin & Tessaro's AVID, 2005).  A process that has ``2f + 1`` readies but
@@ -48,6 +60,7 @@ from .wire import (
     FETCH,
     INIT,
     READY,
+    SHARED_ORIGIN,
     SUPPLY,
     BrbFrame,
     FrameError,
@@ -83,6 +96,8 @@ class BrbEngine:
     ):
         if len(peers) < 3 * f + 1:
             raise ValueError("reliable broadcast needs n >= 3f + 1")
+        if SHARED_ORIGIN in peers:
+            raise ValueError("the shared origin names no process")
         self.net = net
         self._others = tuple(p for p in peers if p != net.pid)
         self._peer_set = frozenset(peers)
@@ -96,10 +111,19 @@ class BrbEngine:
 
     def broadcast(self, payload: bytes) -> bytes:
         """Start an instance with this process as origin; returns the digest."""
+        return self._start(self.net.pid, payload)
+
+    def announce(self, payload: bytes) -> bytes:
+        """Start, or join, the instance of ``payload`` that every announcer
+        shares; returns the digest.  The init goes to every peer even if
+        this process has echoed a peer's, which may have reached only some."""
+        return self._start(SHARED_ORIGIN, payload)
+
+    def _start(self, origin: ProcessId, payload: bytes) -> bytes:
         digest = hashlib.sha256(payload).digest()
         if self.on_broadcast is not None:
             self.on_broadcast(self.net.pid, payload)
-        self._send_to_all(BrbFrame(INIT, self.net.pid, digest, payload))
+        self._send_to_all(BrbFrame(INIT, origin, digest, payload))
         return digest
 
     def handle_frame(self, frm: ProcessId, body: bytes) -> None:
@@ -122,7 +146,7 @@ class BrbEngine:
                 return  # a fetch or supply opens no instance
             inst = self.instances[key] = _Instance()
         if phase == INIT:
-            if frm != origin:
+            if frm != origin and origin != SHARED_ORIGIN:
                 return  # authenticated channels: only the origin starts it
             inst.payload = payload
             if not inst.echoed:

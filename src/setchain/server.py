@@ -5,7 +5,11 @@ inserts, epochs cut on demand.  ``SetchainServer`` is the distributed
 state machine: adds fan out through reliable broadcast, epoch changes are
 announced through reliable broadcast and resolved through the consensus
 service, and each decided epoch stamps the decided-but-unstamped valid
-elements.  Optional behaviours: batching adds into one broadcast
+elements.  An add batch is broadcast under its server's origin.  The
+``f + 1`` servers asked for epoch ``h`` all announce the same
+``mepochinc(h)``, so they share one broadcast instance of it
+(``BrbEngine.announce``) rather than run one each: each server echoes,
+readies and delivers it once per ``h``.  Optional behaviours: batching adds into one broadcast
 (aggregation, when given an ``AggConfig``) and signing each stamped
 epoch's digest back into the set so light clients can check membership
 proofs.
@@ -263,9 +267,12 @@ class SetchainServer:
             self.brb.broadcast(encode_madd((e,)))
 
     def epoch_inc(self, h: int) -> None:
+        """Announces ``mepochinc(h)``: the ``f + 1`` servers asked for
+        epoch ``h`` join one broadcast instance, which each server delivers
+        once."""
         if h != self.epoch + 1:
             raise RequestRejected("stale-or-future-epoch")
-        self.brb.broadcast(encode_mepochinc(h))
+        self.brb.announce(encode_mepochinc(h))
 
     # -- aggregation --------------------------------------------------------
 

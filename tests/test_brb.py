@@ -16,6 +16,7 @@ from setchain.wire import (
     FETCH,
     INIT,
     READY,
+    SHARED_ORIGIN,
     SUPPLY,
     BrbFrame,
     classify,
@@ -193,6 +194,22 @@ def test_init_claiming_another_origin_is_ignored():
     assert all(c.deliveries(pid) == [] for pid in c.correct)
 
 
+def test_equal_payloads_from_two_origins_are_two_instances():
+    # Instances are keyed by origin and digest: two correct origins that
+    # broadcast the same bytes, and an announcement of them, are delivered
+    # once each, under each origin.
+    c = BrbWorld(n=4, f=1, n_byz=1, seed=3)
+    a, b = c.correct[:2]
+    c.engines[a].broadcast(b"same")
+    c.engines[b].broadcast(b"same")
+    c.engines[a].announce(b"same")
+    c.drain()
+    want = sorted([(a, b"same"), (b, b"same"), (SHARED_ORIGIN, b"same")])
+    for pid in c.correct:
+        assert sorted(c.deliveries(pid)) == want
+        assert len(c.engines[pid].instances) == 3
+
+
 def test_mismatched_digest_payload_is_dropped():
     c = BrbWorld(n=4, f=1, n_byz=1)
     byz = c.byz[0]
@@ -209,6 +226,111 @@ def test_engine_requires_quorum_capable_membership():
     net = sim.register(pid, lambda f, b: None)
     with pytest.raises(ValueError):
         BrbEngine(net, (pid,), f=1, on_deliver=lambda o, d, p: None)
+    with pytest.raises(ValueError):  # the shared origin is no process
+        BrbEngine(net, (pid, SHARED_ORIGIN), f=0, on_deliver=lambda o, d, p: None)
+
+
+# -- announcements: one instance per payload, whoever starts it --------------
+
+
+@pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3)])
+def test_f_plus_1_announcers_share_one_instance_delivered_once(n, f):
+    c = BrbWorld(n=n, f=f, seed=n)
+    c.sim.frame_classifier = classify
+    payload = b"epoch 7"
+    digests = {c.engines[pid].announce(payload) for pid in c.correct[: f + 1]}
+    c.drain()
+    (digest,) = digests
+    for pid in c.correct:
+        assert list(c.engines[pid].instances) == [(SHARED_ORIGIN, digest)]
+        assert c.deliveries(pid) == [(SHARED_ORIGIN, payload)]
+    # an init from each announcer; one echo and one ready from each process
+    assert c.sim.counts == {"brb-init": (f + 1) * (n - 1),
+                            "brb-echo": n * (n - 1), "brb-ready": n * (n - 1)}
+    assert c.sim.delivered_total == (f + 1) * (n - 1) + 2 * n * (n - 1)
+
+
+@pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3)])
+def test_one_correct_announcer_with_f_silent_slots_is_enough(n, f):
+    c = BrbWorld(n=n, f=f, n_byz=f, seed=n)
+    c.engines[c.correct[-1]].announce(b"epoch 7")
+    c.drain()
+    for pid in c.correct:
+        assert c.deliveries(pid) == [(SHARED_ORIGIN, b"epoch 7")]
+        assert len(c.engines[pid].instances) == 1
+
+
+def _byzantine_announcement(c, subset, helps, announcer=None):
+    """In ``c`` (n = 4, f = 1, one Byzantine slot), the Byzantine slot inits
+    the shared instance of a payload at ``subset`` of the correct processes,
+    adds its own echo and ready to all of them if it ``helps``, and sends
+    each of them an init and a supply whose digest names that payload but
+    whose bytes are another's.  Once that has drained, the correct process
+    ``announcer`` (if any) announces the payload, which is returned."""
+    byz = c.byz[0]
+    payload, other = b"epoch 3", b"epoch 4"
+    digest = hashlib.sha256(payload).digest()
+    c.inject(byz, BrbFrame(INIT, SHARED_ORIGIN, digest, payload), subset)
+    if helps:
+        for phase in (ECHO, READY):
+            c.inject(byz, BrbFrame(phase, SHARED_ORIGIN, digest, None), c.correct)
+    for phase in (INIT, SUPPLY):  # decode_brb drops both: they do not bind
+        c.inject(byz, BrbFrame(phase, SHARED_ORIGIN, digest, other), c.correct)
+    c.drain()
+    if announcer is not None:
+        c.engines[announcer].announce(payload)
+        c.drain()
+    return payload
+
+
+def test_a_byzantine_shared_init_to_a_subset_cannot_block_or_change_delivery():
+    for size in (1, 2, 3):
+        for ids in itertools.combinations(range(3), size):
+            for helps in (False, True):
+                for who in range(3):
+                    for seed in range(3):
+                        c = BrbWorld(n=4, f=1, n_byz=1, seed=seed)
+                        payload = _byzantine_announcement(
+                            c, [c.correct[i] for i in ids], helps, c.correct[who])
+                        for pid in c.correct:
+                            assert c.deliveries(pid) == [(SHARED_ORIGIN, payload)], (
+                                ids, helps, who, seed, pid)
+                            assert len(c.engines[pid].instances) == 1
+
+
+def test_a_process_missing_the_shared_init_fetches_past_a_non_binding_supply():
+    # Two of three correct processes get the Byzantine init; with its echo
+    # and ready the third reaches 2f + 1 readies without the payload, fetches
+    # it, and takes it from a correct supply, not from the non-binding one.
+    c = BrbWorld(n=4, f=1, n_byz=1)
+    c.sim.frame_classifier = classify
+    a, b, skipped = c.correct
+    payload = _byzantine_announcement(c, [a, b], helps=True)
+    for pid in c.correct:
+        assert c.deliveries(pid) == [(SHARED_ORIGIN, payload)]
+    fetches = sorted(e.src for e in c.sim.log if e.type == "brb-fetch")
+    assert fetches == [skipped] * 3
+    inst = c.engines[skipped].instances[
+        (SHARED_ORIGIN, hashlib.sha256(payload).digest())]
+    assert inst.fetched and not inst.echoed and inst.payload == payload
+
+
+def test_an_announcer_that_echoed_a_peer_init_still_sends_its_own_once():
+    peers = tuple(ProcessId(i) for i in range(4))
+    others = (peers[0], peers[2], peers[3])
+    net = _Recorder(peers[1])
+    engine = BrbEngine(net, peers, 1, lambda o, d, p: None)
+    payload = b"epoch 9"
+    digest = hashlib.sha256(payload).digest()
+    init = encode_brb(BrbFrame(INIT, SHARED_ORIGIN, digest, payload))
+    echo = encode_brb(BrbFrame(ECHO, SHARED_ORIGIN, digest, None))
+    engine.handle_frame(peers[2], init)  # any peer may start it
+    engine.handle_frame(peers[3], init)  # a second announcer: no new echo
+    assert net.calls == [(others, echo)]
+    assert engine.announce(payload) == digest
+    assert net.calls == [(others, echo), (others, init)]
+    (inst,) = engine.instances.values()
+    assert inst.echoes == {peers[1]} and inst.payload == payload
 
 
 # -- delivered instances keep their payload and flags ---------------------------

@@ -18,88 +18,88 @@ import pytest
 from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safety_matrix
 
 PRESETS_AT_SEED_0 = {
-    "stock": "ec34c792fd00252f8913472b15e39fded5785341b14063df6e6e6ac3e4d90270",
-    "firehose": "f8bb23c302a564c9eb92eccba6f0a2c2d1abb5f59b9919529b75ee4241476048",
-    "overload-fast": "59dee2b871db1eb3e24ad6a739fa59d8c698c2b1f881a7f36aaafb87531ab683",
-    "overload-agg": "7d502e49a5412fb4bfcf7015c21583badd4bacff183ccc5eb3250a449b5ffc73",
-    "large-none": "532e6f49faa854b37cb2d89d7e2d70b83533e65ff3392d4b375c82a4df905822",
-    "large-silent": "7cd765f9360d13b71cdb0da27d050bdd9c6c98299265487f10933789905be9e9",
-    "marathon": "ed452deafa0f2a46f7fa5096eee4f61f29761a1c70fa73f827d672b1df4b4c63",
+    "stock": "bfb1f5b8de1dc96c8fa28fc0169726fc3893e4fdb9931cd1a7d4b5c39abf871b",
+    "firehose": "da30de45886a3078b0b743fa6ed4bbf6b014d8c027dccc87f51e33f04ed152a7",
+    "overload-fast": "949876ed9a4e99f865fadbb9c9826097a4d8011a59e4332d1a5f5501491da6c6",
+    "overload-agg": "185f211eb47f9bd13bfd42c5e410285dcdfdfb5b412ed2a02b391a8d9a23593c",
+    "large-none": "65d1fba04625937510fd357af266b12efbcb1cae23fa62b7bf0349d6d0618928",
+    "large-silent": "53328c0d35b50e446fa4c4ffe03a4fb2e4ed824958ee0dc05087030632ab1bf4",
+    "marathon": "a4f163abb7417bc4ea6a7649cc0f43c8a4973a2e2f5007219d8d59f96c4cdb52",
 }
 
 MATRIX_SEEDS = range(2)
 MATRIX = {  # cell -> digests at MATRIX_SEEDS
     "safety-n4-fast-none": (
-        "362e15ef027b04bd62a874e267ed808c73cf3bd3fcf71fb1b73c5939b2b51c03",
-        "878663feffe3092d978a2a4964a9b7d9c5b21deec241dbb7a1fe9e625c2f1d1f",
+        "46d7c3b6f6aa1f7040c29da1fbee18274e8d6570847b964186bdfe528d8decd2",
+        "d739866cc93362c26cc0c18f70fe3d8b7ff2fa69f3272d4e41b780c866403273",
     ),
     "safety-n4-fast-silent": (
-        "572e243222ff51119818d9e1c465651d11c9d52b17290e723c612a07ce725573",
-        "7999b31beb75f41e7467526bb0c652b955a15ca038a74c39cbb1910e47aff851",
+        "85f20250bb4466b07221fffe6ee59081e12d32da013363a170e6dbb3f39ea885",
+        "8c9a08fd0eff23485472259632bee8cfcffbc891be2bb784eef1f4e1c9957c91",
     ),
     "safety-n4-fast-havoc": (
-        "321818fdf5a3faee43a16d9d93114faeab1a9ea71ac3a234a12096d76e4a1ee6",
-        "bc140f64ec4aa83bc6b164cb9d4930bb23f1321cd9a2944952ac0efc27dd56c9",
+        "db8ed098ae6fb614c0b291e3795b6017f9d02879b6398a6bb89b3fe43f3e623b",
+        "655eca86074b20349098b383d43e97987892daa63547050b66c36bc12837b4e2",
     ),
     "safety-n4-fast-agg-none": (
-        "b33171504b179c872c092be38a58cb2a5ad3c61be5b19172559b736918f7ba1e",
-        "6d1f4011762977c4c005a857c58dab60103c739a0c08fda9e218cc085e6c73b9",
+        "6216502bbeb7cccc79960fe27b893b029b7e3af85a712890f4c7c82cf548722f",
+        "88881b96ff632422c0ff55369e92de4504a3acde4e72c2df65023a925132f700",
     ),
     "safety-n4-fast-agg-silent": (
-        "eeb6bbf02843fd9eda60a1db78994fe61da8d02f92e73ea91430099bd67c431f",
-        "8ed055df2e7bfd8150211b17a3a8ef148db32d2684938bb61e26c387620895a5",
+        "0f242e48a24dc9d5f897a260406c04efa2f78d08860dd295b39039b31d6c7e69",
+        "9eacf5f4bae03938c5ebcd0c8a0148f80c7c30be75d690628f46d9997bf8e125",
     ),
     "safety-n4-fast-agg-havoc": (
-        "9db47c0fc10743d033035fe11ae6553956ec3d1f419367a15be383acca44d2bc",
-        "1a39cf9be56bd2a4de0bd249877017b33fe1f8cbee9817fb8726fecabe913b83",
+        "836bd958b766d05384e45344a9ed9b7178b93cbd6659b8301f6f3c59a38e28bb",
+        "d6596d3378d1f2b60008cb2583f96da976eb82f8f48648f2a4de85342bdf23cb",
     ),
     "safety-n7-fast-none": (
-        "cc0c73dc8b6f079816601a33140a5e5d9cdfe915593ffcd91bc70edd8df85841",
-        "17e5126876193d1da52d15eecb6970e4f3a68ff0aa7e6e3a08e93152e95ccad2",
+        "fd4985e0158862abe067b3c8dc7d71e7c62de57daf969023eafd7b5dede204ac",
+        "9042a08e4e72ea064b36630fcf279747758d3a1541ead22bd96ca51a7deaf7ef",
     ),
     "safety-n7-fast-silent": (
-        "93be13109943c37c9a6d316018fab5bfa88f47b34e75607b66f3acef0df9c4e5",
-        "7998844b9038eb33d4bd49e6ec35ea1d8dbf5abb5871a9a3aac0472f5970bdaf",
+        "88053200e067f131083f44448c0023703b1e5169db3c2eb3d86204f69b9f6014",
+        "2d5e1ed3c819884aa5dd3c83ada20ee620a0cfd9ce569e0b6a7520d88c1c86d6",
     ),
     "safety-n7-fast-havoc": (
-        "74ee81468da7ac179acbd4daabf327043879770a194c68d5242517741888b699",
-        "6e49f35179b6e170dfee8857ff265e4a1eaa7b82de372ed8428e6e169b5ec969",
+        "0ece2a91b689c79954f143a34a741cb290df309e6df078242ca6c1bfc114afd0",
+        "67ba5529dbc467e8bdf70d1008c49ea42a16d1ad14d497fad28e98d4d31e8d81",
     ),
     "safety-n7-fast-agg-none": (
-        "5bcb89b7475aaf0d688ca9b1bb20c1a95cf749fc36495be8dda91942ca462002",
-        "41dc3fd1317348206edc6ae94d03a97f4b7fd2bd046e3da18a4ad31f99d5cbb4",
+        "cdddc25cfd3023b141f5f068cf883f4ec8a369442fb4a146f70e5d67472795ec",
+        "d6de3ddf3e011111af6b893fc5b113a6a2071f8ffc6dfa33517b67ad3f2d7502",
     ),
     "safety-n7-fast-agg-silent": (
-        "10397ecb9d79f1a1adbebf68b03fe1c850747a10322dfca9cb8affb27f69d521",
-        "a925ce47c132aa27cfb711b91387c22ac81cb54c93820fd98b8bd0965117fe98",
+        "96b018e212d9303275412660c996ef66e03c7161948c18005615aca77cba3bec",
+        "0dd86e2a605a30b546a4d81ddb3c54d17f8e7b2211cbb1a1958a1dfbfd16b8a8",
     ),
     "safety-n7-fast-agg-havoc": (
-        "edf115ce386829b59050ac04d1e0d2d90befbe39e65dc0572f050cfddf9ec1ed",
-        "f811ce0d4e42bbb013405b021a43ee8e4d84d496f94646c52023e8cf6eed6073",
+        "7aaeac19338590cbefcf9774c34b9798c9723e69d450190359135c900b49a0a5",
+        "8302ddfc2740e06e414c1e3c25df388a2e462955e90c15dd368eb1bfc5cac1c1",
     ),
     "safety-n10-fast-none": (
-        "989dbbd8c43b7d31f6663e1a8bde8ae810fb640e9dadb6043f4eab332f9a3cf7",
-        "5983c89cda9f1b5ab653b10350004a2751511cd7f17c237b5a7d3ac07ad448d8",
+        "2bffbac823eb74767685a71d9de3d06695d8997b8c9b95b661c8f6a510fa9e46",
+        "11540b4a9624560cb0143c8a3e33293b9660a6c93afb3728121e73a3f8f99713",
     ),
     "safety-n10-fast-silent": (
-        "e38689cb87ba238f5e099c0496aab24045d9ea9c5110319df8e7af7d6b0c5611",
-        "e38c926731731b23bd63eb6ef6c56b9e03bbc7482eb7b7a1a424fefdeabb7d67",
+        "59a4586b5d5ab1148a3606ccb7d1595792f02f9973cd238b69b797ef9033d2f7",
+        "2712d48b5226b147b832ea027028907e1d66173f1d2a72931a4dccd2fd164cd3",
     ),
     "safety-n10-fast-havoc": (
-        "fe619eec1cd5a9fdb6e655d14c0a53ef174f40ced64622e9ac4b55f896c722f5",
-        "64d40f0ad104fc0d6904741824f8c9499c22d93d349b043d41ebf8fab0799b3c",
+        "0192bef0c1ea0092ba65a7aea50a9b5857861ecc16952eb25e404f82342f6d21",
+        "800ecf1b66846d905f80c301a1e514c3a5369cc080f3e270c3ae044a176958b7",
     ),
     "safety-n10-fast-agg-none": (
-        "c9356d74fbe21f6c21721060b57a731f4c4c81c2ccdb17c793203015ce253070",
-        "3d64b9896a758d7c2724c98cd2c0969ac233fe4aa3eaf325343bee81d0316ef6",
+        "bb80064b81321484afda2507360717eb980b603b59287c6d09474b6b55ff01c6",
+        "b4368dfcd8ccbf6f0aae82c7d1b47a2923b942de10218b9abacacb68280c2cec",
     ),
     "safety-n10-fast-agg-silent": (
-        "ab68e69f211c3370e2c03a24ba0a05c712a7bfad04f166e8f8161c57b58dcd93",
-        "ad3d422b62feb791ff3ee3d54283b6064c03c4abdc119c5f36b9da26a71f4bed",
+        "9a8ce8bedadf332e4524582abd4a28c3eda733351863ebab0114205cc62f8faa",
+        "caedd96c44b67619b43ead0dbba878ab2d064ee175ad4349a01772261802c7d6",
     ),
     "safety-n10-fast-agg-havoc": (
-        "54f5ec98c37cfc429afb7c7549af7e555d3d137e14ff1321c3f97acfd6de6571",
-        "2fb3ce19666fdacda3b45a1107aebc9fc43c075431d96847020815c244b3a6db",
+        "93f3ab4fdd6b19cd13cc0068a863a7bbaa22cb8093f5e1b96ef388060303f0b5",
+        "54f79a5059959fd5e72349f7c0911610494144e7b633b57fcf5edc37c9de25e4",
     ),
 }
 
