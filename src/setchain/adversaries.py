@@ -29,7 +29,10 @@ shares the decodes of the correct servers and of the other havoc servers.
 It learns a broadcast payload only from a frame that carries one, an INIT
 or a SUPPLY; echo, ready and fetch frames carry only a digest.  Of the
 broadcast frames it sends INITs only: never an echo, ready, fetch or
-supply.
+supply.  An add batch's INIT names the havoc server as its origin; an
+epoch announcement's INIT names ``wire.SHARED_ORIGIN``, as a correct
+server's does, so it joins the instance that the correct announcers of
+that epoch share.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from .wire import (
     OP_ADD,
     OP_EPOCHINC,
     OP_GET,
+    SHARED_ORIGIN,
     STATUS_OK,
     BrbFrame,
     FrameError,
@@ -215,9 +219,9 @@ class HavocServer:
         pool = self.knowledge | set(generate_invalid_elems(self.rng))
         if action == "madd":
             batch = havoc_subset(self.rng, pool, key=wire_order)
-            self._brb_broadcast(encode_madd(batch))
+            self._brb_broadcast(self.pid, encode_madd(batch))
         elif action == "mepochinc":
-            self._brb_broadcast(encode_mepochinc(
+            self._brb_broadcast(SHARED_ORIGIN, encode_mepochinc(
                 havoc_number(self.rng, self.seen_h + 2)))
         else:
             h = havoc_number(self.rng, self.seen_h + 2, lo=1)
@@ -231,10 +235,10 @@ class HavocServer:
                                  self.pid)
         self.net.after(self.rng.randint(*self.TICK_GAP), self._tick)
 
-    def _brb_broadcast(self, payload: bytes) -> None:
+    def _brb_broadcast(self, origin: ProcessId, payload: bytes) -> None:
         digest = hashlib.sha256(payload).digest()
         self.digests.add(digest)
-        frame = encode_brb(BrbFrame(INIT, self.pid, digest, payload))
+        frame = encode_brb(BrbFrame(INIT, origin, digest, payload))
         targets = self.peers
         if self.rng.random() < 0.25:  # sometimes only tell a subset
             targets = havoc_subset(self.rng, self.peers) or self.peers

@@ -28,6 +28,7 @@ from setchain.core import (
 from setchain.server import EpochDriver
 from setchain.wire import (
     OP_GET,
+    SHARED_ORIGIN,
     FrameError,
     decode_brb,
     decode_broadcast_message,
@@ -131,6 +132,23 @@ def test_havoc_broadcasts_only_invalid_elements_before_learning_any():
     assert batches > 0
     # correct servers admitted none of the junk
     assert all(not s.theset for s in cluster.correct)
+
+
+def test_havoc_announces_epochs_through_the_shared_origin():
+    # Its batches name the havoc server as origin; its epoch announcements
+    # join the instance that correct announcers of that epoch share.
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    havoc = cluster.byz[cluster.byz_pids[0]]
+    havoc.start(until=2_000)
+    cluster.sim.run_until(2_000)
+    havoc.stop()
+    cluster.drain()
+    origins = {"add": set(), "epochinc": set()}
+    for entry in cluster.sim.log:
+        if entry.src == havoc.pid and entry.type == "brb-init":
+            frame = decode_brb(entry.body)
+            origins[decode_broadcast_message(frame.payload)[0]].add(frame.origin)
+    assert origins == {"add": {havoc.pid}, "epochinc": {SHARED_ORIGIN}}
 
 
 def test_havoc_learns_from_requests_and_informs_then_proposes_loot():

@@ -38,8 +38,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "8c9a08fd0eff23485472259632bee8cfcffbc891be2bb784eef1f4e1c9957c91",
     ),
     "safety-n4-fast-havoc": (
-        "db8ed098ae6fb614c0b291e3795b6017f9d02879b6398a6bb89b3fe43f3e623b",
-        "655eca86074b20349098b383d43e97987892daa63547050b66c36bc12837b4e2",
+        "c5be1c8d5db17eba75087fcc47484444a1935050db36afd138137bde16bebbe7",
+        "76289222181d3b5412f3368fded389264304c03f432f4fa7a021819f5d83e39b",
     ),
     "safety-n4-fast-agg-none": (
         "6216502bbeb7cccc79960fe27b893b029b7e3af85a712890f4c7c82cf548722f",
@@ -50,8 +50,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "9eacf5f4bae03938c5ebcd0c8a0148f80c7c30be75d690628f46d9997bf8e125",
     ),
     "safety-n4-fast-agg-havoc": (
-        "836bd958b766d05384e45344a9ed9b7178b93cbd6659b8301f6f3c59a38e28bb",
-        "d6596d3378d1f2b60008cb2583f96da976eb82f8f48648f2a4de85342bdf23cb",
+        "ecff6da9128e49c02e03646cfbbf690dce18acd39375ab70725132b8471f7fa2",
+        "40073bab9344eb9de6ff24dff88faa14ba05b01166676275107be94f42c6aab7",
     ),
     "safety-n7-fast-none": (
         "fd4985e0158862abe067b3c8dc7d71e7c62de57daf969023eafd7b5dede204ac",
@@ -62,8 +62,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "2d5e1ed3c819884aa5dd3c83ada20ee620a0cfd9ce569e0b6a7520d88c1c86d6",
     ),
     "safety-n7-fast-havoc": (
-        "0ece2a91b689c79954f143a34a741cb290df309e6df078242ca6c1bfc114afd0",
-        "67ba5529dbc467e8bdf70d1008c49ea42a16d1ad14d497fad28e98d4d31e8d81",
+        "3639e22344aa3ed7d9d569b15593fb52a1be5b9e612a4396b8a461737f21c546",
+        "31676788bd7d1760cc0b7b250896540f5570247177842914d8a2387c903a61e2",
     ),
     "safety-n7-fast-agg-none": (
         "cdddc25cfd3023b141f5f068cf883f4ec8a369442fb4a146f70e5d67472795ec",
@@ -74,8 +74,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "0dd86e2a605a30b546a4d81ddb3c54d17f8e7b2211cbb1a1958a1dfbfd16b8a8",
     ),
     "safety-n7-fast-agg-havoc": (
-        "7aaeac19338590cbefcf9774c34b9798c9723e69d450190359135c900b49a0a5",
-        "8302ddfc2740e06e414c1e3c25df388a2e462955e90c15dd368eb1bfc5cac1c1",
+        "f28aff54f6625e04fe03380f031bc6d829b24f8dcff45073d009f985fb41a6b7",
+        "f7b0213a7fa1e124cac768a2b73fd8ed688f069c62f03d9f269b558339087eff",
     ),
     "safety-n10-fast-none": (
         "2bffbac823eb74767685a71d9de3d06695d8997b8c9b95b661c8f6a510fa9e46",
@@ -86,8 +86,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "2712d48b5226b147b832ea027028907e1d66173f1d2a72931a4dccd2fd164cd3",
     ),
     "safety-n10-fast-havoc": (
-        "0192bef0c1ea0092ba65a7aea50a9b5857861ecc16952eb25e404f82342f6d21",
-        "800ecf1b66846d905f80c301a1e514c3a5369cc080f3e270c3ae044a176958b7",
+        "1efc198228474eac11bf26ec84596521892b8132d4e297c3c78e08692676daa3",
+        "b4c2b5eb550bcd8d0d08ea0e91bfe2eed79ba4958a64679b00efa86f268e9f08",
     ),
     "safety-n10-fast-agg-none": (
         "bb80064b81321484afda2507360717eb980b603b59287c6d09474b6b55ff01c6",
@@ -98,8 +98,8 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "caedd96c44b67619b43ead0dbba878ab2d064ee175ad4349a01772261802c7d6",
     ),
     "safety-n10-fast-agg-havoc": (
-        "93f3ab4fdd6b19cd13cc0068a863a7bbaa22cb8093f5e1b96ef388060303f0b5",
-        "54f79a5059959fd5e72349f7c0911610494144e7b633b57fcf5edc37c9de25e4",
+        "acc4142b91f8364a0093eeb6f056b10b54167c3636fc2d06a64d4cb63db89e17",
+        "b06550ca14e5eadb798db379f7393cb3682fac4790196b781624eb3077edda4d",
     ),
 }
 
