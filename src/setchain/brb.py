@@ -96,8 +96,6 @@ class BrbEngine:
     ):
         if len(peers) < 3 * f + 1:
             raise ValueError("reliable broadcast needs n >= 3f + 1")
-        if SHARED_ORIGIN in peers:
-            raise ValueError("the shared origin names no process")
         self.net = net
         self._others = tuple(p for p in peers if p != net.pid)
         self._peer_set = frozenset(peers)

@@ -6,13 +6,12 @@ state machine: adds fan out through reliable broadcast, epoch changes are
 announced through reliable broadcast and resolved through the consensus
 service, and each decided epoch stamps the decided-but-unstamped valid
 elements.  An add batch is broadcast under its server's origin.  The
-``f + 1`` servers asked for epoch ``h`` all announce the same
+``f + 1`` servers asked for epoch ``h`` all send the same
 ``mepochinc(h)``, so they share one broadcast instance of it
-(``BrbEngine.announce``) rather than run one each: each server echoes,
-readies and delivers it once per ``h``.  Optional behaviours: batching adds into one broadcast
-(aggregation, when given an ``AggConfig``) and signing each stamped
-epoch's digest back into the set so light clients can check membership
-proofs.
+(``BrbEngine.announce``) rather than run one each.  Optional behaviours:
+batching adds into one broadcast (aggregation, when given an
+``AggConfig``) and signing each stamped epoch's digest back into the set
+so light clients can check membership proofs.
 
 A proposal (``wire.Proposal``) names delivered batches by digest (as in
 Hashchain, Capretto et al., 2022) and queued adds by value.  A server

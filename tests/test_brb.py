@@ -226,8 +226,6 @@ def test_engine_requires_quorum_capable_membership():
     net = sim.register(pid, lambda f, b: None)
     with pytest.raises(ValueError):
         BrbEngine(net, (pid,), f=1, on_deliver=lambda o, d, p: None)
-    with pytest.raises(ValueError):  # the shared origin is no process
-        BrbEngine(net, (pid, SHARED_ORIGIN), f=0, on_deliver=lambda o, d, p: None)
 
 
 # -- announcements: one instance per payload, whoever starts it --------------
