@@ -13,7 +13,10 @@ cannot close it before the correct proposals arrive.  After ``gst`` a
 correct proposal is included whenever it is made at most ``WINDOW`` minus
 the network's delay bound after the first correct one.  Every registered
 process then receives the identical decision via its set-deliver
-callback, per process in instance order, after a network-like delay.
+callback after a network-like delay, in instance order with no reorder
+buffer: instances are decided in order, each member's copies are scheduled
+at non-decreasing ticks, and same-tick events run in the order they were
+scheduled.
 
 A proposal is a :class:`wire.Proposal` that the service does not look
 inside: a setchain server names the add batches it delivered by the
@@ -87,8 +90,7 @@ class ConsensusService:
         self._correct: dict[ProcessId, bool] = {}
         self._instances: dict[int, _Instance] = {}
         self.decisions: dict[int, Decision] = {}
-        self._delivered_upto: dict[ProcessId, int] = {}
-        self._stash: dict[ProcessId, set[int]] = {}
+        self._last: dict[ProcessId, SimTime] = {}  # latest delivery tick per member
 
     def register(self, pid: ProcessId, on_set_deliver: Callable[[int, Propset], None],
                  correct: bool = True) -> None:
@@ -96,8 +98,7 @@ class ConsensusService:
             raise ValueError(f"duplicate consensus registration for {pid!r}")
         self._members[pid] = on_set_deliver
         self._correct[pid] = correct
-        self._delivered_upto[pid] = 0
-        self._stash[pid] = set()
+        self._last[pid] = 0
 
     # -- proposing ----------------------------------------------------------
 
@@ -147,26 +148,15 @@ class ConsensusService:
         self.decisions[h] = Decision(h, propset, now)
         members = sorted(self._members)
         for pid, delay in zip(members, self.sim.draw_delays(len(members), self.rng)):
-            self.sim.schedule(now + delay, self._deliver_one, pid, h)
+            # not before this member's copy of h - 1 (see the module docstring)
+            at = self._last[pid] = max(now + delay, self._last[pid])
+            self.sim.schedule(at, self._deliver_one, pid, h)
         nxt = self._instances.get(h + 1)
-        if nxt is not None and nxt.deferred:
-            self.sim.schedule(max(now, nxt.deadline + self.config.decision_cost),
-                              self._try_decide, h + 1)
+        if nxt is not None and nxt.deferred:  # its own timer has already fired
+            self.sim.schedule(now, self._try_decide, h + 1)
 
     def _deliver_one(self, pid: ProcessId, h: int) -> None:
-        if self._delivered_upto[pid] != h - 1:
-            self._stash[pid].add(h)  # out-of-order arrival; hold it back
-            return
-        self._invoke(pid, h)
-        while self._delivered_upto[pid] + 1 in self._stash[pid]:
-            nxt = self._delivered_upto[pid] + 1
-            self._stash[pid].discard(nxt)
-            self._invoke(pid, nxt)
-
-    def _invoke(self, pid: ProcessId, h: int) -> None:
-        decision = self.decisions[h]
-        self._delivered_upto[pid] = h
-        self._members[pid](h, dict(decision.propset))
+        self._members[pid](h, dict(self.decisions[h].propset))
 
     # -- introspection ------------------------------------------------------
 

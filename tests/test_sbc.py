@@ -137,6 +137,21 @@ def test_decisions_happen_in_instance_order():
         assert [h for h, _ in w.delivered[pid]] == [1, 2]
 
 
+def test_a_deferred_instance_reaches_every_member_after_its_predecessor():
+    """The scenario above over many seeds: instance 2 decides right after
+    instance 1, so its copies are drawn with fresh delays that may be
+    shorter; each member still receives 1 before 2."""
+    for seed in range(50):
+        w = SbcWorld(seed=seed, n_byz=1)
+        w.service.propose(2, w.make(b"second"), w.correct[0])
+        w.sim.run_until(300)
+        for pid in w.correct:
+            w.service.propose(1, w.make(b"first"), pid)
+        w.drain()
+        for pid, delivered in w.delivered.items():
+            assert [h for h, _ in delivered] == [1, 2], (seed, pid)
+
+
 def test_termination_bound_after_gst():
     cfg = SbcConfig(decision_cost=0)
     w = SbcWorld(seed=11, cfg=cfg)
