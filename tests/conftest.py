@@ -1,12 +1,21 @@
-"""Shared harnesses for protocol tests: a server cluster, a bare BRB world
-and a bare SBC world.  Every test starts and ends with empty decode memos."""
+"""Shared harnesses for protocol tests: a server cluster, a bare BRB world,
+a bare SBC world and one watched run per preset and seed.  Every test
+starts and ends with empty decode memos."""
 
 import hashlib
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
 
-from setchain.bench import Cluster, _clear_decode_memos
+from setchain.bench import (
+    Cluster,
+    RunReport,
+    SafetyMonitor,
+    _clear_decode_memos,
+    preset,
+    run_scenario,
+)
 from setchain.brb import BrbEngine
 from setchain.core import Element, KeyStore, ProcessId, ProcessKind
 from setchain.sbc import ConsensusService, SbcConfig
@@ -21,6 +30,65 @@ def fresh_decode_memos():
     _clear_decode_memos()
     yield
     _clear_decode_memos()
+
+
+@dataclass(frozen=True)
+class PresetRun:
+    """One watched run of a preset.  It keeps the report and what the tests
+    assert on, and no cluster object: a live cluster would be walked by
+    every later run's full collection."""
+
+    report: RunReport
+    undelivered: list[dict]  # per BrbEngine built: payloads held, not delivered
+    leftovers: list[tuple[dict, dict]]  # per server: open batches, queued adds
+    proposals: list[tuple[frozenset, set]]  # by-value elements, proposer's buffer
+
+
+def _watch_preset(name: str, seed: int) -> PresetRun:
+    engines, servers, proposals = [], {}, []
+    init, attach = BrbEngine.__init__, SafetyMonitor.attach
+    on_propose = SafetyMonitor.on_propose
+
+    def keep_engine(engine, *args, **kwargs):
+        init(engine, *args, **kwargs)
+        engines.append(engine)
+
+    def keep_server(monitor, server):
+        servers[server.pid] = server
+        attach(monitor, server)
+
+    def watch(monitor, h, proposal, by):
+        proposals.append((proposal.elements, set(servers[by].tobroadcast)))
+        on_propose(monitor, h, proposal, by)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BrbEngine, "__init__", keep_engine)
+        mp.setattr(SafetyMonitor, "attach", keep_server)
+        mp.setattr(SafetyMonitor, "on_propose", watch)
+        report = run_scenario(preset(name).with_seed(seed))
+    return PresetRun(
+        report,
+        [{key: inst.payload for key, inst in engine.instances.items()
+          if inst.payload is not None and not inst.delivered}
+         for engine in engines],
+        [(dict(s.open_batches), dict(s.tobroadcast)) for s in servers.values()],
+        proposals,
+    )
+
+
+@pytest.fixture(scope="session")
+def preset_run():
+    """``preset_run(name, seed=0)`` runs preset ``name`` at ``seed`` the
+    first time it is asked for in a session and returns that
+    :class:`PresetRun` from then on."""
+    runs = {}
+
+    def run(name: str, seed: int = 0) -> PresetRun:
+        if (name, seed) not in runs:
+            runs[name, seed] = _watch_preset(name, seed)
+        return runs[name, seed]
+
+    return run
 
 
 class ByzStub:

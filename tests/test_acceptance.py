@@ -410,8 +410,8 @@ def test_adversary_pooling_equivalence_on_traces_both_directions():
 # ---------------------------------------------------------------------------
 
 
-def test_default_scenario_stamps_hundredfold_more_adds_than_epochs():
-    report = run_scenario(preset("stock").with_seed(seed_from_env(0)))
+def test_default_scenario_stamps_hundredfold_more_adds_than_epochs(preset_run):
+    report = preset_run("stock", seed_from_env(0)).report
     assert report.ok, report.property_violations[:3]
     ratio = metric_value(report, "adds-per-epoch")
     assert ratio >= 100.0, ratio
@@ -420,10 +420,10 @@ def test_default_scenario_stamps_hundredfold_more_adds_than_epochs():
           f"(needs >= 100)")
 
 
-def test_batching_at_least_doubles_overloaded_throughput():
+def test_batching_at_least_doubles_overloaded_throughput(preset_run):
     seed = seed_from_env(0)
-    plain = run_scenario(preset("overload-fast").with_seed(seed))
-    batched = run_scenario(preset("overload-agg").with_seed(seed))
+    plain = preset_run("overload-fast", seed).report
+    batched = preset_run("overload-agg", seed).report
     assert plain.ok and batched.ok
     plain_rate = metric_value(plain, "adds-per-second")
     batched_rate = metric_value(batched, "adds-per-second")
@@ -433,10 +433,10 @@ def test_batching_at_least_doubles_overloaded_throughput():
           f"{batched_rate:.0f} adds/s, speedup {speedup:.2f}x (needs >= 2)")
 
 
-def test_silent_minority_keeps_most_throughput_at_ten_servers():
+def test_silent_minority_keeps_most_throughput_at_ten_servers(preset_run):
     seed = seed_from_env(0)
-    healthy = run_scenario(preset("large-none").with_seed(seed))
-    degraded = run_scenario(preset("large-silent").with_seed(seed))
+    healthy = preset_run("large-none", seed).report
+    degraded = preset_run("large-silent", seed).report
     assert healthy.ok and degraded.ok
     kept = compare(degraded, healthy, "adds-per-second")
     assert kept > 0.5, kept
@@ -444,8 +444,8 @@ def test_silent_minority_keeps_most_throughput_at_ten_servers():
           f"{100 * kept:.1f}% of the healthy run (needs > 50%)")
 
 
-def test_latency_medians_stay_flat_over_a_long_run():
-    report = run_scenario(preset("marathon").with_seed(seed_from_env(0)))
+def test_latency_medians_stay_flat_over_a_long_run(preset_run):
+    report = preset_run("marathon", seed_from_env(0)).report
     assert report.ok, report.property_violations[:3]
     ratio = stationarity_ratio(report)
     assert ratio <= 2.0, ratio

@@ -306,45 +306,32 @@ def test_monitor_flags_batches_kept_open_at_quiescence():
 # ---------------------------------------------------------------------------
 
 
-def _run_watching_proposals(name, monkeypatch):
-    """Runs preset ``name`` at seed 0 and checks that no correct server
-    keeps a batch or an add at the end; returns, for each proposal, the
+def _watched_proposals(name, preset_run):
+    """Checks that no correct server keeps a batch or an add at the end of
+    preset ``name``'s run at seed 0; returns, for each proposal, the
     elements it names by value and its proposer's buffer at that moment."""
-    servers, proposals = {}, []
-    attach, on_propose = SafetyMonitor.attach, SafetyMonitor.on_propose
-
-    def keep(monitor, server):
-        servers[server.pid] = server
-        attach(monitor, server)
-
-    def watch(monitor, h, proposal, by):
-        proposals.append((proposal.elements, set(servers[by].tobroadcast)))
-        on_propose(monitor, h, proposal, by)
-
-    monkeypatch.setattr(SafetyMonitor, "attach", keep)
-    monkeypatch.setattr(SafetyMonitor, "on_propose", watch)
-    scenario = preset(name).with_seed(0)
-    assert scenario.byzantine != "havoc"  # every proposer is a correct server
-    assert run_scenario(scenario).ok
-    assert servers and all(not s.open_batches for s in servers.values())
-    assert all(s.tobroadcast == {} for s in servers.values())
-    return proposals
+    assert preset(name).byzantine != "havoc"  # every proposer is a correct server
+    run = preset_run(name)
+    assert run.report.ok
+    assert run.leftovers and all(not batches for batches, _ in run.leftovers)
+    assert all(queued == {} for _, queued in run.leftovers)
+    return run.proposals
 
 
 @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg is None])
-def test_a_preset_keeps_no_batch_and_proposes_no_element(name, monkeypatch):
+def test_a_preset_keeps_no_batch_and_proposes_no_element(name, preset_run):
     """After the run every correct server's open-batch map is empty, and
     with no batching every proposal names digests only."""
-    proposals = _run_watching_proposals(name, monkeypatch)
+    proposals = _watched_proposals(name, preset_run)
     assert proposals and all(not by_value for by_value, _ in proposals)
 
 
 @pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg])
 def test_a_batched_preset_keeps_no_batch_and_proposes_only_queued_adds(
-        name, monkeypatch):
+        name, preset_run):
     """With batching, a proposal names by value exactly the adds in its
     proposer's buffer, and at the end no batch is open and no add queued."""
-    proposals = _run_watching_proposals(name, monkeypatch)
+    proposals = _watched_proposals(name, preset_run)
     assert any(by_value for by_value, _ in proposals)
     assert all(by_value == queued for by_value, queued in proposals)
 

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import BrbWorld
-from setchain.bench import PRESET_NAMES, preset, run_scenario
+from setchain.bench import PRESET_NAMES, preset
 from setchain.brb import BrbEngine
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, Simulation
@@ -549,24 +549,10 @@ def test_with_f_0_the_origin_delivers_its_own_broadcast_once_inside_broadcast():
     assert len(delivered) == 1 and len(net.calls) == 3
 
 
-def _undelivered_payloads(engine):
-    """Each instance whose payload ``engine`` holds and has not delivered."""
-    return {key: inst.payload for key, inst in engine.instances.items()
-            if inst.payload is not None and not inst.delivered}
-
-
 @pytest.mark.parametrize("name", [name for name in PRESET_NAMES
                                   if preset(name).n_byz == 0])
 def test_no_payload_is_pending_at_quiescence_without_byzantine_slots(
-        name, monkeypatch):
-    engines = []
-    init = BrbEngine.__init__
-
-    def capture(engine, *args, **kwargs):
-        init(engine, *args, **kwargs)
-        engines.append(engine)
-
-    monkeypatch.setattr(BrbEngine, "__init__", capture)
-    run_scenario(preset(name).with_seed(0))
-    assert len(engines) == preset(name).n
-    assert all(_undelivered_payloads(engine) == {} for engine in engines)
+        name, preset_run):
+    undelivered = preset_run(name).undelivered  # one entry per engine built
+    assert len(undelivered) == preset(name).n
+    assert all(payloads == {} for payloads in undelivered)
