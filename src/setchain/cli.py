@@ -84,13 +84,14 @@ def _cmd_check_byzmodel(seeds: range, args: argparse.Namespace) -> int:
     scales = ((4, 1), (7, 2))
     failures = 0
     for n, f in scales:
+        failed = 0
         for direction in byz_model.DIRECTIONS:
             for seed in seeds:
                 report = byz_model.trace_check(direction, n, f, seed,
                                                length=args.length)
                 if report.ok:
                     continue
-                failures += 1
+                failed += 1
                 print(f"{direction} n={n} f={f} seed={seed}: "
                       f"{report.reason} at event {report.index}")
                 if args.out:
@@ -100,7 +101,10 @@ def _cmd_check_byzmodel(seeds: range, args: argparse.Namespace) -> int:
                     byz_model.save_bundle(path, bundle)
                     print(f"saved reproduction bundle to {path}")
                     return 1
-        print(f"n={n} f={f}: {len(seeds)} seeds, both directions ok")
+        runs = len(byz_model.DIRECTIONS) * len(seeds)
+        verdict = "both directions ok" if failed == 0 else f"{failed}/{runs} FAILED"
+        print(f"n={n} f={f}: {len(seeds)} seeds, {verdict}")
+        failures += failed
     return 0 if failures == 0 else 1
 
 

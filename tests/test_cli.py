@@ -71,6 +71,21 @@ def test_check_byzmodel_both_directions(capsys):
     assert "n=7 f=2: 1 seeds, both directions ok" in out
 
 
+def test_check_byzmodel_counts_the_failures_of_a_scale(monkeypatch, capsys):
+    def planted(direction, n, f, seed, length):
+        if (direction, n, seed) == ("forward", 4, 0):
+            return byz_model.MappingReport(ok=False, reason="planted", index=3)
+        return byz_model.MappingReport(ok=True)
+
+    monkeypatch.setattr(byz_model, "trace_check", planted)
+    code = main(["check", "--suite", "byzmodel", "--seeds", "2"])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["forward n=4 f=1 seed=0: planted at event 3",
+                   "n=4 f=1: 2 seeds, 1/4 FAILED",
+                   "n=7 f=2: 2 seeds, both directions ok"]
+
+
 def _corrupted_bundle(seed=5):
     """A bundle whose event list skips a step and no longer applies."""
     pair = byz_model.make_model_pair(4, 1, seed)
