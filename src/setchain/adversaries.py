@@ -204,10 +204,9 @@ class HavocServer:
 
     # -- the random action pump ---------------------------------------------
 
-    def start(self, at: SimTime = 0, until: Optional[SimTime] = None) -> None:
+    def start(self, until: Optional[SimTime] = None) -> None:
         self.until = until
-        first = max(at, self.net.now) + self.rng.randint(*self.TICK_GAP)
-        self.net.schedule(first, self._tick)
+        self.net.after(self.rng.randint(*self.TICK_GAP), self._tick)
 
     def stop(self) -> None:
         self.stopped = True

@@ -21,10 +21,15 @@ Two kinds of checks run:
   (a client add, a broadcast batch, or a consensus proposal), no element
   is stamped twice, and all servers agree on each epoch's entry (as sets;
   the canonical encoding is injective, so this is byte-for-byte agreement);
+* at each proposal by a correct server: it names by value exactly the
+  adds queued in that server's aggregation buffer;
 * at quiescence — after the workload stops and the queues drain: all
   correct servers expose identical sets and records, every accepted add
-  is stamped everywhere, and on runs with no Byzantine servers the
-  cluster matches the sequential single-process reference.
+  is stamped everywhere, no correct server keeps an open batch or a
+  queued add, no correct server holds a broadcast payload it never
+  delivered (of a correct origin; of any origin on runs with no Byzantine
+  servers), and on runs with no Byzantine servers the cluster matches the
+  sequential single-process reference.
 """
 
 from __future__ import annotations
@@ -283,8 +288,13 @@ class SafetyMonitor:
             self.origins.update(value)
 
     def on_propose(self, h: int, proposal: Proposal, by: ProcessId) -> None:
-        """Elements named by value are origin records; digests are not."""
+        """Elements named by value are origin records; digests are not.  A
+        correct server names by value exactly the adds it has queued."""
         self.origins.update(proposal.elements)
+        server = self.servers.get(by)
+        if server is not None and proposal.elements != frozenset(server.tobroadcast):
+            self.violate("proposal-off-buffer",
+                         f"{by!r} proposed by value other adds than it queued")
 
     # -- per-event checks ----------------------------------------------------
 
@@ -351,6 +361,20 @@ class SafetyMonitor:
                 self.violate("open-batches",
                              f"{server.pid!r} keeps {len(server.open_batches)} "
                              "batches with nothing left to stamp")
+            if server.tobroadcast:
+                self.violate("queued-adds",
+                             f"{server.pid!r} keeps {len(server.tobroadcast)} "
+                             "adds queued for broadcast")
+            # A correct origin's init is authenticated, so its payload, held
+            # anywhere, reaches every correct server; with no Byzantine slot
+            # every origin is correct, the shared one included.
+            held = sum(1 for (origin, _), inst in server.brb.instances.items()
+                       if inst.payload is not None and not inst.delivered
+                       and (central is not None or origin in self.servers))
+            if held:
+                self.violate("brb-undelivered",
+                             f"{server.pid!r} holds {held} broadcast payloads "
+                             "it never delivered")
         missing = accepted - ref.theset
         if missing:
             self.violate("accepted-missing",
@@ -469,8 +493,8 @@ class Workload:
         self._rid = 0
         self._rotation = 0
 
-    def start(self, at: SimTime = 1) -> None:
-        self.net.schedule(at, self._tick)
+    def start(self) -> None:
+        self.net.schedule(1, self._tick)
 
     def _tick(self) -> None:
         if self.net.now >= self.scenario.duration:
@@ -570,7 +594,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     driver.start(scenario.epoch_period)
     load = Workload(sim, keys, scenario, cluster.pids,
                     frozenset(cluster.correct_pids), monitor, central)
-    load.start(at=1)
+    load.start()
 
     sim.run_until(scenario.duration)
     epochs_completed = servers[0].epoch

@@ -380,6 +380,6 @@ def parse_attestation(payload: bytes) -> Optional[tuple[int, Digest]]:
     return h, payload[len(_ATTESTATION_MAGIC) + 8 :]
 
 
-def random_payload(rng, lo: int = PAYLOAD_MIN, hi: int = PAYLOAD_MAX) -> bytes:
-    """A benchmark payload with size uniform in [lo, hi]."""
-    return rng.randbytes(rng.randint(lo, hi))
+def random_payload(rng) -> bytes:
+    """A benchmark payload with size uniform in [PAYLOAD_MIN, PAYLOAD_MAX]."""
+    return rng.randbytes(rng.randint(PAYLOAD_MIN, PAYLOAD_MAX))

@@ -79,7 +79,7 @@ class LogEntry:
     dst: ProcessId
     type: str
     size: int
-    body: Optional[bytes] = None
+    body: bytes
 
 
 class NetHandle:
@@ -114,8 +114,7 @@ def _default_classifier(body: bytes) -> str:
 class Simulation:
     """The event loop: processes, envelopes, timers, and the delivery log."""
 
-    def __init__(self, config: NetConfig, record_log: bool = True,
-                 keep_bodies: bool = False):
+    def __init__(self, config: NetConfig, record_log: bool = True):
         self.config = config
         self.rng = random.Random(config.rng_seed)
         self._latency_span = config.latency_max - config.latency_min + 1
@@ -124,7 +123,6 @@ class Simulation:
         self.now: SimTime = 0
         self.log: list[LogEntry] = []
         self.record_log = record_log
-        self.keep_bodies = keep_bodies
         self.counts: dict[str, int] = {}
         self.frame_classifier: Callable[[bytes], str] = _default_classifier
         self._heap: list = []
@@ -274,8 +272,7 @@ class Simulation:
         tag = self.frame_classifier(body)
         self.counts[tag] = self.counts.get(tag, 0) + 1
         if self.record_log:
-            self.log.append(LogEntry(self.now, src, dst, tag, len(body),
-                                     body if self.keep_bodies else None))
+            self.log.append(LogEntry(self.now, src, dst, tag, len(body), body))
         handler = self._handlers[dst]
         try:
             handler(src, body)
@@ -285,13 +282,10 @@ class Simulation:
                 f"{src!r}: {exc}"
             ) from exc
 
-    def run_to_quiescence(self, horizon: Optional[SimTime] = None) -> SimTime:
-        """Run until no events remain (or ``horizon``); returns final now."""
+    def run_to_quiescence(self) -> SimTime:
+        """Run until no events remain; returns final now."""
         while self._heap:
-            nxt = self._heap[0][0]
-            if horizon is not None and nxt > horizon:
-                break
-            self.run_until(nxt)
+            self.run_until(self._heap[0][0])
         return self.now
 
     def pending_events(self) -> int:

@@ -84,6 +84,11 @@ class FrameError(ValueError):
     """Structurally invalid frame."""
 
 
+# What a decoder's parsing raises on garbage; every decoder turns these, and
+# only these, into FrameError.
+_GARBAGE = (struct.error, ValueError, IndexError)
+
+
 # -- inner broadcast messages ----------------------------------------------
 
 
@@ -111,7 +116,7 @@ def decode_broadcast_message(buf: bytes):
         if buf[0] == MSG_EPOCHINC:
             (h,) = struct.unpack_from(">Q", buf, 1)
             return "epochinc", h
-    except (struct.error, ValueError, IndexError) as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
     raise FrameError(f"unknown broadcast message tag {buf[:1]!r}")
 
@@ -164,7 +169,7 @@ def decode_brb(buf: bytes) -> BrbFrame:
             raise FrameError("trailing bytes in a digest-only frame")
         return BrbFrame(phase, ProcessId(origin_id, ProcessKind(origin_kind)),
                         digest, payload)
-    except (struct.error, ValueError, IndexError) as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 
@@ -209,7 +214,7 @@ def decode_inform(buf: bytes) -> tuple[int, Proposal]:
         if stop != len(buf):
             raise FrameError("trailing bytes in proposal notice")
         return h, Proposal(digests, elements)
-    except (struct.error, ValueError, IndexError) as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 
@@ -228,7 +233,7 @@ def decode_request(buf: bytes) -> tuple[int, int, bytes]:
         if op not in _OP_NAMES:
             raise FrameError("unknown op")
         return op, req_id, bytes(buf[10:])
-    except (struct.error, IndexError) as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 
@@ -242,7 +247,7 @@ def decode_response(buf: bytes) -> tuple[int, int, int, bytes]:
             raise FrameError("not a response")
         op, req_id, status = struct.unpack_from(">BQB", buf, 1)
         return op, req_id, status, bytes(buf[11:])
-    except (struct.error, IndexError) as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 
@@ -262,7 +267,7 @@ def decode_get_request_body(body: bytes) -> int:
     try:
         (have,) = struct.unpack(">Q", body)
         return have
-    except struct.error as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 
@@ -308,7 +313,7 @@ def decode_get_state_after(buf: bytes, prior: GetPrior):
         if offset != len(buf):
             raise FrameError("trailing bytes in get state")
         return unstamped.union(*epochs), tuple(epochs), epoch
-    except (struct.error, ValueError, IndexError) as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 
@@ -327,7 +332,7 @@ def decode_add_request_body(body: bytes) -> tuple[Element, bool]:
         if flag > 1:
             raise FrameError("the primary flag is 0 or 1")
         return e, flag == 1
-    except (struct.error, ValueError, IndexError) as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 
@@ -339,7 +344,7 @@ def decode_epochinc_body(body: bytes) -> int:
     try:
         (h,) = struct.unpack(">Q", body)
         return h
-    except struct.error as exc:
+    except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc
 
 

@@ -1,9 +1,8 @@
 """Shared harnesses for protocol tests: a server cluster, a bare BRB world,
-a bare SBC world and one watched run per preset and seed.  Every test
+a bare SBC world and one run per preset and seed.  Every test
 starts and ends with empty decode memos."""
 
 import hashlib
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import strategies as st
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from setchain.bench import (
     Cluster,
     RunReport,
-    SafetyMonitor,
     _clear_decode_memos,
     preset,
     run_scenario,
@@ -32,61 +30,17 @@ def fresh_decode_memos():
     _clear_decode_memos()
 
 
-@dataclass(frozen=True)
-class PresetRun:
-    """One watched run of a preset.  It keeps the report and what the tests
-    assert on, and no cluster object: a live cluster would be walked by
-    every later run's full collection."""
-
-    report: RunReport
-    undelivered: list[dict]  # per BrbEngine built: payloads held, not delivered
-    leftovers: list[tuple[dict, dict]]  # per server: open batches, queued adds
-    proposals: list[tuple[frozenset, set]]  # by-value elements, proposer's buffer
-
-
-def _watch_preset(name: str, seed: int) -> PresetRun:
-    engines, servers, proposals = [], {}, []
-    init, attach = BrbEngine.__init__, SafetyMonitor.attach
-    on_propose = SafetyMonitor.on_propose
-
-    def keep_engine(engine, *args, **kwargs):
-        init(engine, *args, **kwargs)
-        engines.append(engine)
-
-    def keep_server(monitor, server):
-        servers[server.pid] = server
-        attach(monitor, server)
-
-    def watch(monitor, h, proposal, by):
-        proposals.append((proposal.elements, set(servers[by].tobroadcast)))
-        on_propose(monitor, h, proposal, by)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BrbEngine, "__init__", keep_engine)
-        mp.setattr(SafetyMonitor, "attach", keep_server)
-        mp.setattr(SafetyMonitor, "on_propose", watch)
-        report = run_scenario(preset(name).with_seed(seed))
-    return PresetRun(
-        report,
-        [{key: inst.payload for key, inst in engine.instances.items()
-          if inst.payload is not None and not inst.delivered}
-         for engine in engines],
-        [(dict(s.open_batches), dict(s.tobroadcast)) for s in servers.values()],
-        proposals,
-    )
-
-
 @pytest.fixture(scope="session")
 def preset_run():
     """``preset_run(name, seed=0)`` runs preset ``name`` at ``seed`` the
     first time it is asked for in a session and returns that
-    :class:`PresetRun` from then on."""
-    runs = {}
+    :class:`RunReport` from then on."""
+    reports = {}
 
-    def run(name: str, seed: int = 0) -> PresetRun:
-        if (name, seed) not in runs:
-            runs[name, seed] = _watch_preset(name, seed)
-        return runs[name, seed]
+    def run(name: str, seed: int = 0) -> RunReport:
+        if (name, seed) not in reports:
+            reports[name, seed] = run_scenario(preset(name).with_seed(seed))
+        return reports[name, seed]
 
     return run
 
@@ -118,8 +72,8 @@ class ByzStub:
 
 
 class ServerCluster(Cluster):
-    """A :class:`~setchain.bench.Cluster` on a seeded network that keeps
-    frame bodies, plus a client author that mints elements.
+    """A :class:`~setchain.bench.Cluster` on a seeded network that logs
+    every delivered frame, plus a client author that mints elements.
 
     ``byz_factory(pid, cluster)`` builds each Byzantine slot (default: the
     silent recording stub above).
@@ -128,7 +82,7 @@ class ServerCluster(Cluster):
     def __init__(self, n=4, f=1, n_byz=0, seed=0, agg=None, sign_epochs=False,
                  state_observer=None, on_propose=None, byz_factory=None):
         super().__init__(
-            Simulation(NetConfig(rng_seed=seed), keep_bodies=True), KeyStore(),
+            Simulation(NetConfig(rng_seed=seed)), KeyStore(),
             n, f, n_byz, SbcConfig(),
             byz_factory or (lambda pid, c: ByzStub(pid, c.sim, c.service)),
             agg=agg, sign_epochs=sign_epochs, state_observer=state_observer,
@@ -196,7 +150,7 @@ class SbcWorld:
     member records its set-deliveries and the inform notices it receives."""
 
     def __init__(self, n_correct=4, n_byz=0, seed=0, net=None, cfg=None):
-        self.sim = Simulation(net or NetConfig(rng_seed=seed), keep_bodies=True)
+        self.sim = Simulation(net or NetConfig(rng_seed=seed))
         self.service = ConsensusService(self.sim, cfg or SbcConfig())
         self.keys = KeyStore()
         self.author = ProcessId(50, ProcessKind.CLIENT)

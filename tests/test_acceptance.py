@@ -6,28 +6,28 @@ consensus contracts, client soundness, adversary-pooling equivalence, the
 four throughput/latency figures, and the reward arithmetic — and prints a
 one-line summary with the measured numbers (visible with ``pytest -s`` or
 on failure).  The heavyweight adversarial matrix runs once, module-scoped,
-and is shared by the first three tests.
+and is shared by the first four tests; the fifth checks that each violation
+code the monitor emits is read by one of them.
 """
 
+import ast
 import hashlib
 import math
 import random
 import time
-from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import BrbWorld, SbcWorld, ServerCluster, run_until_done
 from setchain.adversaries import ForgedDigestServer, LyingHistoryServer
+import setchain.bench
 from setchain.bench import (
-    SafetyMonitor,
     compare,
     metric_value,
     named_scenario,
-    preset,
     run_matrix,
-    run_scenario,
     safety_matrix,
     seed_from_env,
     stationarity_ratio,
@@ -55,10 +55,12 @@ CLIENT = ProcessKind.CLIENT
 STEP_SAFETY = frozenset({
     "invalid-element", "unknown-origin", "set-shrunk",
     "stamp-twice", "stamp-outside-set", "record-mismatch", "entry-divergence",
+    "proposal-off-buffer",
 })
 QUIESCENT_LIVENESS = frozenset({
     "set-divergence", "record-divergence", "never-stamped",
     "accepted-missing", "accepted-unstamped", "drain-stalled",
+    "open-batches", "queued-adds", "brb-undelivered",
 })
 LEMMA_CODES = frozenset({
     "stamp-twice", "entry-divergence", "record-mismatch", "record-divergence",
@@ -76,35 +78,12 @@ def _hits(reports, codes):
     return out
 
 
-@contextmanager
-def _recording_waits(sink):
-    """Appends to ``sink``, for each scenario run inside, the (request tick,
-    stamp tick or None) of each of its workload adds, in run order."""
-    summary = SafetyMonitor.latency_summary
-
-    def record(monitor, duration):
-        sink.append([(t0, monitor.stamp_tick.get(e))
-                     for e, t0 in monitor.request_tick.items()])
-        return summary(monitor, duration)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SafetyMonitor, "latency_summary", record)
-        yield
-
-
 @pytest.fixture(scope="module")
-def stamp_waits():
-    """The request and stamp ticks of the matrix runs; ``matrix`` fills it."""
-    return []
-
-
-@pytest.fixture(scope="module")
-def matrix(stamp_waits):
+def matrix():
     """The adversarial grid, once: {n=4,7,10} x {fast, fast-agg} x
     {none, silent, havoc} x 100 seeds."""
     start = time.perf_counter()
-    with _recording_waits(stamp_waits):
-        reports = run_matrix(safety_matrix(), range(SEEDS))
+    reports = run_matrix(safety_matrix(), range(SEEDS))
     return reports, time.perf_counter() - start
 
 
@@ -140,29 +119,27 @@ def test_liveness_all_adds_stamped_and_replicas_converge(matrix):
 TAIL_PERIODS = 4
 
 
-def test_batched_adds_are_stamped_within_four_epoch_periods(matrix, stamp_waits):
+def test_batched_adds_are_stamped_within_four_epoch_periods(matrix, preset_run):
     """Every batched add is stamped within a few epochs of its request, in
     the nine fast-agg cells and on ``firehose`` seed 1, and none waits for
-    the ``max_wait`` flush (5 M ticks)."""
+    the ``max_wait`` flush (5 M ticks).  A report's latency summary counts
+    each add stamped at the reference server, and its max is the longest
+    wait among them."""
     reports, _ = matrix
-    assert len(stamp_waits) == len(reports)
-    runs = [(r, waits) for r, waits in zip(reports, stamp_waits)
-            if r.algorithm == "fast-agg"]
+    runs = [r for r in reports if r.algorithm == "fast-agg"]
     assert len(runs) == 9 * SEEDS
-    firehose = []
-    with _recording_waits(firehose):
-        runs.append((run_scenario(preset("firehose").with_seed(1)), firehose[0]))
-    waited, late = [], []  # each add's wait, in epoch periods
-    for r, waits in runs:
-        period = named_scenario(r.scenario).epoch_period
-        for t0, t1 in waits:
-            waited.append(math.inf if t1 is None else (t1 - t0) / period)
-            if waited[-1] > TAIL_PERIODS:
-                late.append((r.scenario, r.seed, t0, t1))
+    runs.append(preset_run("firehose", 1))
+    unstamped = [(r.scenario, r.seed) for r in runs
+                 if r.latency.count != r.adds_attempted]
+    assert not unstamped, f"adds never stamped: {unstamped[:5]}"
+    waited = [(r.latency.max / named_scenario(r.scenario).epoch_period,
+               r.scenario, r.seed) for r in runs]
+    late = [w for w in waited if w[0] > TAIL_PERIODS]
     assert not late, f"adds stamped after {TAIL_PERIODS} periods: {late[:5]}"
-    assert len(waited) > 20_000  # 18,000 in the matrix, 20,000 on firehose
-    print(f"batched tail: {len(waited)} adds over {len(runs)} runs, each "
-          f"stamped within {max(waited):.2f} epoch periods "
+    adds = sum(r.latency.count for r in runs)
+    assert adds > 20_000  # 18,000 in the matrix, 20,000 on firehose
+    print(f"batched tail: {adds} adds over {len(runs)} runs, each "
+          f"stamped within {max(waited)[0]:.2f} epoch periods "
           f"(needs <= {TAIL_PERIODS})")
 
 
@@ -176,6 +153,19 @@ def test_stamp_once_record_agreement_and_sequential_convergence(matrix):
     assert not drift, f"sequential-reference divergence: {drift[:5]}"
     print(f"lemmas: stamp-once and record agreement on {len(reports)} runs; "
           f"{len(clean)} adversary-free runs match the sequential reference")
+
+
+def test_every_violation_code_the_monitor_emits_is_in_a_category():
+    """The first argument of every ``violate(...)`` call in ``bench`` is in
+    a category that one of the matrix tests reads."""
+    tree = ast.parse(Path(setchain.bench.__file__).read_text())
+    codes = {node.args[0].value for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "violate"}
+    assert {"open-batches", "proposal-off-buffer", "drain-stalled"} <= codes
+    uncategorised = codes - (STEP_SAFETY | QUIESCENT_LIVENESS | LEMMA_CODES
+                             | REFERENCE_CODES)
+    assert not uncategorised, f"violations no gate reads: {sorted(uncategorised)}"
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +401,7 @@ def test_adversary_pooling_equivalence_on_traces_both_directions():
 
 
 def test_default_scenario_stamps_hundredfold_more_adds_than_epochs(preset_run):
-    report = preset_run("stock", seed_from_env(0)).report
+    report = preset_run("stock", seed_from_env(0))
     assert report.ok, report.property_violations[:3]
     ratio = metric_value(report, "adds-per-epoch")
     assert ratio >= 100.0, ratio
@@ -422,8 +412,8 @@ def test_default_scenario_stamps_hundredfold_more_adds_than_epochs(preset_run):
 
 def test_batching_at_least_doubles_overloaded_throughput(preset_run):
     seed = seed_from_env(0)
-    plain = preset_run("overload-fast", seed).report
-    batched = preset_run("overload-agg", seed).report
+    plain = preset_run("overload-fast", seed)
+    batched = preset_run("overload-agg", seed)
     assert plain.ok and batched.ok
     plain_rate = metric_value(plain, "adds-per-second")
     batched_rate = metric_value(batched, "adds-per-second")
@@ -435,8 +425,8 @@ def test_batching_at_least_doubles_overloaded_throughput(preset_run):
 
 def test_silent_minority_keeps_most_throughput_at_ten_servers(preset_run):
     seed = seed_from_env(0)
-    healthy = preset_run("large-none", seed).report
-    degraded = preset_run("large-silent", seed).report
+    healthy = preset_run("large-none", seed)
+    degraded = preset_run("large-silent", seed)
     assert healthy.ok and degraded.ok
     kept = compare(degraded, healthy, "adds-per-second")
     assert kept > 0.5, kept
@@ -445,7 +435,7 @@ def test_silent_minority_keeps_most_throughput_at_ten_servers(preset_run):
 
 
 def test_latency_medians_stay_flat_over_a_long_run(preset_run):
-    report = preset_run("marathon", seed_from_env(0)).report
+    report = preset_run("marathon", seed_from_env(0))
     assert report.ok, report.property_violations[:3]
     ratio = stationarity_ratio(report)
     assert ratio <= 2.0, ratio

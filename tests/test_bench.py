@@ -6,6 +6,7 @@ import hashlib
 import json
 import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,8 +35,16 @@ from setchain.bench import (
     write_summary_csv,
 )
 from setchain.core import Element, History, KeyStore, ProcessId, ProcessKind
+from setchain.server import CentralSetchain
 from setchain.simnet import Simulation, NetConfig
-from setchain.wire import OP_ADD, STATUS_OK, Proposal, encode_madd, encode_response
+from setchain.wire import (
+    OP_ADD,
+    SHARED_ORIGIN,
+    STATUS_OK,
+    Proposal,
+    encode_madd,
+    encode_response,
+)
 
 
 def tiny_scenario(**overrides) -> Scenario:
@@ -211,6 +220,9 @@ class _StubServer:
         self.pid = pid
         self.theset = set()
         self.history = History()
+        self.open_batches = {}
+        self.tobroadcast = {}
+        self.brb = SimpleNamespace(instances={})
 
     @property
     def epoch(self):
@@ -294,11 +306,62 @@ def test_monitor_takes_only_elements_named_by_value_as_origins():
     assert monitor.origins == {e}
 
 
+def _codes(monitor):
+    return [v.split(" ", 1)[0] for v in monitor.violations]
+
+
 def test_monitor_flags_batches_kept_open_at_quiescence():
-    monitor, s0, s1, _ = _monitor_with_stubs()
-    s0.open_batches, s1.open_batches = {}, {bytes(32): frozenset()}
+    monitor, _, s1, _ = _monitor_with_stubs()
+    s1.open_batches = {bytes(32): frozenset()}
     monitor.quiescence_checks(set(), None)
-    assert [v.split(" ", 1)[0] for v in monitor.violations] == ["open-batches"]
+    assert _codes(monitor) == ["open-batches"]
+
+
+def test_monitor_flags_a_correct_proposal_off_its_buffer():
+    monitor, s0, _, mk = _monitor_with_stubs()
+    queued, other = mk(b"queued"), mk(b"other")
+    s0.tobroadcast = {queued: 0}
+    monitor.on_propose(1, Proposal(frozenset(), frozenset([other])), s0.pid)
+    assert _codes(monitor) == ["proposal-off-buffer"]
+
+
+def test_monitor_accepts_a_proposal_equal_to_its_buffer():
+    monitor, s0, _, mk = _monitor_with_stubs()
+    queued = mk(b"queued")
+    s0.tobroadcast = {queued: 0}
+    monitor.on_propose(1, Proposal(frozenset(), frozenset([queued])), s0.pid)
+    assert monitor.violations == []
+
+
+def test_monitor_flags_adds_queued_at_quiescence():
+    monitor, _, s1, mk = _monitor_with_stubs()
+    s1.tobroadcast = {mk(b"stuck"): 0}
+    monitor.quiescence_checks(set(), None)
+    assert _codes(monitor) == ["queued-adds"]
+
+
+def _hold(server, origin, delivered=False):
+    server.brb.instances[origin, bytes(32)] = SimpleNamespace(
+        payload=b"held", delivered=delivered)
+
+
+def test_monitor_flags_a_payload_never_delivered():
+    monitor, s0, s1, _ = _monitor_with_stubs()
+    _hold(s1, s0.pid)  # a correct origin's
+    monitor.quiescence_checks(set(), None)
+    assert _codes(monitor) == ["brb-undelivered"]
+    monitor, s0, _, _ = _monitor_with_stubs()
+    _hold(s0, SHARED_ORIGIN)  # any origin's, in a run with no Byzantine slot
+    monitor.quiescence_checks(set(), CentralSetchain(monitor.keys))
+    assert _codes(monitor) == ["brb-undelivered"]
+
+
+def test_monitor_allows_a_byzantine_origin_payload_never_delivered():
+    monitor, s0, s1, _ = _monitor_with_stubs()
+    _hold(s0, ProcessId(3, ProcessKind.BYZANTINE_SERVER))
+    _hold(s1, s0.pid, delivered=True)
+    monitor.quiescence_checks(set(), None)  # no reference: Byzantine slots
+    assert monitor.violations == []
 
 
 # ---------------------------------------------------------------------------
@@ -306,34 +369,10 @@ def test_monitor_flags_batches_kept_open_at_quiescence():
 # ---------------------------------------------------------------------------
 
 
-def _watched_proposals(name, preset_run):
-    """Checks that no correct server keeps a batch or an add at the end of
-    preset ``name``'s run at seed 0; returns, for each proposal, the
-    elements it names by value and its proposer's buffer at that moment."""
-    assert preset(name).byzantine != "havoc"  # every proposer is a correct server
-    run = preset_run(name)
-    assert run.report.ok
-    assert run.leftovers and all(not batches for batches, _ in run.leftovers)
-    assert all(queued == {} for _, queued in run.leftovers)
-    return run.proposals
-
-
-@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg is None])
-def test_a_preset_keeps_no_batch_and_proposes_no_element(name, preset_run):
-    """After the run every correct server's open-batch map is empty, and
-    with no batching every proposal names digests only."""
-    proposals = _watched_proposals(name, preset_run)
-    assert proposals and all(not by_value for by_value, _ in proposals)
-
-
-@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg])
-def test_a_batched_preset_keeps_no_batch_and_proposes_only_queued_adds(
-        name, preset_run):
-    """With batching, a proposal names by value exactly the adds in its
-    proposer's buffer, and at the end no batch is open and no add queued."""
-    proposals = _watched_proposals(name, preset_run)
-    assert any(by_value for by_value, _ in proposals)
-    assert all(by_value == queued for by_value, queued in proposals)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_preset_run_holds_every_invariant(name, preset_run):
+    report = preset_run(name)
+    assert report.ok, report.property_violations[:5]
 
 
 def test_small_run_stamps_every_accepted_add():

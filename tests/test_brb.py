@@ -7,7 +7,6 @@ import random
 import pytest
 
 from conftest import BrbWorld
-from setchain.bench import PRESET_NAMES, preset
 from setchain.brb import BrbEngine
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, Simulation
@@ -547,12 +546,3 @@ def test_with_f_0_the_origin_delivers_its_own_broadcast_once_inside_broadcast():
             engine.handle_frame(frm, encode_brb(
                 BrbFrame(phase, origin, digest, b"quorum of one")))
     assert len(delivered) == 1 and len(net.calls) == 3
-
-
-@pytest.mark.parametrize("name", [name for name in PRESET_NAMES
-                                  if preset(name).n_byz == 0])
-def test_no_payload_is_pending_at_quiescence_without_byzantine_slots(
-        name, preset_run):
-    undelivered = preset_run(name).undelivered  # one entry per engine built
-    assert len(undelivered) == preset(name).n
-    assert all(payloads == {} for payloads in undelivered)

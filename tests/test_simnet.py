@@ -16,7 +16,7 @@ from setchain.wire import Proposal
 
 
 def two_nodes(config, collect=None):
-    sim = Simulation(config, keep_bodies=True)
+    sim = Simulation(config)
     inbox = collect if collect is not None else []
     a, b = ProcessId(0), ProcessId(1)
     ha = sim.register(a, lambda frm, body: inbox.append(("a", sim.now, frm, body)))
@@ -304,7 +304,7 @@ def random_cascade(sim_class, seed):
                     gst=script.choice([0, 30, 10**9]),
                     post_gst_bound=script.randint(1, 4),
                     proc_cost=script.randint(1, 11), rng_seed=seed)
-    sim = sim_class(cfg, keep_bodies=True)
+    sim = sim_class(cfg)
     rng = random.Random(seed + 1)
     pids = [ProcessId(i) for i in range(script.randint(2, 5))]
     events, budget = [], [script.randint(20, 120)]
