@@ -375,6 +375,32 @@ def test_a_preset_run_holds_every_invariant(name, preset_run):
     assert report.ok, report.property_violations[:5]
 
 
+def _leftover_codes(name, preset_run):
+    """The end-of-batching codes in preset ``name``'s report at seed 0: a
+    batch kept open or an add left queued at quiescence, and a correct
+    proposal that names by value other adds than its proposer queued."""
+    assert preset(name).byzantine != "havoc"  # every proposer is a correct server
+    report = preset_run(name)
+    assert report.ok, report.property_violations[:5]
+    codes = {v.split(" ", 1)[0] for v in report.property_violations}
+    return codes & {"open-batches", "queued-adds", "proposal-off-buffer"}
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg is None])
+def test_a_preset_keeps_no_batch_and_proposes_no_element(name, preset_run):
+    """After the run no correct server keeps a batch or an add, and with no
+    batching its buffer stays empty, so every proposal names digests only."""
+    assert not _leftover_codes(name, preset_run)
+
+
+@pytest.mark.parametrize("name", [n for n in PRESET_NAMES if preset(n).agg])
+def test_a_batched_preset_keeps_no_batch_and_proposes_only_queued_adds(
+        name, preset_run):
+    """With batching, a proposal names by value exactly the adds in its
+    proposer's buffer, and at the end no batch is open and no add queued."""
+    assert not _leftover_codes(name, preset_run)
+
+
 def test_small_run_stamps_every_accepted_add():
     report = run_scenario(tiny_scenario())
     assert report.property_violations == []

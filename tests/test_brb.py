@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import BrbWorld
+from setchain.bench import PRESET_NAMES, preset
 from setchain.brb import BrbEngine
 from setchain.core import ProcessId, ProcessKind
 from setchain.simnet import NetConfig, Simulation
@@ -546,3 +547,16 @@ def test_with_f_0_the_origin_delivers_its_own_broadcast_once_inside_broadcast():
             engine.handle_frame(frm, encode_brb(
                 BrbFrame(phase, origin, digest, b"quorum of one")))
     assert len(delivered) == 1 and len(net.calls) == 3
+
+
+@pytest.mark.parametrize("name", [name for name in PRESET_NAMES
+                                  if preset(name).n_byz == 0])
+def test_no_payload_is_pending_at_quiescence_without_byzantine_slots(
+        name, preset_run):
+    """With no Byzantine slot, every payload any engine holds at quiescence
+    has been delivered: the monitor's ``brb-undelivered`` check is silent."""
+    report = preset_run(name)
+    assert report.n == preset(name).n and report.byzantine == "none"
+    assert not [v for v in report.property_violations
+                if v.startswith("brb-undelivered ")]
+    assert report.ok, report.property_violations[:5]
