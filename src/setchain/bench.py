@@ -545,7 +545,12 @@ def run_scenario(scenario: Scenario) -> RunReport:
     collector's own schedule, back-to-back runs pile up in memory.  So a run
     collects before it builds its cluster, which frees what the caller
     dropped (say, a cluster kept past its run), and again once its own
-    cluster is unreachable.
+    cluster is unreachable.  In between, everything that survived the first
+    collection is frozen (kept out of the collector's reach), so that the
+    second walks only what the run allocated, not the caller's whole heap.
+    The run unfreezes only what it froze: when the caller has frozen objects
+    already (``run_matrix`` does, before each run or before it forks), it
+    freezes nothing, and ``gc.get_freeze_count()`` ends as it began.
 
     The decode memos (``wire.decode_brb``, ``wire.decode_broadcast_message``
     and the element intern cache in ``core``) live for one run: they are
@@ -555,9 +560,16 @@ def run_scenario(scenario: Scenario) -> RunReport:
     """
     _clear_decode_memos()
     gc.collect()
-    report = _run_scenario(scenario)
-    _clear_decode_memos()
-    gc.collect()
+    thaw = gc.get_freeze_count() == 0
+    if thaw:
+        gc.freeze()
+    try:
+        report = _run_scenario(scenario)
+    finally:
+        _clear_decode_memos()
+        gc.collect()
+        if thaw:
+            gc.unfreeze()
     return report
 
 
@@ -653,27 +665,58 @@ def _settled(servers: list[SetchainServer], monitor: SafetyMonitor) -> bool:
 
 def run_matrix(scenarios: list[Scenario], seeds: range,
                max_workers: int = 1) -> list[RunReport]:
-    """Every scenario at every seed, run one after another in this process.
+    """Every scenario at every seed; the reports come back in job order,
+    each scenario at each seed in turn.
 
-    Reports come back in job order: each scenario at each seed in turn.
-    ``max_workers`` has no effect; it is accepted so that existing callers
-    keep working.  The runs are pure Python, so worker threads would only
-    add GIL contention.
+    The runs are independent: each report is a function of its scenario and
+    seed alone, so they may run in any order and anywhere.  With
+    ``max_workers`` 1, or a single job, they run one after another in this
+    process, where a caller's patches and watchers see them.  Otherwise
+    ``min(max_workers, len(jobs))`` worker processes share them.  The runs
+    are pure Python, so worker threads would only contend for the GIL;
+    processes run them in parallel.  The pool is shut down, and its workers
+    joined, before this returns or raises, and a run that raises in a worker
+    raises the same exception here.
 
-    Before each run, everything alive is frozen (kept out of the collector's
-    reach) until the matrix ends, so the collections in ``run_scenario``
-    walk only what that run allocated, not the caller's whole heap.
+    Workers are forked, from the calling thread and before the pool starts
+    a thread of its own: they begin with this interpreter's heap, modules
+    and hash seed, and import nothing.  A forked worker's memory starts as
+    shared pages of the parent's, and a collection in the worker would walk,
+    and so copy, every object in them.  So one full collection first frees
+    the caller's garbage, and a freeze then keeps everything alive out of
+    every collection until the pool is gone.
+
+    In this process, everything alive is frozen before each run instead,
+    the reports so far included, so that the collections in
+    ``run_scenario`` walk only what that run allocated.
     """
+    jobs = [scenario.with_seed(seed) for scenario in scenarios for seed in seeds]
+    workers = min(max_workers, len(jobs))
     gc.collect()  # so that no garbage is frozen below
-    reports = []
     try:
-        for scenario in scenarios:
-            for seed in seeds:
-                gc.freeze()
-                reports.append(run_scenario(scenario.with_seed(seed)))
+        if workers > 1:
+            # Imported here: at the top they would add to the start-up time
+            # and memory of every process that imports this module.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            gc.freeze()
+            with ProcessPoolExecutor(
+                    workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_run_job, jobs))
+        reports = []
+        for job in jobs:
+            gc.freeze()
+            reports.append(run_scenario(job))
+        return reports
     finally:
         gc.unfreeze()
-    return reports
+
+
+def _run_job(scenario: Scenario) -> RunReport:
+    # A worker looks ``run_scenario`` up by name, so a caller that replaced
+    # it with a function that cannot be pickled can still fan out.
+    return run_scenario(scenario)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,14 @@ Three subcommands:
 
 Exit status is zero only when every run was clean.  The SETCHAIN_SEED
 environment variable supplies the default seed when ``--seeds`` is not
-given.
+given.  ``bench`` and ``check --suite properties`` share their runs
+among as many worker processes as this process may use CPUs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -47,7 +49,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         names = args.scenario or ["stock"]
         scenarios = [bench.named_scenario(name) for name in names]
-    reports = bench.run_matrix(scenarios, args.seeds)
+    reports = bench.run_matrix(scenarios, args.seeds,
+                               len(os.sched_getaffinity(0)))
     for report in reports:
         print(_report_line(report))
         for violation in report.property_violations:
@@ -63,7 +66,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_check_properties(seeds: range, args: argparse.Namespace) -> int:
     scenarios = bench.safety_matrix()
-    reports = bench.run_matrix(scenarios, seeds)
+    reports = bench.run_matrix(scenarios, seeds, len(os.sched_getaffinity(0)))
     bad = [r for r in reports if not r.ok]
     by_name: dict[str, int] = {}
     for report in reports:

@@ -150,10 +150,6 @@ class Simulation:
         self._armed[pid] = None
         return NetHandle(self, pid)
 
-    @property
-    def processes(self) -> tuple[ProcessId, ...]:
-        return tuple(self._handlers)
-
     # -- sending and timers -------------------------------------------------
 
     def draw_delays(self, k: int, rng: Optional[random.Random] = None) -> list[int]:

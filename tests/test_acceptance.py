@@ -13,6 +13,7 @@ code the monitor emits is read by one of them.
 import ast
 import hashlib
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -81,9 +82,11 @@ def _hits(reports, codes):
 @pytest.fixture(scope="module")
 def matrix():
     """The adversarial grid, once: {n=4,7,10} x {fast, fast-agg} x
-    {none, silent, havoc} x 100 seeds."""
+    {none, silent, havoc} x 100 seeds, shared among as many worker
+    processes as this process may use CPUs."""
     start = time.perf_counter()
-    reports = run_matrix(safety_matrix(), range(SEEDS))
+    reports = run_matrix(safety_matrix(), range(SEEDS),
+                         max_workers=len(os.sched_getaffinity(0)))
     return reports, time.perf_counter() - start
 
 

@@ -4,6 +4,7 @@ import csv
 import gc
 import hashlib
 import json
+import multiprocessing
 import weakref
 from dataclasses import replace
 from types import SimpleNamespace
@@ -536,6 +537,58 @@ def test_matrix_fanout_matches_sequential_runs():
     ordered = [run_scenario(s.with_seed(seed))
                for s in scenarios for seed in range(2)]
     assert [r.to_json() for r in fanned] == [r.to_json() for r in ordered]
+
+
+def test_a_fanout_with_more_workers_than_jobs_matches_sequential_runs():
+    scenario = tiny_scenario()
+    fanned = run_matrix([scenario], range(2), max_workers=8)
+    ordered = [run_scenario(scenario.with_seed(seed)) for seed in range(2)]
+    assert [r.to_json() for r in fanned] == [r.to_json() for r in ordered]
+
+
+def _fail_at_seed(monkeypatch, seed: int) -> None:
+    """Makes each run at ``seed`` raise; forked workers inherit the patch."""
+    run = bench._run_scenario
+
+    def failing(scenario):
+        if scenario.seed == seed:
+            raise BenchError("planted-failure")
+        return run(scenario)
+
+    monkeypatch.setattr(bench, "_run_scenario", failing)
+
+
+def test_a_run_that_raises_in_a_worker_raises_in_the_caller(monkeypatch):
+    _fail_at_seed(monkeypatch, 1)
+    with pytest.raises(BenchError, match="planted-failure") as raised:
+        run_matrix([tiny_scenario()], range(3), max_workers=2)
+    assert type(raised.value) is BenchError
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+def test_a_fanout_leaves_no_worker_and_nothing_frozen(monkeypatch, fails):
+    if fails:
+        _fail_at_seed(monkeypatch, 1)
+    try:
+        reports = run_matrix([tiny_scenario()], range(3), max_workers=2)
+    except BenchError:
+        assert fails
+    else:
+        assert not fails and len(reports) == 3
+    assert multiprocessing.active_children() == []
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("frozen_by_caller", [False, True])
+def test_a_run_leaves_the_freeze_count_as_it_found_it(frozen_by_caller):
+    if frozen_by_caller:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        run_scenario(tiny_scenario())
+        assert gc.get_freeze_count() == before
+    finally:
+        gc.unfreeze()
 
 
 def test_batching_spends_fewer_messages_per_add():
