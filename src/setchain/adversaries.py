@@ -14,8 +14,8 @@ Four flavours, from inert to actively hostile:
   its own broadcasts) and a few fresh random digests.  Reads are answered
   with fabricated snapshots, against a random ``base``.
 * :class:`ForgedDigestServer` — follows the protocol but signs a wrong
-  digest for every epoch, so its epoch attestations never match what a
-  client recomputes.
+  digest for every epoch, through the correct server's ``_attest``, so its
+  epoch attestations never match what a client recomputes.
 * :class:`LyingHistoryServer` — follows the protocol but answers reads
   with a fabricated single-epoch history claiming everything it knows was
   stamped in epoch 1, co-signed only by itself.
@@ -51,7 +51,7 @@ from .core import (
     wire_order,
 )
 from .sbc import ConsensusService
-from .server import RequestRejected, SetchainServer
+from .server import SetchainServer
 from .simnet import SimTime, Simulation
 from .wire import (
     INIT,
@@ -319,13 +319,7 @@ class ForgedDigestServer(SetchainServer):
         super().__init__(*args, **kwargs)
 
     def _sign_epoch(self, h: int, E: frozenset[Element]) -> None:
-        forged = hashlib.sha256(b"forged" + hash_epoch(E)).digest()
-        payload = attestation_payload(h, forged)
-        attestation = self.keys.make_element(payload, self.pid, self._private)
-        try:
-            self.add(attestation)
-        except RequestRejected:
-            pass
+        self._attest(h, hashlib.sha256(b"forged" + hash_epoch(E)).digest())
 
 
 class LyingHistoryServer(SetchainServer):

@@ -283,9 +283,8 @@ class SafetyMonitor:
         self.request_tick.setdefault(e, self.sim.now)
 
     def on_broadcast(self, origin: ProcessId, payload: bytes) -> None:
-        kind, value = decode_broadcast_message(payload)
-        if kind == "add":
-            self.origins.update(value)
+        """An add batch a correct server broadcasts: origin records."""
+        self.origins.update(decode_broadcast_message(payload)[1])
 
     def on_propose(self, h: int, proposal: Proposal, by: ProcessId) -> None:
         """Elements named by value are origin records; digests are not.  A
@@ -299,6 +298,9 @@ class SafetyMonitor:
     # -- per-event checks ----------------------------------------------------
 
     def observe(self, pid: ProcessId, event: str, payload: object) -> None:
+        if event == "broadcast":
+            self.on_broadcast(pid, payload)
+            return
         server = self.servers[pid]
         if event == "insert":
             self._check_insert(server, payload)
@@ -437,8 +439,7 @@ class Cluster:
 
     def __init__(self, sim: Simulation, keys: KeyStore, n: int, f: int,
                  n_byz: int, sbc_cfg: SbcConfig, byz_factory, agg=None,
-                 sign_epochs=False, state_observer=None, on_broadcast=None,
-                 on_propose=None):
+                 sign_epochs=False, state_observer=None, on_propose=None):
         self.sim, self.keys, self.f = sim, keys, f
         self.pids = tuple(
             ProcessId(i, ProcessKind.BYZANTINE_SERVER if i >= n - n_byz
@@ -454,7 +455,7 @@ class Cluster:
             pid: SetchainServer(
                 pid, sim, keys, self.privates[pid], self.pids, f, self.service,
                 agg=agg, sign_epochs=sign_epochs,
-                state_observer=state_observer, on_broadcast=on_broadcast,
+                state_observer=state_observer,
             )
             for pid in self.correct_pids
         }
@@ -595,7 +596,6 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     n, f, n_byz = scenario.n, scenario.f, scenario.n_byz
     cluster = Cluster(sim, keys, n, f, n_byz, SBC, adversary,
                       agg=scenario.agg, state_observer=monitor.observe,
-                      on_broadcast=monitor.on_broadcast,
                       on_propose=monitor.on_propose)
     servers = cluster.correct
     for server in servers:

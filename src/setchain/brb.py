@@ -92,7 +92,6 @@ class BrbEngine:
         peers: tuple[ProcessId, ...],
         f: int,
         on_deliver: Callable[[ProcessId, bytes, bytes], None],
-        on_broadcast: Optional[Callable[[ProcessId, bytes], None]] = None,
     ):
         if len(peers) < 3 * f + 1:
             raise ValueError("reliable broadcast needs n >= 3f + 1")
@@ -103,7 +102,6 @@ class BrbEngine:
         self.quorum = 2 * f + 1  # echoes to turn ready; readies to deliver
         self.amplify = f + 1  # readies to turn ready
         self.on_deliver = on_deliver
-        self.on_broadcast = on_broadcast
         self.instances: dict[tuple[ProcessId, bytes], _Instance] = {}
         self.delivered_count = 0
 
@@ -119,8 +117,6 @@ class BrbEngine:
 
     def _start(self, origin: ProcessId, payload: bytes) -> bytes:
         digest = hashlib.sha256(payload).digest()
-        if self.on_broadcast is not None:
-            self.on_broadcast(self.net.pid, payload)
         self._send_to_all(BrbFrame(INIT, origin, digest, payload))
         return digest
 

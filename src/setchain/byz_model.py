@@ -660,11 +660,17 @@ class ModelPair:
 POOL_SIZE = 60  # client-signed elements in a model pair's pool
 
 
+def _check_scale(n: int, f: int) -> None:
+    """Raises ValueError unless ``f >= 1`` adversaries and ``n > 3f``."""
+    if not n > 3 * f >= 3:
+        raise ValueError(f"a model pair needs f >= 1 and n > 3f, not n={n} f={f}")
+
+
 def make_model_pair(n: int, f: int, seed: int = 0) -> ModelPair:
     """Two models over the same correct servers: one with ``f`` adversarial
     servers, one with the single pooled process, plus a deterministic pool
     of ``POOL_SIZE`` client-signed elements."""
-    assert n > 3 * f >= 0
+    _check_scale(n, f)
     correct = tuple(ProcessId(i, ProcessKind.CORRECT_SERVER) for i in range(n - f))
     byz = tuple(
         ProcessId(n - f + j, ProcessKind.BYZANTINE_SERVER) for j in range(f))
@@ -828,9 +834,28 @@ def save_bundle(path, bundle: dict) -> None:
         json.dump(bundle, fh, indent=2, sort_keys=True)
 
 
+_BUNDLE_FIELDS = {"direction": (str,), "n": (int,), "f": (int,), "seed": (int,),
+                  "reason": (str, type(None)), "index": (int, type(None)),
+                  "events": (list,)}  # exact types: a bool is no int here
+
+
 def load_bundle(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The bundle saved at ``path``.  Raises ValueError for a file that
+    cannot be read, is not JSON, lacks a field or has one of another type,
+    or names a scale that has no model pair."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            bundle = json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path} is not JSON: {exc}") from exc
+    for name, kinds in _BUNDLE_FIELDS.items():
+        if not isinstance(bundle, dict) or type(bundle.get(name, ...)) not in kinds:
+            raise ValueError(f"bundle field {name!r} is missing or not "
+                             + " or ".join(kind.__name__ for kind in kinds))
+    _check_scale(bundle["n"], bundle["f"])
+    return bundle
 
 
 def replay_bundle(bundle: dict) -> MappingReport:

@@ -36,6 +36,14 @@ def _parse_seeds(spec: str) -> range:
     return seeds
 
 
+def _parse_length(spec: str) -> int:
+    """A trace length; below 1 a run checks nothing, so it is a usage error."""
+    length = int(spec)
+    if length < 1:
+        raise argparse.ArgumentTypeError(f"trace length {length} is below 1")
+    return length
+
+
 def _report_line(r: bench.RunReport) -> str:
     state = "ok" if r.ok else f"VIOLATIONS={len(r.property_violations)}"
     return (f"{r.scenario} seed={r.seed} adds={r.adds_stamped_final}"
@@ -118,8 +126,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    bundle = byz_model.load_bundle(args.counterexample)
     try:
+        bundle = byz_model.load_bundle(args.counterexample)
         report = byz_model.replay_bundle(bundle)
     except ValueError as exc:
         print(f"replay: {exc}", file=sys.stderr)
@@ -162,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
                          required=True)
     p_check.add_argument("--seeds", type=_parse_seeds,
                          help='seed range, e.g. "10" or "0..99"')
-    p_check.add_argument("--length", type=int, default=200,
+    p_check.add_argument("--length", type=_parse_length, default=200,
                          help="events per generated trace (byzmodel)")
     p_check.add_argument("--out", help="file for a failure bundle (byzmodel)")
     p_check.set_defaults(fn=_cmd_check)

@@ -14,7 +14,8 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
   single server, a wait, then one read probe to a single server.  The
   probe is trusted only as far as its cryptographic evidence: the
   element must sit in an epoch whose recomputed digest is signed by
-  ``f + 1`` distinct servers.  Far fewer messages (every server-side add
+  ``f + 1`` distinct servers (:func:`~setchain.core.attesters` counts
+  them, as for rewards).  Far fewer messages (every server-side add
   triggers a quadratic broadcast, so redundant quorum writes are
   expensive), but higher latency, and an "unconfirmed" signal after
   ``RETRIES`` attempts — the cue to fall back to the quorum client.  The
@@ -48,11 +49,9 @@ from .core import (
     History,
     KeyStore,
     ProcessId,
-    attestation_payload,
+    attesters,
     encode_element_set,
     hash_epoch,
-    parse_attestation,
-    sort_elements,
 )
 from .server import DEFAULT_EPOCH_PERIOD
 from .simnet import Simulation
@@ -278,46 +277,8 @@ class QuorumClient:
 
 
 # ---------------------------------------------------------------------------
-# Signed epoch hashes and optimistic confirmation
+# Optimistic confirmation through signed epoch hashes
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SignedEpochHash:
-    """One server's vouching that epoch ``h`` stamped the set with this
-    digest.  Travels inside the replicated set as an ordinary element, so
-    any single server's read carries the evidence."""
-
-    h: int
-    digest: Digest
-    signer: ProcessId
-    signature: bytes
-
-    @classmethod
-    def from_element(cls, e: Element) -> Optional["SignedEpochHash"]:
-        parsed = parse_attestation(e.payload)
-        if parsed is None or not e.author.is_server:
-            return None
-        h, digest = parsed
-        return cls(h, digest, e.author, e.signature)
-
-    def as_element(self) -> Element:
-        return Element(attestation_payload(self.h, self.digest), self.signer,
-                       self.signature)
-
-    def verify(self, keys: KeyStore) -> bool:
-        return keys.valid(self.as_element())
-
-
-def signed_epoch_hashes(elements, h: Optional[int] = None) -> list[SignedEpochHash]:
-    """All signed epoch hashes found in ``elements`` (optionally for one
-    epoch), in canonical element order."""
-    found = []
-    for e in sort_elements(elements):
-        seh = SignedEpochHash.from_element(e)
-        if seh is not None and (h is None or seh.h == h):
-            found.append(seh)
-    return found
 
 
 @dataclass(frozen=True)
@@ -353,20 +314,16 @@ def confirm_from_snapshot(
     containing ``element`` whose recomputed digest is signed by at least
     ``f + 1`` distinct servers — then at least one correct server stamped
     exactly that entry.  Signatures are looked for anywhere in the
-    response, and only ones that verify count.  For each entry holding
-    ``element`` the response is scanned for the one attestation payload
-    that entry can have; only the elements carrying it are checked.
+    response, and only ones that verify count
+    (:func:`~setchain.core.attesters`).
     """
-    sets = (theset, *epoch_sets)
     for i, entry in enumerate(epoch_sets, start=1):
         if element not in entry:
             continue
         digest = hash_epoch(entry)
-        payload = attestation_payload(i, digest)
-        signers = {e.author for es in sets for e in es
-                   if e.payload == payload and e.author.is_server and keys.valid(e)}
+        signers = attesters(itertools.chain(theset, *epoch_sets), i, digest, keys)
         if len(signers) > f:
-            return Confirmation(element, i, digest, frozenset(signers))
+            return Confirmation(element, i, digest, signers)
     return None
 
 

@@ -11,7 +11,8 @@ canonical ones used on the wire and inside digests, so they are stable:
 * element set encoding: the element encodings, in canonical order, back to
   back; each one carries its own lengths, so no other length is needed
 * epoch digest: SHA-256 over the element set encoding
-* epoch attestation payload: ``b"SEH1" | u64 h | 32-byte epoch digest``
+* epoch attestation payload: ``b"SEH1" | u64 h | 32-byte epoch digest``;
+  :func:`attesters` counts the servers that sign one epoch's digest
 
 An element is a ``(wire, payload, author, signature)`` tuple whose first
 item is its canonical encoding.  It hashes as that tuple hashes, in C, with
@@ -378,6 +379,16 @@ def parse_attestation(payload: bytes) -> Optional[tuple[int, Digest]]:
         return None
     (h,) = struct.unpack_from(">Q", payload, len(_ATTESTATION_MAGIC))
     return h, payload[len(_ATTESTATION_MAGIC) + 8 :]
+
+
+def attesters(elements: Iterable[Element], h: int, digest: Digest,
+              keys: KeyStore) -> frozenset[ProcessId]:
+    """The servers that attest, in a valid element of ``elements``, that
+    epoch ``h`` has ``digest``.  Each one counts once, however many copies
+    of its attestation ``elements`` holds."""
+    payload = attestation_payload(h, digest)
+    return frozenset(e.author for e in elements if e.payload == payload
+                     and e.author.is_server and keys.valid(e))
 
 
 def random_payload(rng) -> bytes:

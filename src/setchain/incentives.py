@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from numbers import Rational
 from typing import Callable, Iterable, Mapping, Optional
 
-from .client import signed_epoch_hashes
-from .core import History, KeyStore, ProcessId, hash_epoch
+from .core import History, KeyStore, ProcessId, attesters, hash_epoch
 
 Tokens = Fraction
 CENT = Fraction(1, 100)
@@ -54,7 +54,6 @@ class RewardParams:
     signer_coeff: Rational = 1
     elem_fn: Optional[Callable[[int], Rational]] = None
     signer_fn: Optional[Callable[[int], Rational]] = None
-    fee_x: Rational = 10
     burn_ratio: Rational = Fraction(1, 2)
 
     def __post_init__(self):
@@ -84,17 +83,18 @@ class RewardParams:
     @classmethod
     def from_dict(cls, d: Mapping) -> "RewardParams":
         """Linear-map params from a plain config mapping; ratios may be
-        given as strings ("1/2") or numbers."""
+        given as strings ("1/2") or numbers.  A key that names no such
+        param raises ``IncentiveError("unknown-param")``, so that a misspelt
+        one does not fall back to its default."""
         def frac(v):
             return Fraction(v) if isinstance(v, str) else Fraction(str(v))
 
-        kwargs = {}
-        for key in ("c", "elem_coeff", "signer_coeff", "fee_x", "burn_ratio"):
-            if key in d:
-                kwargs[key] = frac(d[key])
-        for key in ("f_threshold", "n"):
-            if key in d:
-                kwargs[key] = int(d[key])
+        ratios = ("c", "elem_coeff", "signer_coeff", "burn_ratio")
+        counts = ("f_threshold", "n")
+        if not set(d) <= {*ratios, *counts}:
+            raise IncentiveError("unknown-param")
+        kwargs = {key: frac(d[key]) for key in ratios if key in d}
+        kwargs.update((key, int(d[key])) for key in counts if key in d)
         return cls(**kwargs)
 
 
@@ -146,14 +146,7 @@ def stamped_signers(history: History, h: int, keys: KeyStore) -> frozenset[Proce
     the reward formula pays on: a signature only counts once the chain has
     recorded it."""
     digest = hash_epoch(history.get(h))
-    found: set[ProcessId] = set()
-    for i, entry in history.items():
-        if i < h:
-            continue
-        for seh in signed_epoch_hashes(entry, h=h):
-            if seh.digest == digest and seh.verify(keys):
-                found.add(seh.signer)
-    return frozenset(found)
+    return attesters(chain.from_iterable(history.entries[h - 1:]), h, digest, keys)
 
 
 def epoch_reward(history: History, h: int, keys: KeyStore,

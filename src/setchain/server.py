@@ -11,7 +11,9 @@ elements.  An add batch is broadcast under its server's origin.  The
 (``BrbEngine.announce``) rather than run one each.  Optional behaviours:
 batching adds into one broadcast (aggregation, when given an
 ``AggConfig``) and signing each stamped epoch's digest back into the set
-so light clients can check membership proofs.
+so light clients can check membership proofs (``_attest``, which the
+forging adversary shares).  A ``state_observer`` sees each insert and
+stamp, and each add batch before its INIT leaves.
 
 A proposal (``wire.Proposal``) names delivered batches by digest (as in
 Hashchain, Capretto et al., 2022) and queued adds by value.  A server
@@ -143,7 +145,8 @@ class AggConfig:
 
 AGG_DESK = AggConfig(max_batch=1000, max_wait=5_000_000)  # desk-scale default
 
-# Observer events: ("insert", elements) on set growth, ("stamp", (h, E)) on epochs.
+# Observer events: ("insert", elements) on set growth, ("stamp", (h, E)) on
+# epochs, ("broadcast", payload) for each add batch before its INIT leaves.
 StateObserver = Callable[[ProcessId, str, object], None]
 
 
@@ -192,15 +195,13 @@ class SetchainServer:
         agg: Optional[AggConfig] = None,
         sign_epochs: bool = False,
         state_observer: Optional[StateObserver] = None,
-        on_broadcast=None,
     ):
         self.pid = pid
         self.keys = keys
         self._private = private_key
         self.f = f
         self.net = sim.register(pid, self.on_message)
-        self.brb = BrbEngine(self.net, peers, f, self._deliver_broadcast,
-                             on_broadcast=on_broadcast)
+        self.brb = BrbEngine(self.net, peers, f, self._deliver_broadcast)
         self.sbc = sbc
         sbc.register(pid, self._queue_decision, correct=True)
         self.agg = agg  # None: broadcast each add on its own
@@ -263,7 +264,7 @@ class SetchainServer:
         if self.agg is not None:
             self._enqueue(e, primary)
         else:
-            self.brb.broadcast(encode_madd((e,)))
+            self._broadcast_adds((e,))
 
     def epoch_inc(self, h: int) -> None:
         """Announces ``mepochinc(h)``: the ``f + 1`` servers asked for
@@ -299,7 +300,14 @@ class SetchainServer:
         self._queued = 0
         self._backups = set()
         if batch:
-            self.brb.broadcast(encode_madd(batch))
+            self._broadcast_adds(batch)
+
+    def _broadcast_adds(self, batch) -> None:
+        """Shows an add batch to the state observer, then broadcasts it."""
+        payload = encode_madd(batch)
+        if self.state_observer is not None:
+            self.state_observer(self.pid, "broadcast", payload)
+        self.brb.broadcast(payload)
 
     def _flush_timer(self) -> None:
         self._flush_scheduled = False
@@ -473,8 +481,12 @@ class SetchainServer:
                     del open_batches[d]
 
     def _sign_epoch(self, h: int, E: frozenset[Element]) -> None:
-        payload = attestation_payload(h, hash_epoch(E))
-        attestation = self.keys.make_element(payload, self.pid, self._private)
+        self._attest(h, hash_epoch(E))
+
+    def _attest(self, h: int, digest: bytes) -> None:
+        """Signs that epoch ``h`` has ``digest`` and adds it as an element."""
+        attestation = self.keys.make_element(attestation_payload(h, digest),
+                                             self.pid, self._private)
         try:
             self.add(attestation)
         except RequestRejected:

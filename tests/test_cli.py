@@ -175,3 +175,52 @@ def test_env_seed_is_the_default(monkeypatch, capsys):
     code = main(["check", "--suite", "byzmodel", "--length", "40"])
     assert code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("length", ["0", "-3"])
+def test_a_trace_length_below_one_is_a_usage_error(length, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "byzmodel", "--seeds", "1", "--length", length])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"trace length {length} is below 1" in captured.err
+    assert captured.out == ""
+
+
+def _missing_file(path):
+    path.unlink()
+
+
+def _not_json(path):
+    path.write_text("{not json")
+
+
+def _without_n(path):
+    bundle = json.loads(path.read_text())
+    del bundle["n"]
+    path.write_text(json.dumps(bundle))
+
+
+def _backward_without_adversaries(path):
+    bundle = json.loads(path.read_text())
+    bundle.update(direction="backward", f=0)
+    path.write_text(json.dumps(bundle))
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (_missing_file, "cannot read {path}: No such file or directory"),
+    (_not_json, "{path} is not JSON: Expecting property name enclosed in "
+                "double quotes: line 1 column 2 (char 1)"),
+    (_without_n, "bundle field 'n' is missing or not int"),
+    (_backward_without_adversaries,
+     "a model pair needs f >= 1 and n > 3f, not n=4 f=0"),
+], ids=["missing-file", "not-json", "no-n", "backward-f0"])
+def test_replay_of_a_bad_file_fails_cleanly(tmp_path, capsys, spoil, error):
+    path = tmp_path / "bundle.json"
+    byz_model.save_bundle(path, _corrupted_bundle()[0])
+    spoil(path)
+    code = main(["replay", "--counterexample", str(path)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"replay: {error.format(path=path)}\n"
+    assert captured.out == ""

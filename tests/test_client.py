@@ -12,11 +12,9 @@ from setchain.client import (
     ClientError,
     OptimisticClient,
     QuorumClient,
-    SignedEpochHash,
     Confirmation,
     combine_get_responses,
     confirm_from_snapshot,
-    signed_epoch_hashes,
 )
 from setchain.core import (
     Element,
@@ -284,44 +282,6 @@ def signing_world():
     return keys, servers, privates, author, author_key
 
 
-def test_signed_epoch_hash_roundtrip_and_verify():
-    keys, servers, privates, _, _ = signing_world()
-    digest = hash_epoch(frozenset())
-    element = keys.make_element(attestation_payload(5, digest), servers[0],
-                                privates[servers[0]])
-    seh = SignedEpochHash.from_element(element)
-    assert seh is not None
-    assert (seh.h, seh.digest, seh.signer) == (5, digest, servers[0])
-    assert seh.as_element() == element
-    assert seh.verify(keys)
-    # tampering with the vouched digest breaks verification
-    bad = SignedEpochHash(5, b"\x01" * 32, seh.signer, seh.signature)
-    assert not bad.verify(keys)
-
-
-def test_signed_epoch_hash_ignores_non_attestations_and_non_servers():
-    keys, servers, privates, author, author_key = signing_world()
-    assert SignedEpochHash.from_element(
-        keys.make_element(b"just data", servers[0], privates[servers[0]])) is None
-    from_client = keys.make_element(
-        attestation_payload(1, hash_epoch(frozenset())), author, author_key)
-    assert SignedEpochHash.from_element(from_client) is None
-
-
-def test_signed_epoch_hashes_scan_filters_by_epoch():
-    keys, servers, privates, author, author_key = signing_world()
-    digest = hash_epoch(frozenset())
-    pool = {
-        keys.make_element(attestation_payload(h, digest), pid, privates[pid])
-        for pid in servers[:2]
-        for h in (1, 2)
-    }
-    pool.add(keys.make_element(b"noise", author, author_key))
-    assert len(signed_epoch_hashes(pool)) == 4
-    only_two = signed_epoch_hashes(pool, h=2)
-    assert len(only_two) == 2 and all(s.h == 2 for s in only_two)
-
-
 def test_confirm_from_snapshot_needs_f_plus_one_matching_signers():
     keys, servers, privates, author, author_key = signing_world()
     e = keys.make_element(b"payload", author, author_key)
@@ -356,16 +316,17 @@ def test_confirm_from_snapshot_needs_f_plus_one_matching_signers():
 
 def reference_confirm(element, theset, epoch_sets, keys, f):
     """confirm_from_snapshot as first written: parse every element of the
-    reply as a signed epoch hash, then count the verified matching ones."""
+    reply as an attestation, keep the valid ones by servers, then count the
+    signers of the ones that match."""
     pool = set(theset).union(*epoch_sets)
-    hashes = [seh for e in pool
-              if (seh := SignedEpochHash.from_element(e)) is not None]
+    seals = [(parsed, e.author) for e in pool
+             if (parsed := parse_attestation(e.payload)) is not None
+             and e.author.is_server and keys.valid(e)]
     for i, entry in enumerate(epoch_sets, start=1):
         if element not in entry:
             continue
         digest = hash_epoch(entry)
-        signers = {seh.signer for seh in hashes
-                   if seh.h == i and seh.digest == digest and seh.verify(keys)}
+        signers = {author for parsed, author in seals if parsed == (i, digest)}
         if len(signers) > f:
             return Confirmation(element, i, digest, frozenset(signers))
     return None
@@ -378,13 +339,31 @@ _SEAL_KINDS = ("honest", "forged", "wrong-h", "client", "bad-sig", "duplicate",
                "other")
 
 
+def make_seal(world, kind, h, digest, who):
+    """A seal of ``kind`` by server ``who`` for epoch ``h`` with ``digest``.
+    "duplicate" and "other" are honest seals that their callers place or
+    aim elsewhere."""
+    keys, servers, privates, author, author_key = world
+    signer, key = servers[who], privates[servers[who]]
+    if kind == "forged":
+        digest = bytes(32)
+    elif kind == "wrong-h":
+        h += 1
+    elif kind == "client":
+        signer, key = author, author_key
+    payload = attestation_payload(h, digest)
+    if kind == "bad-sig":
+        return Element(payload, signer, b"junk")
+    return keys.make_element(payload, signer, key)
+
+
 @settings(max_examples=300)
 @given(seals=st.lists(st.tuples(st.sampled_from(_SEAL_KINDS), st.integers(0, 3),
                                 st.integers(0, 2), st.booleans()), max_size=10),
        layout=st.lists(st.integers(0, 3), min_size=1, max_size=3),
        f=st.integers(1, 2))
 def test_confirm_from_snapshot_equals_the_reference(seals, layout, f):
-    keys, servers, privates, author, author_key = signing_world()
+    world = keys, _, _, author, author_key = signing_world()
     target = keys.make_element(b"target", author, author_key)
     others = [keys.make_element(b"x%d" % i, author, author_key) for i in range(3)]
     # Epoch i holds the target when layout[i-1] is 0, else other elements.
@@ -397,19 +376,7 @@ def test_confirm_from_snapshot_equals_the_reference(seals, layout, f):
         h = holding[pick % len(holding)]
         if kind == "other":
             h = pick % len(entries) + 1
-        digest = hash_epoch(entries[h - 1])
-        signer, key = servers[who], privates[servers[who]]
-        if kind == "forged":
-            digest = bytes(32)
-        elif kind == "wrong-h":
-            h += 1
-        elif kind == "client":
-            signer, key = author, author_key
-        payload = attestation_payload(h, digest)
-        if kind == "bad-sig":
-            seal = Element(payload, signer, b"junk")
-        else:
-            seal = keys.make_element(payload, signer, key)
+        seal = make_seal(world, kind, h, hash_epoch(entries[h - 1]), who)
         if kind == "duplicate":
             later.add(seal)
             theset.add(seal)
@@ -476,7 +443,7 @@ def test_optimistic_rejects_fabricated_history_with_single_signature():
     _, _, _, state = decode_response(lies[0].body)
     theset, epochs, epoch = decode_get_state(state)
     assert epoch == 1 and e in epochs[0]
-    assert any(SignedEpochHash.from_element(x) for x in theset)
+    assert any(parse_attestation(x.payload) and x.author == liar for x in theset)
     assert confirm_from_snapshot(e, theset, epochs, cluster.keys, 1) is None
 
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 from conftest import ServerCluster
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from setchain.core import ProcessId, ProcessKind
+from setchain.core import History, ProcessId, ProcessKind, hash_epoch, parse_attestation
 from setchain.incentives import (
     CENT,
     FeeSplit,
@@ -18,6 +18,7 @@ from setchain.incentives import (
     reward,
     stamped_signers,
 )
+from test_client import _SEAL_KINDS, make_seal, signing_world
 
 P = RewardParams(c=1, f_threshold=1, n=4)
 
@@ -80,11 +81,17 @@ def test_param_validation():
 def test_params_from_config_mapping():
     p = RewardParams.from_dict({
         "c": 2, "f_threshold": 2, "n": 7, "burn_ratio": "1/4",
-        "elem_coeff": 0.5, "fee_x": 20,
+        "elem_coeff": 0.5,
     })
     assert p.c == 2 and p.n == 7 and p.burn_ratio == Fraction(1, 4)
     assert p.element_value(4) == 2
     assert reward(4, 3, p) == 2 + 2 + 3
+
+
+@pytest.mark.parametrize("key", ["fee_x", "elem_coef", "elem_fn"])
+def test_params_from_an_unknown_key_are_rejected(key):
+    with pytest.raises(IncentiveError, match="unknown-param"):
+        RewardParams.from_dict({"c": 2, key: 1})
 
 
 @given(e=st.integers(0, 60), s=st.integers(0, 4))
@@ -187,3 +194,48 @@ def test_epoch_reward_counts_only_stamped_signers():
     assert signers == frozenset(s.pid for s in cluster.correct)
     # 5 elements, 4 signers, base 1
     assert epoch_reward(history, 1, cluster.keys, P) == 1 + 5 + 4
+
+
+def reference_stamped_signers(history, h, keys):
+    """stamped_signers by parsing every element stamped at or after ``h``
+    as an attestation."""
+    digest = hash_epoch(history.get(h))
+    return frozenset(
+        e.author for i, entry in history.items() if i >= h for e in entry
+        if parse_attestation(e.payload) == (h, digest)
+        and e.author.is_server and keys.valid(e))
+
+
+@settings(max_examples=200)
+@given(data=st.data(), epochs=st.integers(2, 4),
+       seals=st.lists(st.tuples(st.sampled_from(_SEAL_KINDS), st.integers(0, 3),
+                                st.integers(0, 2), st.integers(0, 2),
+                                st.integers(0, 2)), max_size=12))
+def test_stamped_signers_equals_the_reference(data, epochs, seals):
+    """Random histories whose seals of an epoch are stamped before it as
+    well as after it: the entries are built in a drawn order, and a seal
+    names an epoch built before the one that stamps it."""
+    world = keys, _, _, author, author_key = signing_world()
+    order = data.draw(st.permutations(range(1, epochs + 1)))
+    contents = {h: {keys.make_element(b"x%d" % h, author, author_key)}
+                for h in order}
+    # Each seal: (kind, signer, target, stamped at, and, for "duplicate",
+    # also stamped at); the last three pick among the allowed positions.
+    placed = []
+    for kind, who, target, at, again in seals:
+        t = order[target % (epochs - 1)]
+        later = order[order.index(t) + 1:]
+        places = {later[at % len(later)]}
+        if kind == "duplicate":
+            places.add(later[again % len(later)])
+        placed.append((kind, who, t, places))
+    digests = {}
+    for h in order:
+        for kind, who, t, places in placed:
+            if h in places:
+                contents[h].add(make_seal(world, kind, t, digests[t], who))
+        digests[h] = hash_epoch(contents[h])
+    history = History(tuple(frozenset(contents[h]) for h in range(1, epochs + 1)))
+    for h in range(1, epochs + 1):
+        assert (stamped_signers(history, h, keys)
+                == reference_stamped_signers(history, h, keys))

@@ -27,6 +27,7 @@ from setchain.server import (
 )
 from setchain.wire import (
     ECHO,
+    INIT,
     OP_ADD,
     OP_GET,
     READY,
@@ -592,6 +593,43 @@ def test_quiescence_leaves_every_aggregation_buffer_empty(max_wait):
         assert s.tobroadcast == {}
         assert s._flush_scheduled is False
         assert set(added) <= s.theset
+
+
+@pytest.mark.parametrize("agg", [None, AggConfig(max_batch=2, max_wait=50)],
+                         ids=["per-element", "batched"])
+def test_the_observer_sees_each_add_batch_before_its_init_leaves(agg, monkeypatch):
+    """A server shows every add batch it broadcasts to its state observer,
+    and then sends the batch's INIT: on the per-element path, and on the
+    batched path through both a threshold and a timer flush."""
+    events = []  # ("broadcast" | "init", server, payload), in order
+
+    def observe(pid, event, payload):
+        if event == "broadcast":
+            events.append((event, pid, payload))
+
+    c = ServerCluster(agg=agg, state_observer=observe)
+    multicast = c.sim._multicast
+
+    def spy(frm, tos, body):
+        if body[:1] == b"B":
+            frame = decode_brb(body)
+            if (frame.phase == INIT and frame.origin == frm
+                    and decode_broadcast_message(frame.payload)[0] == "add"):
+                events.append(("init", frm, frame.payload))
+        multicast(frm, tos, body)
+
+    monkeypatch.setattr(c.sim, "_multicast", spy)
+    added = [c.element() for _ in range(7)]
+    for i, e in enumerate(added):  # batched: the first 3 flush by size
+        c.correct[0 if i < 3 else i % 2].add(e)
+    c.drain()
+    shown = [(pid, p) for kind, pid, p in events[0::2] if kind == "broadcast"]
+    sent = [(pid, p) for kind, pid, p in events[1::2] if kind == "init"]
+    assert len(events) == 2 * len(shown) and shown == sent
+    batches = [decode_broadcast_message(p)[1] for _, p in shown]
+    assert len(batches) == (7 if agg is None else 3)
+    assert frozenset().union(*batches) == frozenset(added)
+    assert all(set(added) <= s.theset for s in c.correct)
 
 
 def _batches_sent(c, s):
