@@ -613,14 +613,15 @@ def _run_scenario(scenario: Scenario) -> RunReport:
 
     # Drain: the load and the havoc servers stop on their own at the end of
     # the driven window; stop the epoch timer, then alternate "cut one more
-    # epoch" with full quiescence until every element everywhere is stamped.
-    # Checking at quiescence is exact — nothing is in flight.  No buffer
-    # needs a flush: a non-empty aggregation buffer always has its flush
-    # timer pending, and quiescence runs every timer, so each buffer is
-    # empty by then.
+    # epoch" with running the cluster until nothing is left to happen but
+    # max_wait timers, until every element everywhere is stamped and every
+    # aggregation buffer is empty.  A cut, not a max_wait flush, empties the
+    # buffers: its proposals name the queued adds by value.  An empty buffer
+    # has no timer pending, so at the end nothing is in flight and the
+    # checks below are exact, and the run ends when its work ends.
     driver.stop()
     for _ in range(_DRAIN_ROUNDS):
-        sim.run_to_quiescence()
+        _run_until_only_wait_timers(sim, servers)
         if _settled(servers, monitor):
             break
         driver.cut()
@@ -657,10 +658,22 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     )
 
 
+def _run_until_only_wait_timers(sim: Simulation,
+                                servers: list[SetchainServer]) -> None:
+    """Runs ``sim`` until no event is left but the servers' max_wait timers."""
+    while (t := sim.next_event_time()) is not None:
+        timers = [s.wait_timer for s in servers if s.wait_timer is not None]
+        if (timers and t >= min(timer.at for timer in timers)
+                and sim.pending_events() == len(timers)):
+            return
+        sim.run_until(t)
+
+
 def _settled(servers: list[SetchainServer], monitor: SafetyMonitor) -> bool:
     if len({server.epoch for server in servers}) != 1:
         return False
-    return all(server.theset == monitor.stamped[server.pid] for server in servers)
+    return all(not server.tobroadcast and server.theset == monitor.stamped[server.pid]
+               for server in servers)
 
 
 def run_matrix(scenarios: list[Scenario], seeds: range,

@@ -78,7 +78,7 @@ from .core import (
     sort_elements,
 )
 from .sbc import ConsensusService, Propset
-from .simnet import SimTime, Simulation
+from .simnet import SimTime, Simulation, Timer
 from .wire import (
     OP_ADD,
     OP_EPOCHINC,
@@ -225,7 +225,9 @@ class SetchainServer:
         # the entries stamped since the last get (stamping never does), and
         # sends only those after the ones its reader holds.
         self._epoch_segments: list[bytes] = []
-        self._flush_scheduled = False
+        # The max_wait timer: pending exactly while the buffer is non-empty,
+        # so it is cancelled when the buffer empties.
+        self.wait_timer: Optional[Timer] = None
         self._queued = 0  # adds queued since the last flush or empty buffer
         # Backup copies queued since the last flush: the next threshold
         # flush leaves them out, and the one after sends them.
@@ -285,9 +287,8 @@ class SetchainServer:
         self._queued += 1
         if self._queued > self.agg.max_batch:
             self._flush(self._backups.union(self._proposed_adds))
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
-            self.net.after(self.agg.max_wait + 1, self._flush_timer)
+        elif self.wait_timer is None:
+            self.wait_timer = self.net.after(self.agg.max_wait + 1, self._flush_timer)
 
     def _flush(self, leave_out: AbstractSet[Element] = frozenset()) -> None:
         """Broadcasts the queued adds but ``leave_out``, which stay queued
@@ -299,6 +300,8 @@ class SetchainServer:
             del tobroadcast[e]
         self._queued = 0
         self._backups = set()
+        if not tobroadcast:
+            self._stop_wait_timer()
         if batch:
             self._broadcast_adds(batch)
 
@@ -310,16 +313,20 @@ class SetchainServer:
         self.brb.broadcast(payload)
 
     def _flush_timer(self) -> None:
-        self._flush_scheduled = False
-        if not self.tobroadcast:
-            return
+        """The max_wait timer; the buffer is not empty."""
+        self.wait_timer = None
         oldest = next(iter(self.tobroadcast.values()))
         due = oldest + self.agg.max_wait + 1
         if self.net.now >= due:
             self._flush()
         else:
-            self._flush_scheduled = True
-            self.net.schedule(due, self._flush_timer)
+            self.wait_timer = self.net.schedule(due, self._flush_timer)
+
+    def _stop_wait_timer(self) -> None:
+        """Cancels the max_wait timer of a buffer that has emptied."""
+        if self.wait_timer is not None:
+            self.wait_timer.cancel()
+            self.wait_timer = None
 
     # -- network dispatch ---------------------------------------------------
 
@@ -399,6 +406,7 @@ class SetchainServer:
             if not tobroadcast:
                 self._queued = 0
                 self._backups = set()
+                self._stop_wait_timer()
 
     def _deliver_epochinc(self, h: int) -> None:
         if h < self.epoch + 1:

@@ -20,6 +20,11 @@ sequence numbers and the same delay draws as one send to each receiver in
 turn, so it puts the very same envelopes on the heap, in one call.  A send
 to a process that is not registered fails before anything is drawn or sent.
 
+``schedule`` returns a :class:`Timer`; a cancelled timer stays on the heap
+until it reaches the top, where it is dropped unrun, without moving
+``now``.  ``pending_events`` and ``run_to_quiescence`` do not count it, so
+a run whose only pending timers are cancelled ends at its last live event.
+
 With ``proc_cost > 0`` a receiver is busy for ``proc_cost`` ticks after each
 delivery.  A message that arrives while its receiver is busy waits in that
 receiver's inbox; when the receiver becomes free it takes the lowest-seq
@@ -70,6 +75,19 @@ class NetConfig:
             raise ValueError("gst, post_gst_bound, proc_cost out of range")
 
 
+class Timer:
+    """A scheduled call, due at ``at``; ``cancel`` keeps it from running."""
+
+    __slots__ = ("at", "cancelled")
+
+    def __init__(self, at: SimTime):
+        self.at = at
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
 @dataclass
 class LogEntry:
     """One delivered message, recorded at its processing time."""
@@ -100,11 +118,11 @@ class NetHandle:
         """Send ``body`` to each of ``tos``, in that order."""
         self._sim._multicast(self.pid, tos, body)
 
-    def schedule(self, at: SimTime, fn: Callable, *args) -> None:
-        self._sim.schedule(at, fn, *args)
+    def schedule(self, at: SimTime, fn: Callable, *args) -> Timer:
+        return self._sim.schedule(at, fn, *args)
 
-    def after(self, delay: SimTime, fn: Callable, *args) -> None:
-        self.schedule(self._sim.now + delay, fn, *args)
+    def after(self, delay: SimTime, fn: Callable, *args) -> Timer:
+        return self.schedule(self._sim.now + delay, fn, *args)
 
 
 def _default_classifier(body: bytes) -> str:
@@ -197,12 +215,14 @@ class Simulation:
         """Trusted-harness send on behalf of ``frm`` (used by built-in services)."""
         self._multicast(frm, (to,), body)
 
-    def schedule(self, at: SimTime, fn: Callable, *args) -> None:
+    def schedule(self, at: SimTime, fn: Callable, *args) -> Timer:
         if at < self.now:
             raise SimError(f"cannot schedule at {at} before now={self.now}")
         self._seq += 1
-        # A timer: (at, seq, _TIMER, fn, args, None).
-        heapq.heappush(self._heap, (at, self._seq, _TIMER, fn, args, None))
+        timer = Timer(at)
+        # A timer: (at, seq, _TIMER, fn, args, its Timer).
+        heapq.heappush(self._heap, (at, self._seq, _TIMER, fn, args, timer))
+        return timer
 
     # -- running ------------------------------------------------------------
 
@@ -229,6 +249,8 @@ class Simulation:
                     self._busy_until[dst] = self.now + proc_cost
                 deliver(src, dst, body)
             elif kind == _TIMER:
+                if c.cancelled:
+                    continue
                 fn, args = a, b
                 if when > self.now:
                     self.now = when
@@ -278,15 +300,27 @@ class Simulation:
                 f"{src!r}: {exc}"
             ) from exc
 
+    def next_event_time(self) -> Optional[SimTime]:
+        """The time of the earliest event on the heap, or None when none is
+        left; the cancelled timers ahead of it are dropped first."""
+        heap = self._heap
+        while heap and heap[0][2] == _TIMER and heap[0][5].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
     def run_to_quiescence(self) -> SimTime:
         """Run until no events remain; returns final now."""
-        while self._heap:
-            self.run_until(self._heap[0][0])
+        t = self.next_event_time()
+        while t is not None:
+            self.run_until(t)
+            t = self.next_event_time()
         return self.now
 
     def pending_events(self) -> int:
-        """Messages in flight or waiting in an inbox, plus pending timers."""
-        on_heap = sum(1 for entry in self._heap if entry[2] != _WAKE)
+        """Messages in flight or waiting in an inbox, plus timers that are
+        neither run nor cancelled."""
+        on_heap = sum(1 for entry in self._heap if entry[2] == _ENVELOPE
+                      or entry[2] == _TIMER and not entry[5].cancelled)
         return on_heap + sum(len(inbox) for inbox in self._inbox.values())
 
     # -- export -------------------------------------------------------------

@@ -402,6 +402,18 @@ def test_a_batched_preset_keeps_no_batch_and_proposes_only_queued_adds(
     assert not _leftover_codes(name, preset_run)
 
 
+def test_a_batched_run_ends_within_a_few_epoch_periods_of_its_window(preset_run):
+    """The drain cuts epochs rather than wait out the 5 s max_wait timers,
+    and an emptied buffer cancels its timer, so the run ends when its work
+    ends."""
+    scenario = preset("firehose")
+    report = preset_run("firehose", 1)
+    assert report.ok, report.property_violations[:5]
+    assert report.duration < report.final_tick <= (
+        scenario.duration + 3 * scenario.epoch_period)
+    assert report.latency.max <= 2 * scenario.epoch_period
+
+
 def test_small_run_stamps_every_accepted_add():
     report = run_scenario(tiny_scenario())
     assert report.property_violations == []

@@ -19,7 +19,7 @@ from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safet
 
 PRESETS_AT_SEED_0 = {
     "stock": "bfb1f5b8de1dc96c8fa28fc0169726fc3893e4fdb9931cd1a7d4b5c39abf871b",
-    "firehose": "da30de45886a3078b0b743fa6ed4bbf6b014d8c027dccc87f51e33f04ed152a7",
+    "firehose": "341c81166b76092fe264ed590a37dd619caa770cb203be8029ddd0db15326662",
     "overload-fast": "949876ed9a4e99f865fadbb9c9826097a4d8011a59e4332d1a5f5501491da6c6",
     "overload-agg": "185f211eb47f9bd13bfd42c5e410285dcdfdfb5b412ed2a02b391a8d9a23593c",
     "large-none": "65d1fba04625937510fd357af266b12efbcb1cae23fa62b7bf0349d6d0618928",
@@ -42,16 +42,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "76289222181d3b5412f3368fded389264304c03f432f4fa7a021819f5d83e39b",
     ),
     "safety-n4-fast-agg-none": (
-        "6216502bbeb7cccc79960fe27b893b029b7e3af85a712890f4c7c82cf548722f",
-        "88881b96ff632422c0ff55369e92de4504a3acde4e72c2df65023a925132f700",
+        "d76f31e0b92b71d0e899674e646ac1997aa67954c94379de867b99d682afce3f",
+        "970bb7b70cd571fa1421bc5f12cb6ed4c53ff538050902e6eebdc4dbe4abb283",
     ),
     "safety-n4-fast-agg-silent": (
-        "0f242e48a24dc9d5f897a260406c04efa2f78d08860dd295b39039b31d6c7e69",
-        "9eacf5f4bae03938c5ebcd0c8a0148f80c7c30be75d690628f46d9997bf8e125",
+        "45bd9bd31fbf9c558d346255fe309d78ea72c5b6dc98b62cd4b9964cb9c25018",
+        "099162277562fcf5dd0ac6758c843704a647c4877c087255281cfb1ed74c4986",
     ),
     "safety-n4-fast-agg-havoc": (
-        "ecff6da9128e49c02e03646cfbbf690dce18acd39375ab70725132b8471f7fa2",
-        "40073bab9344eb9de6ff24dff88faa14ba05b01166676275107be94f42c6aab7",
+        "4b72c302ba9d8f704bec0d32b8065b38854ccd4376e267923dfa90a41cf53f43",
+        "f69941b2514733614d1ada5991ffa1b8ba5994f7bf87c538918869ff6fb94825",
     ),
     "safety-n7-fast-none": (
         "fd4985e0158862abe067b3c8dc7d71e7c62de57daf969023eafd7b5dede204ac",
@@ -66,16 +66,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "31676788bd7d1760cc0b7b250896540f5570247177842914d8a2387c903a61e2",
     ),
     "safety-n7-fast-agg-none": (
-        "cdddc25cfd3023b141f5f068cf883f4ec8a369442fb4a146f70e5d67472795ec",
-        "d6de3ddf3e011111af6b893fc5b113a6a2071f8ffc6dfa33517b67ad3f2d7502",
+        "9dada1eb6d0663d2e9eff04b16612395f5640f20d9e59e81989807c99ac09df6",
+        "33b840119b7a636480498c9ccd362047a6243b5ede71066c3a47c19c280dac4a",
     ),
     "safety-n7-fast-agg-silent": (
-        "96b018e212d9303275412660c996ef66e03c7161948c18005615aca77cba3bec",
-        "0dd86e2a605a30b546a4d81ddb3c54d17f8e7b2211cbb1a1958a1dfbfd16b8a8",
+        "253a0e19ac65a84e0c6f6698970ef8fb6761b46a84b74f423e92a4385178e158",
+        "97ee18d103f95a6765a0e8ae85bdf107f629ceb0698ceaad92c722876c9d39fb",
     ),
     "safety-n7-fast-agg-havoc": (
-        "f28aff54f6625e04fe03380f031bc6d829b24f8dcff45073d009f985fb41a6b7",
-        "f7b0213a7fa1e124cac768a2b73fd8ed688f069c62f03d9f269b558339087eff",
+        "a56da72c4f49f47f59d148e36c037c1285899ffb86ff15f20438b6f095ac0f3e",
+        "6c9cef458280354fd19f1b4da6a794e0b4a15f67c0040f68035a343b2f9dc8bc",
     ),
     "safety-n10-fast-none": (
         "2bffbac823eb74767685a71d9de3d06695d8997b8c9b95b661c8f6a510fa9e46",
@@ -90,16 +90,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "b4c2b5eb550bcd8d0d08ea0e91bfe2eed79ba4958a64679b00efa86f268e9f08",
     ),
     "safety-n10-fast-agg-none": (
-        "bb80064b81321484afda2507360717eb980b603b59287c6d09474b6b55ff01c6",
-        "b4368dfcd8ccbf6f0aae82c7d1b47a2923b942de10218b9abacacb68280c2cec",
+        "ea07a33d7c7d7e7ed687aa3c6aa8e1f906ddacf060c9c8e38da58218f7262c3a",
+        "bdf01c1d298f0597f192f89547eb2e06b248c6cc08e4b121e5f29c8088bc56be",
     ),
     "safety-n10-fast-agg-silent": (
-        "9a8ce8bedadf332e4524582abd4a28c3eda733351863ebab0114205cc62f8faa",
-        "caedd96c44b67619b43ead0dbba878ab2d064ee175ad4349a01772261802c7d6",
+        "1529880d884ecbc232ee58f61a2ebe98f41fe6be1c9e1ca24f28d04911819bfb",
+        "d3d7d1b46a3e8bb32a1440e70e8723a6277f7321a5398e5d50cc58a6156e6e75",
     ),
     "safety-n10-fast-agg-havoc": (
-        "acc4142b91f8364a0093eeb6f056b10b54167c3636fc2d06a64d4cb63db89e17",
-        "b06550ca14e5eadb798db379f7393cb3682fac4790196b781624eb3077edda4d",
+        "faf87d5734d7f52472f239cecb06e979cd99a51b089b28dc89d36ea5769ae23b",
+        "6845fcab4fbaaf3f64ebf75ca49540a0cb57248c106681df5d7d11dc7510c0ce",
     ),
 }
 

@@ -554,8 +554,10 @@ def test_timer_on_empty_buffer_broadcasts_nothing():
     c = agg_cluster(max_batch=1, max_wait=100)
     s = c.correct[0]
     s.add(c.element())
+    timer = s.wait_timer  # armed by the first add
     s.add(c.element())  # 2 > 1: size flush empties the buffer
-    c.drain()  # includes the later timer tick on an empty buffer
+    assert timer.cancelled and s.wait_timer is None
+    assert c.drain().sim.now < timer.at  # the run ends before it was due
     assert c.sim.counts["brb-init"] == len(c.pids) - 1
 
 
@@ -576,9 +578,9 @@ def test_set_deliver_prunes_pending_buffer():
 @pytest.mark.parametrize("max_wait", [AGG_DESK.max_wait, 50],
                          ids=["longer-than-the-run", "short"])
 def test_quiescence_leaves_every_aggregation_buffer_empty(max_wait):
-    """A non-empty buffer always has its flush timer pending, so at
-    quiescence every buffer is empty and every add is in the set; the
-    bench drain cuts epochs without flushing on that account."""
+    """A non-empty buffer always has its max_wait timer pending, and an
+    empty one has none, so at quiescence every buffer is empty, no timer
+    is left and every add is in the set."""
     c = agg_cluster(max_batch=2, max_wait=max_wait)
     added = [c.element() for _ in range(6)]
     for t, e in zip((0, 1, 2), added):  # the third add flushes by size
@@ -589,9 +591,10 @@ def test_quiescence_leaves_every_aggregation_buffer_empty(max_wait):
     c.sim.schedule(7, c.correct[2].add, added[5])
     c.sim.run_until(100)
     c.drain()
+    assert c.sim.pending_events() == 0
     for s in c.correct:
         assert s.tobroadcast == {}
-        assert s._flush_scheduled is False
+        assert s.wait_timer is None
         assert set(added) <= s.theset
 
 

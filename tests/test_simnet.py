@@ -183,6 +183,26 @@ def test_timers_run_in_schedule_order_with_messages():
     assert fired == [2] and len(inbox) == 1
 
 
+def test_a_cancelled_timer_neither_runs_nor_moves_time_nor_counts():
+    sim, (a, ha), (b, _), inbox = two_nodes(NetConfig(latency_min=3, latency_max=3))
+    fired = []
+    ha.send(b, b"x")  # delivered at t=3
+    kept = sim.schedule(10, lambda: fired.append(sim.now))
+    dropped = [sim.schedule(t, fired.append, "cancelled") for t in (5, 10, 5_000)]
+    late = ha.after(7_000, fired.append, "cancelled")
+    for timer in dropped + [late]:
+        timer.cancel()
+    assert (kept.at, late.at) == (10, 7_000) and not kept.cancelled
+    assert sim.pending_events() == 2  # the message and the kept timer
+    assert sim.next_event_time() == 3
+    assert sim.run_to_quiescence() == 10  # the last live event, not 7,000
+    assert fired == [10] and len(inbox) == 1
+    assert sim.pending_events() == 0 and sim.next_event_time() is None
+    sim.schedule(20, fired.append, "cancelled").cancel()
+    assert sim.next_event_time() is None
+    assert sim.run_to_quiescence() == 10 and fired == [10]
+
+
 def test_handler_exceptions_carry_context():
     sim = Simulation(NetConfig(latency_min=1, latency_max=1))
     a = ProcessId(0)
