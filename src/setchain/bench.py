@@ -22,7 +22,8 @@ Two kinds of checks run:
   is stamped twice, and all servers agree on each epoch's entry (as sets;
   the canonical encoding is injective, so this is byte-for-byte agreement);
 * at each proposal by a correct server: it names by value exactly the
-  adds queued in that server's aggregation buffer;
+  adds queued in that server's aggregation buffer, but the backup copies
+  queued since its previous proposal;
 * at quiescence — after the workload stops and the queues drain: all
   correct servers expose identical sets and records, every accepted add
   is stamped everywhere, no correct server keeps an open batch or a
@@ -288,12 +289,15 @@ class SafetyMonitor:
 
     def on_propose(self, h: int, proposal: Proposal, by: ProcessId) -> None:
         """Elements named by value are origin records; digests are not.  A
-        correct server names by value exactly the adds it has queued."""
+        correct server names by value exactly the adds it has queued, but
+        the backup copies it queued since its previous proposal."""
         self.origins.update(proposal.elements)
         server = self.servers.get(by)
-        if server is not None and proposal.elements != frozenset(server.tobroadcast):
+        if server is not None and proposal.elements != frozenset(
+                server.tobroadcast).difference(server.fresh_backups):
             self.violate("proposal-off-buffer",
-                         f"{by!r} proposed by value other adds than it queued")
+                         f"{by!r} proposed by value other adds than it queued "
+                         "before its previous proposal or as primary")
 
     # -- per-event checks ----------------------------------------------------
 

@@ -19,9 +19,10 @@ A proposal (``wire.Proposal``) names delivered batches by digest (as in
 Hashchain, Capretto et al., 2022) and queued adds by value.  A server
 keeps each delivered add batch that still holds an unstamped element,
 keyed by the sha256 of its broadcast payload, and proposes those digests;
-a batching server also proposes every add in its buffer by value, so that
-the adds queued when an epoch is cut are stamped in that epoch rather than
-after the next flush.  A decided epoch stamps:
+a batching server also proposes the adds in its buffer by value (all but
+the backup copies queued since its previous proposal, see below), so
+that the adds queued when an epoch is cut are stamped in that epoch
+rather than after the next flush.  A decided epoch stamps:
 
 * the batches of the digests that at least ``f + 1`` proposers name.  One
   of them is correct, so it delivered the batch, and reliable broadcast
@@ -44,19 +45,25 @@ later flush or are proposed again at the next cut.
 
 A client sends each add to ``f + 1`` servers and marks one copy primary
 and the others backup (the primary/backup client requests of PBFT,
-Castro & Liskov, 1999).  A flush at ``max_batch`` leaves out each backup
-copy queued since the last flush: its primary holder is likely to
-broadcast it, and that batch, once delivered, removes it from the buffer,
-so one copy of each add crosses the network instead of two.  Three rules
-keep a Byzantine primary that never broadcasts from trapping an add:
+Castro & Liskov, 1999).  The primary holder is likely to broadcast the add
+or name it in its next proposal, and that batch, once delivered, or that
+decision, once stamped, removes the backup copies from their buffers.  So
+a backup copy waits one turn: a flush at ``max_batch`` leaves out each
+backup copy queued since the last flush, and a proposal leaves out each
+backup copy queued since the server's previous proposal.  In the normal
+case one copy of each add crosses the network in a batch, or one proposal
+names it by value, not one per holder.  Three rules keep a Byzantine or
+silent primary from trapping an add:
 
-* a backup copy is left out of at most one flush: the next one sends it;
-* a cut's proposal names every queued add, backups included;
-* the ``max_wait`` timer flush sends the whole buffer, so at quiescence
-  every buffer is empty.
+* a backup copy is left out of at most one threshold flush: the next one
+  sends it;
+* a backup copy is left out of at most one proposal: every later
+  proposal of its holder names it, so it is named from its second cut;
+* the ``max_wait`` timer flush sends the whole buffer, and the timer is
+  pending exactly while the buffer is not empty.
 
-So a Byzantine primary delays an add by one flush at most, and never until
-``max_wait``.
+So a Byzantine or silent primary delays an add by at most one cut (or one
+flush, if that comes first), and never until ``max_wait``.
 """
 
 from __future__ import annotations
@@ -132,8 +139,11 @@ class AggConfig:
     A flush at ``max_batch`` leaves out the backup copies queued since the
     last flush and the adds the server's pending proposal names by value;
     they stay in the buffer and no longer count toward the next
-    ``max_batch``.  A flush at ``max_wait`` sends the whole buffer.  Every
-    queued add, whatever its copy, is proposed by value at each cut."""
+    ``max_batch``.  A flush at ``max_wait`` sends the whole buffer.  Each
+    cut's proposal names by value every queued primary copy and every
+    backup copy queued before the server's previous proposal; so a backup
+    copy waits at most one flush and one cut for a Byzantine or silent
+    primary, and never ``max_wait``."""
 
     max_batch: int = 1000
     max_wait: int = 5_000_000
@@ -232,6 +242,9 @@ class SetchainServer:
         # Backup copies queued since the last flush: the next threshold
         # flush leaves them out, and the one after sends them.
         self._backups: set[Element] = set()
+        # Backup copies queued since the last proposal: the next proposal
+        # leaves them out, and the one after names them.
+        self.fresh_backups: set[Element] = set()
         # The queued adds that the proposal for instance _proposed names by
         # value: threshold flushes leave them out until it is decided.
         self._proposed_adds: frozenset[Element] = frozenset()
@@ -284,6 +297,7 @@ class SetchainServer:
         self.tobroadcast[e] = self.net.now
         if not primary:
             self._backups.add(e)
+            self.fresh_backups.add(e)
         self._queued += 1
         if self._queued > self.agg.max_batch:
             self._flush(self._backups.union(self._proposed_adds))
@@ -301,7 +315,7 @@ class SetchainServer:
         self._queued = 0
         self._backups = set()
         if not tobroadcast:
-            self._stop_wait_timer()
+            self._emptied()
         if batch:
             self._broadcast_adds(batch)
 
@@ -322,8 +336,12 @@ class SetchainServer:
         else:
             self.wait_timer = self.net.schedule(due, self._flush_timer)
 
-    def _stop_wait_timer(self) -> None:
-        """Cancels the max_wait timer of a buffer that has emptied."""
+    def _emptied(self) -> None:
+        """Starts the books of a buffer that has emptied afresh and cancels
+        its max_wait timer."""
+        self._queued = 0
+        self._backups = set()
+        self.fresh_backups = set()
         if self.wait_timer is not None:
             self.wait_timer.cancel()
             self.wait_timer = None
@@ -404,9 +422,7 @@ class SetchainServer:
             for e in elements & set(tobroadcast):
                 del tobroadcast[e]
             if not tobroadcast:
-                self._queued = 0
-                self._backups = set()
-                self._stop_wait_timer()
+                self._emptied()
 
     def _deliver_epochinc(self, h: int) -> None:
         if h < self.epoch + 1:
@@ -417,9 +433,11 @@ class SetchainServer:
         if h == self._proposed:
             return  # already proposed for this instance
         self._proposed = h
-        self._proposed_adds = frozenset(self.tobroadcast)
+        self._proposed_adds = frozenset(self.tobroadcast).difference(
+            self.fresh_backups)
         self.sbc.propose(h, Proposal(frozenset(self.open_batches),
                                      self._proposed_adds), self.pid)
+        self.fresh_backups = set()
 
     # -- consensus deliveries ----------------------------------------------
 

@@ -223,6 +223,7 @@ class _StubServer:
         self.history = History()
         self.open_batches = {}
         self.tobroadcast = {}
+        self.fresh_backups = set()  # backups queued since the last proposal
         self.brb = SimpleNamespace(instances={})
 
     @property
@@ -320,18 +321,37 @@ def test_monitor_flags_batches_kept_open_at_quiescence():
 
 def test_monitor_flags_a_correct_proposal_off_its_buffer():
     monitor, s0, _, mk = _monitor_with_stubs()
-    queued, other = mk(b"queued"), mk(b"other")
-    s0.tobroadcast = {queued: 0}
+    queued, fresh, other = mk(b"queued"), mk(b"fresh"), mk(b"other")
+    s0.tobroadcast = {queued: 0, fresh: 1}
+    s0.fresh_backups = {fresh}
     monitor.on_propose(1, Proposal(frozenset(), frozenset([other])), s0.pid)
     assert _codes(monitor) == ["proposal-off-buffer"]
 
 
 def test_monitor_accepts_a_proposal_equal_to_its_buffer():
     monitor, s0, _, mk = _monitor_with_stubs()
-    queued = mk(b"queued")
-    s0.tobroadcast = {queued: 0}
+    queued, fresh = mk(b"queued"), mk(b"fresh")
+    s0.tobroadcast = {queued: 0, fresh: 1}
+    s0.fresh_backups = {fresh}  # not named before the next proposal
     monitor.on_propose(1, Proposal(frozenset(), frozenset([queued])), s0.pid)
     assert monitor.violations == []
+
+
+def test_monitor_flags_a_correct_proposal_naming_a_fresh_backup():
+    monitor, s0, _, mk = _monitor_with_stubs()
+    queued, fresh = mk(b"queued"), mk(b"fresh")
+    s0.tobroadcast = {queued: 0, fresh: 1}
+    s0.fresh_backups = {fresh}  # queued since s0's last proposal
+    monitor.on_propose(1, Proposal(frozenset(), frozenset([queued, fresh])), s0.pid)
+    assert _codes(monitor) == ["proposal-off-buffer"]
+
+
+def test_monitor_flags_a_correct_proposal_leaving_out_a_queued_primary():
+    monitor, s0, _, mk = _monitor_with_stubs()
+    queued, older = mk(b"queued"), mk(b"older-backup")
+    s0.tobroadcast = {queued: 0, older: 1}  # neither queued since the last proposal
+    monitor.on_propose(1, Proposal(frozenset(), frozenset([older])), s0.pid)
+    assert _codes(monitor) == ["proposal-off-buffer"]
 
 
 def test_monitor_flags_adds_queued_at_quiescence():
@@ -379,7 +399,8 @@ def test_a_preset_run_holds_every_invariant(name, preset_run):
 def _leftover_codes(name, preset_run):
     """The end-of-batching codes in preset ``name``'s report at seed 0: a
     batch kept open or an add left queued at quiescence, and a correct
-    proposal that names by value other adds than its proposer queued."""
+    proposal that names by value other adds than the primary copies and
+    older backup copies its proposer queued."""
     assert preset(name).byzantine != "havoc"  # every proposer is a correct server
     report = preset_run(name)
     assert report.ok, report.property_violations[:5]
@@ -398,7 +419,8 @@ def test_a_preset_keeps_no_batch_and_proposes_no_element(name, preset_run):
 def test_a_batched_preset_keeps_no_batch_and_proposes_only_queued_adds(
         name, preset_run):
     """With batching, a proposal names by value exactly the adds in its
-    proposer's buffer, and at the end no batch is open and no add queued."""
+    proposer's buffer but the backup copies queued since its previous
+    proposal, and at the end no batch is open and no add queued."""
     assert not _leftover_codes(name, preset_run)
 
 

@@ -19,7 +19,7 @@ from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safet
 
 PRESETS_AT_SEED_0 = {
     "stock": "bfb1f5b8de1dc96c8fa28fc0169726fc3893e4fdb9931cd1a7d4b5c39abf871b",
-    "firehose": "341c81166b76092fe264ed590a37dd619caa770cb203be8029ddd0db15326662",
+    "firehose": "24035229501700fb1de95f301b4be5f06c5b66851ad5e77a943a484e4b1a0b07",
     "overload-fast": "949876ed9a4e99f865fadbb9c9826097a4d8011a59e4332d1a5f5501491da6c6",
     "overload-agg": "185f211eb47f9bd13bfd42c5e410285dcdfdfb5b412ed2a02b391a8d9a23593c",
     "large-none": "65d1fba04625937510fd357af266b12efbcb1cae23fa62b7bf0349d6d0618928",
@@ -46,12 +46,12 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "970bb7b70cd571fa1421bc5f12cb6ed4c53ff538050902e6eebdc4dbe4abb283",
     ),
     "safety-n4-fast-agg-silent": (
-        "45bd9bd31fbf9c558d346255fe309d78ea72c5b6dc98b62cd4b9964cb9c25018",
-        "099162277562fcf5dd0ac6758c843704a647c4877c087255281cfb1ed74c4986",
+        "0369e4090df3725bc03c2a8400fa860d63d8936c19b0088e265b8fcab19e66b6",
+        "82f7d2875fe207cc9ff83e8af588a66e5ff263f48fdf7653666ea94986e16998",
     ),
     "safety-n4-fast-agg-havoc": (
-        "4b72c302ba9d8f704bec0d32b8065b38854ccd4376e267923dfa90a41cf53f43",
-        "f69941b2514733614d1ada5991ffa1b8ba5994f7bf87c538918869ff6fb94825",
+        "96201518e1b57fbf168e7e26b246773c0c0867361408138508f101e6d3262312",
+        "96dfeed12f1904ebb1c7f0ceb39227facb1f5492111b1ea91402f90857ac6f07",
     ),
     "safety-n7-fast-none": (
         "fd4985e0158862abe067b3c8dc7d71e7c62de57daf969023eafd7b5dede204ac",
@@ -70,12 +70,12 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "33b840119b7a636480498c9ccd362047a6243b5ede71066c3a47c19c280dac4a",
     ),
     "safety-n7-fast-agg-silent": (
-        "253a0e19ac65a84e0c6f6698970ef8fb6761b46a84b74f423e92a4385178e158",
-        "97ee18d103f95a6765a0e8ae85bdf107f629ceb0698ceaad92c722876c9d39fb",
+        "646545dbde5181eac7aa2d36a7a902c65a9f3ba6864e33192ac8e83cc707b184",
+        "b56b3fad670c880d309b533463098f5150b4ce6c8ade428baa0c33cf47f314a0",
     ),
     "safety-n7-fast-agg-havoc": (
-        "a56da72c4f49f47f59d148e36c037c1285899ffb86ff15f20438b6f095ac0f3e",
-        "6c9cef458280354fd19f1b4da6a794e0b4a15f67c0040f68035a343b2f9dc8bc",
+        "e66a456ca6ae8bd3a74c57b57f81d8289be68253490219c1efc7f4896e1bf4d2",
+        "fc90356f33a50538b5b8d6c40a24f7135124be2d2617274b380ae4dfa23c7dc8",
     ),
     "safety-n10-fast-none": (
         "2bffbac823eb74767685a71d9de3d06695d8997b8c9b95b661c8f6a510fa9e46",
@@ -94,12 +94,12 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "bdf01c1d298f0597f192f89547eb2e06b248c6cc08e4b121e5f29c8088bc56be",
     ),
     "safety-n10-fast-agg-silent": (
-        "1529880d884ecbc232ee58f61a2ebe98f41fe6be1c9e1ca24f28d04911819bfb",
-        "d3d7d1b46a3e8bb32a1440e70e8723a6277f7321a5398e5d50cc58a6156e6e75",
+        "e01797508bde08c927154fae0c5f15fde4b5829933bd7d960112e935f9ab460b",
+        "c5ce6689796a5d35b7c10e74539b6cd45b0717a68b7f965a39dc3ee1b78d1c12",
     ),
     "safety-n10-fast-agg-havoc": (
-        "faf87d5734d7f52472f239cecb06e979cd99a51b089b28dc89d36ea5769ae23b",
-        "6845fcab4fbaaf3f64ebf75ca49540a0cb57248c106681df5d7d11dc7510c0ce",
+        "ab9742278ff2909a51179ac2f09636ca64e80532a9139230a48f891269b99781",
+        "972f308528041855352223d29421056ad3cc97adf755e2aaf8be24f5bf9f109c",
     ),
 }
 

@@ -668,7 +668,7 @@ def test_a_backup_copy_is_left_out_of_exactly_one_threshold_flush():
         assert s.history.entries == (frozenset(shared + [own, orphan] + second),)
 
 
-def test_an_add_whose_primary_is_silent_is_stamped_by_the_next_cut():
+def test_an_add_whose_primary_is_silent_is_stamped_by_the_second_cut():
     # The primary copies went to the silent Byzantine slot, which never
     # broadcasts them; the one correct holder has the backup copies.
     c = agg_cluster(max_batch=3, max_wait=1_000_000, n_byz=1)
@@ -681,11 +681,41 @@ def test_an_add_whose_primary_is_silent_is_stamped_by_the_next_cut():
     s.add(fresh := c.element(), False)  # queued since that flush
     s.epoch_inc(1)
     c.sim.run_until(1_000)  # far short of max_wait
+    assert set(s.tobroadcast) == {left_out, fresh}  # queued since no proposal
+    for srv in c.correct:  # the first cut's proposal named neither backup
+        assert srv.epoch == 1 and not {left_out, fresh} & srv.history.union()
+    s.epoch_inc(2)
+    c.sim.run_until(2_000)
     assert s.tobroadcast == {}
     assert _batches_sent(c, s) == [frozenset(primaries)]
-    for srv in c.correct:  # the cut's proposal named both backups
-        assert srv.epoch >= 1 and {left_out, fresh} <= srv.history.get(1)
+    for srv in c.correct:  # the second cut's proposal named both
+        assert srv.epoch == 2 and {left_out, fresh} <= srv.history.get(2)
     assert len({srv.history.entries for srv in c.correct}) == 1
+
+
+def test_a_backup_copy_is_named_from_the_second_cut_after_it_is_queued():
+    named = {}  # instance -> the adds s named by value
+
+    def on_propose(h, proposal, by):
+        if by == s.pid:
+            named[h] = proposal.elements
+
+    c = agg_cluster(max_batch=10, max_wait=1_000_000, n_byz=1,
+                    on_propose=on_propose)
+    s = c.correct[0]
+    s.add(primary := c.element())
+    s.add(backup := c.element(), False)  # its primary copy is at the silent slot
+    s.epoch_inc(1)
+    c.sim.run_until(1_000)
+    assert named[1] == {primary}
+    assert list(s.tobroadcast) == [backup]
+    s.add(later := c.element(), False)  # queued since the first proposal
+    s.epoch_inc(2)
+    c.sim.run_until(2_000)
+    assert named[2] == {backup}
+    assert list(s.tobroadcast) == [later]
+    for srv in c.correct:  # each add stamped by the one proposal naming it
+        assert srv.history.entries == (frozenset([primary]), frozenset([backup]))
 
 
 def test_a_flush_between_a_proposal_and_its_decision_leaves_out_the_adds_it_names():
