@@ -310,10 +310,8 @@ class Simulation:
 
     def run_to_quiescence(self) -> SimTime:
         """Run until no events remain; returns final now."""
-        t = self.next_event_time()
-        while t is not None:
+        while (t := self.next_event_time()) is not None:
             self.run_until(t)
-            t = self.next_event_time()
         return self.now
 
     def pending_events(self) -> int:
