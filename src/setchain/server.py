@@ -327,7 +327,8 @@ class SetchainServer:
         self.brb.broadcast(payload)
 
     def _flush_timer(self) -> None:
-        """The max_wait timer; the buffer is not empty."""
+        """The max_wait timer is due; the buffer is not empty, since
+        emptying it cancels the timer."""
         self.wait_timer = None
         oldest = next(iter(self.tobroadcast.values()))
         due = oldest + self.agg.max_wait + 1
