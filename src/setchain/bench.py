@@ -664,11 +664,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
 
 def _run_until_only_wait_timers(sim: Simulation,
                                 servers: list[SetchainServer]) -> None:
-    """Runs ``sim`` until no event is left but the servers' max_wait timers
-    (without batching there are none: it runs to quiescence)."""
-    if servers[0].agg is None:
-        sim.run_to_quiescence()
-        return
+    """Runs ``sim`` until no event is left but the servers' max_wait timers."""
     while (t := sim.next_event_time()) is not None:
         timers = [s.wait_timer for s in servers if s.wait_timer is not None]
         if (timers and t >= min(timer.at for timer in timers)
