@@ -137,16 +137,6 @@ def _encode_fields(payload: bytes, author: ProcessId, signature: bytes) -> bytes
                      signature))
 
 
-@lru_cache(maxsize=1024)
-def process_id_from_wire(id: int, kind: int) -> ProcessId:
-    """The process id ``(id, kind)`` read off the wire, one shared object per
-    pair, so that a decode builds no enum member and no tuple.  Raises
-    ValueError when ``kind`` names no :class:`ProcessKind`.  It holds only
-    immutable ids, so it lives across runs; the bound keeps memory flat
-    under garbage."""
-    return ProcessId(id, ProcessKind(kind))
-
-
 @lru_cache(maxsize=4096)
 def _element_from_wire(wire: bytes) -> Element:
     """The element whose canonical encoding is exactly ``wire``, one shared
@@ -157,7 +147,7 @@ def _element_from_wire(wire: bytes) -> Element:
     if 13 + plen + slen != len(wire):
         raise ValueError("element length fields do not match its size")
     return tuple.__new__(Element, (wire, wire[4 : 4 + plen],
-                                   process_id_from_wire(author_id, kind),
+                                   ProcessId(author_id, ProcessKind(kind)),
                                    wire[13 + plen :]))
 
 

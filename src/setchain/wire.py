@@ -53,10 +53,10 @@ from typing import NamedTuple, Optional, Sequence
 from .core import (
     Element,
     ProcessId,
+    ProcessKind,
     decode_element,
     decode_element_set,
     encode_element_set,
-    process_id_from_wire,
     sort_elements,  # unused here, but perfbench/tracing.py patches it by name
 )
 
@@ -167,7 +167,7 @@ def decode_brb(buf: bytes) -> BrbFrame:
                 raise FrameError("digest does not bind the payload")
         elif len(buf) != 39:
             raise FrameError("trailing bytes in a digest-only frame")
-        return BrbFrame(phase, process_id_from_wire(origin_id, origin_kind),
+        return BrbFrame(phase, ProcessId(origin_id, ProcessKind(origin_kind)),
                         digest, payload)
     except _GARBAGE as exc:
         raise FrameError(str(exc)) from exc

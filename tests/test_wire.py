@@ -331,18 +331,3 @@ def test_brb_decode_is_shared_for_equal_bytes_and_rejects_garbage_each_time():
         for _ in range(2):
             with pytest.raises(FrameError):
                 decode_brb(buf)
-
-
-def test_decoded_process_ids_are_shared_and_an_unknown_kind_is_a_frame_error():
-    pid = ProcessId(5, ProcessKind.BYZANTINE_SERVER)
-    frames = [decode_brb(_brb(phase, pid, b"batch")) for phase in (ECHO, READY)]
-    element = Element(b"p", pid, b"s")
-    (decoded,) = decode_broadcast_message(encode_madd([element]))[1]
-    assert frames[0] is not frames[1] and frames[0].origin == pid
-    assert frames[0].origin is frames[1].origin is decoded.author
-    other = decode_brb(_brb(ECHO, ProcessId(5, ProcessKind.CLIENT), b"batch"))
-    assert other.origin == (5, ProcessKind.CLIENT) and other.origin != pid
-    origin_kind_at = 6  # tag, phase, origin id
-    for kind in UNKNOWN_KINDS:
-        with pytest.raises(FrameError):
-            decode_brb(_with_byte(_brb(READY, pid, b"batch"), origin_kind_at, kind))
