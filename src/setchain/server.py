@@ -231,10 +231,6 @@ class SetchainServer:
         # Decisions not stamped yet, in order: the first one waits for a
         # batch that it certifies and this server has not delivered.
         self._held: deque[tuple[int, Propset]] = deque()
-        # encode_epoch of each stamped entry, in order; a get encodes only
-        # the entries stamped since the last get (stamping never does), and
-        # sends only those after the ones its reader holds.
-        self._epoch_segments: list[bytes] = []
         # The max_wait timer: pending exactly while the buffer is non-empty,
         # so it is cancelled when the buffer empties.
         self.wait_timer: Optional[Timer] = None
@@ -262,12 +258,12 @@ class SetchainServer:
     def _get_state(self, have: int) -> bytes:
         """The encoded snapshot a get returns to a reader that holds
         ``have`` of this server's epochs: the epochs after them, if it
-        holds no more than exist, else all of them; and the unstamped rest."""
-        segments = self._epoch_segments
-        for es in self.history.entries[len(segments):]:
-            segments.append(encode_epoch(es))
+        holds no more than exist, else all of them; and the unstamped rest.
+        Only those epochs are encoded."""
         base = have if have <= self.epoch else 0
-        return encode_get_state(self._unstamped, segments[base:], base)
+        return encode_get_state(
+            self._unstamped, [encode_epoch(es) for es in self.history.entries[base:]],
+            base)
 
     def add(self, e: Element, primary: bool = True) -> None:
         """Accepts ``e``; ``primary`` is false for a client's backup copy,
