@@ -15,7 +15,9 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
   probe is trusted only as far as its cryptographic evidence: the
   element must sit in an epoch whose recomputed digest is signed by
   ``f + 1`` distinct servers (:func:`~setchain.core.attesters` counts
-  them, as for rewards).  Far fewer messages (every server-side add
+  them, as for rewards).  Servers' attestations of epoch ``h`` are
+  stamped with epoch ``h + 1``, so an element stamped in epoch ``h`` is
+  confirmable once ``h + 1`` is decided.  Far fewer messages (every server-side add
   triggers a quadratic broadcast, so redundant quorum writes are
   expensive), but higher latency, and an "unconfirmed" signal after
   ``RETRIES`` attempts — the cue to fall back to the quorum client.  The
@@ -353,7 +355,9 @@ class OptimisticClient:
     """Single-server adds confirmed through signed epoch hashes.
 
     Each attempt sends one add request to one server, waits a few epoch
-    periods, and reads back from that same server.  A read that shows the
+    periods (an element stamped in epoch ``h`` is confirmable once epoch
+    ``h + 1``, which stamps its attestations, is decided), and reads back
+    from that same server.  A read that shows the
     element in an epoch vouched for by ``f + 1`` distinct signers settles
     the call; anything else (no response, garbage, too few signatures)
     burns the attempt and the next one rotates to another server with a

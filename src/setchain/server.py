@@ -15,6 +15,16 @@ so light clients can check membership proofs (``_attest``, which the
 forging adversary shares).  A ``state_observer`` sees each insert and
 stamp, and each add batch before its INIT leaves.
 
+An attestation is an element the server makes itself.  It is signed, so
+it needs no broadcast to be trusted, and consensus decides which epoch
+stamps it.  So the server queues it as a primary copy, and its next
+proposal names it by value: the attestation of epoch ``h`` is stamped
+at decision ``h + 1``, or, if that proposal misses its deadline, at a
+later cut, since every proposal names it until it is stamped.  An
+unbatched server sends it through no broadcast at all; a batching
+server's flush may also carry it.  The price is one epoch: an epoch's
+attestations are visible once the next epoch is decided.
+
 A proposal (``wire.Proposal``) names delivered batches by digest (as in
 Hashchain, Capretto et al., 2022) and queued adds by value.  A server
 keeps each delivered add batch that still holds an unstamped element,
@@ -29,8 +39,8 @@ rather than after the next flush.  A decided epoch stamps:
   brings the batch to every correct server.  A digest named fewer times
   is ignored; its elements stay open and are proposed again;
 * every valid element named by value.  A correct proposer names only
-  adds a client asked it for; a Byzantine one may name any valid element,
-  which is no more than a client could add.
+  adds a client asked it for and its own attestations; a Byzantine one
+  may name any valid element, which is no more than a client could add.
 
 Every correct server applies these rules to the same decision at the same
 history, so all of them stamp the same entry.  A server that has not yet
@@ -221,7 +231,9 @@ class SetchainServer:
         self.theset: set[Element] = set()
         self.history = History()
         self._proposed = 0  # the last instance this server proposed to
-        self.tobroadcast: dict[Element, SimTime] = {}  # insertion = enqueue order
+        # Queued adds, in enqueue order; an unbatched server queues only its
+        # attestations.
+        self.tobroadcast: dict[Element, SimTime] = {}
         self.pending_epochinc: set[int] = set()
         # Inserted but not yet stamped; always theset - history.union().
         self._unstamped: set[Element] = set()
@@ -291,6 +303,8 @@ class SetchainServer:
         if e in self.tobroadcast:
             return
         self.tobroadcast[e] = self.net.now
+        if self.agg is None:
+            return  # an attestation, which only proposals name
         if not primary:
             self._backups.add(e)
             self.fresh_backups.add(e)
@@ -507,13 +521,14 @@ class SetchainServer:
         self._attest(h, hash_epoch(E))
 
     def _attest(self, h: int, digest: bytes) -> None:
-        """Signs that epoch ``h`` has ``digest`` and adds it as an element."""
+        """Signs that epoch ``h`` has ``digest`` and queues it as a primary
+        copy, so that each of this server's proposals names it by value
+        until it is stamped.  A batching server's flush may broadcast it
+        as well; an unbatched server never does."""
         attestation = self.keys.make_element(attestation_payload(h, digest),
                                              self.pid, self._private)
-        try:
-            self.add(attestation)
-        except RequestRejected:
-            pass  # duplicates are harmless
+        if attestation not in self.theset:
+            self._enqueue(attestation, True)
 
 
 class EpochDriver:

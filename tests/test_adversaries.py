@@ -303,14 +303,15 @@ def test_forged_digest_server_signs_a_digest_that_never_matches():
     cluster = ServerCluster(n=4, f=1, n_byz=1, sign_epochs=True,
                             byz_factory=forger_factory)
     forger = cluster.byz_pids[0]
-    cluster.correct[0].add(cluster.element())
-    cluster.drain()
-    cluster.correct[0].epoch_inc(1)
-    cluster.drain()
+    for h in (1, 2):  # epoch 1's attestations are stamped in epoch 2
+        cluster.correct[0].add(cluster.element())
+        cluster.drain()
+        cluster.correct[0].epoch_inc(h)
+        cluster.drain()
     probed = cluster.correct[0]
-    forged = [x for x in probed.theset
+    forged = [x for x in probed.history.get(2)
               if x.author == forger and parse_attestation(x.payload)]
-    assert forged, "the forged attestation must circulate like any element"
+    assert forged, "the forged attestation must be stamped like any element"
     for x in forged:
         h, digest = parse_attestation(x.payload)
         assert cluster.keys.valid(x)  # real signature ...

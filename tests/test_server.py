@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ServerCluster
+from setchain.bench import SafetyMonitor
 from setchain.core import (
     Element,
     KeyStore,
@@ -781,18 +782,28 @@ def test_agg_config_rejects_nonpositive_thresholds():
 # -- epoch signing ----------------------------------------------------------
 
 
+def signed_epochs(c, epochs=2):
+    """Adds one element and cuts an epoch, ``epochs`` times; returns the
+    elements, in epoch order."""
+    added = []
+    for h in range(1, epochs + 1):
+        added.append(e := c.element())
+        c.correct[0].add(e)
+        c.drain()
+        c.correct[0].epoch_inc(h)
+        c.drain()
+    return added
+
+
 def test_every_correct_server_signs_each_stamped_epoch():
+    """Epoch 1's attestations are stamped in epoch 2, at every server."""
     c = ServerCluster(sign_epochs=True)
-    a = c.element()
-    c.correct[0].add(a)
-    c.drain()
-    c.correct[0].epoch_inc(1)
-    c.drain()
+    a, _ = signed_epochs(c)
     digest = hash_epoch(frozenset([a]))
     for s in c.correct:
         attestations = {
             e.author: parse_attestation(e.payload)
-            for e in s.theset if parse_attestation(e.payload) is not None
+            for e in s.history.get(2) if parse_attestation(e.payload) is not None
         }
         assert set(attestations) == set(c.correct_pids)  # one per signer
         assert set(attestations.values()) == {(1, digest)}
@@ -800,15 +811,120 @@ def test_every_correct_server_signs_each_stamped_epoch():
 
 def test_identical_epochs_give_identical_digests_distinct_signatures():
     c = ServerCluster(sign_epochs=True)
-    c.correct[0].add(c.element())
-    c.drain()
-    c.correct[0].epoch_inc(1)
-    c.drain()
-    atts = [e for e in c.correct[0].theset
+    signed_epochs(c)
+    atts = [e for e in c.correct[0].history.get(2)
             if parse_attestation(e.payload) is not None]
     assert len({e.payload for e in atts}) == 1
     assert len({e.signature for e in atts}) == len(atts) == len(c.correct_pids)
     assert all(c.keys.valid(e) for e in atts)
+
+
+def drive_signing(c, epochs=8):
+    """Adds at every correct server of ``c`` for ``epochs`` periods of an
+    epoch driver; then the driver stops and ``c`` drains."""
+    period = 150
+    driver = EpochDriver(c.sim, c.correct[: c.f + 1], period=period)
+    driver.start(period)
+    rng = random.Random(7)
+    for i in range(30):
+        e = c.element()
+        c.sim.schedule(rng.randrange(epochs * period), c.correct[i % 3].add, e,
+                       i % 2 == 0)
+    c.sim.run_until(epochs * period + period // 2)
+    driver.stop()
+    return c.drain()
+
+
+def attestations_in(entry):
+    """{signer: (h, digest)} of the attestations in ``entry``."""
+    return {e.author: parse_attestation(e.payload)
+            for e in entry if parse_attestation(e.payload) is not None}
+
+
+def test_an_unbatched_signer_broadcasts_no_attestation():
+    """Its attestations ride its proposals: no add batch it broadcasts
+    carries one, yet every epoch but the last has them stamped."""
+    batches = []
+
+    def observe(pid, event, payload):
+        if event == "broadcast":
+            batches.append(decode_broadcast_message(payload)[1])
+
+    c = drive_signing(ServerCluster(sign_epochs=True, state_observer=observe))
+    assert len(batches) == 30
+    assert not [e for batch in batches for e in batch
+                if parse_attestation(e.payload) is not None]
+    history = c.correct[0].history
+    assert history.epoch >= 8
+    for h in range(1, history.epoch):
+        assert attestations_in(history.get(h + 1)).keys() == set(c.correct_pids)
+
+
+def test_each_servers_epoch_h_attestation_is_stamped_in_epoch_h_plus_1_everywhere():
+    c = drive_signing(ServerCluster(sign_epochs=True))
+    reference = c.correct[0].history
+    for s in c.correct:
+        assert s.history == reference
+    for h in range(1, reference.epoch):
+        signed = (h, hash_epoch(reference.get(h)))
+        for s in c.correct:
+            assert attestations_in(s.history.get(h + 1)) == dict.fromkeys(
+                c.correct_pids, signed)
+    # the last epoch's attestations wait, queued, for a next cut
+    last = (reference.epoch, hash_epoch(reference.get(reference.epoch)))
+    for s in c.correct:
+        assert [parse_attestation(e.payload) for e in s.tobroadcast] == [last]
+
+
+def test_an_attestation_whose_proposal_missed_its_window_is_named_at_the_next_cut():
+    named = {}  # instance -> the adds s named by value
+
+    def on_propose(h, proposal, by):
+        if by == s.pid:
+            named[h] = proposal.elements
+
+    c = ServerCluster(sign_epochs=True, on_propose=on_propose)
+    s, others = c.correct[0], c.correct[1:]
+    signed_epochs(c, epochs=1)
+    [attestation] = s.tobroadcast
+    assert parse_attestation(attestation.payload) == (1, hash_epoch(s.history.get(1)))
+    for peer in others:  # the peers' proposals open instance 2 early
+        peer._deliver_epochinc(2)
+    c.sim.run_until(c.sim.now + 20)
+    deadline = c.service._instances[2].deadline
+    c.sim.schedule(deadline, s._deliver_epochinc, 2)  # s proposes too late
+    c.drain()
+    assert named[2] == {attestation}
+    assert s.pid not in c.service.decided(2).propset
+    for srv in c.correct:  # the peers' attestations are stamped, not s's
+        assert attestations_in(srv.history.get(2)).keys() == {p.pid for p in others}
+    assert attestation in s.tobroadcast
+    s.epoch_inc(3)
+    c.drain()
+    assert attestation in named[3]
+    for srv in c.correct:
+        assert attestation in srv.history.get(3)
+        assert attestation not in srv.tobroadcast
+
+
+@pytest.mark.parametrize("agg", [None, AggConfig(max_batch=4, max_wait=300)],
+                         ids=["per-element", "batched"])
+def test_a_signing_cluster_passes_every_safety_check_while_it_runs(agg):
+    """Every proposal names by value what its server queued (the
+    attestations included), and every stamped attestation has an origin."""
+    c = ServerCluster(agg=agg, sign_epochs=True,
+                      state_observer=lambda *event: monitor.observe(*event),
+                      on_propose=lambda *proposal: monitor.on_propose(*proposal))
+    monitor = SafetyMonitor(c.sim, c.keys)
+    for s in c.correct:
+        monitor.attach(s)
+    drive_signing(c)
+    assert monitor.violations == []
+    stamped = c.correct[0].history.union()
+    for h in range(1, c.correct[0].epoch):
+        assert {e.author for e in stamped
+                if parse_attestation(e.payload) == (
+                    h, hash_epoch(c.correct[0].history.get(h)))} == set(c.correct_pids)
 
 
 # -- request handling over the network --------------------------------------
