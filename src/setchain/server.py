@@ -540,13 +540,16 @@ class EpochDriver:
         self.sim = sim
         self.targets = tuple(targets)
         self.period = period
-        self.stopped = False
+        self._timer: Optional[Timer] = None  # the pending tick
 
     def start(self, at: SimTime = 0) -> None:
-        self.sim.schedule(max(at, self.sim.now), self._tick)
+        self._timer = self.sim.schedule(max(at, self.sim.now), self._tick)
 
     def stop(self) -> None:
-        self.stopped = True
+        """Cancels the pending tick, so a stopped driver leaves no event."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
 
     def cut(self) -> None:
         """Asks each target for the epoch after its own."""
@@ -557,7 +560,5 @@ class EpochDriver:
                 pass
 
     def _tick(self) -> None:
-        if self.stopped:
-            return
         self.cut()
-        self.sim.schedule(self.sim.now + self.period, self._tick)
+        self._timer = self.sim.schedule(self.sim.now + self.period, self._tick)

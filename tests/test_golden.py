@@ -18,88 +18,88 @@ import pytest
 from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safety_matrix
 
 PRESETS_AT_SEED_0 = {
-    "stock": "bfb1f5b8de1dc96c8fa28fc0169726fc3893e4fdb9931cd1a7d4b5c39abf871b",
-    "firehose": "24035229501700fb1de95f301b4be5f06c5b66851ad5e77a943a484e4b1a0b07",
+    "stock": "f024557858ac785c3e435b4e09badc2816d673ded992a6f650a81d23391f9856",
+    "firehose": "d5db983f7916e37e393c8deda49ce5a887b28e219799841c6afc554c3e0cc10a",
     "overload-fast": "949876ed9a4e99f865fadbb9c9826097a4d8011a59e4332d1a5f5501491da6c6",
-    "overload-agg": "185f211eb47f9bd13bfd42c5e410285dcdfdfb5b412ed2a02b391a8d9a23593c",
-    "large-none": "65d1fba04625937510fd357af266b12efbcb1cae23fa62b7bf0349d6d0618928",
-    "large-silent": "53328c0d35b50e446fa4c4ffe03a4fb2e4ed824958ee0dc05087030632ab1bf4",
-    "marathon": "a4f163abb7417bc4ea6a7649cc0f43c8a4973a2e2f5007219d8d59f96c4cdb52",
+    "overload-agg": "7e01fbe0779568aa8841237b2fab042d1b4c10275d570b5d5da96b24e38f2525",
+    "large-none": "e00abd5db7d5368a0172430abe1b89ae4e1afdac2a29789e3a91d43df472fefe",
+    "large-silent": "ce15460623cbbf8a2dc2b85add3e11fcb1e6d6a5c4e803d47a2e975ad0f4c85a",
+    "marathon": "44c93571d9108434175f9b7d90dd4b9203b6f6862c381d45535773748f2153cf",
 }
 
 MATRIX_SEEDS = range(2)
 MATRIX = {  # cell -> digests at MATRIX_SEEDS
     "safety-n4-fast-none": (
-        "46d7c3b6f6aa1f7040c29da1fbee18274e8d6570847b964186bdfe528d8decd2",
-        "d739866cc93362c26cc0c18f70fe3d8b7ff2fa69f3272d4e41b780c866403273",
+        "36a7df86d4983c25a5ad5dec7d6b89da7317d6dff296febc139b377754c35d87",
+        "bf086e997015c056506e0863232425c3e0198e7101d8adbde87994b0b381b575",
     ),
     "safety-n4-fast-silent": (
-        "85f20250bb4466b07221fffe6ee59081e12d32da013363a170e6dbb3f39ea885",
-        "8c9a08fd0eff23485472259632bee8cfcffbc891be2bb784eef1f4e1c9957c91",
+        "ebebcc319a9fdcb9e3c38a319f90f1d46a30f63bcc0434e6a14d43177ec10529",
+        "f314d61249112f4ce90b425979c1d400e84f24e9094184360faac6e47972c756",
     ),
     "safety-n4-fast-havoc": (
-        "c5be1c8d5db17eba75087fcc47484444a1935050db36afd138137bde16bebbe7",
-        "76289222181d3b5412f3368fded389264304c03f432f4fa7a021819f5d83e39b",
+        "719944a2ec4ed476114c4e9596101ca43f2a2c69e54b28cdc3063af8ed4ecf83",
+        "9b5ff9b383b8c335d2180158b725bed763a5b42350a01a8c72e978cf7a3f05db",
     ),
     "safety-n4-fast-agg-none": (
-        "d76f31e0b92b71d0e899674e646ac1997aa67954c94379de867b99d682afce3f",
-        "970bb7b70cd571fa1421bc5f12cb6ed4c53ff538050902e6eebdc4dbe4abb283",
+        "b22c6ab972ec0e5b2466ec6e73bac314ca4af6b9c740cd7dde73a0b28fddee32",
+        "51ed7ceb1f279788582fcf4fb6f5a66d1a9f1280e98a773a9a2070fad4f49d60",
     ),
     "safety-n4-fast-agg-silent": (
-        "0369e4090df3725bc03c2a8400fa860d63d8936c19b0088e265b8fcab19e66b6",
-        "82f7d2875fe207cc9ff83e8af588a66e5ff263f48fdf7653666ea94986e16998",
+        "3b185c0f2522fd243e0b6c4b01d71b61661725e251dbb54b9a35ff8f2b1e5823",
+        "1e7ee3377f327e3856c374d406a80966a70c4bc81f7505d137fe0a9a7436c5ad",
     ),
     "safety-n4-fast-agg-havoc": (
-        "96201518e1b57fbf168e7e26b246773c0c0867361408138508f101e6d3262312",
-        "96dfeed12f1904ebb1c7f0ceb39227facb1f5492111b1ea91402f90857ac6f07",
+        "77812e04a8f4626488a33e065eb8ddb8247f2ed48b3c1e97137746d8d2f2ffe9",
+        "e1e1d7afe383695a65072b1ee6619786d8826cb3873dcc40e0bf0133ef0544e8",
     ),
     "safety-n7-fast-none": (
-        "fd4985e0158862abe067b3c8dc7d71e7c62de57daf969023eafd7b5dede204ac",
-        "9042a08e4e72ea064b36630fcf279747758d3a1541ead22bd96ca51a7deaf7ef",
+        "121eea274fceca5ff49b34fb21c9447e436d157724a62401bdf392461c76d084",
+        "397de11e94bf1c861e2da6d37153e6a45e054b818c889252f9e666a29f21d9a4",
     ),
     "safety-n7-fast-silent": (
-        "88053200e067f131083f44448c0023703b1e5169db3c2eb3d86204f69b9f6014",
-        "2d5e1ed3c819884aa5dd3c83ada20ee620a0cfd9ce569e0b6a7520d88c1c86d6",
+        "ee7235dafc2157004509b79eaabed1a7dc331212e36698a968138b1b4d11c79a",
+        "3ca47ab68044e7d1c605d96259092e746cdc53883050e01fa601261b040d55c1",
     ),
     "safety-n7-fast-havoc": (
-        "3639e22344aa3ed7d9d569b15593fb52a1be5b9e612a4396b8a461737f21c546",
-        "31676788bd7d1760cc0b7b250896540f5570247177842914d8a2387c903a61e2",
+        "5e8e401eb3f45cff923dc3a4fa1d5c60bb2cac4737fd7c5775324b4edfd75360",
+        "f366badc74ba3fa441f08be6677d99be7cc86bdc4074e1a89cb01bb36cd0790e",
     ),
     "safety-n7-fast-agg-none": (
-        "9dada1eb6d0663d2e9eff04b16612395f5640f20d9e59e81989807c99ac09df6",
-        "33b840119b7a636480498c9ccd362047a6243b5ede71066c3a47c19c280dac4a",
+        "ca47c3098e0de699454b9dc7bf6e05ea6327c99d98c0c70b4b7b8993ddc9a1a7",
+        "bd5fe0fb2f950eee29da8dab18c37117c7bffa38bba36825d032eb1860f0c2ce",
     ),
     "safety-n7-fast-agg-silent": (
-        "646545dbde5181eac7aa2d36a7a902c65a9f3ba6864e33192ac8e83cc707b184",
-        "b56b3fad670c880d309b533463098f5150b4ce6c8ade428baa0c33cf47f314a0",
+        "a5da58cea9bc7eee7d1edd537d01fe88086d5230103d5813b0112ecd3dddc97c",
+        "8df90ad3621d9c862a11bdece7f2476519f59b8b5a6bf33fbd4daae0cb6b2a95",
     ),
     "safety-n7-fast-agg-havoc": (
-        "e66a456ca6ae8bd3a74c57b57f81d8289be68253490219c1efc7f4896e1bf4d2",
-        "fc90356f33a50538b5b8d6c40a24f7135124be2d2617274b380ae4dfa23c7dc8",
+        "f58abf439994b384e2717727e96a22ebef06cc71457301c51c970c40a49892b2",
+        "5fc0ce42628aea2ba4d6803dfdcaa1ec3da0e144791b30cd7976836f581d3e1b",
     ),
     "safety-n10-fast-none": (
-        "2bffbac823eb74767685a71d9de3d06695d8997b8c9b95b661c8f6a510fa9e46",
-        "11540b4a9624560cb0143c8a3e33293b9660a6c93afb3728121e73a3f8f99713",
+        "7649790f8df884bef75ebaa23768976930d75c49cdc5a15fbc903cac2bcd7645",
+        "fa3e7115857218603c19fcd4815438b16bdd99ebc0911e6af0aed3cd4be68658",
     ),
     "safety-n10-fast-silent": (
-        "59a4586b5d5ab1148a3606ccb7d1595792f02f9973cd238b69b797ef9033d2f7",
-        "2712d48b5226b147b832ea027028907e1d66173f1d2a72931a4dccd2fd164cd3",
+        "fea20a44ac01f1099c0a116b4f41e667be14b0e99e9f0b453941d4d02fef2f95",
+        "28f12a389205d81aeb3c60cdf5f54cb4a78a51f89f1d2aa24d5aa5cafd83b401",
     ),
     "safety-n10-fast-havoc": (
-        "1efc198228474eac11bf26ec84596521892b8132d4e297c3c78e08692676daa3",
-        "b4c2b5eb550bcd8d0d08ea0e91bfe2eed79ba4958a64679b00efa86f268e9f08",
+        "e08fcfb0a4865337b533a8db7659b573395f690b86fbe1e29acaec485faa2515",
+        "ec18619b251362f995b8336851f6da0593b46cb5eeef6e287924a85d69b70c71",
     ),
     "safety-n10-fast-agg-none": (
-        "ea07a33d7c7d7e7ed687aa3c6aa8e1f906ddacf060c9c8e38da58218f7262c3a",
-        "bdf01c1d298f0597f192f89547eb2e06b248c6cc08e4b121e5f29c8088bc56be",
+        "d21e5044f67c12ebef5ad0b947425b4a7ccba7effa7fccb3794ba011fc8629a6",
+        "949ea6a8d44f22f267631834643d591c1b3f06b7ce4355ad7f39c855b9fc9ea7",
     ),
     "safety-n10-fast-agg-silent": (
-        "e01797508bde08c927154fae0c5f15fde4b5829933bd7d960112e935f9ab460b",
-        "c5ce6689796a5d35b7c10e74539b6cd45b0717a68b7f965a39dc3ee1b78d1c12",
+        "e17ceff4dcf419e4350574a56c29b7e8c5d2e122c7043b61cc6d6098935ffb06",
+        "730e34315768c7083bf0fa4666782a1332bc76a0beb73c572ea8fe2d15cb63c9",
     ),
     "safety-n10-fast-agg-havoc": (
-        "ab9742278ff2909a51179ac2f09636ca64e80532a9139230a48f891269b99781",
-        "972f308528041855352223d29421056ad3cc97adf755e2aaf8be24f5bf9f109c",
+        "05de6fe3435e2c847bbd4f2aab43024484537c54d1a4d0c0d2accecf6dcb4b8d",
+        "c4fa171930db99a143651e7b462c608c7765fa48872ba9378d5e85007deb8bb4",
     ),
 }
 

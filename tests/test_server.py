@@ -1128,6 +1128,16 @@ def test_epoch_driver_advances_epochs_at_the_configured_period():
     assert len({s.epoch for s in c.correct}) == 1
 
 
+def test_a_stopped_driver_cancels_its_pending_tick():
+    c = ServerCluster()
+    driver = EpochDriver(c.sim, c.correct[: c.f + 1], period=200)
+    driver.start()
+    c.sim.run_until(450)  # ticks at 0, 200 and 400; the next is due at 600
+    driver.stop()
+    assert c.sim.run_to_quiescence() < 600
+    assert {s.epoch for s in c.correct} == {3}
+
+
 def test_a_cut_asks_each_target_for_one_more_epoch_and_schedules_nothing():
     c = ServerCluster()
     driver = EpochDriver(c.sim, c.correct[: c.f + 1])
