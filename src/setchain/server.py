@@ -525,10 +525,8 @@ class SetchainServer:
         copy, so that each of this server's proposals names it by value
         until it is stamped.  A batching server's flush may broadcast it
         as well; an unbatched server never does."""
-        attestation = self.keys.make_element(attestation_payload(h, digest),
-                                             self.pid, self._private)
-        if attestation not in self.theset:
-            self._enqueue(attestation, True)
+        self._enqueue(self.keys.make_element(attestation_payload(h, digest),
+                                             self.pid, self._private), True)
 
 
 class EpochDriver:
