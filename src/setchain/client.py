@@ -17,13 +17,13 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
   ``f + 1`` distinct servers (:func:`~setchain.core.attesters` counts
   them, as for rewards).  Servers' attestations of epoch ``h`` are
   stamped with epoch ``h + 1``, so an element stamped in epoch ``h`` is
-  confirmable once ``h + 1`` is decided.  Far fewer messages (every server-side add
-  triggers a quadratic broadcast, so redundant quorum writes are
-  expensive), but higher latency, and an "unconfirmed" signal after
-  ``RETRIES`` attempts — the cue to fall back to the quorum client.  The
-  wait before each probe (``WAIT_FACTOR`` epoch periods, times
-  ``BACKOFF`` per retry) and the probe's ``PROBE_TIMEOUT`` are class
-  constants; only ``epoch_period`` is set per client.
+  confirmable once ``h + 1`` is decided.  Far fewer messages (every
+  server-side add triggers a quadratic broadcast, so redundant quorum
+  writes are expensive), but higher latency, and an "unconfirmed"
+  signal after ``RETRIES`` attempts — the cue to fall back to the quorum
+  client.  The wait before each probe (``WAIT_FACTOR`` epoch periods,
+  times ``BACKOFF`` per retry) and the probe's ``PROBE_TIMEOUT`` are
+  class constants; only ``epoch_period`` is set per client.
 
 Both clients keep, for each server, the epoch sets of that server's last
 get reply (its prior), and each get request says how many they hold.
@@ -357,13 +357,13 @@ class OptimisticClient:
     Each attempt sends one add request to one server, waits a few epoch
     periods (an element stamped in epoch ``h`` is confirmable once epoch
     ``h + 1``, which stamps its attestations, is decided), and reads back
-    from that same server.  A read that shows the
-    element in an epoch vouched for by ``f + 1`` distinct signers settles
-    the call; anything else (no response, garbage, too few signatures)
-    burns the attempt and the next one rotates to another server with a
-    doubled wait.  After ``RETRIES`` attempts the call ends with
-    ``error = "unconfirmed"`` — the chosen servers may be Byzantine, and
-    callers should fall back to :class:`QuorumClient`.
+    from that same server.  A read that shows the element in an epoch
+    vouched for by ``f + 1`` distinct signers settles the call; anything
+    else (no response, garbage, too few signatures) burns the attempt and
+    the next one rotates to another server with a doubled wait.  After
+    ``RETRIES`` attempts the call ends with ``error = "unconfirmed"`` —
+    the chosen servers may be Byzantine, and callers should fall back to
+    :class:`QuorumClient`.
     """
 
     WAIT_FACTOR = 3  # epoch periods the first attempt waits before its probe

@@ -273,9 +273,8 @@ class SetchainServer:
         holds no more than exist, else all of them; and the unstamped rest.
         Only those epochs are encoded."""
         base = have if have <= self.epoch else 0
-        return encode_get_state(
-            self._unstamped, [encode_epoch(es) for es in self.history.entries[base:]],
-            base)
+        segments = [encode_epoch(es) for es in self.history.entries[base:]]
+        return encode_get_state(self._unstamped, segments, base)
 
     def add(self, e: Element, primary: bool = True) -> None:
         """Accepts ``e``; ``primary`` is false for a client's backup copy,
@@ -547,7 +546,6 @@ class EpochDriver:
         """Cancels the pending tick, so a stopped driver leaves no event."""
         if self._timer is not None:
             self._timer.cancel()
-            self._timer = None
 
     def cut(self) -> None:
         """Asks each target for the epoch after its own."""
