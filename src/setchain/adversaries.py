@@ -31,8 +31,8 @@ or a SUPPLY; echo, ready and fetch frames carry only a digest.  Of the
 broadcast frames it sends INITs only: never an echo, ready, fetch or
 supply.  An add batch's INIT names the havoc server as its origin; an
 epoch announcement's INIT names ``wire.SHARED_ORIGIN``, as a correct
-server's does, so it joins the instance that the correct announcers of
-that epoch share.
+server's does, so the first correct server it reaches relays it to every
+peer and delivers it, as it would a correct announcer's.
 """
 
 from __future__ import annotations

@@ -11,15 +11,31 @@ delivers, all of them eventually do.
 
 ``broadcast`` starts an instance whose origin is this process, and a
 process accepts that instance's init from its origin alone.  ``announce``
-starts, or joins, the one instance of a payload whose origin is the
-reserved ``wire.SHARED_ORIGIN``, and a process accepts that instance's
-init from any peer.  It is for a message that several processes send with
-the same bytes and that counts once, such as the ``f + 1`` announcements of
-one epoch change: each process echoes, readies and delivers it once,
-however many peers announce it.  The digest binds the payload, so no
-announcer can make two processes deliver different payloads under one
-key; if one announcer is correct, its init reaches every correct process
-and every correct process delivers.
+is for a message that several processes send with the same bytes and that
+counts once, such as the ``f + 1`` announcements of one epoch change.  It
+sends an INIT under the reserved origin ``wire.SHARED_ORIGIN``, which any
+peer may send, and such a payload takes the eager reliable broadcast of
+Cachin, Guerraoui & Rodrigues (*Introduction to Reliable and Secure
+Distributed Programming*, 2011), not the quorums: on its own announce, or
+on the first shared INIT of a digest, a process multicasts that INIT to
+the other peers and then delivers.  Later copies, and an announce after a
+relay, send nothing; a shared-origin ECHO, READY, FETCH or SUPPLY is
+dropped and opens no instance.  So an announcement costs at most
+``n (n - 1)`` frames and one message delay, however many peers announce it.
+
+* Consistency: the digest binds the payload (``decode_brb`` checks it), so
+  no sender can make two processes deliver different payloads under one
+  key, and each process delivers a key once.
+* Totality: a correct process multicasts the INIT before it delivers, and
+  channels between correct processes are reliable, so once one correct
+  process delivers, every correct process receives the INIT and delivers.
+  If one announcer is correct, every correct process delivers.
+* Nothing weaker than the quorum instance it replaces.  A shared INIT has
+  no origin that could equivocate, so the echo phase had nothing to
+  guard: a lone Byzantine shared INIT sent to every correct process
+  already made each of them echo, ready and deliver it.  Now an INIT that
+  reaches one correct process is enough, and the outcome is the same:
+  every correct process delivers the payload the Byzantine peer sent.
 
 Only the origin's INIT carries the payload; ECHO and READY frames carry
 the digest alone and only count toward the quorums (digest echoes, as in
@@ -72,7 +88,7 @@ from .wire import (
 @dataclass
 class _Instance:
     # Once delivered, an instance keeps its payload and flags: the quorum
-    # sets become None.
+    # sets become None.  A shared-origin instance is delivered at once.
     payload: Optional[bytes] = None
     echoes: Optional[set[ProcessId]] = field(default_factory=set)
     readies: Optional[set[ProcessId]] = field(default_factory=set)
@@ -107,18 +123,29 @@ class BrbEngine:
 
     def broadcast(self, payload: bytes) -> bytes:
         """Start an instance with this process as origin; returns the digest."""
-        return self._start(self.net.pid, payload)
+        digest = hashlib.sha256(payload).digest()
+        self._send_to_all(BrbFrame(INIT, self.net.pid, digest, payload))
+        return digest
 
     def announce(self, payload: bytes) -> bytes:
-        """Start, or join, the instance of ``payload`` that every announcer
-        shares; returns the digest.  The init goes to every peer even if
-        this process has echoed a peer's, which may have reached only some."""
-        return self._start(SHARED_ORIGIN, payload)
-
-    def _start(self, origin: ProcessId, payload: bytes) -> bytes:
+        """Relay and deliver ``payload`` under the shared origin, unless this
+        process already has; returns the digest."""
         digest = hashlib.sha256(payload).digest()
-        self._send_to_all(BrbFrame(INIT, origin, digest, payload))
+        frame = BrbFrame(INIT, SHARED_ORIGIN, digest, payload)
+        self._relay(frame, encode_brb(frame))
         return digest
+
+    def _relay(self, frame: BrbFrame, body: bytes) -> None:
+        """The first shared-origin INIT of a digest: multicast its bytes to
+        the other peers, then deliver.  Later copies send nothing."""
+        digest, payload = frame.digest, frame.payload
+        key = (SHARED_ORIGIN, digest)
+        if key in self.instances:
+            return
+        self.instances[key] = _Instance(payload, None, None, delivered=True)
+        self.net.multicast(self._others, body)
+        self.delivered_count += 1
+        self.on_deliver(SHARED_ORIGIN, digest, payload)
 
     def handle_frame(self, frm: ProcessId, body: bytes) -> None:
         if frm not in self._peer_set:
@@ -127,6 +154,10 @@ class BrbEngine:
             frame = decode_brb(body)
         except FrameError:
             return  # garbage, or a digest that does not bind the payload
+        if frame.origin == SHARED_ORIGIN:
+            if frame.phase == INIT:
+                self._relay(frame, body)
+            return  # no quorum phase, fetch or supply under the shared origin
         self._apply(frm, frame)
 
     def _apply(self, frm: ProcessId, frame: BrbFrame) -> None:
@@ -140,7 +171,7 @@ class BrbEngine:
                 return  # a fetch or supply opens no instance
             inst = self.instances[key] = _Instance()
         if phase == INIT:
-            if frm != origin and origin != SHARED_ORIGIN:
+            if frm != origin:
                 return  # authenticated channels: only the origin starts it
             inst.payload = payload
             if not inst.echoed:

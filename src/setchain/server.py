@@ -7,8 +7,10 @@ announced through reliable broadcast and resolved through the consensus
 service, and each decided epoch stamps the decided-but-unstamped valid
 elements.  An add batch is broadcast under its server's origin.  The
 ``f + 1`` servers asked for epoch ``h`` all send the same
-``mepochinc(h)``, so they share one broadcast instance of it
-(``BrbEngine.announce``) rather than run one each.  Optional behaviours:
+``mepochinc(h)``, so they announce it under the shared origin
+(``BrbEngine.announce``): each server relays its first copy once and
+delivers it, in one hop, however many servers announce it.  Optional
+behaviours:
 batching adds into one broadcast (aggregation, when given an
 ``AggConfig``) and signing each stamped epoch's digest back into the set
 so light clients can check membership proofs (``_attest``, which the
@@ -290,8 +292,8 @@ class SetchainServer:
 
     def epoch_inc(self, h: int) -> None:
         """Announces ``mepochinc(h)``: the ``f + 1`` servers asked for
-        epoch ``h`` join one broadcast instance, which each server delivers
-        once."""
+        epoch ``h`` announce the same payload, which each server relays and
+        delivers once."""
         if h != self.epoch + 1:
             raise RequestRejected("stale-or-future-epoch")
         self.brb.announce(encode_mepochinc(h))

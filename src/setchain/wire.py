@@ -14,8 +14,9 @@ frame tag):
   and fetch frames are 39 bytes; only the origin's init and a supply carry
   the payload, which runs to the end of the frame, and the digest of each
   must bind it.  The origin ``SHARED_ORIGIN`` (id ``2**32 - 1``, a correct
-  server's kind) is reserved: it names no process, and any peer may send
-  its init, for an instance that all of them share.
+  server's kind) is reserved: it names no process, any peer may send its
+  init, and each peer relays the first copy of each such init once.  It
+  has no echo, ready, fetch or supply.
 
   The broadcast payload is itself a tagged inner message: ``0x00`` for an
   element batch (``u32 count | set``) or ``0x01`` for an epoch
@@ -65,8 +66,8 @@ _PHASE_NAMES = {INIT: "brb-init", ECHO: "brb-echo", READY: "brb-ready",
                 FETCH: "brb-fetch", SUPPLY: "brb-supply"}
 _CARRIES_PAYLOAD = (INIT, SUPPLY)
 
-# The origin of the one instance per payload that any peer may start; no
-# process has this id.
+# The origin of a payload that any peer may announce and every peer relays
+# once; no process has this id.
 SHARED_ORIGIN = ProcessId(2**32 - 1)
 
 OP_ADD, OP_GET, OP_EPOCHINC = 0, 1, 2

@@ -136,7 +136,8 @@ def test_havoc_broadcasts_only_invalid_elements_before_learning_any():
 
 def test_havoc_announces_epochs_through_the_shared_origin():
     # Its batches name the havoc server as origin; its epoch announcements
-    # join the instance that correct announcers of that epoch share.
+    # name the shared origin, which correct servers relay as they relay a
+    # correct announcer's.
     cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
     havoc = cluster.byz[cluster.byz_pids[0]]
     havoc.start(until=2_000)

@@ -228,7 +228,7 @@ def test_engine_requires_quorum_capable_membership():
         BrbEngine(net, (pid,), f=1, on_deliver=lambda o, d, p: None)
 
 
-# -- announcements: one instance per payload, whoever starts it --------------
+# -- announcements: one relay per payload, whoever starts it --------------------
 
 
 @pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3)])
@@ -242,10 +242,12 @@ def test_f_plus_1_announcers_share_one_instance_delivered_once(n, f):
     for pid in c.correct:
         assert list(c.engines[pid].instances) == [(SHARED_ORIGIN, digest)]
         assert c.deliveries(pid) == [(SHARED_ORIGIN, payload)]
-    # an init from each announcer; one echo and one ready from each process
-    assert c.sim.counts == {"brb-init": (f + 1) * (n - 1),
-                            "brb-echo": n * (n - 1), "brb-ready": n * (n - 1)}
-    assert c.sim.delivered_total == (f + 1) * (n - 1) + 2 * n * (n - 1)
+    # one init from each process to each other peer: its own announce, or
+    # its relay of the first copy it received
+    assert c.sim.counts == {"brb-init": n * (n - 1)}
+    assert c.sim.delivered_total == n * (n - 1)
+    assert sorted((e.src, e.dst) for e in c.sim.log) == [
+        (a, b) for a in c.pids for b in c.pids if a != b]
 
 
 @pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3)])
@@ -258,9 +260,26 @@ def test_one_correct_announcer_with_f_silent_slots_is_enough(n, f):
         assert len(c.engines[pid].instances) == 1
 
 
+@pytest.mark.parametrize("n, f", [(4, 1), (7, 2), (10, 3)])
+def test_a_byzantine_shared_init_to_one_process_reaches_all_each_relaying_once(n, f):
+    c = BrbWorld(n=n, f=f, n_byz=f, seed=n)
+    c.sim.frame_classifier = classify
+    payload = b"epoch 5"
+    init = BrbFrame(INIT, SHARED_ORIGIN, hashlib.sha256(payload).digest(), payload)
+    for _ in range(3):  # repeated copies change nothing
+        c.inject(c.byz[0], init, c.correct[:1])
+    c.drain()
+    for pid in c.correct:
+        assert c.deliveries(pid) == [(SHARED_ORIGIN, payload)]
+        # exactly one init to each other peer, the Byzantine slots included
+        assert sorted(e.dst for e in c.sim.log if e.src == pid) == [
+            p for p in c.pids if p != pid]
+    assert {e.type for e in c.sim.log} == {"brb-init"}
+
+
 def _byzantine_announcement(c, subset, helps, announcer=None):
-    """In ``c`` (n = 4, f = 1, one Byzantine slot), the Byzantine slot inits
-    the shared instance of a payload at ``subset`` of the correct processes,
+    """In ``c`` (n = 4, f = 1, one Byzantine slot), the Byzantine slot sends
+    the shared-origin init of a payload to ``subset`` of the correct processes,
     adds its own echo and ready to all of them if it ``helps``, and sends
     each of them an init and a supply whose digest names that payload but
     whose bytes are another's.  Once that has drained, the correct process
@@ -296,39 +315,77 @@ def test_a_byzantine_shared_init_to_a_subset_cannot_block_or_change_delivery():
                             assert len(c.engines[pid].instances) == 1
 
 
-def test_a_process_missing_the_shared_init_fetches_past_a_non_binding_supply():
-    # Two of three correct processes get the Byzantine init; with its echo
-    # and ready the third reaches 2f + 1 readies without the payload, fetches
-    # it, and takes it from a correct supply, not from the non-binding one.
+def test_a_process_missing_the_shared_init_takes_a_correct_relay_past_a_non_binding_supply():
+    # Two of three correct processes get the Byzantine init, with its echo
+    # and ready; the third gets the payload from their relays, sends no
+    # fetch, and drops the non-binding init and supply it also receives.
     c = BrbWorld(n=4, f=1, n_byz=1)
     c.sim.frame_classifier = classify
     a, b, skipped = c.correct
     payload = _byzantine_announcement(c, [a, b], helps=True)
+    digest = hashlib.sha256(payload).digest()
     for pid in c.correct:
         assert c.deliveries(pid) == [(SHARED_ORIGIN, payload)]
-    fetches = sorted(e.src for e in c.sim.log if e.type == "brb-fetch")
-    assert fetches == [skipped] * 3
-    inst = c.engines[skipped].instances[
-        (SHARED_ORIGIN, hashlib.sha256(payload).digest())]
-    assert inst.fetched and not inst.echoed and inst.payload == payload
+    init = encode_brb(BrbFrame(INIT, SHARED_ORIGIN, digest, payload))
+    to_skipped = [e for e in c.sim.log if e.dst == skipped]
+    assert sorted(e.src for e in to_skipped if e.body == init) == [a, b]
+    # from the Byzantine slot: its echo and ready, and a non-binding init
+    # and supply
+    assert sorted(e.type for e in to_skipped if e.src == c.byz[0]) == [
+        "brb-echo", "brb-init", "brb-ready", "brb-supply"]
+    # correct processes only relay: one init to each other peer, no fetch
+    assert sorted((e.src, e.type) for e in c.sim.log if e.src in c.correct) == [
+        (pid, "brb-init") for pid in c.correct for _ in range(3)]
+    (inst,) = c.engines[skipped].instances.values()
+    assert inst.delivered and not inst.fetched and inst.payload == payload
 
 
-def test_an_announcer_that_echoed_a_peer_init_still_sends_its_own_once():
+def test_an_announcer_that_relayed_a_peer_init_sends_nothing_more():
     peers = tuple(ProcessId(i) for i in range(4))
     others = (peers[0], peers[2], peers[3])
     net = _Recorder(peers[1])
-    engine = BrbEngine(net, peers, 1, lambda o, d, p: None)
+    delivered = []  # with the number of calls made before each delivery
+    engine = BrbEngine(net, peers, 1,
+                       lambda o, d, p: delivered.append((o, d, p, len(net.calls))))
     payload = b"epoch 9"
     digest = hashlib.sha256(payload).digest()
     init = encode_brb(BrbFrame(INIT, SHARED_ORIGIN, digest, payload))
-    echo = encode_brb(BrbFrame(ECHO, SHARED_ORIGIN, digest, None))
     engine.handle_frame(peers[2], init)  # any peer may start it
-    engine.handle_frame(peers[3], init)  # a second announcer: no new echo
-    assert net.calls == [(others, echo)]
-    assert engine.announce(payload) == digest
-    assert net.calls == [(others, echo), (others, init)]
+    # relayed to every other peer, the sender too, and then delivered
+    assert net.calls == [(others, init)]
+    assert delivered == [(SHARED_ORIGIN, digest, payload, 1)]
+    engine.handle_frame(peers[3], init)  # a second announcer's copy
+    assert engine.announce(payload) == digest  # and its own announce
+    assert net.calls == [(others, init)] and len(delivered) == 1
     (inst,) = engine.instances.values()
-    assert inst.echoes == {peers[1]} and inst.payload == payload
+    assert inst.delivered and inst.payload == payload
+    assert (inst.echoes, inst.readies) == (None, None)
+
+
+def test_shared_origin_digest_frames_open_no_instance_and_send_nothing():
+    peers = tuple(ProcessId(i) for i in range(4))
+    net = _Recorder(peers[1])
+    delivered = []
+    engine = BrbEngine(net, peers, 1, lambda o, d, p: delivered.append(p))
+    payload = b"epoch 5"
+    digest = hashlib.sha256(payload).digest()
+
+    def flood():
+        for phase in (ECHO, READY, FETCH):
+            for frm in peers:
+                engine.handle_frame(frm, encode_brb(
+                    BrbFrame(phase, SHARED_ORIGIN, digest, None)))
+        engine.handle_frame(peers[2], encode_brb(
+            BrbFrame(SUPPLY, SHARED_ORIGIN, digest, payload)))
+
+    flood()  # a quorum of echoes and readies, fetches and a supply
+    assert engine.instances == {} and net.calls == [] and delivered == []
+    assert engine.announce(payload) == digest
+    net.calls.clear()
+    flood()  # once delivered, a fetch draws no supply either
+    assert net.calls == [] and delivered == [payload]
+    (inst,) = engine.instances.values()
+    assert (inst.echoes, inst.readies, inst.supplied) == (None, None, ())
 
 
 # -- delivered instances keep their payload and flags ---------------------------

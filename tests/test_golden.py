@@ -18,88 +18,88 @@ import pytest
 from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safety_matrix
 
 PRESETS_AT_SEED_0 = {
-    "stock": "f024557858ac785c3e435b4e09badc2816d673ded992a6f650a81d23391f9856",
-    "firehose": "d5db983f7916e37e393c8deda49ce5a887b28e219799841c6afc554c3e0cc10a",
-    "overload-fast": "949876ed9a4e99f865fadbb9c9826097a4d8011a59e4332d1a5f5501491da6c6",
-    "overload-agg": "7e01fbe0779568aa8841237b2fab042d1b4c10275d570b5d5da96b24e38f2525",
-    "large-none": "e00abd5db7d5368a0172430abe1b89ae4e1afdac2a29789e3a91d43df472fefe",
-    "large-silent": "ce15460623cbbf8a2dc2b85add3e11fcb1e6d6a5c4e803d47a2e975ad0f4c85a",
-    "marathon": "44c93571d9108434175f9b7d90dd4b9203b6f6862c381d45535773748f2153cf",
+    "stock": "198f4c25bffe76c5ac6f27ae1c42a2e867824e47c07ada786f58d107aae60488",
+    "firehose": "7a65f0557ebc419d9ec8c735c84db4297f5457aa29c68537c38bd54591a417ec",
+    "overload-fast": "0fe2238aa805296084f2c73dc438aa9d39665bd3a3896749abf4f018ab208fe5",
+    "overload-agg": "dc582a1c039c29e44f595bd5d2b26c6ff6333ad10a3a41297a841669ad100cd7",
+    "large-none": "e297e220892fdd92b61773cae3166b95087e49d823eaca397faeec0c0dde0752",
+    "large-silent": "b43d850e2b0d179844ba586d8b271eb076d2e73b987b2dd7ee60e7e1cf97b157",
+    "marathon": "9e3cceb85563c961446507b6a7cc7dbfd600037af898801efe1c6cf15a8cd460",
 }
 
 MATRIX_SEEDS = range(2)
 MATRIX = {  # cell -> digests at MATRIX_SEEDS
     "safety-n4-fast-none": (
-        "36a7df86d4983c25a5ad5dec7d6b89da7317d6dff296febc139b377754c35d87",
-        "bf086e997015c056506e0863232425c3e0198e7101d8adbde87994b0b381b575",
+        "dda29ce07ccbf04cce0e2bb1dee5eb96987847028afede4ec015e34f7d2c9b98",
+        "073d4e49738425e4ea26340bce9e47d2e1aca03e6cf7de90b92f668dc11b9ab3",
     ),
     "safety-n4-fast-silent": (
-        "ebebcc319a9fdcb9e3c38a319f90f1d46a30f63bcc0434e6a14d43177ec10529",
-        "f314d61249112f4ce90b425979c1d400e84f24e9094184360faac6e47972c756",
+        "9384057dde36a5efed0c7d4fee7f14c9b4684316a3e22c26c28be2c7c47712da",
+        "8f776180f1e4a280d389dec9c2ec68305924299df88e85ffaf9d9b4e9b771a21",
     ),
     "safety-n4-fast-havoc": (
-        "719944a2ec4ed476114c4e9596101ca43f2a2c69e54b28cdc3063af8ed4ecf83",
-        "9b5ff9b383b8c335d2180158b725bed763a5b42350a01a8c72e978cf7a3f05db",
+        "65807bd4e4cc08d691a96406c14f9df7f1b3dc50a37bd5929598d28462355a9a",
+        "241bcd0ab70a8eb0355d0d84a094b3580b71f25b81c8f298bb8bc2dd20a00568",
     ),
     "safety-n4-fast-agg-none": (
-        "b22c6ab972ec0e5b2466ec6e73bac314ca4af6b9c740cd7dde73a0b28fddee32",
-        "51ed7ceb1f279788582fcf4fb6f5a66d1a9f1280e98a773a9a2070fad4f49d60",
+        "1a7760b10075f9668f519951710ff855aeb817bc1c80928d9b8472a7130e238b",
+        "7e9d9f3691bc4f321f50f0b1a26ddae902888b327c4b3b4d2d330f50efd2ff3c",
     ),
     "safety-n4-fast-agg-silent": (
-        "3b185c0f2522fd243e0b6c4b01d71b61661725e251dbb54b9a35ff8f2b1e5823",
-        "1e7ee3377f327e3856c374d406a80966a70c4bc81f7505d137fe0a9a7436c5ad",
+        "9e0773662ac45e3ccfe15509ca340efe383c4c9f01892d6d9f89bdb46df14325",
+        "aecebf3471f15b34ff833fadea8e0039c1ca233c2258a527af2484e8b23d493e",
     ),
     "safety-n4-fast-agg-havoc": (
-        "77812e04a8f4626488a33e065eb8ddb8247f2ed48b3c1e97137746d8d2f2ffe9",
-        "e1e1d7afe383695a65072b1ee6619786d8826cb3873dcc40e0bf0133ef0544e8",
+        "d1b847deaae37be4b476d151598487897fe4922e0b1731b5ae069a6b67ca603d",
+        "397a632d2061e6adbdfc6667a719dcc53cff67c34f773c2945924680e8470391",
     ),
     "safety-n7-fast-none": (
-        "121eea274fceca5ff49b34fb21c9447e436d157724a62401bdf392461c76d084",
-        "397de11e94bf1c861e2da6d37153e6a45e054b818c889252f9e666a29f21d9a4",
+        "2d706b4cf6be6713dbec99347cf3bdb2840b7dfedbab7f20a26ce85e5a144da2",
+        "8bce0668d3e9dfbb90e94528347ed8c5d4b4a5a73ed4d2a5df9954286308eec0",
     ),
     "safety-n7-fast-silent": (
-        "ee7235dafc2157004509b79eaabed1a7dc331212e36698a968138b1b4d11c79a",
-        "3ca47ab68044e7d1c605d96259092e746cdc53883050e01fa601261b040d55c1",
+        "260331f5468d896bde3845327dcec49a16e5f122b9d25544f260fabb68201920",
+        "271c89b3c91329fee995da8891aa52ae1cb03003549f35afde4c3bd941cb8348",
     ),
     "safety-n7-fast-havoc": (
-        "5e8e401eb3f45cff923dc3a4fa1d5c60bb2cac4737fd7c5775324b4edfd75360",
-        "f366badc74ba3fa441f08be6677d99be7cc86bdc4074e1a89cb01bb36cd0790e",
+        "f0d845f82bf46f172b2a5875e4ad043969c97f94cedb24f483b5ef36b941602a",
+        "30b362ab52a371ece73fb87003b5d216a6704c0c5002c1e2ea651f04de081478",
     ),
     "safety-n7-fast-agg-none": (
-        "ca47c3098e0de699454b9dc7bf6e05ea6327c99d98c0c70b4b7b8993ddc9a1a7",
-        "bd5fe0fb2f950eee29da8dab18c37117c7bffa38bba36825d032eb1860f0c2ce",
+        "6d72582d38c2a3643e8ea0a78dd645b6c9980826937721940a1d83d3618535f8",
+        "b5ea4d3995bed4848079ca3266b592038561d89f9304ffcd3e18e6130094efd2",
     ),
     "safety-n7-fast-agg-silent": (
-        "a5da58cea9bc7eee7d1edd537d01fe88086d5230103d5813b0112ecd3dddc97c",
-        "8df90ad3621d9c862a11bdece7f2476519f59b8b5a6bf33fbd4daae0cb6b2a95",
+        "7f78af7491434acc990cabb4738fb86bf1bf17e1796f6ceab71257bc9b9fb63b",
+        "a0c5d8ae8518e93ccb0a0339bfcfb95bd2edf9a24e3b95c2d889e84fc4b14f53",
     ),
     "safety-n7-fast-agg-havoc": (
-        "f58abf439994b384e2717727e96a22ebef06cc71457301c51c970c40a49892b2",
-        "5fc0ce42628aea2ba4d6803dfdcaa1ec3da0e144791b30cd7976836f581d3e1b",
+        "bfb7ecc6f75df31366f3565b81e9bee30943ee9306c0cc0042ad4f856ce37805",
+        "6410b55eddb1a64832a62cc9186a48e5fcfcd5784e6bf8699724b97c7c3c0d80",
     ),
     "safety-n10-fast-none": (
-        "7649790f8df884bef75ebaa23768976930d75c49cdc5a15fbc903cac2bcd7645",
-        "fa3e7115857218603c19fcd4815438b16bdd99ebc0911e6af0aed3cd4be68658",
+        "079a129d229d0e6edda8a69a7c0cfcf4f72f76a77669948e3ae5bf22d26b89ae",
+        "b026f5e415a68bf4dc08bbdc2adff923018197d1bf70a7335e2c77e556bd1731",
     ),
     "safety-n10-fast-silent": (
-        "fea20a44ac01f1099c0a116b4f41e667be14b0e99e9f0b453941d4d02fef2f95",
-        "28f12a389205d81aeb3c60cdf5f54cb4a78a51f89f1d2aa24d5aa5cafd83b401",
+        "60cca3d81299a8b0f6117ea8271992b6ebfbbc68ff23ca3b6669f9a8b0a0f906",
+        "bf8b91e28c3862872914dbfe1a7a33438ca3af65dba2d40d7f4fb43e70a59df5",
     ),
     "safety-n10-fast-havoc": (
-        "e08fcfb0a4865337b533a8db7659b573395f690b86fbe1e29acaec485faa2515",
-        "ec18619b251362f995b8336851f6da0593b46cb5eeef6e287924a85d69b70c71",
+        "e983d6906f6943e5a2c901672e0353f39a010966c7a039fab818e615e56cc99d",
+        "a70495dd46787d5192a95394bd36cb508078bf17973de56e40ceef3b8a2b7857",
     ),
     "safety-n10-fast-agg-none": (
-        "d21e5044f67c12ebef5ad0b947425b4a7ccba7effa7fccb3794ba011fc8629a6",
-        "949ea6a8d44f22f267631834643d591c1b3f06b7ce4355ad7f39c855b9fc9ea7",
+        "ed5f60b27143acdf66050d21f540950e3109bc3f02d2ada95cc937532d1a942d",
+        "aaf20d48ce86f3f62a6457ac760e677a14b921eea5cd84481f81ef929e1f30e0",
     ),
     "safety-n10-fast-agg-silent": (
-        "e17ceff4dcf419e4350574a56c29b7e8c5d2e122c7043b61cc6d6098935ffb06",
-        "730e34315768c7083bf0fa4666782a1332bc76a0beb73c572ea8fe2d15cb63c9",
+        "525cddc614d974f3ae9c5bd8426ff25d13daa5b081b0b97ef5ca23d6363a95c2",
+        "16dfbe9d7c0cccce5c06282a7141713e7e4a1d6e9c392d8eb12e1d7ad95e3c60",
     ),
     "safety-n10-fast-agg-havoc": (
-        "05de6fe3435e2c847bbd4f2aab43024484537c54d1a4d0c0d2accecf6dcb4b8d",
-        "c4fa171930db99a143651e7b462c608c7765fa48872ba9378d5e85007deb8bb4",
+        "ee85ea5ccef23b0eae00aeb3c5b86a4b4cea6ec87402e4b176b68f910dfea3d6",
+        "b3b14a1bfaf91ddc56d4e8f6ec1a4821e2f4e29688f28139c6770925112033dc",
     ),
 }
 

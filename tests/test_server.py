@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ServerCluster
-from setchain.bench import SafetyMonitor
+from setchain.bench import SafetyMonitor, _run_until_only_wait_timers
 from setchain.core import (
     Element,
     KeyStore,
@@ -821,7 +821,9 @@ def test_identical_epochs_give_identical_digests_distinct_signatures():
 
 def drive_signing(c, epochs=8):
     """Adds at every correct server of ``c`` for ``epochs`` periods of an
-    epoch driver; then the driver stops and ``c`` drains."""
+    epoch driver; then the driver stops, and, as a scenario run's drain
+    does, ``c`` runs until only flush timers are left and cuts one more
+    epoch, until every correct server has stamped its whole set."""
     period = 150
     driver = EpochDriver(c.sim, c.correct[: c.f + 1], period=period)
     driver.start(period)
@@ -832,7 +834,13 @@ def drive_signing(c, epochs=8):
                        i % 2 == 0)
     c.sim.run_until(epochs * period + period // 2)
     driver.stop()
-    return c.drain()
+    for _ in range(10):
+        _run_until_only_wait_timers(c.sim, c.correct)
+        if all(s.epoch == c.correct[0].epoch and s.theset == s.history.union()
+               for s in c.correct):
+            return c
+        driver.cut()
+    raise AssertionError("drain ended before every element was stamped")
 
 
 def attestations_in(entry):
