@@ -24,6 +24,10 @@ Two kinds of checks run:
 * at each proposal by a correct server: it names by value exactly the
   adds queued in that server's aggregation buffer, but the backup copies
   queued since its previous proposal;
+* at each decision, once the run has drained: a correct proposal made
+  after ``gst`` and at most ``sbc.WINDOW`` minus the network's delay bound
+  after the first correct proposal to its instance is an entry of that
+  instance's decision (censorship-resistance);
 * at quiescence — after the workload stops and the queues drain: all
   correct servers expose identical sets and records, every accepted add
   is stamped everywhere, no correct server keeps an open batch or a
@@ -53,7 +57,7 @@ from .core import (
     ProcessKind,
     encode_element_set,  # unused here, but perfbench/tracing.py patches it by name
 )
-from .sbc import ConsensusService, SbcConfig
+from .sbc import WINDOW, ConsensusService, Decision, SbcConfig
 from .server import (
     AGG_DESK,
     AggConfig,
@@ -265,6 +269,8 @@ class SafetyMonitor:
         self.inserted: dict[ProcessId, int] = {}
         self.entries: dict[int, frozenset] = {}  # epoch -> first server's entry
         self.reference: Optional[ProcessId] = None
+        # instance -> correct proposer -> (tick, proposal) of its proposal
+        self.proposed: dict[int, dict[ProcessId, tuple[SimTime, Proposal]]] = {}
 
     def attach(self, server: SetchainServer) -> None:
         if self.reference is None:
@@ -293,7 +299,10 @@ class SafetyMonitor:
         the backup copies it queued since its previous proposal."""
         self.origins.update(proposal.elements)
         server = self.servers.get(by)
-        if server is not None and proposal.elements != frozenset(
+        if server is None:
+            return
+        self.proposed.setdefault(h, {})[by] = (self.sim.now, proposal)
+        if proposal.elements != frozenset(
                 server.tobroadcast).difference(server.fresh_backups):
             self.violate("proposal-off-buffer",
                          f"{by!r} proposed by value other adds than it queued "
@@ -396,6 +405,23 @@ class SafetyMonitor:
             if central.history.union() != self.stamped[ref.pid]:
                 self.violate("reference-record",
                              "cluster record diverged from the sequential reference")
+
+    def censorship_checks(self, decisions: dict[int, Decision]) -> None:
+        """Every correct proposal made from ``gst`` on, and at most
+        ``WINDOW`` minus the delay bound after the first correct proposal to
+        its instance, arrives before that instance's deadline: it must be
+        the proposer's entry in the decision."""
+        config = self.sim.config
+        slack = WINDOW - min(config.latency_max, config.post_gst_bound)
+        for h, made in self.proposed.items():
+            decision = decisions.get(h)
+            propset = decision.propset if decision is not None else {}
+            first = min(t for t, _ in made.values())
+            for by, (t, proposal) in made.items():
+                if config.gst <= t <= first + slack and propset.get(by) != proposal:
+                    self.violate("censored-proposal",
+                                 f"{by!r} proposed to instance {h} at t={t} "
+                                 "and is not an entry of its decision")
 
     # -- latency aggregation -------------------------------------------------
 
@@ -636,6 +662,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     if central is not None:
         central.epoch_inc(central.epoch + 1)
     monitor.quiescence_checks(load.accepted, central)
+    monitor.censorship_checks(cluster.service.decisions)
 
     duration = scenario.duration
     stamped_in_window = sum(1 for t in monitor.stamp_tick.values() if t <= duration)

@@ -61,7 +61,7 @@ STEP_SAFETY = frozenset({
 QUIESCENT_LIVENESS = frozenset({
     "set-divergence", "record-divergence", "never-stamped",
     "accepted-missing", "accepted-unstamped", "drain-stalled",
-    "open-batches", "queued-adds", "brb-undelivered",
+    "open-batches", "queued-adds", "brb-undelivered", "censored-proposal",
 })
 LEMMA_CODES = frozenset({
     "stamp-twice", "entry-divergence", "record-mismatch", "record-divergence",

@@ -36,6 +36,7 @@ from setchain.bench import (
     write_summary_csv,
 )
 from setchain.core import Element, History, KeyStore, ProcessId, ProcessKind
+from setchain.sbc import WINDOW, Decision
 from setchain.server import CentralSetchain
 from setchain.simnet import Simulation, NetConfig
 from setchain.wire import (
@@ -382,6 +383,44 @@ def test_monitor_allows_a_byzantine_origin_payload_never_delivered():
     _hold(s0, ProcessId(3, ProcessKind.BYZANTINE_SERVER))
     _hold(s1, s0.pid, delivered=True)
     monitor.quiescence_checks(set(), None)  # no reference: Byzantine slots
+    assert monitor.violations == []
+
+
+def _propose_at(monitor, t, h, server):
+    monitor.sim.run_until(t)
+    proposal = Proposal(frozenset([bytes([server.pid.id]) * 32]), frozenset())
+    monitor.on_propose(h, proposal, server.pid)
+    return proposal
+
+
+def test_monitor_flags_a_correct_proposal_left_out_of_its_decision():
+    monitor, s0, s1, _ = _monitor_with_stubs()
+    slack = WINDOW - monitor.sim.config.latency_max  # delay bound 5
+    p0 = _propose_at(monitor, 10, 1, s0)
+    _propose_at(monitor, 10 + slack, 1, s1)  # the last tick it must be in
+    monitor.censorship_checks({1: Decision(1, {s0.pid: p0}, 200)})
+    assert _codes(monitor) == ["censored-proposal"]
+    monitor, s0, _, _ = _monitor_with_stubs()
+    decided = {1: Decision(1, {s0.pid: _propose_at(monitor, 1, 1, s0)}, 100)}
+    monitor.censorship_checks(decided)
+    assert monitor.violations == []
+    _propose_at(monitor, 5, 2, s0)  # an instance never decided censors it
+    monitor.censorship_checks(decided)
+    assert _codes(monitor) == ["censored-proposal"]
+
+
+def test_monitor_allows_a_decision_without_a_late_or_pre_gst_proposal():
+    monitor, s0, s1, _ = _monitor_with_stubs()
+    slack = WINDOW - monitor.sim.config.latency_max
+    p0 = _propose_at(monitor, 10, 1, s0)
+    _propose_at(monitor, 11 + slack, 1, s1)  # may arrive after the deadline
+    monitor.censorship_checks({1: Decision(1, {s0.pid: p0}, 200)})
+    assert monitor.violations == []
+    sim = Simulation(NetConfig(rng_seed=0, gst=100))
+    monitor = SafetyMonitor(sim, KeyStore())
+    monitor.attach(s0)
+    _propose_at(monitor, 99, 1, s0)  # before gst any delay is allowed
+    monitor.censorship_checks({1: Decision(1, {}, 300)})
     assert monitor.violations == []
 
 
