@@ -2,16 +2,21 @@
 
 The decider is a deterministic harness component rather than an embedded
 consensus protocol, which gives the contract by construction: per
-instance ``h`` it collects proposals (one counted per proposer), and once
-instance ``h - 1`` is decided and ``deadline = max(first correct proposal's
-arrival + WINDOW, gst)`` has passed, it fixes the decision as a map from
-proposer to proposal.  A correct proposer's entry is included iff its
-proposal arrived by the deadline; entries from Byzantine proposers are
-included whenever they arrived before the decision.  Only a correct
-proposal opens the window, so a Byzantine proposer that proposes early
-cannot close it before the correct proposals arrive.  After ``gst`` a
-correct proposal is included whenever it is made at most ``WINDOW`` minus
-the network's delay bound after the first correct one.  Every registered
+instance ``h`` it collects proposals (one counted per proposer), and
+``decision_cost`` ticks after the deadline, once instance ``h - 1`` is
+decided, it fixes the decision as a map from proposer to proposal.  The
+deadline is ``max(first correct proposal's arrival + WINDOW, gst)``.  If
+every registered member's proposal (Byzantine ones included) is in at a
+tick ``t`` before then, nothing more can join the decision, so the
+deadline moves up to ``max(t, gst)``: the service decides at the speed
+of the network rather than the timer, and the decision holds the same
+entries.  A correct proposer's entry is included iff its proposal arrived
+by the deadline; entries from Byzantine proposers are included whenever
+they arrived before the decision.  Only a correct proposal opens the
+window, so a Byzantine proposer that proposes early cannot close it
+before the correct proposals arrive.  After ``gst`` a correct proposal is
+included whenever it is made at most ``WINDOW`` minus the network's delay
+bound after the first correct one.  Every registered
 process then receives the identical decision via its set-deliver
 callback after a network-like delay, in instance order with no reorder
 buffer: instances are decided in order, each member's copies are scheduled
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .core import ProcessId
-from .simnet import SimTime, Simulation
+from .simnet import SimTime, Simulation, Timer
 from .wire import Proposal, encode_inform
 
 Propset = dict[ProcessId, Proposal]  # proposer -> what it proposed
@@ -63,6 +68,7 @@ class _Arrival:
 class _Instance:
     proposals: dict[ProcessId, _Arrival] = field(default_factory=dict)
     deadline: Optional[SimTime] = None  # set by the first correct arrival
+    timer: Optional[Timer] = None  # the pending _try_decide at the deadline
     deferred: bool = False
 
 
@@ -120,12 +126,22 @@ class ConsensusService:
     def _arrive(self, h: int, proposal: Proposal, by: ProcessId) -> None:
         if h in self.decisions:
             return
+        now = self.sim.now
         inst = self._instances.setdefault(h, _Instance())
-        inst.proposals.setdefault(by, _Arrival(proposal, self.sim.now))
-        if inst.deadline is None and self._correct[by]:
-            inst.deadline = max(self.sim.now + WINDOW, self.sim.config.gst)
-            self.sim.schedule(inst.deadline + self.config.decision_cost,
-                              self._try_decide, h)
+        inst.proposals.setdefault(by, _Arrival(proposal, now))
+        # Once every member is in, nothing more can join: close the window now.
+        everyone = len(inst.proposals) == len(self._members)
+        deadline = max(now if everyone else now + WINDOW, self.sim.config.gst)
+        if inst.deadline is None:
+            if not self._correct[by]:
+                return  # only a correct proposal opens the window
+        elif deadline < inst.deadline:
+            inst.timer.cancel()
+        else:
+            return
+        inst.deadline = deadline
+        inst.timer = self.sim.schedule(deadline + self.config.decision_cost,
+                                       self._try_decide, h)
 
     # -- deciding -----------------------------------------------------------
 

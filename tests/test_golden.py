@@ -18,80 +18,80 @@ import pytest
 from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safety_matrix
 
 PRESETS_AT_SEED_0 = {
-    "stock": "198f4c25bffe76c5ac6f27ae1c42a2e867824e47c07ada786f58d107aae60488",
-    "firehose": "7a65f0557ebc419d9ec8c735c84db4297f5457aa29c68537c38bd54591a417ec",
-    "overload-fast": "0fe2238aa805296084f2c73dc438aa9d39665bd3a3896749abf4f018ab208fe5",
-    "overload-agg": "dc582a1c039c29e44f595bd5d2b26c6ff6333ad10a3a41297a841669ad100cd7",
-    "large-none": "e297e220892fdd92b61773cae3166b95087e49d823eaca397faeec0c0dde0752",
+    "stock": "6d6ec6fd74882b68a1f1ba3fe50059d422cf6effd8bb0c8fd2cd5942293c91bd",
+    "firehose": "8b498e015a09ae6cf4025a96957afafdcfd3430f8404070ce8e0a213e3c3130f",
+    "overload-fast": "aa6984967f324b33ac394f42fc8d7b2e2994224fa41038500b911cd043e326d6",
+    "overload-agg": "5d6d25621332b7645c9a9623bd41f4d9f2a41e40d1c590932d69d603f695a724",
+    "large-none": "81bafa353d5ce0a335f888f8adc25fee620f805ecf2f3d52d9d3fa94e419d5ff",
     "large-silent": "b43d850e2b0d179844ba586d8b271eb076d2e73b987b2dd7ee60e7e1cf97b157",
-    "marathon": "9e3cceb85563c961446507b6a7cc7dbfd600037af898801efe1c6cf15a8cd460",
+    "marathon": "14813bdcabcc9d348136695a18bd7200eeaac41d1ee621aa3466af6b95cdf3fd",
 }
 
 MATRIX_SEEDS = range(2)
 MATRIX = {  # cell -> digests at MATRIX_SEEDS
     "safety-n4-fast-none": (
-        "dda29ce07ccbf04cce0e2bb1dee5eb96987847028afede4ec015e34f7d2c9b98",
-        "073d4e49738425e4ea26340bce9e47d2e1aca03e6cf7de90b92f668dc11b9ab3",
+        "9060a1c28fa80acdc48e6022c7c3c1c26ec09fa52414e96e0a341c1cb9f33868",
+        "9c8e053471f28aed4bd65c9102d31d457c0da8f5e802c5e4326dc91916fb7ec1",
     ),
     "safety-n4-fast-silent": (
         "9384057dde36a5efed0c7d4fee7f14c9b4684316a3e22c26c28be2c7c47712da",
         "8f776180f1e4a280d389dec9c2ec68305924299df88e85ffaf9d9b4e9b771a21",
     ),
     "safety-n4-fast-havoc": (
-        "65807bd4e4cc08d691a96406c14f9df7f1b3dc50a37bd5929598d28462355a9a",
-        "241bcd0ab70a8eb0355d0d84a094b3580b71f25b81c8f298bb8bc2dd20a00568",
+        "e3110d30f39a14a0f73edd726ac5c16e44241e200066a30f1306d900bcb2a198",
+        "0e9a6f8249589953bdb6ef72c8426ee6694196bac45d86e51f7ad576d14c6a2c",
     ),
     "safety-n4-fast-agg-none": (
-        "1a7760b10075f9668f519951710ff855aeb817bc1c80928d9b8472a7130e238b",
-        "7e9d9f3691bc4f321f50f0b1a26ddae902888b327c4b3b4d2d330f50efd2ff3c",
+        "5ad5062d477d937fcbb71145cf138aed4a232bb3b8da093b5027bc8ec6a531f3",
+        "6b980a2567dd5b5b4c54f0136af0aff3c3d30ef10a83850261dc554f9cbd446f",
     ),
     "safety-n4-fast-agg-silent": (
         "9e0773662ac45e3ccfe15509ca340efe383c4c9f01892d6d9f89bdb46df14325",
         "aecebf3471f15b34ff833fadea8e0039c1ca233c2258a527af2484e8b23d493e",
     ),
     "safety-n4-fast-agg-havoc": (
-        "d1b847deaae37be4b476d151598487897fe4922e0b1731b5ae069a6b67ca603d",
+        "70e3cdba2c46721cc2e0e8b86cf22d1b92a1acf30b7b1466cfd25e67b4a06ad0",
         "397a632d2061e6adbdfc6667a719dcc53cff67c34f773c2945924680e8470391",
     ),
     "safety-n7-fast-none": (
-        "2d706b4cf6be6713dbec99347cf3bdb2840b7dfedbab7f20a26ce85e5a144da2",
-        "8bce0668d3e9dfbb90e94528347ed8c5d4b4a5a73ed4d2a5df9954286308eec0",
+        "b771b6b10bfac0be9ba6b2e23df8309e87acd563641d6af748ff3341d5d0bfb4",
+        "578a095491046b4595de7a2a3f54c1ca5bf5877597f18daa9c14a568c0dae4d1",
     ),
     "safety-n7-fast-silent": (
         "260331f5468d896bde3845327dcec49a16e5f122b9d25544f260fabb68201920",
         "271c89b3c91329fee995da8891aa52ae1cb03003549f35afde4c3bd941cb8348",
     ),
     "safety-n7-fast-havoc": (
-        "f0d845f82bf46f172b2a5875e4ad043969c97f94cedb24f483b5ef36b941602a",
-        "30b362ab52a371ece73fb87003b5d216a6704c0c5002c1e2ea651f04de081478",
+        "3a27af67264c73ddbedbfa8cfe7609ca435894732391dc2a284b86cf528ec121",
+        "541010627ddf84577767ffa06f4a0787bed6c1bea316cc43905fa7009f48b78c",
     ),
     "safety-n7-fast-agg-none": (
-        "6d72582d38c2a3643e8ea0a78dd645b6c9980826937721940a1d83d3618535f8",
-        "b5ea4d3995bed4848079ca3266b592038561d89f9304ffcd3e18e6130094efd2",
+        "602003ff978736765be53007a11e7f6082e84b6ab19f921af3a36883b91ffd17",
+        "eb55cdd54912e1deab4b76cee21ca244107a0bdc8999df4729668dcdf5c0e06f",
     ),
     "safety-n7-fast-agg-silent": (
         "7f78af7491434acc990cabb4738fb86bf1bf17e1796f6ceab71257bc9b9fb63b",
         "a0c5d8ae8518e93ccb0a0339bfcfb95bd2edf9a24e3b95c2d889e84fc4b14f53",
     ),
     "safety-n7-fast-agg-havoc": (
-        "bfb7ecc6f75df31366f3565b81e9bee30943ee9306c0cc0042ad4f856ce37805",
-        "6410b55eddb1a64832a62cc9186a48e5fcfcd5784e6bf8699724b97c7c3c0d80",
+        "d5e30f513dbcb603d23d2c749da29e0c2e273cf2e2c2fc3201177d58086e3d20",
+        "a67706e2961df5454fa039733a3fc9eedb0cd88992a847ac1c914d7e55584d1d",
     ),
     "safety-n10-fast-none": (
-        "079a129d229d0e6edda8a69a7c0cfcf4f72f76a77669948e3ae5bf22d26b89ae",
-        "b026f5e415a68bf4dc08bbdc2adff923018197d1bf70a7335e2c77e556bd1731",
+        "6d586b6a4819ffc357e8149693d08f82728cccda35bd7708282c6495542673f0",
+        "1a7935901f55457201fad93e502e93eeab3b20b7993f763cef83b8ad893034a3",
     ),
     "safety-n10-fast-silent": (
         "60cca3d81299a8b0f6117ea8271992b6ebfbbc68ff23ca3b6669f9a8b0a0f906",
         "bf8b91e28c3862872914dbfe1a7a33438ca3af65dba2d40d7f4fb43e70a59df5",
     ),
     "safety-n10-fast-havoc": (
-        "e983d6906f6943e5a2c901672e0353f39a010966c7a039fab818e615e56cc99d",
+        "190b0c9875565107d3ede5254af464db68473e239f7f9c0c7df7a191fa94a2ac",
         "a70495dd46787d5192a95394bd36cb508078bf17973de56e40ceef3b8a2b7857",
     ),
     "safety-n10-fast-agg-none": (
-        "ed5f60b27143acdf66050d21f540950e3109bc3f02d2ada95cc937532d1a942d",
-        "aaf20d48ce86f3f62a6457ac760e677a14b921eea5cd84481f81ef929e1f30e0",
+        "0999d6386f223c692f174ce303e248a4d9750be0cb68192ef4ca40dd1d28835d",
+        "b25041518996fdd37b0ee392e92a11d4e6a5220c65fad4c5251bd0c53cdd8aa8",
     ),
     "safety-n10-fast-agg-silent": (
         "525cddc614d974f3ae9c5bd8426ff25d13daa5b081b0b97ef5ca23d6363a95c2",

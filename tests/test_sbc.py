@@ -4,9 +4,11 @@ nontriviality, censorship-resistance after gst, in-order decisions."""
 import pytest
 
 from conftest import SbcWorld
-from setchain.core import ProcessId, encode_element_set
+from setchain.bench import SBC, Cluster
+from setchain.core import KeyStore, ProcessId, ProcessKind, encode_element_set
 from setchain.sbc import WINDOW, SbcConfig
-from setchain.simnet import NetConfig
+from setchain.server import EpochDriver
+from setchain.simnet import NetConfig, Simulation
 from setchain.wire import Proposal
 
 
@@ -259,3 +261,120 @@ def test_instance_numbering_is_validated():
         w.service.propose(0, Proposal(), w.correct[0])
     with pytest.raises(ValueError):
         w.service.propose(1, Proposal(), ProcessId(77))
+
+
+# ---------------------------------------------------------------------------
+# Deciding as soon as every member has proposed
+# ---------------------------------------------------------------------------
+
+COST = 100
+
+
+def _arrivals(w, h=1):
+    return {by: a.arrived_at for by, a in w.service._instances[h].proposals.items()}
+
+
+def _window_close(w, h=1):
+    """When the WINDOW rule decides ``h``: its first correct arrival plus
+    WINDOW, plus the decision cost."""
+    first = min(t for by, t in _arrivals(w, h).items() if by in w.correct)
+    return first + WINDOW + COST
+
+
+def test_an_instance_every_member_proposed_to_decides_at_the_last_arrival():
+    for seed in range(20):
+        w = SbcWorld(n_correct=3, n_byz=1, seed=seed, cfg=SbcConfig(COST))
+        proposed = {pid: w.make(str(pid.id).encode()) for pid in w.correct + w.byz}
+        for pid, p in proposed.items():
+            w.service.propose(1, p, pid)
+        w.drain()
+        decision = w.service.decided(1)
+        assert decision.decided_at == max(_arrivals(w).values()) + COST
+        assert decision.decided_at < _window_close(w)
+        assert decision.propset == proposed
+
+
+def test_a_member_that_never_proposes_keeps_the_window():
+    for silent in ("byzantine", "correct"):
+        for seed in range(10):
+            w = SbcWorld(n_correct=4 if silent == "correct" else 3, n_byz=1,
+                         seed=seed, cfg=SbcConfig(COST))
+            proposers = w.correct[:3] + (w.byz if silent == "correct" else ())
+            for pid in proposers:
+                w.service.propose(1, w.make(b"a"), pid)
+            w.drain()
+            assert w.service.decided(1).decided_at == _window_close(w), (silent, seed)
+            assert set(w.service.decided(1).propset) == set(proposers)
+
+
+def test_a_repeat_proposal_does_not_stand_in_for_a_missing_member():
+    w = SbcWorld(n_correct=3, n_byz=1, seed=5, cfg=SbcConfig(COST))
+    z1 = w.make(b"z1")
+    w.service.propose(1, z1, w.byz[0])
+    while w.byz[0] not in w.service.proposals_for(1):
+        w.sim.run_until(w.sim.now + 1)
+    w.service.propose(1, w.make(b"z2"), w.byz[0])  # arrives inside the window
+    for pid in w.correct[:2]:  # the third correct member never proposes
+        w.service.propose(1, w.make(b"a"), pid)
+    w.drain()
+    arrivals = w.service._instances[1].proposals
+    assert max(a.arrived_at for a in arrivals.values()) + COST < _window_close(w)
+    assert w.service.decided(1).decided_at == _window_close(w)
+    assert w.service.decided(1).propset[w.byz[0]] == z1
+
+
+def test_a_fast_instance_behind_an_undecided_one_reaches_everyone_after_it():
+    for seed in range(30):
+        w = SbcWorld(n_correct=3, n_byz=1, seed=seed, cfg=SbcConfig(COST))
+        for pid in w.correct + w.byz:
+            w.service.propose(2, w.make(b"second"), pid)
+        w.sim.run_until(300)
+        assert w.service.decided(2) is None  # its deadline passed; it waits for 1
+        for pid in w.correct:
+            w.service.propose(1, w.make(b"first"), pid)
+        w.drain()
+        assert w.service.decided(1).decided_at <= w.service.decided(2).decided_at
+        for pid, delivered in w.delivered.items():
+            assert [h for h, _ in delivered] == [1, 2], (seed, pid)
+
+
+def test_nothing_is_decided_before_gst():
+    for seed in range(10):
+        net = NetConfig(gst=500, rng_seed=seed)
+        w = SbcWorld(n_correct=4, seed=seed, net=net, cfg=SbcConfig(COST))
+        for pid in w.correct:
+            w.service.propose(1, w.make(b"a"), pid)
+        w.drain()
+        assert max(_arrivals(w).values()) < net.gst
+        assert w.service.decided(1).decided_at == net.gst + COST
+
+
+def test_every_epoch_of_an_all_correct_cluster_is_stamped_soon_after_its_cut():
+    """One relay hop of the epoch change, the proposals' arrival, the
+    decision cost and the decision's delivery: each epoch is stamped at
+    every server within ``decision_cost + 3 * latency_max`` of its cut."""
+    bound = SBC.decision_cost + 3 * NetConfig().latency_max
+    for seed in range(5):
+        sim = Simulation(NetConfig(rng_seed=seed))
+        stamped = []  # (epoch, tick) per server and stamp
+
+        def observe(pid, event, payload):
+            if event == "stamp":
+                stamped.append((payload[0], sim.now))
+
+        c = Cluster(sim, KeyStore(), 4, 1, 0, SBC, None, state_observer=observe)
+        author = ProcessId(100, ProcessKind.CLIENT)
+        key = c.keys.keygen(author)
+        driver = EpochDriver(sim, c.correct[:2])
+        cuts = {}
+        for h in range(1, 11):
+            for i in range(20):  # adds between the cuts, on every server
+                sim.run_until(sim.now + 20)
+                c.correct[i % 4].add(c.keys.make_element(f"{h}-{i}".encode(),
+                                                         author, key))
+            cuts[h] = sim.now
+            driver.cut()
+        sim.run_to_quiescence()
+        assert len(stamped) == 4 * 10
+        late = [(h, t - cuts[h]) for h, t in stamped if t - cuts[h] > bound]
+        assert not late, (seed, late)
