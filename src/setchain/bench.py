@@ -25,7 +25,7 @@ Two kinds of checks run:
   adds queued in that server's aggregation buffer, but the backup copies
   queued since its previous proposal;
 * at each decision, once the run has drained: a correct proposal made
-  after ``gst`` and at most ``sbc.WINDOW`` minus the network's delay bound
+  from ``gst`` on and at most ``sbc.WINDOW`` minus the network's delay bound
   after the first correct proposal to its instance is an entry of that
   instance's decision (censorship-resistance);
 * at quiescence — after the workload stops and the queues drain: all

@@ -16,11 +16,11 @@ they arrived before the decision.  Only a correct proposal opens the
 window, so a Byzantine proposer that proposes early cannot close it
 before the correct proposals arrive.  After ``gst`` a correct proposal is
 included whenever it is made at most ``WINDOW`` minus the network's delay
-bound after the first correct one.  Every registered
-process then receives the identical decision via its set-deliver
-callback after a network-like delay, in instance order with no reorder
-buffer: instances are decided in order, each member's copies are scheduled
-at non-decreasing ticks, and same-tick events run in the order they were
+bound after the first correct one.  Every registered process then
+receives the identical decision via its set-deliver callback after a
+network-like delay, in instance order with no reorder buffer: instances
+are decided in order, each member's copies are scheduled at
+non-decreasing ticks, and same-tick events run in the order they were
 scheduled.
 
 A proposal is a :class:`wire.Proposal` that the service does not look
