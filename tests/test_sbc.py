@@ -317,8 +317,7 @@ def test_a_repeat_proposal_does_not_stand_in_for_a_missing_member():
     for pid in w.correct[:2]:  # the third correct member never proposes
         w.service.propose(1, w.make(b"a"), pid)
     w.drain()
-    arrivals = w.service._instances[1].proposals
-    assert max(a.arrived_at for a in arrivals.values()) + COST < _window_close(w)
+    assert max(_arrivals(w).values()) + COST < _window_close(w)
     assert w.service.decided(1).decided_at == _window_close(w)
     assert w.service.decided(1).propset[w.byz[0]] == z1
 
