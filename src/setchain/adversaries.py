@@ -146,12 +146,11 @@ class SilentServer:
 
     def __init__(self, pid: ProcessId, sim: Simulation, service: ConsensusService):
         self.pid = pid
-        self.received = 0
         self.net = sim.register(pid, self._on_message)
         service.register(pid, self._on_set_deliver, correct=False)
 
     def _on_message(self, frm: ProcessId, body: bytes) -> None:
-        self.received += 1
+        pass
 
     def _on_set_deliver(self, h: int, propset) -> None:
         pass
@@ -171,6 +170,9 @@ class HavocServer:
     The digests it names are ones it saw, which count only where ``f + 1``
     proposers name them, or random ones that name no batch.  The gap
     between two actions is drawn uniformly from ``TICK_GAP`` ticks.
+
+    ``until`` is its one stop rule: no action runs after that tick.
+    ``start`` sets it (``None`` runs forever), and ``stop`` sets it to now.
     """
 
     TICK_GAP = (20, 150)
@@ -199,7 +201,6 @@ class HavocServer:
         self.knowledge: set[Element] = set()
         self.digests: set[bytes] = set()  # seen since its last proposal
         self.seen_h = 0
-        self.stopped = False
         self.until: Optional[SimTime] = None
 
     # -- the random action pump ---------------------------------------------
@@ -209,10 +210,10 @@ class HavocServer:
         self.net.after(self.rng.randint(*self.TICK_GAP), self._tick)
 
     def stop(self) -> None:
-        self.stopped = True
+        self.until = self.net.now
 
     def _tick(self) -> None:
-        if self.stopped or (self.until is not None and self.net.now > self.until):
+        if self.until is not None and self.net.now > self.until:
             return
         action = self.rng.choice(("madd", "madd", "mepochinc", "propose"))
         pool = self.knowledge | set(generate_invalid_elems(self.rng))

@@ -14,7 +14,7 @@ consensus service, :data:`SBC`.  The named runs live in one table:
 :data:`PRESETS`, which with the safety-matrix cells makes up
 :data:`SCENARIO_NAMES`.
 
-Two kinds of checks run:
+Four kinds of checks run:
 
 * incremental — after every insert/stamp at a correct server: the set
   only grows, every inserted element is valid and has a recorded origin
@@ -65,7 +65,7 @@ from .server import (
     EpochDriver,
     SetchainServer,
 )
-from .simnet import NetConfig, Simulation, SimTime
+from .simnet import TICKS_PER_SECOND, NetConfig, Simulation, SimTime
 from .wire import (
     OP_ADD,
     STATUS_OK,
@@ -77,8 +77,6 @@ from .wire import (
     encode_add_request_body,
     encode_request,
 )
-
-TICKS_PER_SECOND = 1_000_000  # one tick is a simulated microsecond
 
 # The two server algorithms differ only in whether adds are batched before
 # broadcast: each name maps to the ``agg`` its scenarios run with.
@@ -92,7 +90,7 @@ _DRAIN_ROUNDS = 50
 
 
 class BenchError(ValueError):
-    """A scenario, metric, or comparison was malformed."""
+    """A scenario was malformed, or a scenario or algorithm name is unknown."""
 
     def __init__(self, code: str):
         super().__init__(code)
@@ -213,40 +211,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
-
-
-def metric_value(report: RunReport, metric: str) -> float:
-    """One scalar throughput/cost figure from a report."""
-    seconds = report.duration / TICKS_PER_SECOND
-    if metric == "adds-per-second":
-        return report.adds_stamped / seconds
-    if metric == "epochs-per-second":
-        return report.epochs_completed / seconds
-    if metric == "adds-per-epoch":
-        if report.epochs_completed == 0:
-            raise BenchError("degenerate-metric")
-        return report.adds_stamped / report.epochs_completed
-    if metric == "messages-per-add":
-        if report.adds_attempted == 0:
-            raise BenchError("degenerate-metric")
-        return report.messages_total / report.adds_attempted
-    raise BenchError("unknown-metric")
-
-
-def compare(a: RunReport, b: RunReport, metric: str) -> float:
-    """Ratio ``metric(a) / metric(b)``; the denominator must be nonzero."""
-    num, den = metric_value(a, metric), metric_value(b, metric)
-    if den == 0:
-        raise BenchError("degenerate-metric")
-    return num / den
-
-
-def stationarity_ratio(report: RunReport) -> float:
-    """Last-window median latency over first-window median latency."""
-    nonempty = [w for w in report.latency.windows if w.count > 0]
-    if len(nonempty) < 2 or nonempty[0].median == 0:
-        raise BenchError("degenerate-metric")
-    return nonempty[-1].median / nonempty[0].median
 
 
 # ---------------------------------------------------------------------------

@@ -294,14 +294,6 @@ class Confirmation:
     digest: Digest
     signers: frozenset[ProcessId]
 
-    def to_json(self) -> dict:
-        return {
-            "element-digest": self.element.digest.hex(),
-            "epoch": self.epoch,
-            "epoch-digest": self.digest.hex(),
-            "signers": sorted(repr(s) for s in self.signers),
-        }
-
 
 def confirm_from_snapshot(
     element: Element,

@@ -92,6 +92,7 @@ from .core import (
     History,
     KeyStore,
     ProcessId,
+    ProcessKind,
     attestation_payload,
     hash_epoch,
     sort_elements,
@@ -225,7 +226,8 @@ class SetchainServer:
         self.net = sim.register(pid, self.on_message)
         self.brb = BrbEngine(self.net, peers, f, self._deliver_broadcast)
         self.sbc = sbc
-        sbc.register(pid, self._queue_decision, correct=True)
+        sbc.register(pid, self._queue_decision,
+                     correct=pid.kind == ProcessKind.CORRECT_SERVER)
         self.agg = agg  # None: broadcast each add on its own
         self.sign_epochs = sign_epochs
         self.state_observer = state_observer

@@ -226,9 +226,8 @@ class Simulation:
 
     # -- running ------------------------------------------------------------
 
-    def run_until(self, t: SimTime) -> list[LogEntry]:
+    def run_until(self, t: SimTime) -> None:
         """Process every event with time <= t (inclusive); advance now to t."""
-        start = len(self.log)
         heap, pop, deliver = self._heap, heapq.heappop, self._deliver
         proc_cost = self.config.proc_cost
         while heap and heap[0][0] <= t:
@@ -274,7 +273,6 @@ class Simulation:
                     self._armed[dst] = None
                 deliver(src, dst, body)
         self.now = max(self.now, t)
-        return self.log[start:]
 
     def _arm(self, dst: ProcessId, at: SimTime, seq: int) -> None:
         """Make (at, seq) the one live wake of ``dst``'s inbox."""

@@ -52,6 +52,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .core import (
+    DIGEST_SIZE,
     Element,
     ProcessId,
     ProcessKind,
@@ -177,9 +178,6 @@ def decode_brb(buf: bytes) -> BrbFrame:
 # -- consensus proposal notices --------------------------------------------
 
 
-DIGEST_BYTES = 32  # a proposal's name for a batch: sha256 of its payload
-
-
 class Proposal(NamedTuple):
     """What a server proposes for one consensus instance: the add batches
     it names by digest, and the elements it names by value."""
@@ -191,7 +189,7 @@ class Proposal(NamedTuple):
 def encode_inform(h: int, proposal: Proposal) -> bytes:
     """The notice of ``proposal`` for instance ``h``."""
     digests = sorted(proposal.digests)
-    if any(len(d) != DIGEST_BYTES for d in digests):
+    if any(len(d) != DIGEST_SIZE for d in digests):
         raise FrameError("a proposal digest is 32 bytes")
     elements = proposal.elements
     return b"".join((b"P", struct.pack(">QI", h, len(digests)), *digests,
@@ -205,11 +203,11 @@ def decode_inform(buf: bytes) -> tuple[int, Proposal]:
         if buf[:1] != b"P":
             raise FrameError("not a proposal notice")
         h, ndigests = struct.unpack_from(">QI", buf, 1)
-        end = 13 + DIGEST_BYTES * ndigests
+        end = 13 + DIGEST_SIZE * ndigests
         if end + 4 > len(buf):  # before slicing, so a huge count costs nothing
             raise FrameError("truncated digest list")
-        digests = frozenset(bytes(buf[i : i + DIGEST_BYTES])
-                            for i in range(13, end, DIGEST_BYTES))
+        digests = frozenset(bytes(buf[i : i + DIGEST_SIZE])
+                            for i in range(13, end, DIGEST_SIZE))
         (count,) = struct.unpack_from(">I", buf, end)
         elements, stop = decode_element_set(buf, count, end + 4)
         if stop != len(buf):

@@ -25,13 +25,10 @@ from conftest import BrbWorld, SbcWorld, ServerCluster, run_until_done
 from setchain.adversaries import ForgedDigestServer, LyingHistoryServer
 import setchain.bench
 from setchain.bench import (
-    compare,
-    metric_value,
     named_scenario,
     run_matrix,
     safety_matrix,
     seed_from_env,
-    stationarity_ratio,
 )
 from setchain.byz_model import backward_trace_check, forward_trace_check
 from setchain.client import OptimisticClient, QuorumClient
@@ -43,7 +40,7 @@ from setchain.core import (
 )
 from setchain.incentives import CENT, RewardParams, fee_split, reward
 from setchain.server import EpochDriver
-from setchain.simnet import NetConfig
+from setchain.simnet import TICKS_PER_SECOND, NetConfig
 from setchain.wire import BrbFrame, ECHO, INIT, READY
 
 SEEDS = 100
@@ -406,7 +403,7 @@ def test_adversary_pooling_equivalence_on_traces_both_directions():
 def test_default_scenario_stamps_hundredfold_more_adds_than_epochs(preset_run):
     report = preset_run("stock", seed_from_env(0))
     assert report.ok, report.property_violations[:3]
-    ratio = metric_value(report, "adds-per-epoch")
+    ratio = report.adds_stamped / report.epochs_completed
     assert ratio >= 100.0, ratio
     print(f"default scenario: {report.adds_stamped} adds stamped over "
           f"{report.epochs_completed} epochs = {ratio:.1f} adds/epoch "
@@ -418,8 +415,8 @@ def test_batching_at_least_doubles_overloaded_throughput(preset_run):
     plain = preset_run("overload-fast", seed)
     batched = preset_run("overload-agg", seed)
     assert plain.ok and batched.ok
-    plain_rate = metric_value(plain, "adds-per-second")
-    batched_rate = metric_value(batched, "adds-per-second")
+    plain_rate = plain.adds_stamped * TICKS_PER_SECOND / plain.duration
+    batched_rate = batched.adds_stamped * TICKS_PER_SECOND / batched.duration
     speedup = math.inf if plain_rate == 0 else batched_rate / plain_rate
     assert speedup >= 2.0, (plain_rate, batched_rate, speedup)
     print(f"batching under overload at n=7: {plain_rate:.0f} vs "
@@ -431,7 +428,8 @@ def test_silent_minority_keeps_most_throughput_at_ten_servers(preset_run):
     healthy = preset_run("large-none", seed)
     degraded = preset_run("large-silent", seed)
     assert healthy.ok and degraded.ok
-    kept = compare(degraded, healthy, "adds-per-second")
+    kept = ((degraded.adds_stamped / degraded.duration)
+            / (healthy.adds_stamped / healthy.duration))
     assert kept > 0.5, kept
     print(f"silent minority at n=10: throughput kept "
           f"{100 * kept:.1f}% of the healthy run (needs > 50%)")
@@ -440,9 +438,10 @@ def test_silent_minority_keeps_most_throughput_at_ten_servers(preset_run):
 def test_latency_medians_stay_flat_over_a_long_run(preset_run):
     report = preset_run("marathon", seed_from_env(0))
     assert report.ok, report.property_violations[:3]
-    ratio = stationarity_ratio(report)
-    assert ratio <= 2.0, ratio
     meds = [w.median for w in report.latency.windows if w.count]
+    assert len(meds) >= 2, meds
+    ratio = meds[-1] / meds[0]
+    assert ratio <= 2.0, ratio
     print(f"latency over a 1e6-tick run: window medians "
           f"{meds[0]:.0f}..{meds[-1]:.0f} ticks, last/first "
           f"{ratio:.3f} (needs <= 2)")

@@ -4,6 +4,8 @@ adversaries, and the targeted liars."""
 import random
 import struct
 
+import pytest
+
 from conftest import ServerCluster, run_until_done
 from setchain.adversaries import (
     ForgedDigestServer,
@@ -30,6 +32,7 @@ from setchain.wire import (
     OP_GET,
     SHARED_ORIGIN,
     FrameError,
+    Proposal,
     decode_brb,
     decode_broadcast_message,
     decode_get_state_after,
@@ -103,9 +106,9 @@ def test_silent_server_receives_but_never_sends():
     cluster.correct[0].add(e)
     cluster.correct[0].epoch_inc(1)
     cluster.drain()
-    silent = cluster.byz[cluster.byz_pids[0]]
-    assert silent.received > 0
-    assert all(entry.src != silent.pid for entry in cluster.sim.log)
+    silent = cluster.byz_pids[0]
+    assert any(entry.dst == silent for entry in cluster.sim.log)
+    assert all(entry.src != silent for entry in cluster.sim.log)
     for s in cluster.correct:
         assert e in s.theset and s.epoch == 1
 
@@ -118,7 +121,6 @@ def test_havoc_broadcasts_only_invalid_elements_before_learning_any():
     havoc = cluster.byz[cluster.byz_pids[0]]
     havoc.start(until=2_000)
     cluster.sim.run_until(2_000)
-    havoc.stop()
     cluster.drain()
     batches = 0
     for entry in cluster.sim.log:
@@ -142,7 +144,6 @@ def test_havoc_announces_epochs_through_the_shared_origin():
     havoc = cluster.byz[cluster.byz_pids[0]]
     havoc.start(until=2_000)
     cluster.sim.run_until(2_000)
-    havoc.stop()
     cluster.drain()
     origins = {"add": set(), "epochinc": set()}
     for entry in cluster.sim.log:
@@ -165,7 +166,6 @@ def test_havoc_learns_from_requests_and_informs_then_proposes_loot():
     driver.start()
     cluster.sim.run_until(4_000)
     driver.stop()
-    havoc.stop()
     cluster.drain()
     assert e in havoc.knowledge
     assert all(cluster.keys.valid(k) for k in havoc.knowledge)
@@ -205,8 +205,6 @@ def test_havoc_cannot_break_safety_or_block_progress():
     driver.start()
     cluster.sim.run_until(3_000)
     driver.stop()
-    for z in cluster.byz.values():
-        z.stop()
     cluster.drain()
     reference = cluster.correct[0]
     assert reference.epoch >= 1
@@ -231,7 +229,6 @@ def test_havoc_get_answers_cannot_poison_a_quorum_read():
     driver.start()
     cluster.sim.run_until(2_500)
     driver.stop()
-    havoc.stop()
     call = client.get()
     run_until_done(cluster.sim, call)
     cluster.drain()
@@ -291,8 +288,37 @@ def test_repeated_quorum_reads_stay_sound_next_to_havoc_replies():
                        for s in cluster.correct)
         assert call.result.theset <= set().union(*(s.theset for s in cluster.correct))
     driver.stop()
-    havoc.stop()
     assert cluster.byz_pids[0] in client._priors
+
+
+def havoc_frames_after(cluster, havoc, stop):
+    """Frames from ``havoc`` delivered after the last tick at which one it
+    sent at ``stop`` can arrive."""
+    last = stop + cluster.sim.config.latency_max
+    return [entry for entry in cluster.sim.log
+            if entry.src == havoc.pid and entry.t > last]
+
+
+def test_havoc_sends_nothing_after_until_without_a_stop():
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    havoc = cluster.byz[cluster.byz_pids[0]]
+    havoc.start(until=1_000)
+    cluster.sim.run_until(5_000)  # no drain: a pump that ignores until never ends
+    assert any(entry.src == havoc.pid for entry in cluster.sim.log)
+    assert havoc_frames_after(cluster, havoc, 1_000) == []
+
+
+def test_havoc_sends_nothing_after_a_stop_at_a_tick_chosen_mid_run():
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=havoc_factory)
+    havoc = cluster.byz[cluster.byz_pids[0]]
+    havoc.start()
+    # Stop once the pump has sent its third frame, at whatever tick that is.
+    while sum(entry.src == havoc.pid for entry in cluster.sim.log) < 3:
+        cluster.sim.run_until(cluster.sim.now + 10)
+    stop = cluster.sim.now
+    havoc.stop()
+    cluster.sim.run_until(stop + 5_000)
+    assert havoc_frames_after(cluster, havoc, stop) == []
 
 
 # -- targeted liars ---------------------------------------------------------
@@ -344,6 +370,28 @@ def test_lying_history_reply_is_one_self_sealed_epoch_of_everything_it_knows():
                 + struct.pack(">I", len(fabricated)) + encode_element_set(fabricated))
     assert len(fabricated) == 3 and state == expected
 
+
+
+@pytest.mark.parametrize("server_class", [LyingHistoryServer, ForgedDigestServer])
+def test_a_byzantine_protocol_server_cannot_open_a_consensus_window(server_class):
+    """A ``SetchainServer`` subclass in a Byzantine slot joins consensus as
+    Byzantine: its early proposal does not open the instance's window, so
+    correct proposals made 100 ticks later are all decided."""
+    factory = lambda pid, c: server_class(
+        pid, c.sim, c.keys, c.privates[pid], c.pids, c.f, c.service)
+    cluster = ServerCluster(n=4, f=1, n_byz=1, byz_factory=factory)
+
+    def propose(pid):
+        cluster.service.propose(1, Proposal(elements=frozenset({cluster.element()})),
+                                pid)
+
+    propose(cluster.byz_pids[0])
+    cluster.sim.run_until(100)
+    for s in cluster.correct:
+        propose(s.pid)
+    cluster.drain()
+    decided = cluster.service.decided(1).propset
+    assert {s.pid for s in cluster.correct} <= set(decided)
 
 def test_havoc_names_seen_and_junk_digests_and_correct_servers_ignore_them():
     # The havoc server draws which digests it names from its own stream, so

@@ -1,4 +1,4 @@
-"""Scenario runner: reports, metrics, invariant monitoring, determinism."""
+"""Scenario runner: reports, invariant monitoring, determinism."""
 
 import csv
 import gc
@@ -16,14 +16,9 @@ import setchain.bench as bench
 from setchain import core, wire
 from setchain.bench import (
     BenchError,
-    LatencySummary,
-    RunReport,
     SafetyMonitor,
     Scenario,
-    WindowStats,
     Workload,
-    compare,
-    metric_value,
     preset,
     PRESET_NAMES,
     run_matrix,
@@ -31,7 +26,6 @@ from setchain.bench import (
     safety_matrix,
     safety_scenario,
     seed_from_env,
-    stationarity_ratio,
     write_reports_jsonl,
     write_summary_csv,
 )
@@ -155,61 +149,6 @@ def test_seed_from_env(monkeypatch):
     monkeypatch.setenv("SETCHAIN_SEED", "4x2")
     with pytest.raises(ValueError, match="SETCHAIN_SEED='4x2' is not an integer"):
         seed_from_env(7)
-
-
-# ---------------------------------------------------------------------------
-# Metrics and comparisons
-# ---------------------------------------------------------------------------
-
-
-def fake_report(**overrides) -> RunReport:
-    params = dict(
-        scenario="fake", seed=0, n=4, f=1, algorithm="fast", byzantine="none",
-        duration=1_000_000, adds_attempted=100, adds_accepted=100,
-        adds_stamped=80, adds_stamped_final=100, epochs_completed=10,
-        epochs_final=12, final_tick=1_100_000,
-        latency=LatencySummary(count=100, avg=50.0, max=90, median=45.0,
-                               windows=[]),
-        messages={"brb-init": 400}, messages_total=400,
-    )
-    params.update(overrides)
-    return RunReport(**params)
-
-
-def test_metric_values_from_a_known_report():
-    r = fake_report()
-    assert metric_value(r, "adds-per-second") == 80.0
-    assert metric_value(r, "epochs-per-second") == 10.0
-    assert metric_value(r, "adds-per-epoch") == 8.0
-    assert metric_value(r, "messages-per-add") == 4.0
-
-
-def test_compare_is_a_plain_ratio():
-    a = fake_report(adds_stamped=90)
-    b = fake_report(adds_stamped=30)
-    assert compare(a, b, "adds-per-second") == pytest.approx(3.0)
-
-
-def test_degenerate_metrics_are_refused():
-    zero = fake_report(adds_stamped=0, epochs_completed=0, adds_attempted=0)
-    with pytest.raises(BenchError) as err:
-        metric_value(zero, "adds-per-epoch")
-    assert err.value.code == "degenerate-metric"
-    with pytest.raises(BenchError) as err:
-        compare(fake_report(), zero, "adds-per-second")
-    assert err.value.code == "degenerate-metric"
-    with pytest.raises(BenchError) as err:
-        metric_value(fake_report(), "vibes")
-    assert err.value.code == "unknown-metric"
-
-
-def test_stationarity_needs_two_populated_windows():
-    w = [WindowStats(start=0, end=10, count=0, avg=0.0, max=0, median=0.0)]
-    r = fake_report(latency=LatencySummary(count=0, avg=0.0, max=0,
-                                           median=0.0, windows=w))
-    with pytest.raises(BenchError) as err:
-        stationarity_ratio(r)
-    assert err.value.code == "degenerate-metric"
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +606,8 @@ def test_a_run_leaves_the_freeze_count_as_it_found_it(frozen_by_caller):
 def test_batching_spends_fewer_messages_per_add():
     fast = run_scenario(safety_scenario(7, "fast", "none"))
     agg = run_scenario(safety_scenario(7, "fast-agg", "none"))
-    assert compare(agg, fast, "messages-per-add") < 1.0
+    assert (agg.messages_total / agg.adds_attempted
+            < fast.messages_total / fast.adds_attempted)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ re-records them; ``PYTHONPATH=src python tests/test_golden.py`` prints the
 current values in the layout below, then the wider report digest of
 :func:`report_digest`.  With ``--changed`` it lists instead each recorded
 golden that differs on the current tree, as ``name@seed``, so a
-re-baseline can show exactly which runs it touches.
+re-baseline can show exactly which runs it touches, and exits with status 1
+if any differs.
 """
 
 import hashlib
@@ -154,11 +155,13 @@ def changed_goldens() -> list[str]:
     return changed
 
 
-def print_changed() -> None:
+def print_changed() -> int:
+    """Prints the changed goldens; the exit status is 1 if there are any."""
     changed = changed_goldens()
     print("\n".join(changed))
     print(f"{len(changed)} goldens changed, in "
           f"{len({line.split('@')[0] for line in changed})} entries")
+    return 1 if changed else 0
 
 
 def print_goldens() -> None:
@@ -176,6 +179,6 @@ def print_goldens() -> None:
 
 if __name__ == "__main__":
     if "--changed" in sys.argv[1:]:
-        print_changed()
+        sys.exit(print_changed())
     else:
         print_goldens()

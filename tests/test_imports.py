@@ -1,5 +1,5 @@
 """Every name a ``setchain`` module or a test module imports is used in
-that module."""
+that module, and each public constant is defined in one module only."""
 
 import ast
 from pathlib import Path
@@ -51,3 +51,26 @@ def test_every_name_kept_for_the_tracer_is_still_imported():
     for module, name in sorted(PATCHED_BY_NAME):
         tree = ast.parse((SRC / f"{module}.py").read_text())
         assert name in imported_names(tree), f"{module}.{name}"
+
+
+def public_constants(tree: ast.Module) -> set[str]:
+    """The public UPPER_CASE names the module assigns at top level."""
+    names = set()
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if (isinstance(name, ast.Name) and name.id.isupper()
+                        and not name.id.startswith("_")):
+                    names.add(name.id)
+    return names
+
+
+def test_each_public_constant_is_assigned_in_one_module():
+    owners = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in public_constants(ast.parse(path.read_text())):
+            owners.setdefault(name, []).append(path.stem)
+    twice = {name: mods for name, mods in owners.items() if len(mods) > 1}
+    assert not twice, f"assigned in more than one module: {twice}"
