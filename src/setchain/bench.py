@@ -22,7 +22,8 @@ Four kinds of checks run:
   is stamped twice, and all servers agree on each epoch's entry (as sets;
   the canonical encoding is injective, so this is byte-for-byte agreement);
 * at each proposal by a correct server: it names by value exactly the
-  adds queued in that server's aggregation buffer, but the backup copies
+  adds it has queued (a batching server's buffer, or an unbatched
+  server's held backup copies and attestations), but the backup copies
   queued since its previous proposal;
 * at each decision, once the run has drained: a correct proposal made
   from ``gst`` on and at most ``sbc.WINDOW`` minus the network's delay bound
@@ -484,7 +485,8 @@ class Workload:
         self.interval, self.batch = scenario.workload_schedule()
         self.attempted: list[Element] = []
         self.accepted: set[Element] = set()
-        self.sent: dict[int, Element] = {}  # request id -> element
+        # Request id -> element, until a correct server answers the request.
+        self.sent: dict[int, Element] = {}
         self._rid = 0
         self._rotation = 0
 
@@ -521,9 +523,9 @@ class Workload:
             op, rid, status, _ = decode_response(body)
         except FrameError:
             return  # a malformed response confirms nothing
-        if op == OP_ADD and status == STATUS_OK and frm in self.correct:
-            e = self.sent.get(rid)
-            if e is not None:
+        if op == OP_ADD and frm in self.correct:
+            e = self.sent.pop(rid, None)
+            if e is not None and status == STATUS_OK:
                 self.accepted.add(e)
 
 
@@ -609,7 +611,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     # the driven window; stop the epoch timer, then alternate "cut one more
     # epoch" with running the cluster until nothing is left to happen but
     # max_wait timers, until every element everywhere is stamped and every
-    # aggregation buffer is empty.  A cut, not a max_wait flush, empties the
+    # queue is empty.  A cut, not a max_wait flush, empties the batching
     # buffers: its proposals name the queued adds by value.  An empty buffer
     # has no timer pending, so at the end nothing is in flight and the
     # checks below are exact, and the run ends when its work ends.

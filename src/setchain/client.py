@@ -3,9 +3,10 @@
 Two correct-client strategies with opposite latency/traffic tradeoffs:
 
 * :class:`QuorumClient` — writes go to ``f + 1`` distinct servers so at
-  least one is correct, and mark one copy primary: a batching server
-  broadcasts a primary copy at its next flush, and leaves a backup copy
-  out of one flush, since the primary holder is likely to broadcast it;
+  least one is correct, and mark one copy primary: a server broadcasts
+  a primary copy at once or at its next flush, and holds a backup copy
+  back (an unbatched server for ``backup_wait`` ticks, a batching one
+  for one flush), since the primary holder is likely to broadcast it;
   reads contact ``3f + 1`` servers, wait for the first ``2f + 1``
   responses (at most ``GET_TIMEOUT`` ticks), and keep only what at least
   ``f + 1`` servers vouch for, so no lying minority can fabricate
@@ -17,9 +18,10 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
   ``f + 1`` distinct servers (:func:`~setchain.core.attesters` counts
   them, as for rewards).  Servers' attestations of epoch ``h`` are
   stamped with epoch ``h + 1``, so an element stamped in epoch ``h`` is
-  confirmable once ``h + 1`` is decided.  Far fewer messages (every
-  server-side add triggers a quadratic broadcast, so redundant quorum
-  writes are expensive), but higher latency, and an "unconfirmed"
+  confirmable once ``h + 1`` is decided.  Fewer messages (a backup copy
+  that its primary's broadcast does not overtake costs a quadratic
+  broadcast of its own, as under load, so redundant quorum writes can be
+  expensive), but higher latency, and an "unconfirmed"
   signal after ``RETRIES`` attempts — the cue to fall back to the quorum
   client.  The wait before each probe (``WAIT_FACTOR`` epoch periods,
   times ``BACKOFF`` per retry) and the probe's ``PROBE_TIMEOUT`` are

@@ -23,9 +23,10 @@ stamps it.  So the server queues it as a primary copy, and its next
 proposal names it by value: the attestation of epoch ``h`` is stamped
 at decision ``h + 1``, or, if that proposal misses its deadline, at a
 later cut, since every proposal names it until it is stamped.  An
-unbatched server sends it through no broadcast at all; a batching
-server's flush may also carry it.  The price is one epoch: an epoch's
-attestations are visible once the next epoch is decided.
+unbatched server broadcasts only the backup copies it queues, never an
+attestation; a batching server's flush may also carry it.  The price is
+one epoch: an epoch's attestations are visible once the next epoch is
+decided.
 
 A proposal (``wire.Proposal``) names delivered batches by digest (as in
 Hashchain, Capretto et al., 2022) and queued adds by value.  A server
@@ -59,14 +60,28 @@ A client sends each add to ``f + 1`` servers and marks one copy primary
 and the others backup (the primary/backup client requests of PBFT,
 Castro & Liskov, 1999).  The primary holder is likely to broadcast the add
 or name it in its next proposal, and that batch, once delivered, or that
-decision, once stamped, removes the backup copies from their buffers.  So
-a backup copy waits one turn: a flush at ``max_batch`` leaves out each
-backup copy queued since the last flush, and a proposal leaves out each
-backup copy queued since the server's previous proposal.  In the normal
-case one copy of each add crosses the network in a batch, or one proposal
-names it by value, not one per holder.  Three rules keep a Byzantine or
-silent primary from trapping an add:
+decision, once stamped, removes the backup copies from their queues.  So
+a backup copy waits:
 
+* an unbatched server broadcasts a primary copy at once and queues a
+  backup copy for ``backup_wait`` ticks, four times the network's
+  ``latency_max``: the synchronous bound on the primary's broadcast
+  reaching it (client to primary, INIT, ECHO quorum, READY quorum), as a
+  PBFT backup waits a timeout for its primary.  A copy still queued then
+  is broadcast on its own;
+* a batching server's flush at ``max_batch`` leaves out each backup copy
+  queued since the last flush;
+* a proposal leaves out each backup copy queued since the server's
+  previous proposal.
+
+In the normal case one copy of each add crosses the network, alone or in
+a batch, or one proposal names it by value, not one per holder.  When
+busy receivers (``proc_cost``) hold the primary's broadcast past the
+wait, every unbatched holder broadcasts its copy, as if it had not
+waited.  Four rules keep a Byzantine or silent primary from trapping an
+add:
+
+* an unbatched server broadcasts a backup copy once its wait is over;
 * a backup copy is left out of at most one threshold flush: the next one
   sends it;
 * a backup copy is left out of at most one proposal: every later
@@ -74,8 +89,9 @@ silent primary from trapping an add:
 * the ``max_wait`` timer flush sends the whole buffer, and the timer is
   pending exactly while the buffer is not empty.
 
-So a Byzantine or silent primary delays an add by at most one cut (or one
-flush, if that comes first), and never until ``max_wait``.
+So a Byzantine or silent primary delays an add by at most one cut (or
+one flush, or ``backup_wait``, if that comes first), and never until
+``max_wait``.
 """
 
 from __future__ import annotations
@@ -229,14 +245,18 @@ class SetchainServer:
         sbc.register(pid, self._queue_decision,
                      correct=pid.kind == ProcessKind.CORRECT_SERVER)
         self.agg = agg  # None: broadcast each add on its own
+        # How long an unbatched server holds a backup copy: the primary's
+        # broadcast reaches it within four hops (client to primary, INIT,
+        # ECHO quorum, READY quorum) on a network that is on time.
+        self.backup_wait = 4 * sim.config.latency_max
         self.sign_epochs = sign_epochs
         self.state_observer = state_observer
 
         self.theset: set[Element] = set()
         self.history = History()
         self._proposed = 0  # the last instance this server proposed to
-        # Queued adds, in enqueue order; an unbatched server queues only its
-        # attestations.
+        # Queued adds, in enqueue order; an unbatched server queues only
+        # backup copies and its attestations.
         self.tobroadcast: dict[Element, SimTime] = {}
         self.pending_epochinc: set[int] = set()
         # Inserted but not yet stamped; always theset - history.union().
@@ -282,15 +302,16 @@ class SetchainServer:
 
     def add(self, e: Element, primary: bool = True) -> None:
         """Accepts ``e``; ``primary`` is false for a client's backup copy,
-        which a batching server may leave out of one threshold flush."""
+        which a batching server may leave out of one threshold flush and
+        an unbatched server holds for ``backup_wait`` ticks."""
         if not self.keys.valid(e):
             raise RequestRejected("invalid-element")
         if e in self.theset:
             raise RequestRejected("already-present")
-        if self.agg is not None:
-            self._enqueue(e, primary)
-        else:
+        if self.agg is None and primary:
             self._broadcast_adds((e,))
+        else:
+            self._enqueue(e, primary)
 
     def epoch_inc(self, h: int) -> None:
         """Announces ``mepochinc(h)``: the ``f + 1`` servers asked for
@@ -306,8 +327,11 @@ class SetchainServer:
         if e in self.tobroadcast:
             return
         self.tobroadcast[e] = self.net.now
-        if self.agg is None:
-            return  # an attestation, which only proposals name
+        if self.agg is None:  # a backup copy, or an attestation
+            if not primary:
+                self.fresh_backups.add(e)
+                self.net.after(self.backup_wait, self._backup_due, e)
+            return
         if not primary:
             self._backups.add(e)
             self.fresh_backups.add(e)
@@ -316,6 +340,17 @@ class SetchainServer:
             self._flush(self._backups.union(self._proposed_adds))
         elif self.wait_timer is None:
             self.wait_timer = self.net.after(self.agg.max_wait + 1, self._flush_timer)
+
+    def _backup_due(self, e: Element) -> None:
+        """An unbatched server's backup copy has waited ``backup_wait``
+        ticks: broadcasts it, unless a delivered batch or a stamped
+        decision has taken it out of the queue."""
+        tobroadcast = self.tobroadcast
+        if e in tobroadcast:
+            del tobroadcast[e]
+            if not tobroadcast:
+                self._emptied()
+            self._broadcast_adds((e,))
 
     def _flush(self, leave_out: AbstractSet[Element] = frozenset()) -> None:
         """Broadcasts the queued adds but ``leave_out``, which stay queued

@@ -76,13 +76,15 @@ class ServerCluster(Cluster):
     every delivered frame, plus a client author that mints elements.
 
     ``byz_factory(pid, cluster)`` builds each Byzantine slot (default: the
-    silent recording stub above).
+    silent recording stub above).  ``net`` replaces the default network,
+    whose RNG takes ``seed``.
     """
 
     def __init__(self, n=4, f=1, n_byz=0, seed=0, agg=None, sign_epochs=False,
-                 state_observer=None, on_propose=None, byz_factory=None):
+                 state_observer=None, on_propose=None, byz_factory=None,
+                 net=None):
         super().__init__(
-            Simulation(NetConfig(rng_seed=seed)), KeyStore(),
+            Simulation(net or NetConfig(rng_seed=seed)), KeyStore(),
             n, f, n_byz, SbcConfig(),
             byz_factory or (lambda pid, c: ByzStub(pid, c.sim, c.service)),
             agg=agg, sign_epochs=sign_epochs, state_observer=state_observer,

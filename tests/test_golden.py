@@ -19,28 +19,28 @@ import pytest
 from setchain.bench import PRESET_NAMES, preset, run_matrix, run_scenario, safety_matrix
 
 PRESETS_AT_SEED_0 = {
-    "stock": "6d6ec6fd74882b68a1f1ba3fe50059d422cf6effd8bb0c8fd2cd5942293c91bd",
+    "stock": "d8dbdad21a7d9d7cb09d3f387cc29cfa45b882d8a8f4514cb9e1ee9887fcf137",
     "firehose": "8b498e015a09ae6cf4025a96957afafdcfd3430f8404070ce8e0a213e3c3130f",
-    "overload-fast": "aa6984967f324b33ac394f42fc8d7b2e2994224fa41038500b911cd043e326d6",
+    "overload-fast": "afa792571e5f24317bf6eaf616c512c12919b3598f8a902fa63a028377be0654",
     "overload-agg": "5d6d25621332b7645c9a9623bd41f4d9f2a41e40d1c590932d69d603f695a724",
-    "large-none": "81bafa353d5ce0a335f888f8adc25fee620f805ecf2f3d52d9d3fa94e419d5ff",
-    "large-silent": "b43d850e2b0d179844ba586d8b271eb076d2e73b987b2dd7ee60e7e1cf97b157",
-    "marathon": "14813bdcabcc9d348136695a18bd7200eeaac41d1ee621aa3466af6b95cdf3fd",
+    "large-none": "8bfda87073d8627db7e0142551c44609c2a264fe922deba092e53eae4f8c0724",
+    "large-silent": "f25c5d9b5ab9a01283a5700c573e37c16b798f00df78e3eb38717992ee9293c0",
+    "marathon": "cd71bf66e8720e5752e574a0f1b897b539d2e05e96f71c91d3215f37882d5e96",
 }
 
 MATRIX_SEEDS = range(2)
 MATRIX = {  # cell -> digests at MATRIX_SEEDS
     "safety-n4-fast-none": (
-        "9060a1c28fa80acdc48e6022c7c3c1c26ec09fa52414e96e0a341c1cb9f33868",
-        "9c8e053471f28aed4bd65c9102d31d457c0da8f5e802c5e4326dc91916fb7ec1",
+        "42fab5206c058b2a958aa9103ccd843b6e80a36c429cc9f975c8f1f6b9246d60",
+        "ce7862c1396d48f9f93151fd1ac4bceeef2e9639bdb1a50164b1b9d9ab0b4999",
     ),
     "safety-n4-fast-silent": (
-        "9384057dde36a5efed0c7d4fee7f14c9b4684316a3e22c26c28be2c7c47712da",
-        "8f776180f1e4a280d389dec9c2ec68305924299df88e85ffaf9d9b4e9b771a21",
+        "fe798047b1b023548326cdf870d94ed294e35d00d4c987a5478b0dd14b2b7711",
+        "5e2c8cdf211fe55bd09ed885ab97fe6ef6504c5d40fcada6dbedba5da6d2a68b",
     ),
     "safety-n4-fast-havoc": (
-        "e3110d30f39a14a0f73edd726ac5c16e44241e200066a30f1306d900bcb2a198",
-        "0e9a6f8249589953bdb6ef72c8426ee6694196bac45d86e51f7ad576d14c6a2c",
+        "dfcd425b3a2e61d78a9ba90399509edf2ad3726533cb0d7417c27b1f8365d6d6",
+        "da860eb539c219cd5fe658bd803100a7c40fe03c375bc9a69396819bea1d637c",
     ),
     "safety-n4-fast-agg-none": (
         "5ad5062d477d937fcbb71145cf138aed4a232bb3b8da093b5027bc8ec6a531f3",
@@ -55,16 +55,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "397a632d2061e6adbdfc6667a719dcc53cff67c34f773c2945924680e8470391",
     ),
     "safety-n7-fast-none": (
-        "b771b6b10bfac0be9ba6b2e23df8309e87acd563641d6af748ff3341d5d0bfb4",
-        "578a095491046b4595de7a2a3f54c1ca5bf5877597f18daa9c14a568c0dae4d1",
+        "c5ed62c8e348aa7d2f908a52d886e75a0d3f59833398e95609ef4b9d42a94c0a",
+        "872dc244199102cea6207f2f133467e27cc5da8b200b56c4304de858e5c12b0a",
     ),
     "safety-n7-fast-silent": (
-        "260331f5468d896bde3845327dcec49a16e5f122b9d25544f260fabb68201920",
-        "271c89b3c91329fee995da8891aa52ae1cb03003549f35afde4c3bd941cb8348",
+        "7834dc72e09b539f761cabf90646f71db75d7c59f797936c327d3ba23de91282",
+        "d1097fa1631494282e8e8855e263a38a86c9b5af01d1b419ba30a370edb47357",
     ),
     "safety-n7-fast-havoc": (
-        "3a27af67264c73ddbedbfa8cfe7609ca435894732391dc2a284b86cf528ec121",
-        "541010627ddf84577767ffa06f4a0787bed6c1bea316cc43905fa7009f48b78c",
+        "0c6dcf2ac0a8f64b131f28e038744071a52633dc8d5a8f9bff8ca0616ce5388e",
+        "8c6cb402ec13960b96a6858eafcfa85b2b785f33d329b214219549988b83f7ce",
     ),
     "safety-n7-fast-agg-none": (
         "602003ff978736765be53007a11e7f6082e84b6ab19f921af3a36883b91ffd17",
@@ -79,16 +79,16 @@ MATRIX = {  # cell -> digests at MATRIX_SEEDS
         "a67706e2961df5454fa039733a3fc9eedb0cd88992a847ac1c914d7e55584d1d",
     ),
     "safety-n10-fast-none": (
-        "6d586b6a4819ffc357e8149693d08f82728cccda35bd7708282c6495542673f0",
-        "1a7935901f55457201fad93e502e93eeab3b20b7993f763cef83b8ad893034a3",
+        "3dbf8855b3eae257a6a17afbef12a950c360ba0ab95594b97d24d87c3d125e28",
+        "273405db78a3e4f0bc3afcc0c7833d9b69e067dba808dece1232ccc3a4de1d8b",
     ),
     "safety-n10-fast-silent": (
-        "60cca3d81299a8b0f6117ea8271992b6ebfbbc68ff23ca3b6669f9a8b0a0f906",
-        "bf8b91e28c3862872914dbfe1a7a33438ca3af65dba2d40d7f4fb43e70a59df5",
+        "c77b810ea6c5840d5c88e3a860bc11b57a092415a0e9d56ee8337765e1ca7b98",
+        "dde38e4bd9be8c840370800fa2a016870a103a2d8cdeb77972c8ade915900a03",
     ),
     "safety-n10-fast-havoc": (
-        "190b0c9875565107d3ede5254af464db68473e239f7f9c0c7df7a191fa94a2ac",
-        "a70495dd46787d5192a95394bd36cb508078bf17973de56e40ceef3b8a2b7857",
+        "9072ae61e07cb6aea59205b78d971b958543236ddee770321db479f87d09276c",
+        "632a371c94bd6964b051877e6d4d211c5c0b1d9ad9c2a1584ed402fa4b4e3731",
     ),
     "safety-n10-fast-agg-none": (
         "0999d6386f223c692f174ce303e248a4d9750be0cb68192ef4ca40dd1d28835d",

@@ -5,12 +5,18 @@ import hashlib
 import itertools
 import random
 import struct
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import ServerCluster
-from setchain.bench import SafetyMonitor, _run_until_only_wait_timers
+from setchain.bench import (
+    SafetyMonitor,
+    _run_until_only_wait_timers,
+    named_scenario,
+    run_scenario,
+)
 from setchain.core import (
     Element,
     KeyStore,
@@ -26,6 +32,7 @@ from setchain.server import (
     EpochDriver,
     RequestRejected,
 )
+from setchain.simnet import NetConfig
 from setchain.wire import (
     ECHO,
     INIT,
@@ -270,10 +277,7 @@ def test_batch_delivery_inserts_exactly_the_fresh_valid_elements(agg):
     bystander = c.element()  # queued, but not in the batch
     _deliver(s, [present])
     for e in (queued, bystander):
-        if agg is None:
-            s.tobroadcast[e] = c.sim.now  # per-element servers never queue
-        else:
-            s.add(e)
+        s.add(e, False)  # each kind of server queues a backup copy
     assert list(s.tobroadcast) == [queued, bystander]
     before, unstamped_before = set(s.theset), set(s._unstamped)
     events.clear()
@@ -768,6 +772,86 @@ def test_adds_whose_proposal_missed_its_decision_go_in_the_next_flush():
     assert s.tobroadcast == {}
     c.drain()
     assert _batches_sent(c, s) == [frozenset(named + later)]
+
+
+# -- unbatched backup copies ------------------------------------------------
+
+
+@pytest.mark.parametrize("name, seed", [
+    *((f"safety-n{n}-fast-none", seed) for n in (4, 7, 10) for seed in (0, 1)),
+    ("stock", 0),
+])
+def test_each_add_is_broadcast_once_when_every_primary_is_correct(
+        name, seed, monkeypatch):
+    copies = Counter()  # element -> add batches that carried it
+    observe = SafetyMonitor.observe
+
+    def counting(self, pid, event, payload):
+        if event == "broadcast":
+            copies.update(decode_broadcast_message(payload)[1])
+        observe(self, pid, event, payload)
+
+    monkeypatch.setattr(SafetyMonitor, "observe", counting)
+    report = run_scenario(named_scenario(name).with_seed(seed))
+    assert report.ok and report.algorithm == "fast"
+    assert len(copies) == report.adds_attempted
+    assert set(copies.values()) == {1}  # no backup holder broadcast its copy
+
+
+def test_an_unbatched_backup_whose_primary_is_silent_broadcasts_after_the_wait():
+    # The primary copy went to the silent Byzantine slot, which never
+    # broadcasts it; the one correct holder has the backup copy.
+    broadcasts = []
+
+    def observe(pid, event, payload):
+        if event == "broadcast":
+            broadcasts.append((c.sim.now, pid, payload))
+
+    c = ServerCluster(n_byz=1, net=NetConfig(latency_max=7),
+                      state_observer=observe)
+    s = c.correct[0]
+    c.sim.run_until(3)
+    s.add(e := c.element(), False)
+    wait = 4 * 7  # four hops of at most latency_max each
+    assert s.backup_wait == wait
+    c.sim.run_until(3 + wait - 1)
+    assert broadcasts == [] and list(s.tobroadcast) == [e]
+    c.sim.run_until(3 + wait)
+    assert broadcasts == [(3 + wait, s.pid, encode_madd((e,)))]
+    assert s.tobroadcast == {}
+    c.drain()
+    s.epoch_inc(1)
+    c.drain()
+    for srv in c.correct:
+        assert srv.history.entries == (frozenset([e]),)
+
+
+@pytest.mark.parametrize("proc_cost", [0, 6], ids=["on-time", "busy"])
+def test_an_unbatched_backup_broadcasts_only_if_its_primary_is_late(proc_cost):
+    # A busy receiver takes proc_cost ticks per frame, which the wait does
+    # not cover: the correct primary's batch reaches the backup holder late.
+    broadcasts = []  # (sender, whether it had delivered the add)
+
+    def observe(pid, event, payload):
+        if event == "broadcast":
+            broadcasts.append((pid, e in c.servers[pid].theset))
+
+    c = ServerCluster(net=NetConfig(proc_cost=proc_cost),
+                      state_observer=observe)
+    primary, backup = c.correct[:2]
+    e = c.element()
+    primary.add(e)
+    backup.add(e, False)
+    c.drain()
+    if proc_cost:
+        assert broadcasts == [(primary.pid, False), (backup.pid, False)]
+    else:
+        assert broadcasts == [(primary.pid, False)]
+    assert backup.tobroadcast == {}
+    primary.epoch_inc(1)
+    c.drain()
+    for srv in c.correct:
+        assert srv.history.entries == (frozenset([e]),)
 
 
 def test_aggregation_presets_match_declared_constants():
