@@ -19,13 +19,13 @@ Two correct-client strategies with opposite latency/traffic tradeoffs:
   them, as for rewards).  Servers' attestations of epoch ``h`` are
   stamped with epoch ``h + 1``, so an element stamped in epoch ``h`` is
   confirmable once ``h + 1`` is decided.  Fewer messages (a backup copy
-  that its primary's broadcast does not overtake costs a quadratic
-  broadcast of its own, as under load, so redundant quorum writes can be
-  expensive), but higher latency, and an "unconfirmed"
-  signal after ``RETRIES`` attempts — the cue to fall back to the quorum
-  client.  The wait before each probe (``WAIT_FACTOR`` epoch periods,
-  times ``BACKOFF`` per retry) and the probe's ``PROBE_TIMEOUT`` are
-  class constants; only ``epoch_period`` is set per client.
+  whose primary's broadcast arrives late, as under load, costs a
+  quadratic broadcast of its own, so redundant quorum writes can be
+  expensive), but higher latency, and an "unconfirmed" signal after
+  ``RETRIES`` attempts — the cue to fall back to the quorum client.  The
+  wait before each probe (``WAIT_FACTOR`` epoch periods, times
+  ``BACKOFF`` per retry) and the probe's ``PROBE_TIMEOUT`` are class
+  constants; only ``epoch_period`` is set per client.
 
 Both clients keep, for each server, the epoch sets of that server's last
 get reply (its prior), and each get request says how many they hold.

@@ -32,10 +32,11 @@ A proposal (``wire.Proposal``) names delivered batches by digest (as in
 Hashchain, Capretto et al., 2022) and queued adds by value.  A server
 keeps each delivered add batch that still holds an unstamped element,
 keyed by the sha256 of its broadcast payload, and proposes those digests;
-a batching server also proposes the adds in its buffer by value (all but
-the backup copies queued since its previous proposal, see below), so
-that the adds queued when an epoch is cut are stamped in that epoch
-rather than after the next flush.  A decided epoch stamps:
+it also proposes its queued adds by value (a batching server's buffer,
+an unbatched server's held backup copies and attestations; all but the
+backup copies queued since its previous proposal, see below), so that
+the adds queued when an epoch is cut are stamped in that epoch rather
+than after the next flush or broadcast.  A decided epoch stamps:
 
 * the batches of the digests that at least ``f + 1`` proposers name.  One
   of them is correct, so it delivered the batch, and reliable broadcast
@@ -465,7 +466,7 @@ class SetchainServer:
         return new.difference(invalid) if invalid else new
 
     def _unqueue(self, elements: frozenset[Element]) -> None:
-        """Drops ``elements`` from the aggregation buffer."""
+        """Drops ``elements`` from the queued adds."""
         tobroadcast = self.tobroadcast
         if tobroadcast:
             for e in elements & set(tobroadcast):
