@@ -147,7 +147,7 @@ class SilentServer:
     def __init__(self, pid: ProcessId, sim: Simulation, service: ConsensusService):
         self.pid = pid
         self.net = sim.register(pid, self._on_message)
-        service.register(pid, self._on_set_deliver, correct=False)
+        service.register(pid, self._on_set_deliver)
 
     def _on_message(self, frm: ProcessId, body: bytes) -> None:
         pass
@@ -184,20 +184,18 @@ class HavocServer:
         keys: KeyStore,
         service: ConsensusService,
         peers: tuple[ProcessId, ...],
-        f: int,
     ):
         self.pid = pid
         self.keys = keys
         self.service = service
         self.peers = tuple(p for p in peers if p != pid)
-        self.f = f
         self.rng = random.Random(f"{sim.config.rng_seed}:havoc:{pid.id}")
         # The digests it names come from a stream of their own, so that what
         # it sends, and when, follows from ``rng`` alone.
         self.digest_rng = random.Random(
             f"{sim.config.rng_seed}:havoc-digests:{pid.id}")
         self.net = sim.register(pid, self.on_message)
-        service.register(pid, self.on_set_deliver, correct=False)
+        service.register(pid, self.on_set_deliver)
         self.knowledge: set[Element] = set()
         self.digests: set[bytes] = set()  # seen since its last proposal
         self.seen_h = 0

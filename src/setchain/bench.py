@@ -33,8 +33,8 @@ Four kinds of checks run:
   correct servers expose identical sets and records, every accepted add
   is stamped everywhere, no correct server keeps an open batch or a
   queued add, no correct server holds a broadcast payload it never
-  delivered (of a correct origin; of any origin on runs with no Byzantine
-  servers), and on runs with no Byzantine servers the cluster matches the
+  delivered whose origin's ``ProcessId.kind`` is ``CORRECT_SERVER``, and
+  on runs with no Byzantine servers the cluster matches the
   sequential single-process reference.
 """
 
@@ -116,11 +116,13 @@ def seed_from_env(default: int = 0) -> int:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One cluster configuration plus the client workload driving it."""
+    """One cluster configuration plus the client workload driving it.
+
+    ``n`` sets the fault bound: ``f`` is the largest with ``n >= 3f + 1``,
+    and a Byzantine run fills ``f`` of the ``n`` slots."""
 
     name: str = "stock"
     n: int = 4
-    f: int = 1
     byzantine: str = "none"  # "none", "silent", or "havoc"
     epoch_period: int = 20_000  # ticks between epoch-cut requests
     add_rate: int = 50_000  # client adds per simulated second
@@ -130,7 +132,7 @@ class Scenario:
     agg: Optional[AggConfig] = None  # None: each add is broadcast on its own
 
     def __post_init__(self) -> None:
-        if self.f < 1 or self.n < 3 * self.f + 1:
+        if self.n < 4:
             raise BenchError("too-few-servers")
         if self.byzantine not in ADVERSARIES:
             raise BenchError("unknown-adversary")
@@ -140,6 +142,10 @@ class Scenario:
     @property
     def algorithm(self) -> str:
         return "fast" if self.agg is None else "fast-agg"
+
+    @property
+    def f(self) -> int:
+        return (self.n - 1) // 3
 
     @property
     def n_byz(self) -> int:
@@ -346,11 +352,11 @@ class SafetyMonitor:
                              f"{server.pid!r} keeps {len(server.tobroadcast)} "
                              "adds queued for broadcast")
             # A correct origin's init is authenticated, so its payload, held
-            # anywhere, reaches every correct server; with no Byzantine slot
-            # every origin is correct, the shared one included.
+            # anywhere, reaches every correct server.  A payload is held only
+            # for a peer origin: shared-origin instances deliver at creation.
             held = sum(1 for (origin, _), inst in server.brb.instances.items()
                        if inst.payload is not None and not inst.delivered
-                       and (central is not None or origin in self.servers))
+                       and origin.kind == ProcessKind.CORRECT_SERVER)
             if held:
                 self.violate("brb-undelivered",
                              f"{server.pid!r} holds {held} broadcast payloads "
@@ -468,10 +474,11 @@ class Cluster:
 
 class Workload:
     """Request-wire load generator: each element goes to ``f + 1`` servers,
-    one of them as its primary copy."""
+    one of them as its primary copy.  An add counts as accepted when a
+    server whose ``ProcessId.kind`` is ``CORRECT_SERVER`` answers it OK."""
 
     def __init__(self, sim: Simulation, keys: KeyStore, scenario: Scenario,
-                 targets: tuple[ProcessId, ...], correct: frozenset[ProcessId],
+                 targets: tuple[ProcessId, ...],
                  monitor: SafetyMonitor, central: Optional[CentralSetchain]):
         self.pid = ProcessId(300, ProcessKind.CLIENT)
         self.net = sim.register(self.pid, self.on_message)
@@ -479,7 +486,6 @@ class Workload:
         self._private = keys.keygen(self.pid)
         self.scenario = scenario
         self.targets = targets
-        self.correct = correct
         self.monitor = monitor
         self.central = central
         self.interval, self.batch = scenario.workload_schedule()
@@ -523,7 +529,7 @@ class Workload:
             op, rid, status, _ = decode_response(body)
         except FrameError:
             return  # a malformed response confirms nothing
-        if op == OP_ADD and frm in self.correct:
+        if op == OP_ADD and frm.kind == ProcessKind.CORRECT_SERVER:
             e = self.sent.pop(rid, None)
             if e is not None and status == STATUS_OK:
                 self.accepted.add(e)
@@ -585,7 +591,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     def adversary(pid: ProcessId, c: Cluster):
         if scenario.byzantine == "silent":
             return SilentServer(pid, c.sim, c.service)
-        havoc = HavocServer(pid, c.sim, c.keys, c.service, c.pids, c.f)
+        havoc = HavocServer(pid, c.sim, c.keys, c.service, c.pids)
         havoc.start(until=scenario.duration)
         return havoc
 
@@ -600,8 +606,7 @@ def _run_scenario(scenario: Scenario) -> RunReport:
     central = CentralSetchain(keys) if n_byz == 0 else None
     driver = EpochDriver(sim, servers[: f + 1], scenario.epoch_period)
     driver.start(scenario.epoch_period)
-    load = Workload(sim, keys, scenario, cluster.pids,
-                    frozenset(cluster.correct_pids), monitor, central)
+    load = Workload(sim, keys, scenario, cluster.pids, monitor, central)
     load.start()
 
     sim.run_until(scenario.duration)
@@ -741,7 +746,6 @@ def safety_scenario(n: int, algorithm: str, byzantine: str) -> Scenario:
     return Scenario(
         name=f"safety-n{n}-{algorithm}-{byzantine}",
         n=n,
-        f=(n - 1) // 3,
         byzantine=byzantine,
         epoch_period=400,
         add_rate=5_000,
@@ -756,9 +760,9 @@ def safety_matrix(ns=(4, 7, 10)) -> list[Scenario]:
             for n in ns for algorithm in ALGORITHMS for byzantine in ADVERSARIES]
 
 
-_OVERLOAD = dict(n=7, f=2, epoch_period=1_500, add_rate=10_000, duration=6_000,
+_OVERLOAD = dict(n=7, epoch_period=1_500, add_rate=10_000, duration=6_000,
                  net=NetConfig(proc_cost=6))
-_LARGE = dict(n=10, f=3, epoch_period=20_000, add_rate=5_000, duration=100_000)
+_LARGE = dict(n=10, epoch_period=20_000, add_rate=5_000, duration=100_000)
 
 # The named scenarios of the headline experiments, keyed by their names.
 PRESETS: dict[str, Scenario] = {s.name: s for s in (

@@ -114,7 +114,6 @@ class BrbEngine:
         self.net = net
         self._others = tuple(p for p in peers if p != net.pid)
         self._peer_set = frozenset(peers)
-        self.f = f
         self.quorum = 2 * f + 1  # echoes to turn ready; readies to deliver
         self.amplify = f + 1  # readies to turn ready
         self.on_deliver = on_deliver

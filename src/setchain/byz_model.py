@@ -40,6 +40,7 @@ from typing import Iterable, Optional
 from .adversaries import generate_invalid_elems, havoc_number, havoc_subset
 from .core import (
     Element,
+    History,
     KeyStore,
     ProcessId,
     ProcessKind,
@@ -212,18 +213,15 @@ def _channel_receive(ch: Channel, m: Message) -> Channel:
 
 @dataclass(frozen=True)
 class LocalState:
-    """A correct server's state: its element set, stamped epochs in order,
-    and the current epoch number."""
+    """A correct server's state: its element set and its stamped epochs,
+    whose count is its current epoch number."""
 
     theset: frozenset[Element] = frozenset()
-    history: tuple[frozenset[Element], ...] = ()
-    epoch: int = 0
+    history: History = History()
 
-    def stamped(self) -> frozenset[Element]:
-        out: set[Element] = set()
-        for entry in self.history:
-            out |= entry
-        return frozenset(out)
+    @property
+    def epoch(self) -> int:
+        return self.history.epoch
 
 
 @dataclass(frozen=True)
@@ -360,7 +358,7 @@ class Model:
             if (ev.msg[0] == "mepochinc" and not adv
                     and ev.msg[1] == cfg.states[s].epoch + 1):
                 state = cfg.states[s]
-                ps = state.theset - state.stamped()
+                ps = state.theset - state.history.union()
                 net = self._send(net, proposal(ev.msg[1], ps), s)
         elif tag == "epoch_inc" and not adv:
             net = self._send(net, mepochinc(ev.h), s)
@@ -378,15 +376,14 @@ class Model:
                 states = dict(states)
                 states[s] = replace(state, theset=state.theset | {ev.msg[1]})
             elif tag == "sbc_set_deliver":
-                stamped = state.stamped()
+                stamped = state.history.union()
                 entry = frozenset(
                     e for e in ev.elements
                     if self.keys.valid(e) and e not in stamped)
                 states = dict(states)
                 states[s] = LocalState(
                     theset=state.theset | entry,
-                    history=state.history + (entry,),
-                    epoch=ev.h,
+                    history=state.history.stamp(ev.h, entry),
                 )
 
         consensus = cfg.consensus
@@ -444,10 +441,6 @@ def equivalence_failure(many: "Model", phi: Config,
         if not _counter_leq(Counter(ch.received), b_received):
             return "net-received-subset"
     return None
-
-
-def obs_equiv(many: "Model", phi: Config, single: "Model", psi: Config) -> bool:
-    return equivalence_failure(many, phi, single, psi) is None
 
 
 def unaccounted_received(single: "Model", cfg: Config) -> frozenset[Element]:

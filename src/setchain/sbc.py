@@ -12,9 +12,11 @@ deadline moves up to ``max(t, gst)``: the service decides at the speed
 of the network rather than the timer, and the decision holds the same
 entries.  A correct proposer's entry is included iff its proposal arrived
 by the deadline; entries from Byzantine proposers are included whenever
-they arrived before the decision.  Only a correct proposal opens the
-window, so a Byzantine proposer that proposes early cannot close it
-before the correct proposals arrive.  After ``gst`` a correct proposal is
+they arrived before the decision.  A proposer is correct when its
+``ProcessId.kind`` is ``CORRECT_SERVER``: the service reads the role
+from the pid alone.  Only a correct proposal opens the window, so a
+Byzantine proposer that proposes early cannot close it before the
+correct proposals arrive.  After ``gst`` a correct proposal is
 included whenever it is made at most ``WINDOW`` minus the network's delay
 bound after the first correct one.  Every registered process then
 receives the identical decision via its set-deliver callback after a
@@ -38,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .core import ProcessId
+from .core import ProcessId, ProcessKind
 from .simnet import SimTime, Simulation, Timer
 from .wire import Proposal, encode_inform
 
@@ -93,17 +95,15 @@ class ConsensusService:
         self.rng = random.Random(f"{sim.config.rng_seed}:sbc")
         self.on_propose = on_propose
         self._members: dict[ProcessId, Callable[[int, Propset], None]] = {}
-        self._correct: dict[ProcessId, bool] = {}
         self._instances: dict[int, _Instance] = {}
         self.decisions: dict[int, Decision] = {}
         self._last: dict[ProcessId, SimTime] = {}  # latest delivery tick per member
 
-    def register(self, pid: ProcessId, on_set_deliver: Callable[[int, Propset], None],
-                 correct: bool = True) -> None:
+    def register(self, pid: ProcessId,
+                 on_set_deliver: Callable[[int, Propset], None]) -> None:
         if pid in self._members:
             raise ValueError(f"duplicate consensus registration for {pid!r}")
         self._members[pid] = on_set_deliver
-        self._correct[pid] = correct
         self._last[pid] = 0
 
     # -- proposing ----------------------------------------------------------
@@ -133,7 +133,7 @@ class ConsensusService:
         everyone = len(inst.proposals) == len(self._members)
         deadline = max(now if everyone else now + WINDOW, self.sim.config.gst)
         if inst.deadline is None:
-            if not self._correct[by]:
+            if by.kind != ProcessKind.CORRECT_SERVER:
                 return  # only a correct proposal opens the window
         elif deadline < inst.deadline:
             inst.timer.cancel()
@@ -156,7 +156,7 @@ class ConsensusService:
         propset: Propset = {}
         for by in sorted(inst.proposals):
             p = inst.proposals[by]
-            if self._correct[by]:
+            if by.kind == ProcessKind.CORRECT_SERVER:
                 if p.arrived_at <= inst.deadline:
                     propset[by] = p.proposal
             else:

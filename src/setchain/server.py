@@ -109,7 +109,6 @@ from .core import (
     History,
     KeyStore,
     ProcessId,
-    ProcessKind,
     attestation_payload,
     hash_epoch,
     sort_elements,
@@ -175,8 +174,8 @@ class AggConfig:
     copy waits at most one flush and one cut for a Byzantine or silent
     primary, and never ``max_wait``."""
 
-    max_batch: int = 1000
-    max_wait: int = 5_000_000
+    max_batch: int
+    max_wait: int
 
     def __post_init__(self) -> None:
         if self.max_batch < 1 or self.max_wait < 1:
@@ -243,8 +242,7 @@ class SetchainServer:
         self.net = sim.register(pid, self.on_message)
         self.brb = BrbEngine(self.net, peers, f, self._deliver_broadcast)
         self.sbc = sbc
-        sbc.register(pid, self._queue_decision,
-                     correct=pid.kind == ProcessKind.CORRECT_SERVER)
+        sbc.register(pid, self._queue_decision)
         self.agg = agg  # None: broadcast each add on its own
         # How long an unbatched server holds a backup copy: the primary's
         # broadcast reaches it within four hops (client to primary, INIT,
@@ -590,10 +588,7 @@ class EpochDriver:
     def cut(self) -> None:
         """Asks each target for the epoch after its own."""
         for server in self.targets:
-            try:
-                server.epoch_inc(server.epoch + 1)
-            except RequestRejected:
-                pass
+            server.epoch_inc(server.epoch + 1)
 
     def _tick(self) -> None:
         self.cut()

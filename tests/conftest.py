@@ -54,9 +54,7 @@ class ByzStub:
         self.set_delivers = []
         self.net = sim.register(pid, self._on_message)
         self.service = service
-        service.register(
-            pid, lambda h, ps: self.set_delivers.append((h, ps)), correct=False
-        )
+        service.register(pid, lambda h, ps: self.set_delivers.append((h, ps)))
 
     def _on_message(self, frm, body):
         self.inbox.append((frm, body))
@@ -174,7 +172,6 @@ class SbcWorld:
             self.service.register(
                 pid,
                 lambda h, propset, pid=pid: self.delivered[pid].append((h, propset)),
-                correct=pid in self.correct,
             )
 
     def make(self, *names):

@@ -44,7 +44,7 @@ from setchain.wire import (
 
 def havoc_factory(pid, cluster):
     return HavocServer(pid, cluster.sim, cluster.keys, cluster.service,
-                       cluster.pids, cluster.f)
+                       cluster.pids)
 
 
 # -- chaos generators -------------------------------------------------------

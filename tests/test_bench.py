@@ -45,7 +45,7 @@ from setchain.wire import (
 
 def tiny_scenario(**overrides) -> Scenario:
     """A byz-free run small enough for tight unit tests."""
-    params = dict(name="tiny", n=4, f=1, epoch_period=400, add_rate=5_000,
+    params = dict(name="tiny", n=4, epoch_period=400, add_rate=5_000,
                   duration=4_000)
     params.update(overrides)
     return Scenario(**params)
@@ -58,8 +58,12 @@ def tiny_scenario(**overrides) -> Scenario:
 
 def test_scenario_rejects_too_few_servers():
     with pytest.raises(BenchError) as err:
-        Scenario(n=3, f=1)
+        Scenario(n=3)
     assert err.value.code == "too-few-servers"
+
+
+def test_scenario_fault_bound_follows_from_n():
+    assert [Scenario(n=n).f for n in (4, 6, 7, 9, 10)] == [1, 1, 2, 2, 3]
 
 
 def test_scenario_rejects_unknown_algorithm_and_adversary():
@@ -90,7 +94,7 @@ def test_workload_drops_malformed_responses():
     keys = KeyStore()
     server = ProcessId(0)
     net = sim.register(server, lambda frm, body: None)
-    load = Workload(sim, keys, tiny_scenario(), (server,), frozenset([server]),
+    load = Workload(sim, keys, tiny_scenario(), (server,),
                     SafetyMonitor(sim, keys), None)
     load._send_add(load._mint())  # request id 1
     for body in (b"", b"R", b"R\x01\x00", b"\xffjunk"):
@@ -100,10 +104,28 @@ def test_workload_drops_malformed_responses():
     assert load.accepted == set(load.attempted)
 
 
+def test_workload_credits_only_an_ok_from_a_correct_server_kind():
+    sim = Simulation(NetConfig(latency_min=1, latency_max=1))
+    keys = KeyStore()
+    byz, correct = ProcessId(0, ProcessKind.BYZANTINE_SERVER), ProcessId(1)
+    nets = {pid: sim.register(pid, lambda frm, body: None) for pid in (byz, correct)}
+    load = Workload(sim, keys, tiny_scenario(), (byz, correct),
+                    SafetyMonitor(sim, keys), None)
+    load._send_add(load._mint())  # request 1 to byz, request 2 to correct
+    nets[byz].send(load.pid, encode_response(OP_ADD, 1, STATUS_OK))
+    sim.run_to_quiescence()
+    assert load.accepted == set()
+    assert sorted(load.sent) == [1, 2]
+    nets[correct].send(load.pid, encode_response(OP_ADD, 2, STATUS_OK))
+    sim.run_to_quiescence()
+    assert load.accepted == set(load.attempted)
+    assert sorted(load.sent) == [1]
+
+
 def test_byzantine_slots_follow_the_adversary_kind():
-    assert Scenario(byzantine="none", n=7, f=2).n_byz == 0
-    assert Scenario(byzantine="silent", n=7, f=2).n_byz == 2
-    assert Scenario(byzantine="havoc", n=7, f=2).n_byz == 2
+    assert Scenario(byzantine="none", n=7).n_byz == 0
+    assert Scenario(byzantine="silent", n=7).n_byz == 2
+    assert Scenario(byzantine="havoc", n=7).n_byz == 2
 
 
 def test_every_scenario_name_resolves_to_a_scenario_of_that_name():

@@ -860,7 +860,7 @@ def test_aggregation_presets_match_declared_constants():
 
 def test_agg_config_rejects_nonpositive_thresholds():
     with pytest.raises(ValueError):
-        AggConfig(max_batch=0)
+        AggConfig(max_batch=0, max_wait=1)
 
 
 # -- epoch signing ----------------------------------------------------------
